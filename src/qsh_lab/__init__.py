@@ -2,15 +2,14 @@
 
 The package is organised bottom-up:
 
-  scalars      arithmetic modes (exact rationals / floats with tolerance)
   quaternion   exact quaternion arithmetic, the fiber coordinate type
   matrices     dense exact linear algebra over Fraction (RREF, nullspace,
                rank, symmetric signature)
   linmodel     the flat model (J_1, J_2, J_3, omega_0, g_a) on R^{4n}
   liealg       basis enumeration for so*(2n) (+) sp(1), invariant
                projections and the equivariant circle map
-  curvature    the formal curvature map A -> R_A, Bianchi residuals,
-               Ricci formulas
+  curvature    the formal curvature map A -> R_A on one exact integer
+               kernel, Bianchi residuals, Ricci formulas
   scalarfield  expression trees in the fiber coordinates h0..h3
   forms        exterior calculus over the 4-dimensional vertical coframe
   swann        fiber geometry: beta forms, the flat PDE system and its
@@ -18,14 +17,10 @@ The package is organised bottom-up:
   cli          verification harness with JSON/markdown reports
 """
 
-from qsh_lab.scalars import EXACT, ArithmeticMode, float_mode
 from qsh_lab.quaternion import Quaternion
 from qsh_lab.linmodel import FlatModel, build_flat_model
 
 __all__ = [
-    "EXACT",
-    "ArithmeticMode",
-    "float_mode",
     "Quaternion",
     "FlatModel",
     "build_flat_model",

@@ -7,9 +7,7 @@
 Runs the selected check suites deterministically for the given seed and
 writes a schema-versioned report.  Exit codes: 0 when every check
 passes, 1 when a check fails (witnesses are in the report), 2 on a
-usage error.  The environment variable QSH_LAB_THREADS caps how many
-suites run concurrently (default 1; all state is immutable, so suites
-are independent).
+usage error.
 
 --input points at a JSON file {"F1": ..., "F2": ..., "F3": ...} whose
 values are expressions in the documented grammar over h0..h3; the flat
@@ -20,10 +18,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -118,14 +114,6 @@ def serialize_solution(solution: FlatSolution) -> str:
                       indent=2) + "\n"
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("QSH_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run(config: RunConfig):
     """Execute the selected suites; returns (Report, exit_code)."""
     user_solution = None
@@ -136,18 +124,9 @@ def run(config: RunConfig):
         trials=config.trials, tolerance=config.tolerance,
         user_solution=user_solution)
     selected = config.selected_suites()
-    threads = _thread_cap()
     started = time.perf_counter()
-    if threads == 1 or len(selected) == 1:
-        batches = [suites_mod.SUITE_RUNNERS[name](ctx) for name in selected]
-    else:
-        # models/bases are built up front so the workers share them read-only
-        for n in ctx.ns:
-            ctx.basis(n)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(
-                lambda name: suites_mod.SUITE_RUNNERS[name](ctx), selected))
-    checks = [check for batch in batches for check in batch]
+    checks = [check for name in selected
+              for check in suites_mod.SUITE_RUNNERS[name](ctx)]
     checks.sort(key=lambda c: (selected.index(c.suite), c.name))
     report = Report(config=config.as_dict(), checks=checks)
     report.config["wall_time_s"] = round(time.perf_counter() - started, 3)

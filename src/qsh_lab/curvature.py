@@ -9,15 +9,31 @@ liealg.  The first Bianchi identity pins (c1, c2) = (2 kappa, n kappa);
 the free constructor exists so the necessity of that pinning can be
 exhibited by nonzero residuals.
 
-The cyclic sum R(x,y)z + R(y,z)x + R(z,x)y is totally antisymmetric in
-(x, y, z), so the max-norm residual over all basis triples equals the
-max over strictly increasing triples, which is what gets scanned.
+Kernel.  On the standard basis R_A is one array indexed
+[i, j, k, r] = (R(e_i, e_j) e_k)_r, and it splits as
+
+    R_A = kappa T0 + (c1/4) T1 + (c2/2n) T2
+
+into three kappa-free tensors built by einsum from the term-by-term
+formula of curvature_13.  For an integer matrix A they have integer
+entries; a rational A is first multiplied by the lcm of its
+denominators.  curvature_of combines the parts with Python-int
+coefficients over one common denominator S, so a CurvTensor holds the
+integer array S * R_A (dtype=object) together with S: exact for every
+kappa and every rational A.  The Bianchi cyclic sum, the Ricci trace
+and the rank rows are contractions of that array.  numpy is imported
+inside the functions, so importing this module does not load it.
+
+curvature_13, bianchi_defect_closed_form, ricci_closed_form,
+is_Q_hermitian and curvature_map_rank_float never call the kernel: they
+are the independent second paths the checks compare it against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from qsh_lab import matrices as mat
 from qsh_lab.liealg import LieBasis, LieElement, decompose
@@ -55,26 +71,20 @@ class CurvParams:
 
 @dataclass
 class CurvTensor:
-    """Dense g-valued 2-form over the standard basis: values R(e_i, e_j)
-    for i < j; antisymmetry supplies the rest."""
+    """R_A on the standard basis as the integer array
+    values[i, j, k, r] = scale * (R(e_i, e_j) e_k)_r."""
 
-    model: FlatModel
-    pairs: dict  # (i, j) with i < j -> 4n x 4n matrix
+    values: object  # numpy array of Python ints, shape (4n, 4n, 4n, 4n)
+    scale: int
 
     def matrix(self, i: int, j: int):
-        if i == j:
-            return mat.zeros(self.model.dim, self.model.dim)
-        if i < j:
-            return self.pairs[(i, j)]
-        return mat.mat_scale(self.model.mode.of(-1), self.pairs[(j, i)])
+        """R(e_i, e_j) as a 4n x 4n matrix."""
+        return [[Fraction(v, self.scale) for v in row]
+                for row in self.values[i, j].T]
 
     def apply(self, i: int, j: int, k: int):
-        """R(e_i, e_j) e_k as a vector (a column lookup)."""
-        if i == j:
-            return [self.model.mode.of(0)] * self.model.dim
-        if i < j:
-            return [row[k] for row in self.pairs[(i, j)]]
-        return [-row[k] for row in self.pairs[(j, i)]]
+        """R(e_i, e_j) e_k as a vector."""
+        return [Fraction(v, self.scale) for v in self.values[i, j, k]]
 
 
 def _as_element(model: FlatModel, basis: LieBasis, a) -> LieElement:
@@ -83,95 +93,51 @@ def _as_element(model: FlatModel, basis: LieBasis, a) -> LieElement:
     return decompose(model, basis, a)  # raises MembershipError if outside g
 
 
-def _acc_outer(acc, coef, uvec, wvec):
-    """acc += coef * outer(uvec, wvec), skipping zero entries."""
-    if coef == 0:
-        return
-    for r, ur in enumerate(uvec):
-        if ur:
-            c = coef * ur
-            row = acc[r]
-            for k, wk in enumerate(wvec):
-                if wk:
-                    row[k] += c * wk
+def _cleared(m):
+    """(d, d * m) for a rational matrix m: d is the lcm of its
+    denominators and d * m an integer array of dtype object."""
+    import numpy as np
+
+    d = lcm(*(Fraction(x).denominator for row in m for x in row))
+    return d, np.array([[int(x * d) for x in row] for row in m], dtype=object)
 
 
-def _acc_row(acc, r, coef, wvec):
-    """acc[r] += coef * wvec."""
-    if coef == 0:
-        return
-    row = acc[r]
-    for k, wk in enumerate(wvec):
-        if wk:
-            row[k] += coef * wk
+def _parts(model: FlatModel, A):
+    """The kappa-free tensors (T0, T1, T2) of R_A for an integer array A,
+    indexed like CurvTensor.values, term by term as in curvature_13."""
+    import numpy as np
 
-
-def _acc_sparse(acc, coef, sp):
-    for r, entries in enumerate(sp):
-        row = acc[r]
-        for c, v in entries:
-            row[c] += coef * v
+    W = _cleared(model.omega)[1]
+    J = np.array([_cleared(m)[1] for m in model.J])
+    G = np.array([_cleared(m)[1] for m in model.g])
+    eye = np.eye(model.dim, dtype=int).astype(object)
+    # w(x,y) Az
+    t0 = np.einsum("ij,rk->ijkr", W, A)
+    # w(x,z) Ay - sum_a g_a(x,z) J_a Ay + w(Ay,z) x - sum_a g_a(Ay,z) J_a x
+    half = (np.einsum("ik,rj->ijkr", W, A)
+            - np.einsum("aik,arj->ijkr", G, J @ A)
+            + np.einsum("jk,ri->ijkr", A.T @ W, eye)
+            - np.einsum("ajk,ari->ijkr", A.T @ G, J))
+    t1 = half - half.transpose(1, 0, 2, 3)
+    # -sum_a (g_a(x,Ay) - g_a(y,Ax)) J_a z
+    GA = G @ A
+    t2 = -np.einsum("aij,ark->ijkr", GA - GA.transpose(0, 2, 1), J)
+    return t0, t1, t2
 
 
 def curvature_of(model: FlatModel, basis: LieBasis, a, params: CurvParams) -> CurvTensor:
-    """Evaluate R_A on all standard basis pairs.
+    """Evaluate R_A on all standard basis triples.
 
-    Specialized to x = e_i, y = e_j: omega0(e_i, -) and g_a(e_i, -) are
-    matrix rows, J_a e_i is a signed basis vector, and the structure
-    matrices act sparsely, so each value costs a handful of rank-one
-    updates.  The generic circle_so_star/circle_sp1 path computes the
-    same thing and the tests compare the two.
+    With A = B / d for an integer matrix B,
+    R_A = (kappa T0 + (c1/4) T1 + (c2/2n) T2)(B) / d.  The three
+    coefficients are brought over their common denominator L, so the
+    tensor stores an integer combination of the parts with scale L * d.
     """
-    element = _as_element(model, basis, a)
-    A = element.matrix
-    dim = model.dim
-    zero = model.mode.of(0)
-    Acols = [[A[r][c] for r in range(dim)] for c in range(dim)]
-    j_sparse = [mat.sparse_rows(J) for J in model.J]
-    omega_sparse = mat.sparse_rows(model.omega)
-    g_sparse = [mat.sparse_rows(G) for G in model.g]
-    a_sparse = mat.sparse_rows(A)
-    # J_a e_i: column i of J_a as (row, value)
-    jcol = []
-    for sp in j_sparse:
-        col = {}
-        for r, entries in enumerate(sp):
-            for c, v in entries:
-                col[c] = (r, v)
-        jcol.append(col)
-    c1_4 = params.c1 / 4
-    c2_2n = params.c2 / Fraction(2 * model.n)
-    pairs = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            u = Acols[j]  # A e_j
-            v = Acols[i]  # A e_i
-            acc = [[zero] * dim for _ in range(dim)]
-            # c1 (x o Ay - y o Ax)_so* with x = e_i, y = e_j
-            _acc_outer(acc, c1_4, u, model.omega[i])
-            _acc_outer(acc, -c1_4, v, model.omega[j])
-            _acc_row(acc, i, -c1_4, mat.sparse_apply(omega_sparse, u))
-            _acc_row(acc, j, c1_4, mat.sparse_apply(omega_sparse, v))
-            for a3 in range(3):
-                ju = mat.sparse_apply(j_sparse[a3], u)
-                jv = mat.sparse_apply(j_sparse[a3], v)
-                _acc_outer(acc, -c1_4, ju, model.g[a3][i])
-                _acc_outer(acc, c1_4, jv, model.g[a3][j])
-                gu = mat.sparse_apply(g_sparse[a3], u)
-                gv = mat.sparse_apply(g_sparse[a3], v)
-                r_i, s_i = jcol[a3][i]
-                r_j, s_j = jcol[a3][j]
-                _acc_row(acc, r_i, -c1_4 * s_i, gu)
-                _acc_row(acc, r_j, c1_4 * s_j, gv)
-                # c2 (x o Ay - y o Ax)_sp1 contribution over J_a
-                coef = -c2_2n * (gu[i] - gv[j])
-                if coef != 0:
-                    _acc_sparse(acc, coef, j_sparse[a3])
-            w = params.kappa * model.omega[i][j]
-            if w != 0:
-                _acc_sparse(acc, w, a_sparse)
-            pairs[(i, j)] = acc
-    return CurvTensor(model=model, pairs=pairs)
+    den, B = _cleared(_as_element(model, basis, a).matrix)
+    coeffs = (params.kappa, params.c1 / 4, params.c2 / Fraction(2 * model.n))
+    common = lcm(*(c.denominator for c in coeffs))
+    values = sum(int(c * common) * t for c, t in zip(coeffs, _parts(model, B)))
+    return CurvTensor(values=values, scale=common * den)
 
 
 def curvature_13(model: FlatModel, A, params: CurvParams, x, y, z):
@@ -245,7 +211,7 @@ def bianchi_defect_closed_form(model: FlatModel, A, params: CurvParams,
     n = model.n
     coef1 = params.kappa - params.c1 / 2
     coef2 = params.c1 / 4 - params.c2 / Fraction(2 * n)
-    out = [model.mode.of(0)] * model.dim
+    out = [Fraction(0)] * model.dim
 
     def cyc_term(xi, yi, zi):
         nonlocal out
@@ -272,45 +238,27 @@ def bianchi_defect_closed_form(model: FlatModel, A, params: CurvParams,
 
 
 def bianchi_residual(model: FlatModel, tensor: CurvTensor):
-    """Max-norm of the cyclic sum over basis triples; zero in exact mode
-    iff the tensor satisfies the first Bianchi identity."""
-    dim = model.dim
-    worst = model.mode.of(0)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                v0 = tensor.apply(i, j, k)
-                v1 = tensor.apply(j, k, i)
-                v2 = tensor.apply(k, i, j)
-                m = max(abs(a + b + c) for a, b, c in zip(v0, v1, v2))
-                if m > worst:
-                    worst = m
-    return worst
+    """Max-norm of the cyclic sum R(x,y)z + R(y,z)x + R(z,x)y over all
+    basis triples; zero iff the tensor satisfies the first Bianchi
+    identity."""
+    v = tensor.values
+    cyclic = v + v.transpose(2, 0, 1, 3) + v.transpose(1, 2, 0, 3)
+    return Fraction(int(abs(cyclic).max()), tensor.scale)
 
 
 def ricci_of(model: FlatModel, tensor: CurvTensor):
     """Ric[y][z] = trace of x -> R(x, y) z, summed over the standard basis."""
-    dim = model.dim
-    ric = mat.zeros(dim, dim)
-    for y in range(dim):
-        for z in range(dim):
-            total = model.mode.of(0)
-            for i in range(dim):
-                if i == y:
-                    continue
-                if i < y:
-                    total += tensor.pairs[(i, y)][i][z]
-                else:
-                    total -= tensor.pairs[(y, i)][i][z]
-            ric[y][z] = total
-    return ric
+    import numpy as np
+
+    ric = np.einsum("iyzi->yz", tensor.values)
+    return [[Fraction(v, tensor.scale) for v in row] for row in ric]
 
 
 def ricci_closed_form(model: FlatModel, A, kappa):
     """The closed Ricci formula
     (2n+1) k w(Ay,z) + (k/2) sum_a g_a(y,z) Tr(J_a A) - k sum_a w(J_a A J_a y, z),
     assembled entrywise as a matrix; independent of the trace computation."""
-    k = model.mode.of(kappa)
+    k = Fraction(kappa)
     n = model.n
     at_omega = mat.mat_mul(mat.transpose(A), model.omega)  # (y,z) -> w(Ay, z)
     out = mat.mat_scale((2 * n + 1) * k, at_omega)
@@ -344,7 +292,7 @@ def is_Q_hermitian(model: FlatModel, t, frames=None):
         lhs = mat.mat_mul(mat.transpose(J), mat.mat_mul(t, J))
         for i in range(dim):
             for j in range(dim):
-                if not model.mode.eq(lhs[i][j], t[i][j]):
+                if lhs[i][j] != t[i][j]:
                     return {"structure": label, "i": i, "j": j,
                             "lhs": lhs[i][j], "rhs": t[i][j]}
         return None
@@ -363,43 +311,38 @@ def is_Q_hermitian(model: FlatModel, t, frames=None):
     return True, None
 
 
-def flatten_tensor(tensor: CurvTensor):
-    """Flatten the independent values R(e_i, e_j), i < j, into one vector."""
-    out = []
-    for key in sorted(tensor.pairs):
-        out.extend(mat.flatten(tensor.pairs[key]))
-    return out
-
-
 def curvature_rows(model: FlatModel, basis: LieBasis, params: CurvParams):
-    """Flattened R_A for every basis element A, reusable by both rank paths."""
-    return [flatten_tensor(curvature_of(model, basis, el, params))
-            for el in basis.elements()]
+    """One integer row per basis element A: the values scale * R_A(e_i, e_j)
+    for i < j, flattened.  Positive row scales leave the rank unchanged."""
+    import numpy as np
+
+    upper = np.triu_indices(model.dim, 1)
+    return np.array([curvature_of(model, basis, el, params).values[upper].ravel()
+                     for el in basis.elements()])
 
 
 def curvature_map_rank(model: FlatModel, basis: LieBasis, params: CurvParams,
                        rows=None) -> int:
     """Exact rank of A -> R_A over the enumerated basis of g.
 
-    rank(B) = rank(B B^T) over the rationals, and the Gram matrix is tiny
-    compared to the flattened tensors, so the echelon step runs on it.
+    rank(B) = rank(B B^T) over the rationals, and the integer Gram matrix
+    is tiny compared to the flattened tensors, so the echelon step runs
+    on it.
     """
     if rows is None:
         rows = curvature_rows(model, basis, params)
-    gram = [[mat.dot(ri, rj) for rj in rows] for ri in rows]
-    return mat.rank(gram)
+    return mat.rank((rows @ rows.T).tolist())
 
 
 def curvature_map_rank_float(model: FlatModel, basis: LieBasis,
                              params: CurvParams, tolerance: float = 1e-8,
-                             rows=None) -> int:
-    """Float SVD rank of the same linear map, for cross-checking."""
+                             *, rows) -> int:
+    """Float SVD rank of the rows of curvature_rows, for cross-checking the
+    exact rank.  The rows are required: this path never evaluates the
+    map itself, so it does not call the kernel."""
     import numpy as np
 
-    if rows is None:
-        rows = curvature_rows(model, basis, params)
-    arr = np.array([[float(x) for x in row] for row in rows], dtype=float)
-    svals = np.linalg.svd(arr, compute_uv=False)
+    svals = np.linalg.svd(np.array(rows, dtype=float), compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0
     return int((svals > tolerance * svals[0]).sum())

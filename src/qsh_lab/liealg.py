@@ -115,8 +115,6 @@ def enumerate_so_star_basis(model: FlatModel) -> LieBasis:
     Raises if the computed dimension differs from n(2n-1): that formula
     is the self-check for the whole construction.
     """
-    if not model.mode.exact:
-        raise ValueError("basis enumeration runs in exact mode only")
     zq = centralizer_basis(model)
     dim = model.dim
     rows = []
@@ -178,7 +176,7 @@ def decompose(model: FlatModel, basis: LieBasis, m) -> LieElement:
             so_part = mat.mat_sub(so_part, mat.mat_scale(c, Ja))
     residual = max(commutation_defect(model, so_part),
                    mat.max_abs(symplectic_defect(model, so_part)))
-    if not model.mode.is_zero(residual):
+    if residual != 0:
         raise MembershipError("matrix is not in so*(2n) (+) sp(1)", residual)
     return LieElement(matrix=m, so_part=so_part, sp_coeffs=coeffs)
 
@@ -203,8 +201,7 @@ def project_ZQ(model: FlatModel, x, y, frame=None):
     for Ja, Ga in zip(J, G):
         ga_x = mat.mat_vec(Ga, x)  # G_a symmetric: row of g_a(x, -)
         out = mat.mat_sub(out, mat.outer(mat.mat_vec(Ja, y), ga_x))
-    quarter = model.mode.of(Fraction(1, 4))
-    return mat.mat_scale(quarter, out)
+    return mat.mat_scale(Fraction(1, 4), out)
 
 
 def project_Q(model: FlatModel, x, y, frame=None):
@@ -221,7 +218,7 @@ def project_Q(model: FlatModel, x, y, frame=None):
         J = frame
         G = [mat.mat_mul(model.omega, Ja) for Ja in J]
     out = mat.zeros(model.dim, model.dim)
-    factor = model.mode.of(Fraction(-1, 4 * model.n))
+    factor = Fraction(-1, 4 * model.n)
     for Ja, Ga in zip(J, G):
         ga = mat.bilinear(Ga, x, y)
         out = mat.mat_add(out, mat.mat_scale(factor * ga, Ja))
@@ -234,7 +231,7 @@ def project_ZQ_operator(model: FlatModel, t):
     out = [row[:] for row in t]
     for Ja in model.J:
         out = mat.mat_sub(out, mat.mat_mul(Ja, mat.mat_mul(t, Ja)))
-    return mat.mat_scale(model.mode.of(Fraction(1, 4)), out)
+    return mat.mat_scale(Fraction(1, 4), out)
 
 
 def project_Q_operator(model: FlatModel, t):
@@ -242,7 +239,7 @@ def project_Q_operator(model: FlatModel, t):
     coeffs = sp1_trace_coefficients(model, t)
     out = mat.zeros(model.dim, model.dim)
     for c, Ja in zip(coeffs, model.J):
-        out = mat.mat_add(out, mat.mat_scale(model.mode.of(c), Ja))
+        out = mat.mat_add(out, mat.mat_scale(c, Ja))
     return out
 
 
@@ -260,7 +257,7 @@ def circle_map(model: FlatModel, x, y, kappa) -> LieElement:
     """The pinned equivariant map x o y = 2k (x o y)_so* + nk (x o y)_sp1."""
     if kappa == 0:
         raise ValueError("the circle map requires kappa != 0")
-    k = model.mode.of(kappa)
+    k = Fraction(kappa)
     so = mat.mat_scale(2 * k, circle_so_star(model, x, y))
     sp = mat.mat_scale(model.n * k, circle_sp1(model, x, y))
     # sp(1) coefficients: n*kappa * (-1/2n) g_a(x, y) = -(kappa/2) g_a(x, y)

@@ -29,10 +29,10 @@ hardcoded, and every claimed invariant is asserted by the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from qsh_lab import matrices as mat
 from qsh_lab.quaternion import Quaternion
-from qsh_lab.scalars import EXACT, ArithmeticMode
 
 UNITS = (Quaternion.unit(1), Quaternion.unit(2), Quaternion.unit(3))
 
@@ -62,10 +62,9 @@ def _block_diag(block, n: int):
 
 @dataclass(frozen=True)
 class FlatModel:
-    """Container for (n, J_1..J_3, omega0, g_1..g_3) in one arithmetic mode."""
+    """Container for (n, J_1..J_3, omega0, g_1..g_3)."""
 
     n: int
-    mode: ArithmeticMode
     J: tuple
     omega: list
     g: tuple
@@ -75,8 +74,8 @@ class FlatModel:
         return 4 * self.n
 
     def basis_vector(self, i: int):
-        v = [self.mode.of(0)] * self.dim
-        v[i] = self.mode.of(1)
+        v = [Fraction(0)] * self.dim
+        v[i] = Fraction(1)
         return v
 
     def check_vector(self, x):
@@ -89,15 +88,11 @@ class FlatModel:
         self.check_vector(y)
         return mat.bilinear(self.omega, x, y)
 
-    def g_of(self, a: int, x, y):
-        """g_a(x, y) for a in {1, 2, 3}."""
-        return mat.bilinear(self.g[a - 1], x, y)
-
     def apply_J(self, a: int, v):
         return mat.mat_vec(self.J[a - 1], v)
 
 
-def build_flat_model(n: int, mode: ArithmeticMode = EXACT) -> FlatModel:
+def build_flat_model(n: int) -> FlatModel:
     """Construct the flat model on R^{4n}; deterministic in n.
 
     Rejects n < 2: the compact degenerate case n = 1 is excluded from
@@ -112,11 +107,7 @@ def build_flat_model(n: int, mode: ArithmeticMode = EXACT) -> FlatModel:
     J = tuple(_block_diag(b, n) for b in j_blocks)
     omega = _block_diag(omega_block, n)
     g = tuple(mat.mat_mul(omega, Ja) for Ja in J)
-    if not mode.exact:
-        J = tuple(mat.to_float_matrix(m) for m in J)
-        omega = mat.to_float_matrix(omega)
-        g = tuple(mat.to_float_matrix(m) for m in g)
-    return FlatModel(n=n, mode=mode, J=J, omega=omega, g=g)
+    return FlatModel(n=n, J=J, omega=omega, g=g)
 
 
 def qsh_form(model: FlatModel, x, y):
@@ -156,11 +147,8 @@ def sp1_conjugate_frame(model: FlatModel, q: Quaternion):
     3x3 rotation sending u_a to q u_a conj(q); they span the same
     3-space and satisfy the quaternionic identity.
     """
-    if model.mode.exact:
-        if not q.is_unit():
-            raise ValueError("frame rotation requires |q|^2 = 1")
-    elif abs(float(q.norm2()) - 1.0) > model.mode.tolerance:
-        raise ValueError("frame rotation requires |q|^2 = 1 within tolerance")
+    if not q.is_unit():
+        raise ValueError("frame rotation requires |q|^2 = 1")
     rotated = []
     for u in UNITS:
         w = q * u * q.conj()
@@ -169,7 +157,7 @@ def sp1_conjugate_frame(model: FlatModel, q: Quaternion):
         m = mat.zeros(model.dim, model.dim)
         for cb, Jb in zip(coeffs, model.J):
             if cb != 0:
-                m = mat.mat_add(m, mat.mat_scale(model.mode.of(cb), Jb))
+                m = mat.mat_add(m, mat.mat_scale(cb, Jb))
         rotated.append(m)
     return rotated
 
@@ -184,13 +172,5 @@ def rotation_matrix(q: Quaternion):
 
 
 def signature(model: FlatModel, bilinear_matrix):
-    """Signature of a symmetric bilinear form in this model's mode."""
-    if model.mode.exact:
-        return mat.signature_symmetric(bilinear_matrix)
-    import numpy as np
-
-    eig = np.linalg.eigvalsh(np.array(bilinear_matrix, dtype=float))
-    tol = model.mode.tolerance * max(1.0, float(abs(eig).max()))
-    n_pos = int((eig > tol).sum())
-    n_neg = int((eig < -tol).sum())
-    return n_pos, n_neg, len(eig) - n_pos - n_neg
+    """Signature of a symmetric bilinear form, exactly."""
+    return mat.signature_symmetric(bilinear_matrix)

@@ -189,18 +189,5 @@ def signature_symmetric(s):
     return n_pos, n_neg, n_zero
 
 
-def to_float_matrix(m):
-    return [[float(x) for x in row] for row in m]
-
-
-def sparse_rows(m):
-    """Row-wise nonzero entries [(col, value), ...] per row."""
-    return [[(c, v) for c, v in enumerate(row) if v] for row in m]
-
-
-def sparse_apply(sp, v):
-    return [sum(val * v[c] for c, val in row) for row in sp]
-
-
 def dot(u, v):
     return sum(x * y for x, y in zip(u, v) if x and y)

@@ -32,13 +32,6 @@ def matrix_to_dict(m) -> dict:
     }
 
 
-def matrix_from_dict(d):
-    entries = d["entries"]
-    if len(entries) != d["rows"] or any(len(r) != d["cols"] for r in entries):
-        raise ValueError("matrix dimensions disagree with entries")
-    return [[Fraction(x) for x in row] for row in entries]
-
-
 def basis_to_dict(basis: LieBasis) -> dict:
     return {
         "schema": SCHEMA_VERSION,

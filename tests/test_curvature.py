@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -31,7 +32,8 @@ def test_params_validation():
 
 def test_zero_element_gives_zero_tensor(model2, basis2, pinned2):
     tensor = curv.curvature_of(model2, basis2, mat.zeros(8, 8), pinned2)
-    assert all(mat.max_abs(v) == 0 for v in tensor.pairs.values())
+    assert all(mat.max_abs(tensor.matrix(i, j)) == 0
+               for i in range(8) for j in range(i + 1, 8))
     assert curv.bianchi_residual(model2, tensor) == 0
 
 
@@ -48,18 +50,20 @@ def test_antisymmetry_and_g_values(model2, basis2, pinned2):
         assert tensor.matrix(i, j) == \
             mat.mat_scale(Fraction(-1), tensor.matrix(j, i))
         assert mat.max_abs(tensor.matrix(i, i)) == 0
-        liealg.decompose(model2, basis2, tensor.pairs[(i, j)])  # in g
+        liealg.decompose(model2, basis2, tensor.matrix(i, j))  # in g
 
 
 def test_two_implementations_agree(model2, basis2, pinned2):
     rng = random.Random(31)
-    for el in [basis2.sp_basis[0], basis2.so_basis[0],
-               _random_element(model2, basis2, rng)]:
-        tensor = curv.curvature_of(model2, basis2, el, pinned2)
+    off = curv.CurvParams.free(Fraction(7, 3), 5, -2)
+    for el, params in itertools.product(
+            [basis2.sp_basis[0], basis2.so_basis[0],
+             _random_element(model2, basis2, rng)], [pinned2, off]):
+        tensor = curv.curvature_of(model2, basis2, el, params)
         for _ in range(25):
             i, j, k = (rng.randrange(8) for _ in range(3))
             direct = curv.curvature_13(
-                model2, el.matrix, pinned2, model2.basis_vector(i),
+                model2, el.matrix, params, model2.basis_vector(i),
                 model2.basis_vector(j), model2.basis_vector(k))
             assert direct == tensor.apply(i, j, k)
 
@@ -199,3 +203,23 @@ def test_curvature_map_rank(model2, basis2, pinned2):
     assert curv.curvature_map_rank(model2, basis2, pinned2, rows=rows) == 9
     assert curv.curvature_map_rank_float(model2, basis2, pinned2,
                                          rows=rows) == 9
+
+
+@pytest.mark.parametrize("kappa", [Fraction(4398046511104123, 1000000000000037),
+                                   Fraction(2 ** 70 + 1, 3)])
+def test_wide_kappa_exact(model2, basis2, kappa):
+    # the rank's Gram matrix leaves the int64 range for both, and the
+    # scaled tensor itself for the second: exact all the same
+    pinned = curv.CurvParams.pinned(kappa, 2)
+    for el in basis2.elements():
+        tensor = curv.curvature_of(model2, basis2, el, pinned)
+        assert curv.bianchi_residual(model2, tensor) == 0
+    off = curv.CurvParams.free(kappa, pinned.c1 + 1, pinned.c2)
+    assert any(curv.bianchi_residual(
+        model2, curv.curvature_of(model2, basis2, el, off)) != 0
+        for el in basis2.elements())
+    for el, coef in ((basis2.so_basis[0], 2 * (2 + 2)), (basis2.sp_basis[0], 4 * 2)):
+        ric = curv.ricci_of(model2, curv.curvature_of(model2, basis2, el, pinned))
+        assert ric == mat.mat_scale(coef * kappa,
+                                    curv.omega_pairing(model2, el.matrix))
+    assert curv.curvature_map_rank(model2, basis2, pinned) == 9

@@ -8,7 +8,6 @@ from qsh_lab.linmodel import (DimensionMismatch, build_flat_model,
                               fundamental_4tensor, qsh_form, qsh_form_matrix,
                               rotation_matrix, signature, sp1_conjugate_frame)
 from qsh_lab.quaternion import Quaternion
-from qsh_lab.scalars import float_mode
 
 
 def _rational_vector(rng, dim):
@@ -190,12 +189,3 @@ def test_frame_rotation_covariance(model2):
             ga_rot = mat.bilinear(mat.mat_mul(m.omega, frame[a]), x, y)
             assert ga_rot == sum(r3[b][a] * sp1[b] for b in range(3))
         assert scalar == m.omega_of(x, y)
-
-
-def test_float_mode_smoke():
-    m = build_flat_model(2, float_mode(1e-10))
-    assert isinstance(m.omega[0][2], float)
-    prod = mat.mat_mul(mat.mat_mul(m.J[0], m.J[1]), m.J[2])
-    worst = mat.max_abs(mat.mat_add(prod, mat.identity(m.dim)))
-    assert worst <= m.mode.tolerance
-    assert signature(m, m.g[0]) == (4, 4, 0)

@@ -68,10 +68,3 @@ def test_outer_bilinear_dot():
     m = [[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]]
     assert mat.bilinear(m, u, v) == u[0] * v[1] - u[1] * v[0]
     assert mat.dot(u, v) == 1
-
-
-def test_sparse_helpers():
-    m = [[Fraction(0), Fraction(2)], [Fraction(-1), Fraction(0)]]
-    sp = mat.sparse_rows(m)
-    assert sp == [[(1, 2)], [(0, -1)]]
-    assert mat.sparse_apply(sp, [Fraction(5), Fraction(7)]) == [14, -5]
