@@ -15,14 +15,17 @@ Kernel.  On the standard basis R_A is one array indexed
     R_A = kappa T0 + (c1/4) T1 + (c2/2n) T2
 
 into three kappa-free tensors built by einsum from the term-by-term
-formula of curvature_13.  For an integer matrix A they have integer
-entries; a rational A is first multiplied by the lcm of its
-denominators.  curvature_of combines the parts with Python-int
-coefficients over one common denominator S, so a CurvTensor holds the
-integer array S * R_A (dtype=object) together with S: exact for every
-kappa and every rational A.  The Bianchi cyclic sum, the Ricci trace
-and the rank rows are contractions of that array.  numpy is imported
-inside the functions, so importing this module does not load it.
+formula of curvature_13.  Their structure operands (omega0, the J_a,
+the g_a and the identity) are integer arrays built once per model
+(FlatModel.structure_arrays), not on every call.  For an integer
+matrix A the tensors have integer entries; a rational A is first
+multiplied by the lcm of its denominators.  curvature_of combines the
+parts with Python-int coefficients over one common denominator S, so a
+CurvTensor holds the integer array S * R_A (dtype=object) together
+with S: exact for every kappa and every rational A.  The Bianchi
+cyclic sum, the Ricci trace and the rank rows are contractions of that
+array.  numpy is imported inside the functions, so importing this
+module does not load it.
 
 curvature_13, bianchi_defect_closed_form, ricci_closed_form,
 is_Q_hermitian and curvature_map_rank_float never call the kernel: they
@@ -98,8 +101,8 @@ def _cleared(m):
     denominators and d * m an integer array of dtype object."""
     import numpy as np
 
-    d = lcm(*(Fraction(x).denominator for row in m for x in row))
-    return d, np.array([[int(x * d) for x in row] for row in m], dtype=object)
+    d, rows = mat.cleared(m)
+    return d, np.array(rows, dtype=object)
 
 
 def _parts(model: FlatModel, A):
@@ -107,10 +110,7 @@ def _parts(model: FlatModel, A):
     indexed like CurvTensor.values, term by term as in curvature_13."""
     import numpy as np
 
-    W = _cleared(model.omega)[1]
-    J = np.array([_cleared(m)[1] for m in model.J])
-    G = np.array([_cleared(m)[1] for m in model.g])
-    eye = np.eye(model.dim, dtype=int).astype(object)
+    W, J, G, eye = model.structure_arrays
     # w(x,y) Az
     t0 = np.einsum("ij,rk->ijkr", W, A)
     # w(x,z) Ay - sum_a g_a(x,z) J_a Ay + w(Ay,z) x - sum_a g_a(Ay,z) J_a x

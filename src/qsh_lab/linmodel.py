@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from qsh_lab import matrices as mat
 from qsh_lab.quaternion import Quaternion
@@ -90,6 +91,27 @@ class FlatModel:
 
     def apply_J(self, a: int, v):
         return mat.mat_vec(self.J[a - 1], v)
+
+    @cached_property
+    def structure_arrays(self):
+        """(omega0, J, g, identity) as read-only numpy arrays of Python
+        ints (dtype=object), of shapes (dim, dim), (3, dim, dim),
+        (3, dim, dim) and (dim, dim).  Built once per model for the
+        curvature kernel; every structure entry is an integer."""
+        import numpy as np
+
+        def ints(m):
+            d, rows = mat.cleared(m)
+            assert d == 1
+            return rows
+
+        arrays = (np.array(ints(self.omega), dtype=object),
+                  np.array([ints(m) for m in self.J], dtype=object),
+                  np.array([ints(m) for m in self.g], dtype=object),
+                  np.array(ints(mat.identity(self.dim)), dtype=object))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
 
 def build_flat_model(n: int) -> FlatModel:

@@ -1,15 +1,28 @@
-"""Dense exact linear algebra over Fraction.
+"""Exact linear algebra on lists of Fraction.
 
 Matrices are lists of row lists and are treated as immutable by
-convention.  Reduction uses plain Gaussian elimination with the first
-nonzero entry in lexicographic column order as pivot, so echelon forms,
-nullspace bases and therefore every exported basis are reproducible
+convention.  Entries may be int or Fraction; a float raises TypeError
+instead of being rounded.
+
+Products (mat_mul, mat_vec, bilinear) run on cleared integers: each
+operand is brought once to (d, d * m), where d is the lcm of its
+denominators and d * m has int entries, the sums of products are
+plain int arithmetic, and each output entry is one
+Fraction(total, product of the d).  Python ints never overflow, so this
+is exact for every rational input, and every output entry is a
+Fraction.
+
+Reduction uses plain Gaussian elimination with the first nonzero entry
+in lexicographic column order as pivot, so echelon forms, nullspace
+bases and therefore every exported basis are reproducible
 byte-for-byte.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 
 def zeros(rows: int, cols: int):
@@ -39,13 +52,44 @@ def mat_scale(c, m):
     return [[c * x for x in row] for row in m]
 
 
+def _denominator(entries) -> int:
+    """The lcm of the denominators of int or Fraction entries."""
+    try:
+        return lcm(*(x.denominator for x in entries))
+    except AttributeError:
+        bad = next(x for x in entries if not hasattr(x, "denominator"))
+        raise TypeError(f"exact entries must be int or Fraction, "
+                        f"not {type(bad).__name__}") from None
+
+
+def _scaled(v, d: int):
+    """d * v as ints, for a multiple d of every denominator in v."""
+    if d == 1:
+        return [x.numerator for x in v]
+    return [x.numerator * (d // x.denominator) for x in v]
+
+
+def cleared(m):
+    """(d, rows): d is the lcm of the denominators of m and rows = d * m
+    as lists of ints."""
+    d = _denominator([x for row in m for x in row])
+    return d, [_scaled(row, d) for row in m]
+
+
 def mat_mul(a, b):
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    da, ia = cleared(a)
+    db, ib = cleared(b)
+    d = da * db
+    cols = list(zip(*ib))
+    return [[Fraction(sum(map(mul, row, col)), d) for col in cols] for row in ia]
 
 
 def mat_vec(m, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in m]
+    dm, im = cleared(m)
+    dv = _denominator(v)
+    iv = _scaled(v, dv)
+    d = dm * dv
+    return [Fraction(sum(map(mul, row, iv)), d) for row in im]
 
 
 def outer(u, v):
@@ -55,7 +99,12 @@ def outer(u, v):
 
 def bilinear(m, x, y):
     """x^T m y."""
-    return sum(xi * e for xi, e in zip(x, mat_vec(m, y)))
+    dm, im = cleared(m)
+    dx, dy = _denominator(x), _denominator(y)
+    iy = _scaled(y, dy)
+    total = sum(xi * sum(map(mul, row, iy))
+                for xi, row in zip(_scaled(x, dx), im) if xi)
+    return Fraction(total, dm * dx * dy)
 
 
 def max_abs(m) -> Fraction:

@@ -462,6 +462,11 @@ def constant_value(f: Field):
 
 _FUNCS = {"sqrt": sqrt, "exp": exp, "sin": sin, "cos": cos}
 
+# Deepest nesting parse accepts, counting parentheses, function calls
+# and unary minus; deeper input would exhaust the recursion of the
+# parser and of the tree walks.
+MAX_NESTING = 100
+
 
 class _Tokenizer:
     def __init__(self, text: str):
@@ -527,8 +532,20 @@ class _Tokenizer:
 
 
 def parse(text: str) -> Field:
-    """Parse the documented grammar into a field; raises ParseError."""
+    """Parse the documented grammar into a field; raises ParseError,
+    also when nesting goes deeper than MAX_NESTING."""
     tz = _Tokenizer(text)
+    depth = 0
+
+    def nested(inner, line, col):
+        nonlocal depth
+        if depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                             line, col)
+        depth += 1
+        node = inner()
+        depth -= 1
+        return node
 
     def expr():
         node = term()
@@ -556,7 +573,7 @@ def parse(text: str) -> Field:
         kind, tok, line, col = tz.peek()
         if kind == "op" and tok == "-":
             tz.next()
-            return neg(unary())
+            return neg(nested(unary, line, col))
         return power()
 
     def power():
@@ -587,14 +604,14 @@ def parse(text: str) -> Field:
                 kind2, tok2, line2, col2 = tz.next()
                 if kind2 != "op" or tok2 != "(":
                     raise ParseError(f"expected '(' after {tok}", line2, col2)
-                inner = expr()
+                inner = nested(expr, line, col)
                 kind3, tok3, line3, col3 = tz.next()
                 if kind3 != "op" or tok3 != ")":
                     raise ParseError("expected ')'", line3, col3)
                 return _FUNCS[tok](inner)
             raise ParseError(f"unknown name {tok!r} (variables are h0..h3)", line, col)
         if kind == "op" and tok == "(":
-            inner = expr()
+            inner = nested(expr, line, col)
             kind2, tok2, line2, col2 = tz.next()
             if kind2 != "op" or tok2 != ")":
                 raise ParseError("expected ')'", line2, col2)

@@ -1010,20 +1010,25 @@ def run_flat_suite(ctx: SuiteContext):
             residuals = swann.pde_residuals(ctx.user_solution)
             worst = 0.0
             witness = None
+            rejected = 0
             for _ in range(ctx.trials):
                 point = forms.sample_point(rng)
                 try:
                     memo = {}
                     values = [float(r.evaluate(point, memo)) for r in residuals]
                 except (ZeroDivisionError, ValueError):
+                    rejected += 1
                     continue
                 local = max(abs(v) for v in values)
                 if local > worst:
                     worst = local
                     witness = {"point": point, "residuals": values}
+            detail = "closedness of the user-supplied coefficients"
+            if rejected == ctx.trials:
+                return False, None, {"evaluated": 0, "rejected": rejected}, \
+                    detail + ": no sample point could be evaluated"
             ok = worst <= 1e-8
-            return ok, worst, None if ok else witness, \
-                "closedness of the user-supplied coefficients"
+            return ok, worst, None if ok else witness, detail
         out.append(_run("flat", "user-solution-residuals",
                         "the user-supplied (F1, F2, F3) satisfies the four "
                         "closedness equations",

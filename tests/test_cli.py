@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +11,9 @@ from qsh_lab import swann
 from qsh_lab.cli import (RunConfig, UsageError, ingest_user_F, main, run,
                          serialize_solution)
 from qsh_lab.report import write_atomic
+
+# Written by scripts/export_golden_report.py; compared, never regenerated.
+GOLDEN_REPORT = pathlib.Path(__file__).parent / "golden" / "report_seed42_linear.json"
 
 
 def test_config_validation():
@@ -112,6 +116,17 @@ def test_report_determinism(tmp_path):
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
 
 
+def test_report_matches_golden():
+    # the linear-model suites must keep every report byte, timing aside
+    report, code = run(RunConfig(ns=(2, 3), seed=42,
+                                 suites=("model", "liealg", "curvature")))
+    payload = report.to_dict(omit_timing=True)
+    payload["config"].pop("wall_time_s")
+    assert code == 0
+    assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == \
+        GOLDEN_REPORT.read_text()
+
+
 def test_report_written_atomically(tmp_path):
     out = tmp_path / "report.json"
     cfg = RunConfig(ns=(2,), suites=("model",), seed=5, output_path=str(out))
@@ -157,6 +172,33 @@ def test_main_pass_run(capsys, tmp_path):
     assert code == 0
     assert "[PASS] model/quaternionic-identity[n=2]" in captured
     assert out.exists()
+
+
+def test_main_deeply_nested_input_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "F.json"
+    path.write_text(json.dumps({"F1": "(" * 5000 + "h0" + ")" * 5000,
+                                "F2": "0", "F3": "0"}))
+    assert main(["run", "--suites", "flat", "--n", "2",
+                 "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nesting deeper than" in err
+    assert "line 1, column" in err and "Traceback" not in err
+
+
+def test_user_solution_with_no_evaluable_point_fails(capsys, tmp_path):
+    # F1 is undefined on the whole fiber: every sample is rejected, so
+    # there is no evidence for a pass
+    path = tmp_path / "F.json"
+    path.write_text('{"F1": "sqrt(-1-h0^2)", "F2": "0", "F3": "0"}')
+    report, code = run(RunConfig(ns=(2,), suites=("flat",), seed=5,
+                                 trials=7, input_path=str(path)))
+    assert code == 1
+    check, = [c for c in report.checks if c.name == "user-solution-residuals"]
+    assert not check.passed
+    assert check.witness == {"evaluated": 0, "rejected": 7}
+    assert main(["run", "--suites", "flat", "--n", "2",
+                 "--input", str(path)]) == 1
+    assert "[FAIL] flat/user-solution-residuals" in capsys.readouterr().out
 
 
 def test_cli_import_leaves_numpy_unloaded():

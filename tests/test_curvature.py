@@ -2,11 +2,14 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qsh_lab import curvature as curv
 from qsh_lab import liealg
 from qsh_lab import matrices as mat
+from qsh_lab.liealg import enumerate_so_star_basis
+from qsh_lab.linmodel import build_flat_model
 
 
 @pytest.fixture(scope="module")
@@ -223,3 +226,25 @@ def test_wide_kappa_exact(model2, basis2, kappa):
         assert ric == mat.mat_scale(coef * kappa,
                                     curv.omega_pairing(model2, el.matrix))
     assert curv.curvature_map_rank(model2, basis2, pinned) == 9
+
+
+def test_structure_arrays_cached_per_model(model2, model3, basis2, basis3):
+    # each model builds its integer structure arrays once; interleaving
+    # models of different and of equal n must not mix them up
+    second2 = build_flat_model(2)
+    pinned = {2: curv.CurvParams.pinned(Fraction(3, 2), 2),
+              3: curv.CurvParams.pinned(Fraction(3, 2), 3)}
+    calls = [(model2, basis2, 0), (model3, basis3, 1), (second2, basis2, 2),
+             (model2, basis2, 3), (model3, basis3, 0), (second2, basis2, 1)]
+    for model, basis, idx in calls:
+        el = basis.elements()[idx]
+        tensor = curv.curvature_of(model, basis, el, pinned[model.n])
+        fresh = build_flat_model(model.n)
+        expected = curv.curvature_of(fresh, enumerate_so_star_basis(fresh),
+                                     el.matrix, pinned[model.n])
+        assert tensor.scale == expected.scale
+        assert tensor.values.shape == expected.values.shape
+        assert np.array_equal(tensor.values, expected.values)
+    assert model2.structure_arrays is model2.structure_arrays
+    assert second2.structure_arrays is not model2.structure_arrays
+    assert model3.structure_arrays[0].shape == (12, 12)

@@ -146,6 +146,24 @@ def test_parse_error_positions():
         sf.parse("h0 h1")
 
 
+def test_parse_nesting_cap():
+    cap = sf.MAX_NESTING
+    # parentheses, function calls and unary minus all count
+    for opening, closing in (("(", ")"), ("sqrt(", ")"), ("-", "")):
+        assert sf.parse(opening * cap + "h0" + closing * cap) is not None
+        with pytest.raises(sf.ParseError) as err:
+            sf.parse(opening * (cap + 1) + "h0" + closing * (cap + 1))
+        assert "nesting deeper than" in str(err.value)
+        assert (err.value.line, err.value.col) == (1, 1 + cap * len(opening))
+    mixed = "-(exp(" * (cap // 3) + "h1" + "))" * (cap // 3)
+    assert sf.parse(mixed) is not None
+    with pytest.raises(sf.ParseError):
+        sf.parse("-(exp(" * (cap // 3 + 1) + "h1" + "))" * (cap // 3 + 1))
+    with pytest.raises(sf.ParseError) as err:
+        sf.parse("\n" + "(" * 5000 + "h0" + ")" * 5000)
+    assert (err.value.line, err.value.col) == (2, 1 + cap)
+
+
 def test_decimal_literals_parse_exactly():
     assert sf.parse("1.5").value == Fraction(3, 2)
     assert sf.parse("0.1").value == Fraction(1, 10)
