@@ -104,7 +104,7 @@ def ingest_user_F(path: str) -> FlatSolution:
             raise UsageError(f"{path}: {key} must be an expression string")
         try:
             fields.append(sf.parse(payload[key]))
-        except sf.ParseError as exc:
+        except (sf.ParseError, ZeroDivisionError) as exc:  # h1/0 folds at parse
             raise UsageError(f"{path}: {key}: {exc}") from exc
     return FlatSolution(F=tuple(fields))
 

@@ -355,14 +355,14 @@ def equal(u: VerticalForm, v: VerticalForm, trials: int = 100,
     if not deltas:
         return EqualityReport(True, 0.0, True)
     rng = rng or random.Random(0)
+    evaluate = sf.evaluator(deltas)
     worst = 0.0
     witness = None
     for _ in range(trials):
         for _attempt in range(64):
             point = sample_rational_point(rng) if rational else sample_point(rng)
             try:
-                memo = {}
-                residual = max(abs(float(dl.evaluate(point, memo))) for dl in deltas)
+                residual = max(abs(float(v)) for v in evaluate(point))
             except (ZeroDivisionError, ValueError):
                 continue
             break
@@ -393,7 +393,6 @@ def maurer_cartan_components(h: Quaternion):
 
 def theta_components_at(h: Quaternion):
     """The same matrix from the closed coframe formulas, exactly."""
-    point = h.components()
-    memo = {}
-    return [[THETA_IN_DH[i].coefficient((b,)).evaluate(point, memo)
-             for b in range(4)] for i in range(4)]
+    values = sf.evaluator([THETA_IN_DH[i].coefficient((b,)) for i in range(4)
+                           for b in range(4)])(h.components())
+    return [list(values[4 * i:4 * i + 4]) for i in range(4)]

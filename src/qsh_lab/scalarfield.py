@@ -6,10 +6,16 @@ constants and algebraic identities (x+0, x*1, x*0, sqrt of a perfect
 square, even powers of sqrt, exp(0), ...), so rational subtrees stay
 rational and many fields reduce to literal constants.
 
-Evaluation at a point is exact (Fraction) on rational subtrees and
-falls back to float where sqrt/exp/sin/cos force it.  An id-keyed memo
-makes evaluation linear in the number of distinct nodes, which matters
-because derivative trees share subtrees with their parents.
+Evaluation is exact (Fraction) on rational subtrees and falls back to
+float where sqrt/exp/sin/cos force it.  ``evaluator`` walks the DAG under
+some fields once (fields in order, a before b, as the recursive
+definition evaluates) into a flat tape of (out_slot, op, a_slot, b_slot)
+steps, one per distinct operation, so shared derivative subtrees cost one
+step per point and the first error raised is the same.  Subtrees without
+variables are folded once; one that raises becomes a raise step.  At an
+all-float point constants enter as float(c), which ``Fraction op float``
+computes with anyway, so results are bit-identical; elsewhere they stay
+exact.
 
 The printable grammar (round-tripped by ``parse``):
 
@@ -27,6 +33,8 @@ rationals.
 from __future__ import annotations
 
 import math
+import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,17 +56,22 @@ class Field:
     def diff(self, var: int) -> "Field":
         raise NotImplementedError
 
-    def _eval(self, point, memo):
-        raise NotImplementedError
-
-    def evaluate(self, point, memo=None):
-        """Evaluate at point = (v0, v1, v2, v3)."""
-        if memo is None:
-            memo = {}
-        return self._eval(point, memo)
+    def evaluate(self, point):
+        """Evaluate at point = (v0, v1, v2, v3); a loop over many points
+        should build one ``evaluator`` instead."""
+        return evaluator((self,))(point)[0]
 
     def free_vars(self) -> frozenset:
-        raise NotImplementedError
+        """Indices of the variables in the tree."""
+        found, seen, stack = set(), set(), [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Var):
+                found.add(node.index)
+            elif isinstance(node, (_Unary, _Binary)) and id(node) not in seen:
+                seen.add(id(node))
+                stack.extend((node.a, node.b) if isinstance(node, _Binary) else (node.a,))
+        return frozenset(found)
 
     def to_str(self) -> str:
         raise NotImplementedError
@@ -73,12 +86,6 @@ class Const(Field):
 
     def diff(self, var):
         return ZERO
-
-    def _eval(self, point, memo):
-        return self.value
-
-    def free_vars(self):
-        return frozenset()
 
     def to_str(self):
         v = self.value
@@ -97,12 +104,6 @@ class Var(Field):
     def diff(self, var):
         return ONE if var == self.index else ZERO
 
-    def _eval(self, point, memo):
-        return point[self.index]
-
-    def free_vars(self):
-        return frozenset((self.index,))
-
     def to_str(self):
         return VAR_NAMES[self.index]
 
@@ -114,21 +115,10 @@ class _Binary(Field):
         self.a = a
         self.b = b
 
-    def free_vars(self):
-        return self.a.free_vars() | self.b.free_vars()
-
 
 class Add(_Binary):
     def diff(self, var):
         return add(self.a.diff(var), self.b.diff(var))
-
-    def _eval(self, point, memo):
-        key = id(self)
-        if key in memo:
-            return memo[key]
-        v = self.a._eval(point, memo) + self.b._eval(point, memo)
-        memo[key] = v
-        return v
 
     def to_str(self):
         return f"{self.a.to_str()} + {self.b.to_str()}"
@@ -138,14 +128,6 @@ class Sub(_Binary):
     def diff(self, var):
         return sub(self.a.diff(var), self.b.diff(var))
 
-    def _eval(self, point, memo):
-        key = id(self)
-        if key in memo:
-            return memo[key]
-        v = self.a._eval(point, memo) - self.b._eval(point, memo)
-        memo[key] = v
-        return v
-
     def to_str(self):
         return f"{self.a.to_str()} - ({self.b.to_str()})"
 
@@ -153,14 +135,6 @@ class Sub(_Binary):
 class Mul(_Binary):
     def diff(self, var):
         return add(mul(self.a.diff(var), self.b), mul(self.a, self.b.diff(var)))
-
-    def _eval(self, point, memo):
-        key = id(self)
-        if key in memo:
-            return memo[key]
-        v = self.a._eval(point, memo) * self.b._eval(point, memo)
-        memo[key] = v
-        return v
 
     def to_str(self):
         return f"({self.a.to_str()}) * ({self.b.to_str()})"
@@ -170,18 +144,6 @@ class Div(_Binary):
     def diff(self, var):
         num = sub(mul(self.a.diff(var), self.b), mul(self.a, self.b.diff(var)))
         return div(num, mul(self.b, self.b))
-
-    def _eval(self, point, memo):
-        key = id(self)
-        if key in memo:
-            return memo[key]
-        num = self.a._eval(point, memo)
-        den = self.b._eval(point, memo)
-        if den == 0:
-            raise ZeroDivisionError("scalar field denominator vanished")
-        v = num / den
-        memo[key] = v
-        return v
 
     def to_str(self):
         return f"({self.a.to_str()}) / ({self.b.to_str()})"
@@ -193,23 +155,17 @@ class _Unary(Field):
     def __init__(self, a):
         self.a = a
 
-    def free_vars(self):
-        return self.a.free_vars()
-
 
 class Neg(_Unary):
     def diff(self, var):
         return neg(self.a.diff(var))
 
-    def _eval(self, point, memo):
-        return -self.a._eval(point, memo)
-
     def to_str(self):
         return f"-({self.a.to_str()})"
 
 
-class Pow(Field):
-    __slots__ = ("a", "exponent")
+class Pow(_Unary):
+    __slots__ = ("exponent",)
 
     def __init__(self, a, exponent: int):
         self.a = a
@@ -219,20 +175,6 @@ class Pow(Field):
         k = self.exponent
         return mul(mul(const(k), pow_(self.a, k - 1)), self.a.diff(var))
 
-    def _eval(self, point, memo):
-        key = id(self)
-        if key in memo:
-            return memo[key]
-        base = self.a._eval(point, memo)
-        if self.exponent < 0 and base == 0:
-            raise ZeroDivisionError("negative power of zero")
-        v = base ** self.exponent
-        memo[key] = v
-        return v
-
-    def free_vars(self):
-        return self.a.free_vars()
-
     def to_str(self):
         return f"({self.a.to_str()})^{self.exponent}"
 
@@ -240,21 +182,6 @@ class Pow(Field):
 class Sqrt(_Unary):
     def diff(self, var):
         return div(self.a.diff(var), mul(TWO, self))
-
-    def _eval(self, point, memo):
-        key = id(self)
-        if key in memo:
-            return memo[key]
-        arg = self.a._eval(point, memo)
-        if arg < 0:
-            raise ValueError("sqrt of a negative value")
-        if isinstance(arg, Fraction):
-            exact = _exact_sqrt(arg)
-            v = exact if exact is not None else math.sqrt(arg)
-        else:
-            v = math.sqrt(arg)
-        memo[key] = v
-        return v
 
     def to_str(self):
         return f"sqrt({self.a.to_str()})"
@@ -264,14 +191,6 @@ class Exp(_Unary):
     def diff(self, var):
         return mul(self, self.a.diff(var))
 
-    def _eval(self, point, memo):
-        key = id(self)
-        if key in memo:
-            return memo[key]
-        v = math.exp(self.a._eval(point, memo))
-        memo[key] = v
-        return v
-
     def to_str(self):
         return f"exp({self.a.to_str()})"
 
@@ -280,14 +199,6 @@ class Sin(_Unary):
     def diff(self, var):
         return mul(cos(self.a), self.a.diff(var))
 
-    def _eval(self, point, memo):
-        key = id(self)
-        if key in memo:
-            return memo[key]
-        v = math.sin(self.a._eval(point, memo))
-        memo[key] = v
-        return v
-
     def to_str(self):
         return f"sin({self.a.to_str()})"
 
@@ -295,14 +206,6 @@ class Sin(_Unary):
 class Cos(_Unary):
     def diff(self, var):
         return mul(neg(sin(self.a)), self.a.diff(var))
-
-    def _eval(self, point, memo):
-        key = id(self)
-        if key in memo:
-            return memo[key]
-        v = math.cos(self.a._eval(point, memo))
-        memo[key] = v
-        return v
 
     def to_str(self):
         return f"cos({self.a.to_str()})"
@@ -405,8 +308,6 @@ def pow_(a, k: int):
     if k == 1:
         return a
     if is_const(a):
-        if isinstance(a.value, Fraction):
-            return const(a.value ** k)
         return const(a.value ** k)
     if isinstance(a, Sqrt) and k % 2 == 0:
         # (sqrt u)^(2m) = u^m keeps rational trees rational
@@ -458,168 +359,269 @@ def constant_value(f: Field):
     return f.value if isinstance(f, Const) else None
 
 
+# --- evaluation -------------------------------------------------------------
+
+def _div(x, y):
+    if y == 0:
+        raise ZeroDivisionError("scalar field denominator vanished")
+    return x / y
+
+
+def _negative_power(base, k):
+    if base == 0:
+        raise ZeroDivisionError("negative power of zero")
+    return base ** k
+
+
+def _sqrt(x):
+    if x < 0:
+        raise ValueError("sqrt of a negative value")
+    exact = _exact_sqrt(x) if isinstance(x, Fraction) else None
+    return exact if exact is not None else math.sqrt(x)
+
+
+_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: _div,
+        Neg: operator.neg, Sqrt: _sqrt, Exp: math.exp, Sin: math.sin,
+        Cos: math.cos}
+
+
+def _as_float(c):
+    """The float that ``c op x`` computes with at a float x; c itself when
+    that conversion overflows or rounds a nonzero c to 0, so the same
+    error, or the exact zero test of a denominator, still happens."""
+    try:
+        f = float(c)
+    except OverflowError:
+        return c
+    return f if f or not c else c
+
+
+def _reraise(exc):
+    raise type(exc)(*exc.args)
+
+
+def evaluator(fields):
+    """One evaluator for a sequence of fields: returns point -> tuple of
+    their values at point = (v0, v1, v2, v3), as ``Field.evaluate`` would
+    give them one by one, raising the first error that would raise.
+    Build it once, outside the loop over sample points."""
+    # registers at a non-float point: 0..3 hold h0..h3, constant slots
+    # their exact value, every other slot None until a step writes it
+    exact = [None] * 4
+    floats = [None] * 4  # the same at an all-float point
+    slots = {}           # id(node) -> slot of its value
+    numbered = {}        # rational constant, exponent or (op, a, b) -> slot
+    tape = []
+
+    def slot_for(key, value=None, as_float=None):
+        slot = numbered.get(key)
+        if slot is None:
+            slot = len(exact)
+            exact.append(value)
+            floats.append(as_float)
+            if key is not None:
+                numbered[key] = slot
+        return slot
+
+    def constant(value):
+        # floats are not shared: 0.0 == -0.0 and nan != nan
+        key = None if isinstance(value, float) else (type(value), value)
+        return slot_for(key, value, _as_float(value))
+
+    fields = tuple(fields)
+    for root in fields:
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if id(node) in slots:
+                stack.pop()
+                continue
+            if isinstance(node, Var):
+                slot = node.index
+            elif isinstance(node, Const):
+                slot = constant(node.value)
+            else:
+                kids = (node.b, node.a) if isinstance(node, _Binary) else (node.a,)
+                pending = [kid for kid in kids if id(kid) not in slots]
+                if pending:
+                    stack.extend(pending)
+                    continue
+                a, b = slots[id(node.a)], None
+                if isinstance(node, Pow):
+                    k = node.exponent
+                    op = operator.pow if k >= 0 else _negative_power
+                    b = slot_for(k, k, k)
+                else:
+                    op = _OPS[type(node)]
+                    if isinstance(node, _Binary):
+                        b = slots[id(node.b)]
+                if exact[a] is not None and (b is None or exact[b] is not None):
+                    try:
+                        slot = constant(op(exact[a]) if b is None
+                                        else op(exact[a], exact[b]))
+                    except Exception as exc:  # raised at every point
+                        slot = slot_for(None)
+                        tape.append((slot, _reraise, slot_for(None, exc, exc), None))
+                else:
+                    slot = numbered.get((op, a, b))
+                    if slot is None:
+                        slot = slot_for((op, a, b))
+                        tape.append((slot, op, a, b))
+            slots[id(node)] = slot
+            stack.pop()
+    # a constant field keeps its exact value at float points too
+    outputs = [s if exact[s] is None else slot_for(None, exact[s], exact[s])
+               for s in (slots[id(f)] for f in fields)]
+    exact, floats = exact[4:], floats[4:]
+
+    def evaluate(point):
+        h0, h1, h2, h3 = point
+        r = [h0, h1, h2, h3]
+        r += floats if type(h0) is type(h1) is type(h2) is type(h3) is float else exact
+        for out, op, a, b in tape:
+            r[out] = op(r[a]) if b is None else op(r[a], r[b])
+        return tuple([r[i] for i in outputs])
+    return evaluate
+
+
 # --- parser -----------------------------------------------------------------
 
 _FUNCS = {"sqrt": sqrt, "exp": exp, "sin": sin, "cos": cos}
+_INFIX = {"+": add, "-": sub, "*": mul, "/": div}
 
-# Deepest nesting parse accepts, counting parentheses, function calls
-# and unary minus; deeper input would exhaust the recursion of the
-# parser and of the tree walks.
+# Deepest nesting parse accepts.  It bounds both the parser's own
+# recursion (parentheses, function calls, unary minus) and the height of
+# the tree it builds (each operator, function and power is one level, so
+# a chain h1 - h1 - ... of n terms is n - 1 levels deep); deeper input
+# would exhaust the recursion of the parser and of the tree walks.
 MAX_NESTING = 100
 
+# Largest exponent magnitude parse accepts after '^'.  Huge powers are
+# where float evaluation over- or underflows: (h0+1/3)^2000000 underflows
+# to a residual of 0.0 and passes as a solution.  pow_ is uncapped.
+MAX_EXPONENT = 100
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.tokens = []
-        self._scan()
-        self.index = 0
 
-    def _advance(self, k: int):
-        for ch in self.text[self.pos:self.pos + k]:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += k
+_TOKEN = re.compile(r"(?P<space>[ \t\r\n]+)|(?P<num>\d+\.?\d*|\.\d+)"
+                    r"|(?P<name>[^\W\d]\w*)|(?P<op>[-+*/^()])|(?P<bad>.)", re.S)
 
-    def _scan(self):
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self._advance(1)
-                continue
-            line, col = self.line, self.col
-            if ch.isdigit() or (ch == "." and self.pos + 1 < len(text)
-                                and text[self.pos + 1].isdigit()):
-                k = self.pos
-                seen_dot = False
-                while k < len(text) and (text[k].isdigit() or (text[k] == "." and not seen_dot)):
-                    if text[k] == ".":
-                        seen_dot = True
-                    k += 1
-                tok = text[self.pos:k]
-                self._advance(k - self.pos)
-                self.tokens.append(("num", tok, line, col))
-                continue
-            if ch.isalpha() or ch == "_":
-                k = self.pos
-                while k < len(text) and (text[k].isalnum() or text[k] == "_"):
-                    k += 1
-                tok = text[self.pos:k]
-                self._advance(k - self.pos)
-                self.tokens.append(("name", tok, line, col))
-                continue
-            if ch in "+-*/^()":
-                self._advance(1)
-                self.tokens.append(("op", ch, line, col))
-                continue
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        self.tokens.append(("end", "", self.line, self.col))
 
-    def peek(self):
-        return self.tokens[self.index]
-
-    def next(self):
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
+def _tokens(text: str) -> list:
+    """(kind, token, line, col) for each token, then an "end" token."""
+    tokens, line, line_start = [], 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, tok, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", line, col)
+        if kind != "space":
+            tokens.append((kind, tok, line, col))
+        elif "\n" in tok:
+            line += tok.count("\n")
+            line_start = m.start() + tok.rindex("\n") + 1
+    tokens.append(("end", "", line, len(text) - line_start + 1))
+    return tokens
 
 
 def parse(text: str) -> Field:
-    """Parse the documented grammar into a field; raises ParseError,
-    also when nesting goes deeper than MAX_NESTING."""
-    tz = _Tokenizer(text)
+    """Parse the documented grammar into a field; raises ParseError, also
+    when nesting goes deeper than MAX_NESTING levels or an exponent is
+    larger than MAX_EXPONENT in magnitude."""
+    tokens = _tokens(text)[::-1]  # next token last; "end" is taken only to fail
+    take = tokens.pop
     depth = 0
 
+    def peek():
+        return tokens[-1]
+
+    def grown(level, line, col):
+        if level > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", line, col)
+        return level
+
+    # each rule returns (node, height of its syntax tree)
     def nested(inner, line, col):
         nonlocal depth
-        if depth == MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
-                             line, col)
-        depth += 1
-        node = inner()
+        depth = grown(depth + 1, line, col)
+        result = inner()
         depth -= 1
-        return node
+        return result
+
+    def parenthesized(line, col):
+        result = nested(expr, line, col)
+        kind, tok, line, col = take()
+        if kind != "op" or tok != ")":
+            raise ParseError("expected ')'", line, col)
+        return result
+
+    def chain(operand, ops):
+        node, height = operand()
+        while True:
+            kind, tok, line, col = peek()
+            if kind != "op" or tok not in ops:
+                return node, height
+            take()
+            rhs, rhs_height = operand()
+            height = grown(max(height, rhs_height) + 1, line, col)
+            node = _INFIX[tok](node, rhs)
 
     def expr():
-        node = term()
-        while True:
-            kind, tok, line, col = tz.peek()
-            if kind == "op" and tok in "+-":
-                tz.next()
-                rhs = term()
-                node = add(node, rhs) if tok == "+" else sub(node, rhs)
-            else:
-                return node
+        return chain(term, "+-")
 
     def term():
-        node = unary()
-        while True:
-            kind, tok, line, col = tz.peek()
-            if kind == "op" and tok in "*/":
-                tz.next()
-                rhs = unary()
-                node = mul(node, rhs) if tok == "*" else div(node, rhs)
-            else:
-                return node
+        return chain(unary, "*/")
 
     def unary():
-        kind, tok, line, col = tz.peek()
+        kind, tok, line, col = peek()
         if kind == "op" and tok == "-":
-            tz.next()
-            return neg(nested(unary, line, col))
+            take()
+            node, height = nested(unary, line, col)
+            return neg(node), grown(height + 1, line, col)
         return power()
 
     def power():
-        node = atom()
-        kind, tok, line, col = tz.peek()
+        node, height = atom()
+        kind, tok, line, col = peek()
         if kind == "op" and tok == "^":
-            tz.next()
+            take()
+            height = grown(height + 1, line, col)
             sign = 1
-            kind, tok, line, col = tz.peek()
+            kind, tok, line, col = peek()
             if kind == "op" and tok == "-":
-                tz.next()
+                take()
                 sign = -1
-                kind, tok, line, col = tz.peek()
+                kind, tok, line, col = peek()
             if kind != "num" or "." in tok:
                 raise ParseError("expected an integer exponent after '^'", line, col)
-            tz.next()
-            node = pow_(node, sign * int(tok))
-        return node
+            digits = tok.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise ParseError(f"exponent larger than {MAX_EXPONENT}", line, col)
+            take()
+            return pow_(node, sign * int(digits)), height
+        return node, height
 
     def atom():
-        kind, tok, line, col = tz.next()
+        kind, tok, line, col = take()
         if kind == "num":
-            return const(Fraction(tok))
+            try:
+                return const(Fraction(tok)), 0
+            except ValueError:  # past the interpreter's integer digit limit
+                raise ParseError("number too long", line, col) from None
         if kind == "name":
             if tok in VAR_NAMES:
-                return var(VAR_NAMES.index(tok))
+                return var(VAR_NAMES.index(tok)), 0
             if tok in _FUNCS:
-                kind2, tok2, line2, col2 = tz.next()
+                kind2, tok2, line2, col2 = take()
                 if kind2 != "op" or tok2 != "(":
                     raise ParseError(f"expected '(' after {tok}", line2, col2)
-                inner = nested(expr, line, col)
-                kind3, tok3, line3, col3 = tz.next()
-                if kind3 != "op" or tok3 != ")":
-                    raise ParseError("expected ')'", line3, col3)
-                return _FUNCS[tok](inner)
+                inner, height = parenthesized(line, col)
+                return _FUNCS[tok](inner), grown(height + 1, line, col)
             raise ParseError(f"unknown name {tok!r} (variables are h0..h3)", line, col)
         if kind == "op" and tok == "(":
-            inner = nested(expr, line, col)
-            kind2, tok2, line2, col2 = tz.next()
-            if kind2 != "op" or tok2 != ")":
-                raise ParseError("expected ')'", line2, col2)
-            return inner
+            return parenthesized(line, col)
         raise ParseError(f"unexpected token {tok!r}", line, col)
 
-    node = expr()
-    kind, tok, line, col = tz.peek()
+    node, _ = expr()
+    kind, tok, line, col = peek()
     if kind != "end":
         raise ParseError(f"trailing input {tok!r}", line, col)
     return node

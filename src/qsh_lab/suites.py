@@ -777,11 +777,11 @@ def run_fiber_suite(ctx: SuiteContext):
         # determinant of the unscaled matrix is t^4
         detM = _det4([[forms.COFRAME_MATRIX[i][j] for j in range(4)]
                       for i in range(4)])
-        delta = sf.sub(detM, sf.pow_(forms.T2, 2))
+        evaluate = sf.evaluator((sf.sub(detM, sf.pow_(forms.T2, 2)),))
         worst = rep.max_residual
         for _ in range(50):
             point = forms.sample_point(rng)
-            worst = max(worst, abs(float(delta.evaluate(point))))
+            worst = max(worst, abs(float(evaluate(point)[0])))
         return worst <= tol, worst, None, "cofactor-expansion oracle"
     out.append(_run("fiber", "top-form-determinant",
                     "a0^a1^a2^a3 has DH coefficient det(substitution) = t^-8",
@@ -935,12 +935,10 @@ def run_flat_suite(ctx: SuiteContext):
         for _ in range(20):
             k = _random_constants(rng)
             solution = swann.explicit_solution_family(k)
-            residuals = swann.pde_residuals(solution)
+            evaluate = sf.evaluator(swann.pde_residuals(solution))
             for _ in range(ctx.trials):
                 point = forms.sample_point(rng)
-                memo = {}
-                worst = max(worst, max(abs(float(r.evaluate(point, memo)))
-                                       for r in residuals))
+                worst = max(worst, max(abs(float(v)) for v in evaluate(point)))
         return worst <= 1e-8, worst, None, "20 random constant sets"
     out.append(_run("flat", "solution-family-residuals",
                     "the closed-form exp/sin family solves all four "
@@ -1007,15 +1005,14 @@ def run_flat_suite(ctx: SuiteContext):
     if ctx.user_solution is not None:
         def user_input():
             rng = ctx.rng("flat", "user-input")
-            residuals = swann.pde_residuals(ctx.user_solution)
+            evaluate = sf.evaluator(swann.pde_residuals(ctx.user_solution))
             worst = 0.0
             witness = None
             rejected = 0
             for _ in range(ctx.trials):
                 point = forms.sample_point(rng)
                 try:
-                    memo = {}
-                    values = [float(r.evaluate(point, memo)) for r in residuals]
+                    values = [float(v) for v in evaluate(point)]
                 except (ZeroDivisionError, ValueError):
                     rejected += 1
                     continue
@@ -1119,11 +1116,12 @@ def run_symspace_suite(ctx: SuiteContext):
         E = swann.symspace_exp_f(params)
         f1 = sf.mul(sf.const(params.c1), E)
         f2 = sf.mul(sf.const(params.c2), E)
+        evaluate = sf.evaluator((f1, f2))
         worst = 0.0
         for _ in range(min(ctx.trials, 30)):
             point = forms.sample_point(rng)
             try:
-                v1, v2 = float(f1.evaluate(point)), float(f2.evaluate(point))
+                v1, v2 = (float(v) for v in evaluate(point))
             except (ZeroDivisionError, ValueError):
                 continue
             if abs(v1) > 1e-9:

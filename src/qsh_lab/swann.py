@@ -233,6 +233,20 @@ class TorsionClass:
     degenerate: bool = False  # beta identically zero
 
 
+def _sampled_max(fields, trials: int, rng: random.Random) -> float:
+    """Largest |value| of the fields over trials sample points; points
+    where evaluation fails are skipped."""
+    evaluate = sf.evaluator(fields)
+    worst = 0.0
+    for _ in range(trials):
+        point = forms.sample_point(rng)
+        try:
+            worst = max(worst, max(abs(float(v)) for v in evaluate(point)))
+        except (ZeroDivisionError, ValueError):
+            continue
+    return worst
+
+
 def _is_constant_field(f: sf.Field, trials: int, tolerance: float,
                        rng: random.Random) -> bool:
     if not f.free_vars():
@@ -240,29 +254,14 @@ def _is_constant_field(f: sf.Field, trials: int, tolerance: float,
     grads = sf.gradient(f)
     if all(sf.is_zero(g) for g in grads):
         return True
-    worst = 0.0
-    for _ in range(trials):
-        point = forms.sample_point(rng)
-        try:
-            memo = {}
-            worst = max(worst, max(abs(float(g.evaluate(point, memo))) for g in grads))
-        except (ZeroDivisionError, ValueError):
-            continue
-    return worst <= tolerance
+    return _sampled_max(grads, trials, rng) <= tolerance
 
 
 def _is_zero_field(f: sf.Field, trials: int, tolerance: float,
                    rng: random.Random) -> bool:
     if sf.is_const(f):
         return f.value == 0
-    worst = 0.0
-    for _ in range(trials):
-        point = forms.sample_point(rng)
-        try:
-            worst = max(worst, abs(float(f.evaluate(point))))
-        except (ZeroDivisionError, ValueError):
-            continue
-    return worst <= tolerance
+    return _sampled_max((f,), trials, rng) <= tolerance
 
 
 def torsion_type(solution: FlatSolution, trials: int = 100,
@@ -453,17 +452,17 @@ def general_obstruction_check(r_fields, f_fields, trials: int = 100,
     jointly unsatisfiable, i.e. where |f|^2 != 0 and some r_a != 0.
     """
     rng = rng or random.Random(0)
+    evaluate = sf.evaluator((*f_fields, *r_fields))
     implication = True
     witness = None
     checked = 0
     for _ in range(trials):
         point = forms.sample_point(rng)
         try:
-            memo = {}
-            fs = [float(f.evaluate(point, memo)) for f in f_fields]
-            rs = [float(r.evaluate(point, memo)) for r in r_fields]
+            values = [float(v) for v in evaluate(point)]
         except (ZeroDivisionError, ValueError):
             continue
+        fs, rs = values[:len(f_fields)], values[len(f_fields):]
         checked += 1
         f_norm2 = sum(v * v for v in fs)
         r_norm = max(abs(v) for v in rs)

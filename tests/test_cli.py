@@ -1,5 +1,6 @@
 import json
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,13 +8,18 @@ from fractions import Fraction
 import pytest
 
 from qsh_lab import forms
+from qsh_lab import scalarfield as sf
 from qsh_lab import swann
 from qsh_lab.cli import (RunConfig, UsageError, ingest_user_F, main, run,
                          serialize_solution)
 from qsh_lab.report import write_atomic
+from qsh_lab.suites import _random_constants
 
 # Written by scripts/export_golden_report.py; compared, never regenerated.
-GOLDEN_REPORT = pathlib.Path(__file__).parent / "golden" / "report_seed42_linear.json"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+GOLDEN_REPORT = GOLDEN / "report_seed42_linear.json"
+GOLDEN_FIBER_REPORT = GOLDEN / "report_seed42_fiber.json"
+GOLDEN_F = GOLDEN / "F_seed42.json"
 
 
 def test_config_validation():
@@ -127,6 +133,19 @@ def test_report_matches_golden():
         GOLDEN_REPORT.read_text()
 
 
+def test_fiber_report_matches_golden():
+    # the sampled suites must keep every residual and witness bit for bit
+    report, code = run(RunConfig(ns=(2,), seed=42,
+                                 suites=("fiber", "flat", "symspace"),
+                                 input_path=str(GOLDEN_F)))
+    payload = report.to_dict(omit_timing=True)
+    payload["config"].pop("wall_time_s")
+    payload["config"]["input"] = GOLDEN_F.name
+    assert code == 0
+    assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == \
+        GOLDEN_FIBER_REPORT.read_text()
+
+
 def test_report_written_atomically(tmp_path):
     out = tmp_path / "report.json"
     cfg = RunConfig(ns=(2,), suites=("model",), seed=5, output_path=str(out))
@@ -183,6 +202,52 @@ def test_main_deeply_nested_input_is_usage_error(capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "nesting deeper than" in err
     assert "line 1, column" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("op", ["-", "*"])
+def test_main_long_operator_chain_is_usage_error(capsys, tmp_path, op):
+    # a left-associative chain is as deep as it is long
+    path = tmp_path / "F.json"
+    path.write_text(json.dumps({"F1": op.join(["h1"] * 3000),
+                                "F2": "0", "F3": "0"}))
+    assert main(["run", "--suites", "flat", "--n", "2",
+                 "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nesting deeper than" in err
+    assert "line 1, column 303" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("expression", ["h1/0", "0^-1"])
+def test_main_constant_zero_denominator_is_usage_error(capsys, tmp_path,
+                                                       expression):
+    # the smart constructors fold these while parsing
+    path = tmp_path / "F.json"
+    path.write_text(json.dumps({"F1": expression, "F2": "0", "F3": "0"}))
+    assert main(["run", "--suites", "flat", "--n", "2",
+                 "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "F1" in err and "Traceback" not in err
+
+
+def test_main_huge_exponent_is_usage_error(capsys, tmp_path):
+    # at float points this power underflows to a residual of 0.0
+    path = tmp_path / "F.json"
+    path.write_text('{"F1": "(h0+1/3)^2000000", "F2": "0", "F3": "0"}')
+    assert main(["run", "--suites", "flat", "--n", "2", "--trials", "5",
+                 "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "exponent larger than" in err and "line 1, column 10" in err
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
+def test_serialized_family_parses(tmp_path, seed):
+    solution = swann.explicit_solution_family(
+        _random_constants(random.Random(seed)))
+    path = tmp_path / "F.json"
+    path.write_text(serialize_solution(solution))
+    parsed = ingest_user_F(str(path))
+    point = (0.7, -0.4, 1.1, 0.3)
+    assert sf.evaluator(parsed.F)(point) == sf.evaluator(solution.F)(point)
 
 
 def test_user_solution_with_no_evaluable_point_fails(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -12,17 +13,19 @@ rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
 @st.composite
-def fields(draw, depth=0):
+def fields(draw, depth=0, transcendental=False):
+    """Polynomial trees; with transcendental=True also div, negative
+    powers, sqrt, exp, sin and cos."""
     if depth >= 3:
         choice = draw(st.integers(0, 1))
     else:
-        choice = draw(st.integers(0, 6))
+        choice = draw(st.integers(0, 11 if transcendental else 6))
     if choice == 0:
         return sf.const(draw(rationals))
     if choice == 1:
         return sf.var(draw(st.integers(0, 3)))
-    a = draw(fields(depth=depth + 1))
-    b = draw(fields(depth=depth + 1))
+    a = draw(fields(depth=depth + 1, transcendental=transcendental))
+    b = draw(fields(depth=depth + 1, transcendental=transcendental))
     if choice == 2:
         return sf.add(a, b)
     if choice == 3:
@@ -30,8 +33,87 @@ def fields(draw, depth=0):
     if choice == 4:
         return sf.mul(a, b)
     if choice == 5:
-        return sf.pow_(a, draw(st.integers(1, 3)))
-    return sf.neg(a)
+        k = draw(st.integers(-2 if transcendental else 1, 3))
+        return sf.pow_(a, abs(k) if sf.is_zero(a) else k)
+    if choice == 6:
+        return sf.neg(a)
+    if choice == 7:
+        return a if sf.is_zero(b) else sf.div(a, b)
+    return (sf.sqrt, sf.exp, sf.sin, sf.cos)[choice - 8](a)
+
+
+def reference(field, point, memo):
+    """The recursive interpreter the tape replaced: an id-keyed memo on
+    every node but constants, variables and negations."""
+    if isinstance(field, sf.Const):
+        return field.value
+    if isinstance(field, sf.Var):
+        return point[field.index]
+    if isinstance(field, sf.Neg):
+        return -reference(field.a, point, memo)
+    if id(field) in memo:
+        return memo[id(field)]
+    a = reference(field.a, point, memo)
+    if isinstance(field, sf.Pow):
+        if field.exponent < 0 and a == 0:
+            raise ZeroDivisionError("negative power of zero")
+        v = a ** field.exponent
+    elif isinstance(field, sf.Sqrt):
+        if a < 0:
+            raise ValueError("sqrt of a negative value")
+        exact = sf._exact_sqrt(a) if isinstance(a, Fraction) else None
+        v = exact if exact is not None else math.sqrt(a)
+    elif isinstance(field, (sf.Exp, sf.Sin, sf.Cos)):
+        v = {sf.Exp: math.exp, sf.Sin: math.sin, sf.Cos: math.cos}[type(field)](a)
+    else:
+        b = reference(field.b, point, memo)
+        if isinstance(field, sf.Add):
+            v = a + b
+        elif isinstance(field, sf.Sub):
+            v = a - b
+        elif isinstance(field, sf.Mul):
+            v = a * b
+        else:
+            if b == 0:
+                raise ZeroDivisionError("scalar field denominator vanished")
+            v = a / b
+    memo[id(field)] = v
+    return v
+
+
+def outcome(fn):
+    """The value of fn(), or the type and message of what it raised."""
+    try:
+        return ("value", fn())
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return ("raised", type(exc), str(exc))
+
+
+def same(x, y):
+    """Equal outcomes, floats compared bit for bit (sign of zero, NaNs)."""
+    if x[0] != y[0] or x[0] == "raised":
+        return x == y
+    if len(x[1]) != len(y[1]):
+        return False
+    for u, v in zip(x[1], y[1]):
+        if type(u) is not type(v):
+            return False
+        if isinstance(u, float):
+            if struct.pack("<d", u) != struct.pack("<d", v):
+                return False
+        elif u != v:
+            return False
+    return True
+
+
+def assert_matches_reference(field_list, point):
+    memo = {}
+    want = outcome(lambda: tuple(reference(f, point, memo) for f in field_list))
+    got = outcome(lambda: sf.evaluator(field_list)(point))
+    assert same(got, want), (got, want)
+
+
+floats = st.floats(min_value=-3, max_value=3, allow_nan=False)
 
 
 @given(fields(), st.tuples(rationals, rationals, rationals, rationals))
@@ -175,3 +257,125 @@ def test_gradient_and_free_vars():
     grads = sf.gradient(field)
     assert sf.is_zero(grads[1]) and sf.is_zero(grads[2])
     assert grads[0].evaluate((Fraction(2), 0, 0, Fraction(5))) == 20
+
+
+@given(st.lists(fields(transcendental=True), min_size=1, max_size=3),
+       st.tuples(floats, floats, floats, floats))
+@settings(max_examples=300, deadline=None)
+def test_evaluator_matches_reference_at_float_points(field_list, point):
+    # shared subtrees: the sum reuses the listed trees
+    field_list.append(sf.add(field_list[0], field_list[-1]))
+    assert_matches_reference(field_list, point)
+
+
+@given(st.lists(fields(transcendental=True), min_size=1, max_size=3),
+       st.tuples(rationals, rationals, rationals, rationals))
+@settings(max_examples=300, deadline=None)
+def test_evaluator_matches_reference_at_rational_points(field_list, point):
+    field_list.append(sf.mul(field_list[0], field_list[-1]))
+    assert_matches_reference(field_list, point)
+
+
+@given(fields(), st.tuples(rationals, rationals, rationals, rationals))
+@settings(max_examples=80, deadline=None)
+def test_evaluator_keeps_rational_values_exact(field, point):
+    value, = sf.evaluator((field,))(point)
+    assert isinstance(value, Fraction)
+    assert value == reference(field, point, {})
+
+
+def test_first_failing_field_raises():
+    at = (1.0, 0.0, 0.0, 0.0)
+    overflowing = sf.exp(sf.mul(sf.const(1000), sf.H0))
+    zero_denominator = sf.div(sf.ONE, sf.sub(sf.H0, sf.ONE))
+    with pytest.raises(OverflowError):
+        sf.evaluator([overflowing, zero_denominator])(at)
+    with pytest.raises(ZeroDivisionError, match="denominator vanished"):
+        sf.evaluator([zero_denominator, overflowing])(at)
+    # within one node, a is evaluated before b
+    with pytest.raises(OverflowError):
+        sf.evaluator([sf.add(overflowing, zero_denominator)])(at)
+    with pytest.raises(ZeroDivisionError):
+        sf.evaluator([sf.mul(zero_denominator, overflowing)])(at)
+    for pair in ([overflowing, zero_denominator], [zero_denominator, overflowing]):
+        assert_matches_reference(pair, at)
+
+
+def test_variable_free_raising_subtree_raises_at_every_point():
+    doomed = sf.sqrt(sf.const(-1))
+    field = sf.add(sf.H0, sf.mul(doomed, sf.H1))
+    evaluate = sf.evaluator([sf.H2, field])  # building does not raise
+    for point in ((1.0, 2.0, 3.0, 4.0), (Fraction(1), 0, 0, 0), (0, 0, 0, 0)):
+        with pytest.raises(ValueError, match="sqrt of a negative value"):
+            evaluate(point)
+        assert_matches_reference([sf.H2, field], point)
+
+
+@pytest.mark.parametrize("field", [
+    # float(c) overflows: the error comes from the operation, as before
+    sf.mul(sf.const(10 ** 400), sf.H0),
+    # float(c) rounds to 0.0 although c != 0
+    sf.div(sf.H0, sf.const(Fraction(1, 10 ** 400))),
+    sf.add(sf.const(Fraction(1, 3)), sf.mul(sf.H1, sf.const(Fraction(-2, 7)))),
+    sf.div(sf.const(Fraction(5, 3)), sf.sqrt(sf.sub(sf.H0, sf.const(2)))),
+])
+def test_constants_at_float_points_match_reference(field):
+    for point in ((1.5, -0.25, 0.0, -0.0), (2.0, 1e-300, 3.0, 4.0),
+                  (Fraction(3, 2), Fraction(-1, 4), 0, 0)):
+        assert_matches_reference([field], point)
+
+
+def test_deep_chain_evaluates_without_recursion():
+    field = sf.H0
+    for _ in range(5000):
+        field = sf.add(field, sf.H1)
+    assert sf.evaluator([field])((1.0, 2.0, 0.0, 0.0)) == (10001.0,)
+    assert field.evaluate((Fraction(1), Fraction(1, 2), 0, 0)) == 2501
+
+
+@pytest.mark.parametrize("op", ["-", "*", "+", "/"])
+def test_parse_chain_counts_toward_nesting_cap(op):
+    cap = sf.MAX_NESTING
+    assert sf.parse(op.join(["h1"] * (cap + 1))) is not None
+    with pytest.raises(sf.ParseError) as err:
+        sf.parse(op.join(["h1"] * 3000))
+    assert "nesting deeper than" in str(err.value)
+    # the operator that makes the tree cap + 1 levels deep
+    assert (err.value.line, err.value.col) == (1, 3 * (cap + 1))
+
+
+def test_parse_caps_tree_height_not_just_open_nesting():
+    # a deep first operand followed by a long chain: never more than 61
+    # levels open at once, but the tree is 120 deep
+    text = "(" + "sqrt(" * 60 + "h0" + ")" * 60 + "+h0" * 60 + ")"
+    with pytest.raises(sf.ParseError, match="nesting deeper than"):
+        sf.parse(text)
+    assert sf.parse("sqrt(" * 60 + "h0" + ")" * 60 + "+h0" * 40) is not None
+    with pytest.raises(sf.ParseError, match="nesting deeper than"):
+        sf.parse("(" * 50 + "h0" + "+h0" * 100 + ")" * 50 + "^2")
+
+
+def test_parse_exponent_cap():
+    cap = sf.MAX_EXPONENT
+    assert sf.parse(f"h0^{cap}").exponent == cap
+    assert sf.parse(f"h0^-{cap}").exponent == -cap
+    assert sf.parse(f"h0^00{cap}").exponent == cap
+    for text in (f"h0^{cap + 1}", f"(h0+1/3)^-{cap + 1}", "h0^2000000",
+                 "h0^" + "9" * 5000):
+        with pytest.raises(sf.ParseError) as err:
+            sf.parse(text)
+        assert "exponent larger than" in str(err.value)
+        assert err.value.col == text.index("^") + 2 + text.startswith("(h0+1/3)^-")
+    # constructing a power in code stays uncapped
+    assert sf.pow_(sf.H0, 2000000).exponent == 2000000
+
+
+def test_parse_invalid_numbers_are_parse_errors():
+    with pytest.raises(sf.ParseError, match="number too long") as err:
+        sf.parse("h0 + " + "7" * 5000)
+    assert (err.value.line, err.value.col) == (1, 6)
+    # a digit to str.isdigit but not a decimal one
+    with pytest.raises(sf.ParseError):
+        sf.parse("h0 * \u00b2")
+    with pytest.raises(sf.ParseError, match="integer exponent"):
+        sf.parse("h0^\u00b2")
