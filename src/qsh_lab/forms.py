@@ -34,12 +34,18 @@ general exterior derivative lives in the DH coframe.
 Form equality is decided by simplify-then-sample: coefficients that fold
 to literal constants are compared exactly, everything else is evaluated
 at random points with 0.5 <= |h| <= 2 (Schwartz-Zippel style identity
-testing; denominator zeros are rejection-sampled away).
+testing).  Every randomized check samples through `sample`: a point
+where a field raises ZeroDivisionError or ValueError is redrawn, up to
+MAX_DRAWS draws per trial; when they run out it raises SamplingError
+with the evaluated and rejected counts and the rejections by exception
+type, so no verdict rests on zero points.  OverflowError is not a
+rejection and propagates.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -309,7 +315,7 @@ def d_via_structure(u: VerticalForm) -> VerticalForm:
     return scale(T, acc)
 
 
-# --- randomized equality -------------------------------------------------------
+# --- sampling ------------------------------------------------------------------
 
 def sample_point(rng: random.Random, lo: float = 0.5, hi: float = 2.0):
     """A float point with lo <= |h| <= hi (rejection sampling)."""
@@ -327,6 +333,46 @@ def sample_rational_point(rng: random.Random):
         if any(p):
             return p
 
+
+# Draws per trial before a sampled check gives up for lack of evidence.
+MAX_DRAWS = 64
+
+
+class SamplingError(Exception):
+    """MAX_DRAWS draws in a row could not be evaluated.  Deliberately not
+    a ValueError: callers that reject bad input by ValueError must not
+    mistake missing evidence for a verdict."""
+
+    def __init__(self, evaluated: int, reasons: Counter):
+        self.evaluated, self.reasons = evaluated, dict(reasons)
+        self.rejected = sum(reasons.values())
+        by_type = ", ".join(f"{n} {k}" for k, n in sorted(reasons.items()))
+        super().__init__(f"{MAX_DRAWS} draws in a row rejected after {evaluated} "
+                         f"evaluated points ({self.rejected} rejected: {by_type})")
+
+
+def sample(fields, trials: int, rng: random.Random, rational: bool = False):
+    """Yield (point, float values of the fields) at `trials` points where
+    every field evaluates: float points, or exact rational ones.  Points
+    raising ZeroDivisionError or ValueError are redrawn (at most
+    MAX_DRAWS draws per trial, else SamplingError)."""
+    evaluate = sf.evaluator(fields)
+    draw = sample_rational_point if rational else sample_point
+    reasons = Counter()  # rejected draws by exception type
+    for evaluated in range(trials):
+        for _ in range(MAX_DRAWS):
+            point = draw(rng)
+            try:
+                values = [float(v) for v in evaluate(point)]
+                break
+            except (ZeroDivisionError, ValueError) as exc:
+                reasons[type(exc).__name__] += 1
+        else:
+            raise SamplingError(evaluated, reasons)
+        yield point, values
+
+
+# --- randomized equality -------------------------------------------------------
 
 @dataclass
 class EqualityReport:
@@ -354,20 +400,10 @@ def equal(u: VerticalForm, v: VerticalForm, trials: int = 100,
             deltas.append(delta)
     if not deltas:
         return EqualityReport(True, 0.0, True)
-    rng = rng or random.Random(0)
-    evaluate = sf.evaluator(deltas)
     worst = 0.0
     witness = None
-    for _ in range(trials):
-        for _attempt in range(64):
-            point = sample_rational_point(rng) if rational else sample_point(rng)
-            try:
-                residual = max(abs(float(v)) for v in evaluate(point))
-            except (ZeroDivisionError, ValueError):
-                continue
-            break
-        else:
-            raise RuntimeError("all sample points rejected")
+    for point, values in sample(deltas, trials, rng or random.Random(0), rational):
+        residual = max(abs(v) for v in values)
         if residual > worst:
             worst = residual
             witness = point

@@ -26,8 +26,8 @@ The printable grammar (round-tripped by ``parse``):
     atom   := NUMBER | 'h0'..'h3' | FUNC '(' expr ')' | '(' expr ')'
     FUNC   := 'sqrt' | 'exp' | 'sin' | 'cos'
 
-NUMBER accepts integers and decimal literals; both parse to exact
-rationals.
+NUMBER accepts integer and decimal literals in ASCII digits; both parse
+to exact rationals.
 """
 
 from __future__ import annotations
@@ -502,7 +502,9 @@ MAX_NESTING = 100
 MAX_EXPONENT = 100
 
 
-_TOKEN = re.compile(r"(?P<space>[ \t\r\n]+)|(?P<num>\d+\.?\d*|\.\d+)"
+# Numbers are ASCII digits; no other digit starts a name, so h0*\u0663 is
+# an unexpected character, not 3*h0.
+_TOKEN = re.compile(r"(?P<space>[ \t\r\n]+)|(?P<num>[0-9]+\.?[0-9]*|\.[0-9]+)"
                     r"|(?P<name>[^\W\d]\w*)|(?P<op>[-+*/^()])|(?P<bad>.)", re.S)
 
 

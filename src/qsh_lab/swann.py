@@ -15,8 +15,9 @@ t^2 = h0^2 + ... + h3^2):
   and d(beta) = 0 iff the four first-order equations returned by
   pde_residuals vanish.
 
-Sign/basis table for dbeta_equals_pde: expanding d(beta) over the
-3-form basis dh_i^dh_j^dh_k (i<j<k) gives, with +1 signs throughout,
+Sign/basis table for dbeta_equals_pde (PDE_TERMS holds it in code):
+expanding d(beta) over the 3-form basis dh_i^dh_j^dh_k (i<j<k) gives,
+with +1 signs throughout,
 
     coefficient of dh0^dh2^dh3  =  F1,0 + F2,3 - F3,2   (residual 1)
     coefficient of dh1^dh2^dh3  =  F1,1 + F2,2 + F3,3   (residual 2)
@@ -84,16 +85,25 @@ def beta_of_F(solution: FlatSolution) -> forms.VerticalForm:
     return forms.VerticalForm(forms.DH, 2, terms)
 
 
+#: The signed partials (a, b, sign) = sign * dF_a/dh_b that each of the
+#: four residuals sums, in the order of the module docstring's table.
+#: The first sign of each row is +1.
+PDE_TERMS = (((1, 0, 1), (3, 2, -1), (2, 3, 1)),
+             ((1, 1, 1), (2, 2, 1), (3, 3, 1)),
+             ((1, 3, 1), (2, 0, -1), (3, 1, -1)),
+             ((1, 2, 1), (2, 1, -1), (3, 0, 1)))
+
+
 def pde_residuals(solution: FlatSolution):
     """The four closedness equations, as ScalarFields (zero iff closed)."""
-    F1, F2, F3 = solution.F
-    d = lambda f, b: f.diff(b)
-    return (
-        sf.add(sf.sub(d(F1, 0), d(F3, 2)), d(F2, 3)),
-        sf.add(sf.add(d(F1, 1), d(F2, 2)), d(F3, 3)),
-        sf.sub(sf.sub(d(F1, 3), d(F2, 0)), d(F3, 1)),
-        sf.add(sf.sub(d(F1, 2), d(F2, 1)), d(F3, 0)),
-    )
+    d = lambda a, b: solution.F[a - 1].diff(b)
+    out = []
+    for (a, b, _), *rest in PDE_TERMS:
+        acc = d(a, b)
+        for a, b, sign in rest:
+            acc = (sf.add if sign > 0 else sf.sub)(acc, d(a, b))
+        out.append(acc)
+    return tuple(out)
 
 
 _RESIDUAL_KEYS = ((0, 2, 3), (1, 2, 3), (0, 1, 3), (0, 1, 2))
@@ -233,20 +243,6 @@ class TorsionClass:
     degenerate: bool = False  # beta identically zero
 
 
-def _sampled_max(fields, trials: int, rng: random.Random) -> float:
-    """Largest |value| of the fields over trials sample points; points
-    where evaluation fails are skipped."""
-    evaluate = sf.evaluator(fields)
-    worst = 0.0
-    for _ in range(trials):
-        point = forms.sample_point(rng)
-        try:
-            worst = max(worst, max(abs(float(v)) for v in evaluate(point)))
-        except (ZeroDivisionError, ValueError):
-            continue
-    return worst
-
-
 def _is_constant_field(f: sf.Field, trials: int, tolerance: float,
                        rng: random.Random) -> bool:
     if not f.free_vars():
@@ -254,20 +250,24 @@ def _is_constant_field(f: sf.Field, trials: int, tolerance: float,
     grads = sf.gradient(f)
     if all(sf.is_zero(g) for g in grads):
         return True
-    return _sampled_max(grads, trials, rng) <= tolerance
+    return all(abs(v) <= tolerance
+               for _, values in forms.sample(grads, trials, rng) for v in values)
 
 
 def _is_zero_field(f: sf.Field, trials: int, tolerance: float,
                    rng: random.Random) -> bool:
     if sf.is_const(f):
         return f.value == 0
-    return _sampled_max((f,), trials, rng) <= tolerance
+    return all(abs(v) <= tolerance
+               for _, (v,) in forms.sample((f,), trials, rng))
 
 
 def torsion_type(solution: FlatSolution, trials: int = 100,
                  tolerance: float = 1e-10, rng: random.Random = None) -> TorsionClass:
     """Classify a closed beta: torsion-free iff every F_a is constant,
-    else the closed-but-nonconstant class X57.  Rejects non-closed input."""
+    else the closed-but-nonconstant class X57.  Rejects non-closed input
+    with ValueError; raises forms.SamplingError when the sampled points
+    cannot be evaluated."""
     rng = rng or random.Random(0)
     for i, res in enumerate(pde_residuals(solution)):
         if not _is_zero_field(res, trials, tolerance, rng):
@@ -431,7 +431,6 @@ PLACEHOLDER_2FORM = (
 @dataclass
 class ObstructionReport:
     implication_holds: bool
-    points_checked: int
     witness: dict = None  # a sampled point where the joint conditions fail
 
     def __bool__(self):
@@ -451,19 +450,11 @@ def general_obstruction_check(r_fields, f_fields, trials: int = 100,
     also carries the first point witnessing that the conditions are
     jointly unsatisfiable, i.e. where |f|^2 != 0 and some r_a != 0.
     """
-    rng = rng or random.Random(0)
-    evaluate = sf.evaluator((*f_fields, *r_fields))
     implication = True
     witness = None
-    checked = 0
-    for _ in range(trials):
-        point = forms.sample_point(rng)
-        try:
-            values = [float(v) for v in evaluate(point)]
-        except (ZeroDivisionError, ValueError):
-            continue
+    for point, values in forms.sample((*f_fields, *r_fields), trials,
+                                      rng or random.Random(0)):
         fs, rs = values[:len(f_fields)], values[len(f_fields):]
-        checked += 1
         f_norm2 = sum(v * v for v in fs)
         r_norm = max(abs(v) for v in rs)
         cross = (fs[1] * rs[2] - fs[2] * rs[1],
@@ -484,5 +475,4 @@ def general_obstruction_check(r_fields, f_fields, trials: int = 100,
                 failing["sum"] = total
             if failing:
                 witness = {"point": point, "f": fs, "r": rs, **failing}
-    return ObstructionReport(implication_holds=implication,
-                             points_checked=checked, witness=witness)
+    return ObstructionReport(implication_holds=implication, witness=witness)

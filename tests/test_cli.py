@@ -260,7 +260,7 @@ def test_user_solution_with_no_evaluable_point_fails(capsys, tmp_path):
     assert code == 1
     check, = [c for c in report.checks if c.name == "user-solution-residuals"]
     assert not check.passed
-    assert check.witness == {"evaluated": 0, "rejected": 7}
+    assert check.witness == {"evaluated": 0, "rejected": 64}
     assert main(["run", "--suites", "flat", "--n", "2",
                  "--input", str(path)]) == 1
     assert "[FAIL] flat/user-solution-residuals" in capsys.readouterr().out
@@ -283,3 +283,90 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "checks passed" in proc.stdout
+
+
+def _user_check(tmp_path, F, trials=100):
+    path = tmp_path / "F.json"
+    path.write_text(json.dumps(F))
+    report, code = run(RunConfig(ns=(2,), suites=("flat",), seed=5,
+                                 trials=trials, input_path=str(path)))
+    check, = [c for c in report.checks if c.name == "user-solution-residuals"]
+    return check, code
+
+
+def test_user_solution_with_tiny_derivatives_fails_nested_sqrt(tmp_path,
+                                                              monkeypatch):
+    # F1 = h0^(2^-99): its derivative is about 1e-28, far below an absolute
+    # 1e-8, but the residual is all of the partial it sums
+    draws = []
+    draw = forms.sample_point
+
+    def recorded(rng):
+        draws.append(draw(rng))
+        return draws[-1]
+    monkeypatch.setattr(forms, "sample_point", recorded)
+    F = {"F1": "sqrt(" * 99 + "h0" + ")" * 99, "F2": "0", "F3": "0"}
+    check, code = _user_check(tmp_path, F)
+    assert code == 1 and not check.passed
+    assert check.residual < 1e-20
+    assert "relative residual 1" in check.detail
+    # negative h0 is outside the domain: those draws were redrawn, and the
+    # witness is an evaluated point
+    assert len(draws) > 100 and any(p[0] < 0 for p in draws)
+    assert check.witness["point"][0] > 0
+    assert check.witness["residuals"][0] > 0
+
+
+def test_user_solution_with_tiny_derivatives_fails_nested_exp(tmp_path):
+    F = {"F1": "exp(-" * 50 + "h0" + ")" * 50, "F2": "0", "F3": "0"}
+    check, code = _user_check(tmp_path, F)
+    assert code == 1 and not check.passed
+    assert check.residual < 1e-8
+    assert "relative residual 1" in check.detail
+    assert set(check.witness) == {"point", "residuals"}
+
+
+def test_user_solution_with_cancelling_large_partials_fails(tmp_path):
+    # residual 1 is F1,0 - F3,2 = 1 everywhere: only 1e-9 of the partials
+    # it sums, so the relative bound alone would pass it; the absolute
+    # bound must hold too
+    F = {"F1": "1000000001*h0", "F2": "0", "F3": "1000000000*h2"}
+    check, code = _user_check(tmp_path, F)
+    assert code == 1 and not check.passed
+    assert check.residual == 1.0
+    assert "relative residual 1e-09" in check.detail
+    assert check.witness["residuals"] == [1.0, 0.0, 0.0, 0.0]
+
+
+def test_user_solution_relative_rule_passes_exact_and_sampled_solutions(tmp_path):
+    # every partial of (h1, -h2, 0) is constant: the residuals are exactly 0
+    check, code = _user_check(tmp_path, {"F1": "h1", "F2": "-h2", "F3": "0"})
+    assert code == 0 and check.passed and check.residual == 0.0
+    F = json.loads(GOLDEN_F.read_text())
+    check, code = _user_check(tmp_path, F)
+    assert code == 0 and check.passed and check.witness is None
+
+
+def test_non_ascii_digit_is_usage_error(capsys, tmp_path):
+    # U+0663 is a decimal digit to str.isdecimal, but not in the grammar
+    with pytest.raises(sf.ParseError) as err:
+        sf.parse("h0*٣")
+    assert (err.value.line, err.value.col) == (1, 4)
+    path = tmp_path / "F.json"
+    path.write_text(json.dumps({"F1": "h0*٣", "F2": "0", "F3": "0"}))
+    assert main(["run", "--suites", "flat", "--n", "2",
+                 "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 1, column 4" in err
+
+
+def test_sampling_error_is_one_failed_record():
+    from qsh_lab.suites import _run
+
+    def no_evidence():
+        list(forms.sample((sf.sqrt(sf.sub(sf.const(-1), sf.pow_(sf.H0, 2))),),
+                          3, random.Random(0)))
+    check = _run("flat", "no-evidence", "anchor", no_evidence)
+    assert not check.passed and check.residual is None
+    assert check.witness == {"evaluated": 0, "rejected": 64}
+    assert "64 ValueError" in check.detail

@@ -220,3 +220,76 @@ def test_equal_syntactic_fast_path():
     u = forms.VerticalForm(forms.DH, 2, {(0, 1): sf.parse("h0+h1")})
     rep = forms.equal(u, u.copy(), trials=5, rng=_rng())
     assert rep.equal and rep.syntactic
+
+
+# --- the sampler -----------------------------------------------------------------
+
+_UNDEFINED = sf.sqrt(sf.sub(sf.const(-1), sf.pow_(sf.H0, 2)))  # nowhere real
+
+
+def test_sample_without_rejections_matches_sample_point_loop():
+    fields = (sf.H0, sf.mul(sf.H1, sf.H3))
+    got = list(forms.sample(fields, 25, random.Random(5)))
+    rng = random.Random(5)
+    want = [forms.sample_point(rng) for _ in range(25)]
+    assert [point for point, _ in got] == want
+    assert [values for _, values in got] == [[p[0], p[1] * p[3]] for p in want]
+
+
+def test_sample_redraws_only_rejected_points():
+    # sqrt(h0) is rejected exactly where h0 < 0
+    got = list(forms.sample((sf.sqrt(sf.H0),), 40, random.Random(8)))
+    rng = random.Random(8)
+    want, redrawn = [], 0
+    while len(want) < 40:
+        point = forms.sample_point(rng)
+        if point[0] >= 0:
+            want.append(point)
+        else:
+            redrawn += 1
+    assert redrawn > 0
+    assert [point for point, _ in got] == want
+    assert all(values == [p[0] ** 0.5] for p, values in got)
+
+
+def test_sample_rational_points_are_exact_points():
+    got = list(forms.sample((sf.div(sf.ONE, sf.H0),), 20, random.Random(3),
+                            rational=True))
+    rng, want = random.Random(3), []
+    while len(want) < 20:
+        point = forms.sample_rational_point(rng)
+        if point[0] != 0:
+            want.append(point)
+    assert [point for point, _ in got] == want
+    assert all(values == [float(1 / p[0])] for p, values in got)
+
+
+def test_sample_error_counts_rejections_by_type():
+    # h0 > 0: sqrt(-h0) raises ValueError; h0 < 0: 1/(2 h0 - (h0 + h0)),
+    # which does not fold but is 0.0 at every float point, raises
+    # ZeroDivisionError
+    zero = sf.sub(sf.mul(sf.TWO, sf.H0), sf.add(sf.H0, sf.H0))
+    fields = (sf.sqrt(sf.neg(sf.H0)), sf.div(sf.ONE, zero))
+    with pytest.raises(forms.SamplingError) as err:
+        list(forms.sample(fields, 5, random.Random(1)))
+    exc = err.value
+    assert exc.evaluated == 0 and exc.rejected == forms.MAX_DRAWS == 64
+    assert set(exc.reasons) == {"ValueError", "ZeroDivisionError"}
+    assert sum(exc.reasons.values()) == 64
+    assert "ValueError" in str(exc) and "ZeroDivisionError" in str(exc)
+    # missing evidence is not a ValueError, which callers read as bad input
+    assert not isinstance(exc, ValueError)
+
+
+def test_sample_does_not_reject_overflow():
+    with pytest.raises(OverflowError):
+        list(forms.sample((sf.exp(sf.mul(sf.const(1000), sf.H0)),), 100,
+                          random.Random(2)))
+
+
+def test_equal_on_undefined_form_raises_sampling_error():
+    u = forms.VerticalForm(forms.DH, 1, {(0,): _UNDEFINED})
+    with pytest.raises(forms.SamplingError) as err:
+        forms.equal(u, forms.zero_form(1), trials=10, rng=_rng())
+    assert err.value.evaluated == 0
+    assert err.value.reasons == {"ValueError": 64}

@@ -304,3 +304,23 @@ def test_obstruction_proportional_always_witnessed():
                                               trials=30, rng=rng)
         assert rep.implication_holds
         assert rep.witness is not None and "sum" in rep.witness
+
+
+_UNDEFINED = sf.sqrt(sf.sub(sf.const(-1), sf.pow_(sf.H0, 2)))  # nowhere real
+
+
+def test_torsion_type_of_undefined_input_raises_sampling_error():
+    # used to classify as torsion-free and degenerate after 0 evaluations
+    with pytest.raises(forms.SamplingError) as err:
+        swann.torsion_type(swann.FlatSolution(F=(_UNDEFINED, sf.ZERO, sf.ZERO)),
+                           rng=_rng())
+    assert err.value.evaluated == 0 and err.value.rejected == 64
+
+
+def test_obstruction_with_undefined_r_fields_raises_sampling_error():
+    # used to report implication_holds=True after 0 evaluations
+    with pytest.raises(forms.SamplingError) as err:
+        swann.general_obstruction_check((_UNDEFINED, _UNDEFINED, _UNDEFINED),
+                                        (sf.ONE, sf.H1, sf.ZERO),
+                                        trials=20, rng=_rng())
+    assert err.value.evaluated == 0 and err.value.reasons == {"ValueError": 64}
