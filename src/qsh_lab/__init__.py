@@ -3,8 +3,9 @@
 The package is organised bottom-up:
 
   quaternion   exact quaternion arithmetic, the fiber coordinate type
-  matrices     dense exact linear algebra over Fraction (RREF, nullspace,
-               rank, symmetric signature)
+  matrices     QArray, the one exact matrix/vector type (integer arrays
+               with a rational scale), and Fraction elimination (RREF,
+               nullspace, rank, solve, symmetric signature)
   linmodel     the flat model (J_1, J_2, J_3, omega_0, g_a) on R^{4n}
   liealg       basis enumeration for so*(2n) (+) sp(1), invariant
                projections and the equivariant circle map

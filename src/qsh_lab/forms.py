@@ -355,8 +355,14 @@ def sample(fields, trials: int, rng: random.Random, rational: bool = False):
     """Yield (point, float values of the fields) at `trials` points where
     every field evaluates: float points, or exact rational ones.  Points
     raising ZeroDivisionError or ValueError are redrawn (at most
-    MAX_DRAWS draws per trial, else SamplingError)."""
-    evaluate = sf.evaluator(fields)
+    MAX_DRAWS draws per trial, else SamplingError).  trials < 1 is a
+    ValueError: no verdict may rest on zero points."""
+    if trials < 1:
+        raise ValueError(f"sampling needs at least one trial, got {trials}")
+    return _sample(sf.evaluator(fields), trials, rng, rational)
+
+
+def _sample(evaluate, trials: int, rng: random.Random, rational: bool):
     draw = sample_rational_point if rational else sample_point
     reasons = Counter()  # rejected draws by exception type
     for evaluated in range(trials):

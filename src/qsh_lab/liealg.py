@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from qsh_lab import matrices as mat
-from qsh_lab.linmodel import FlatModel
+from qsh_lab.linmodel import FlatModel, structure_blocks
+from qsh_lab.matrices import QArray
 
 
 class MembershipError(ValueError):
@@ -37,8 +38,8 @@ class MembershipError(ValueError):
 class LieElement:
     """A matrix in so*(2n) (+) sp(1) with its cached decomposition."""
 
-    matrix: list
-    so_part: list
+    matrix: QArray
+    so_part: QArray
     sp_coeffs: tuple
 
 
@@ -56,57 +57,38 @@ class LieBasis:
         return len(self.so_basis) + len(self.sp_basis)
 
 
-def _commutant_block_basis():
-    """Exact nullspace basis of {B in gl(4,R) : B j_a = j_a B, a=1,2,3}."""
-    from qsh_lab.linmodel import _right_mult_block, UNITS
-
-    j_blocks = [_right_mult_block(u.conj()) for u in UNITS]
-    rows = []
-    for jb in j_blocks:
-        for r in range(4):
-            for c in range(4):
-                # entry (r, c) of B j - j B as a linear form in vec(B)
-                row = [Fraction(0)] * 16
-                for k in range(4):
-                    row[4 * r + k] += jb[k][c]
-                    row[4 * k + c] -= jb[r][k]
-                rows.append(row)
+def _commutant_block_basis() -> QArray:
+    """Exact nullspace basis of {B in gl(4,R) : B j_a = j_a B, a=1,2,3},
+    stacked as shape (4, 4, 4)."""
+    # entry (r, c) of B j - j B is row 4r + c of (I (x) j^T - j (x) I) vec(B)
+    j = structure_blocks()
+    eye4 = QArray.eye(4).reshape(1, 4, 4)
+    rows = (eye4.kron(j.T) - j.kron(eye4)).reshape(48, 16)
     basis_vecs = mat.nullspace(rows)
     if len(basis_vecs) != 4:
         raise AssertionError(
             f"commutant of the structure block must be 4-dimensional, got {len(basis_vecs)}")
-    return [[v[4 * r:4 * r + 4] for r in range(4)] for v in basis_vecs]
+    return basis_vecs.reshape(4, 4, 4)
 
 
-def centralizer_basis(model: FlatModel):
-    """Basis of Z(Q) in gl(4n): one commutant block per (row, col) slot."""
-    blocks = _commutant_block_basis()
-    dim = model.dim
-    basis = []
-    for r in range(model.n):
-        for c in range(model.n):
-            for b in blocks:
-                m = mat.zeros(dim, dim)
-                for i in range(4):
-                    for k in range(4):
-                        m[4 * r + i][4 * c + k] = b[i][k]
-                basis.append(m)
-    return basis
+def centralizer_basis(model: FlatModel) -> QArray:
+    """Basis of Z(Q) in gl(4n), stacked as shape (4n^2, 4n, 4n): one
+    commutant block per (row, col) slot, i.e. E_rc (x) B for the n x n
+    matrix units E_rc in row-major order and the four blocks B."""
+    n = model.n
+    units = QArray.eye(n * n).reshape(n * n, 1, n, n)
+    blocks = _commutant_block_basis().reshape(1, 4, 4, 4)
+    return units.kron(blocks).reshape(4 * n * n, model.dim, model.dim)
 
 
-def symplectic_defect(model: FlatModel, m):
+def symplectic_defect(model: FlatModel, m: QArray) -> QArray:
     """M^T Omega + Omega M; zero iff M is omega0-skew."""
-    return mat.mat_add(mat.mat_mul(mat.transpose(m), model.omega),
-                       mat.mat_mul(model.omega, m))
+    return m.T @ model.omega + model.omega @ m
 
 
-def commutation_defect(model: FlatModel, m):
+def commutation_defect(model: FlatModel, m: QArray) -> Fraction:
     """Max |entry| over the three commutators [M, J_a]."""
-    worst = Fraction(0)
-    for Ja in model.J:
-        d = mat.mat_sub(mat.mat_mul(m, Ja), mat.mat_mul(Ja, m))
-        worst = max(worst, mat.max_abs(d))
-    return worst
+    return (m @ model.J - model.J @ m).max_abs()
 
 
 def enumerate_so_star_basis(model: FlatModel) -> LieBasis:
@@ -115,54 +97,48 @@ def enumerate_so_star_basis(model: FlatModel) -> LieBasis:
     Raises if the computed dimension differs from n(2n-1): that formula
     is the self-check for the whole construction.
     """
+    import numpy as np
+
     zq = centralizer_basis(model)
     dim = model.dim
-    rows = []
-    defects = [symplectic_defect(model, b) for b in zq]
-    for r in range(dim):
-        for c in range(r, dim):  # the defect matrix is symmetric
-            rows.append([d[r][c] for d in defects])
+    defects = symplectic_defect(model, zq)  # one per centralizer element
+    upper = np.triu_indices(dim)  # the defect matrices are symmetric
+    rows = defects.transpose(1, 2, 0)[upper]
     coeff_vectors = mat.nullspace(rows)
     expected = model.n * (2 * model.n - 1)
     if len(coeff_vectors) != expected:
         raise AssertionError(
             f"so*(2n) dimension self-check failed: got {len(coeff_vectors)}, "
             f"expected n(2n-1) = {expected}")
-    so_elements = []
-    for v in coeff_vectors:
-        m = mat.zeros(dim, dim)
-        for coef, b in zip(v, zq):
-            if coef != 0:
-                m = mat.mat_add(m, mat.mat_scale(coef, b))
-        if commutation_defect(model, m) != 0 or mat.max_abs(symplectic_defect(model, m)) != 0:
-            raise AssertionError("enumerated element violates the defining equations")
-        so_elements.append(LieElement(matrix=m, so_part=m,
-                                      sp_coeffs=(Fraction(0),) * 3))
-    sp_elements = []
-    zero = mat.zeros(dim, dim)
-    for a in range(3):
-        coeffs = tuple(Fraction(1 if b == a else 0) for b in range(3))
-        sp_elements.append(LieElement(matrix=model.J[a], so_part=zero,
-                                      sp_coeffs=coeffs))
-    return LieBasis(model=model, so_basis=tuple(so_elements),
-                    sp_basis=tuple(sp_elements))
+    elements = (coeff_vectors @ zq.reshape(len(zq), dim * dim)).reshape(-1, dim, dim)
+    if any(commutation_defect(model, m) != 0 or symplectic_defect(model, m).max_abs() != 0
+           for m in elements):
+        raise AssertionError("enumerated element violates the defining equations")
+    zero = model.J[0] * 0
+    so_elements = tuple(LieElement(matrix=m, so_part=m, sp_coeffs=(Fraction(0),) * 3)
+                        for m in elements)
+    sp_elements = tuple(
+        LieElement(matrix=model.J[a], so_part=zero,
+                   sp_coeffs=tuple(Fraction(1 if b == a else 0) for b in range(3)))
+        for a in range(3))
+    return LieBasis(model=model, so_basis=so_elements, sp_basis=sp_elements)
 
 
-def sp1_trace_coefficients(model: FlatModel, m):
+def sp1_trace_coefficients(model: FlatModel, m: QArray):
     """Coefficients of the sp(1) component: c_a = -Tr(J_a M) / 4n.
 
     Valid because Tr(J_a J_b) = -4n delta_ab while Tr(J_a A) = 0 for
     every A in so*(2n).
     """
-    dim = model.dim
-    coeffs = []
-    for Ja in model.J:
-        tr = sum(sum(Ja[i][k] * m[k][i] for k in range(dim)) for i in range(dim))
-        coeffs.append(-tr / Fraction(4 * model.n))
-    return tuple(coeffs)
+    return tuple(-(Ja @ m).trace() / (4 * model.n) for Ja in model.J)
 
 
-def decompose(model: FlatModel, basis: LieBasis, m) -> LieElement:
+def _span(coeffs, J: QArray) -> QArray:
+    """sum_a c_a J_a."""
+    return sum(c * Ja for c, Ja in zip(coeffs, J))
+
+
+def decompose(model: FlatModel, basis: LieBasis, m: QArray) -> LieElement:
     """Split M = M_so + sum_a c_a J_a, or raise MembershipError.
 
     The sp(1) coefficients are recovered by the invariant trace pairing;
@@ -170,18 +146,22 @@ def decompose(model: FlatModel, basis: LieBasis, m) -> LieElement:
     exactly, which characterizes membership in span(basis).
     """
     coeffs = sp1_trace_coefficients(model, m)
-    so_part = m
-    for c, Ja in zip(coeffs, model.J):
-        if c != 0:
-            so_part = mat.mat_sub(so_part, mat.mat_scale(c, Ja))
+    so_part = m - _span(coeffs, model.J)
     residual = max(commutation_defect(model, so_part),
-                   mat.max_abs(symplectic_defect(model, so_part)))
+                   symplectic_defect(model, so_part).max_abs())
     if residual != 0:
         raise MembershipError("matrix is not in so*(2n) (+) sp(1)", residual)
     return LieElement(matrix=m, so_part=so_part, sp_coeffs=coeffs)
 
 
-def project_ZQ(model: FlatModel, x, y, frame=None):
+def _frame(model: FlatModel, frame):
+    """(J, G) of the model, or of a rotated frame stacked like model.J."""
+    if frame is None:
+        return model.J, model.g
+    return frame, model.omega @ frame
+
+
+def project_ZQ(model: FlatModel, x: QArray, y: QArray, frame=None) -> QArray:
     """Matrix of z -> (1/4)(omega0(x,z) y - sum_a g_a(x,z) J_a y).
 
     This is the invariant projection of the rank-one operator
@@ -190,21 +170,14 @@ def project_ZQ(model: FlatModel, x, y, frame=None):
     """
     model.check_vector(x)
     model.check_vector(y)
-    if frame is None:
-        J, G = model.J, model.g
-    else:
-        J = frame
-        G = [mat.mat_mul(model.omega, Ja) for Ja in J]
-    # omega0 is skew, so Omega^T x = -Omega x
-    omega_x = [-v for v in mat.mat_vec(model.omega, x)]
-    out = mat.outer(y, omega_x)
-    for Ja, Ga in zip(J, G):
-        ga_x = mat.mat_vec(Ga, x)  # G_a symmetric: row of g_a(x, -)
-        out = mat.mat_sub(out, mat.outer(mat.mat_vec(Ja, y), ga_x))
-    return mat.mat_scale(Fraction(1, 4), out)
+    J, G = _frame(model, frame)
+    # column y times the row omega0(x, -), minus the columns J_a y times
+    # the rows g_a(x, -)
+    out = y[:, None] @ (x @ model.omega)[None, :] - (J @ y).T @ (x @ G)
+    return out * Fraction(1, 4)
 
 
-def project_Q(model: FlatModel, x, y, frame=None):
+def project_Q(model: FlatModel, x: QArray, y: QArray, frame=None) -> QArray:
     """Matrix of -(1/4n) sum_a Tr(omega0(x,-) (x) J_a y) J_a.
 
     The traces reduce to g_a(x, y), so the output is the sp(1) component
@@ -212,45 +185,29 @@ def project_Q(model: FlatModel, x, y, frame=None):
     """
     model.check_vector(x)
     model.check_vector(y)
-    if frame is None:
-        J, G = model.J, model.g
-    else:
-        J = frame
-        G = [mat.mat_mul(model.omega, Ja) for Ja in J]
-    out = mat.zeros(model.dim, model.dim)
-    factor = Fraction(-1, 4 * model.n)
-    for Ja, Ga in zip(J, G):
-        ga = mat.bilinear(Ga, x, y)
-        out = mat.mat_add(out, mat.mat_scale(factor * ga, Ja))
-    return out
+    J, G = _frame(model, frame)
+    return _span(x @ G @ y, J) * Fraction(-1, 4 * model.n)
 
 
-def project_ZQ_operator(model: FlatModel, t):
+def project_ZQ_operator(model: FlatModel, t: QArray) -> QArray:
     """Invariant projection of an arbitrary matrix onto Z(Q):
     (1/4)(T - sum_a J_a T J_a)."""
-    out = [row[:] for row in t]
-    for Ja in model.J:
-        out = mat.mat_sub(out, mat.mat_mul(Ja, mat.mat_mul(t, Ja)))
-    return mat.mat_scale(Fraction(1, 4), out)
+    return (t - sum(Ja @ t @ Ja for Ja in model.J)) * Fraction(1, 4)
 
 
-def project_Q_operator(model: FlatModel, t):
+def project_Q_operator(model: FlatModel, t: QArray) -> QArray:
     """Invariant projection of an arbitrary matrix onto span{J_a}."""
-    coeffs = sp1_trace_coefficients(model, t)
-    out = mat.zeros(model.dim, model.dim)
-    for c, Ja in zip(coeffs, model.J):
-        out = mat.mat_add(out, mat.mat_scale(c, Ja))
-    return out
+    return _span(sp1_trace_coefficients(model, t), model.J)
 
 
 def circle_so_star(model: FlatModel, x, y):
     """Commutant part of the circle map: the symmetrized projection."""
-    return mat.mat_add(project_ZQ(model, x, y), project_ZQ(model, y, x))
+    return project_ZQ(model, x, y) + project_ZQ(model, y, x)
 
 
 def circle_sp1(model: FlatModel, x, y):
     """sp(1) part of the circle map: -(1/2n) sum_a g_a(x,y) J_a."""
-    return mat.mat_add(project_Q(model, x, y), project_Q(model, y, x))
+    return project_Q(model, x, y) + project_Q(model, y, x)
 
 
 def circle_map(model: FlatModel, x, y, kappa) -> LieElement:
@@ -258,9 +215,8 @@ def circle_map(model: FlatModel, x, y, kappa) -> LieElement:
     if kappa == 0:
         raise ValueError("the circle map requires kappa != 0")
     k = Fraction(kappa)
-    so = mat.mat_scale(2 * k, circle_so_star(model, x, y))
-    sp = mat.mat_scale(model.n * k, circle_sp1(model, x, y))
+    so = circle_so_star(model, x, y) * (2 * k)
+    sp = circle_sp1(model, x, y) * (model.n * k)
     # sp(1) coefficients: n*kappa * (-1/2n) g_a(x, y) = -(kappa/2) g_a(x, y)
-    half_k = k / 2
-    coeffs = tuple(-half_k * mat.bilinear(ga, x, y) for ga in model.g)
-    return LieElement(matrix=mat.mat_add(so, sp), so_part=so, sp_coeffs=coeffs)
+    coeffs = tuple(-k / 2 * ga for ga in x @ model.g @ y)
+    return LieElement(matrix=so + sp, so_part=so, sp_coeffs=coeffs)

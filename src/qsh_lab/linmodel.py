@@ -24,15 +24,20 @@ its stabilizer inside GL(n, H) is the standard matrix realization of
 SO*(2n).  The metrics are g_a(x, y) = omega0(x, J_a y).  All matrices
 are derived from quaternion products at build time rather than
 hardcoded, and every claimed invariant is asserted by the test suite.
+
+Representation.  Matrices and vectors are matrices.QArray, the one
+exact array type of the linear stack: the model holds omega0 as one
+(4n, 4n) integer array and the J_a and the g_a each stacked as one
+(3, 4n, 4n) array, so model.J[a - 1] is J_a and x @ model.g @ y is the
+3-vector (g_1, g_2, g_3)(x, y).  Bilinear forms read out as Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
 
 from qsh_lab import matrices as mat
+from qsh_lab.matrices import QArray
 from qsh_lab.quaternion import Quaternion
 
 UNITS = (Quaternion.unit(1), Quaternion.unit(2), Quaternion.unit(3))
@@ -42,42 +47,31 @@ class DimensionMismatch(ValueError):
     pass
 
 
-def _right_mult_block(u: Quaternion):
-    """4x4 real matrix of x -> x * u on one quaternionic component."""
-    cols = []
-    for p in range(4):
-        prod = Quaternion.unit(p) * u
-        cols.append(list(prod.components()))
-    return [[cols[c][r] for c in range(4)] for r in range(4)]
-
-
-def _block_diag(block, n: int):
-    dim = 4 * n
-    m = mat.zeros(dim, dim)
-    for k in range(n):
-        for r in range(4):
-            for c in range(4):
-                m[4 * k + r][4 * k + c] = block[r][c]
-    return m
+def structure_blocks() -> QArray:
+    """The 4x4 real matrices of x -> x * conj(u_a) on one quaternionic
+    component, stacked as shape (3, 4, 4)."""
+    cols = [[(Quaternion.unit(p) * u.conj()).components() for p in range(4)]
+            for u in UNITS]
+    return QArray.of(cols).transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)
 class FlatModel:
-    """Container for (n, J_1..J_3, omega0, g_1..g_3)."""
+    """Container for (n, J_1..J_3, omega0, g_1..g_3).  J and g are QArrays
+    of shape (3, 4n, 4n), omega one of shape (4n, 4n), all integer
+    (scale 1)."""
 
     n: int
-    J: tuple
-    omega: list
-    g: tuple
+    J: QArray
+    omega: QArray
+    g: QArray
 
     @property
     def dim(self) -> int:
         return 4 * self.n
 
-    def basis_vector(self, i: int):
-        v = [Fraction(0)] * self.dim
-        v[i] = Fraction(1)
-        return v
+    def basis_vector(self, i: int) -> QArray:
+        return QArray.eye(self.dim)[i]
 
     def check_vector(self, x):
         if len(x) != self.dim:
@@ -87,49 +81,29 @@ class FlatModel:
     def omega_of(self, x, y):
         self.check_vector(x)
         self.check_vector(y)
-        return mat.bilinear(self.omega, x, y)
+        return x @ self.omega @ y
 
     def apply_J(self, a: int, v):
-        return mat.mat_vec(self.J[a - 1], v)
-
-    @cached_property
-    def structure_arrays(self):
-        """(omega0, J, g, identity) as read-only numpy arrays of Python
-        ints (dtype=object), of shapes (dim, dim), (3, dim, dim),
-        (3, dim, dim) and (dim, dim).  Built once per model for the
-        curvature kernel; every structure entry is an integer."""
-        import numpy as np
-
-        def ints(m):
-            d, rows = mat.cleared(m)
-            assert d == 1
-            return rows
-
-        arrays = (np.array(ints(self.omega), dtype=object),
-                  np.array([ints(m) for m in self.J], dtype=object),
-                  np.array([ints(m) for m in self.g], dtype=object),
-                  np.array(ints(mat.identity(self.dim)), dtype=object))
-        for a in arrays:
-            a.flags.writeable = False
-        return arrays
+        return self.J[a - 1] @ v
 
 
 def build_flat_model(n: int) -> FlatModel:
     """Construct the flat model on R^{4n}; deterministic in n.
 
     Rejects n < 2: the compact degenerate case n = 1 is excluded from
-    the whole theory.
+    the whole theory.  Each structure matrix is block diagonal with one
+    4x4 block per quaternionic component, i.e. the Kronecker product of
+    the n x n identity with that block.
     """
     if n < 2:
         raise ValueError("the flat model requires n >= 2")
-    j_blocks = [_right_mult_block(u.conj()) for u in UNITS]
     jq = Quaternion.unit(2)
-    omega_block = [[(Quaternion.unit(r).conj() * jq * Quaternion.unit(c)).h0
-                    for c in range(4)] for r in range(4)]
-    J = tuple(_block_diag(b, n) for b in j_blocks)
-    omega = _block_diag(omega_block, n)
-    g = tuple(mat.mat_mul(omega, Ja) for Ja in J)
-    return FlatModel(n=n, J=J, omega=omega, g=g)
+    omega_block = QArray.of([[(Quaternion.unit(r).conj() * jq * Quaternion.unit(c)).h0
+                              for c in range(4)] for r in range(4)])
+    eye_n = QArray.eye(n)
+    J = eye_n.reshape(1, n, n).kron(structure_blocks())
+    omega = eye_n.kron(omega_block)
+    return FlatModel(n=n, J=J, omega=omega, g=omega @ J)
 
 
 def qsh_form(model: FlatModel, x, y):
@@ -140,57 +114,44 @@ def qsh_form(model: FlatModel, x, y):
     """
     model.check_vector(x)
     model.check_vector(y)
-    scalar = mat.bilinear(model.omega, x, y)
-    sp1 = tuple(mat.bilinear(ga, x, y) for ga in model.g)
-    return scalar, sp1
+    return x @ model.omega @ y, tuple(x @ model.g @ y)
 
 
 def qsh_form_matrix(model: FlatModel, x, y):
     """The endomorphism omega0(x,y) Id + sum_a g_a(x,y) J_a."""
     scalar, sp1 = qsh_form(model, x, y)
-    out = mat.mat_scale(scalar, mat.identity(model.dim))
-    for c, Ja in zip(sp1, model.J):
-        out = mat.mat_add(out, mat.mat_scale(c, Ja))
-    return out
+    return QArray.eye(model.dim) * scalar + sum(c * Ja for c, Ja in zip(sp1, model.J))
 
 
 def fundamental_4tensor(model: FlatModel, x, y, z, w):
     """sum_a g_a(x, y) g_a(z, w)."""
     for v in (x, y, z, w):
         model.check_vector(v)
-    return sum(mat.bilinear(ga, x, y) * mat.bilinear(ga, z, w)
-               for ga in model.g)
+    return sum(p * q for p, q in zip(x @ model.g @ y, z @ model.g @ w))
 
 
-def sp1_conjugate_frame(model: FlatModel, q: Quaternion):
+def sp1_conjugate_frame(model: FlatModel, q: Quaternion) -> QArray:
     """Admissible frame obtained by rotating (J_1, J_2, J_3) with a unit q.
 
     The rotated structures are J'_a = sum_b R_{ba} J_b where R is the
     3x3 rotation sending u_a to q u_a conj(q); they span the same
-    3-space and satisfy the quaternionic identity.
+    3-space and satisfy the quaternionic identity.  Returned stacked like
+    model.J.
     """
     if not q.is_unit():
         raise ValueError("frame rotation requires |q|^2 = 1")
-    rotated = []
-    for u in UNITS:
-        w = q * u * q.conj()
-        assert w.h0 == 0
-        coeffs = w.imag_components()
-        m = mat.zeros(model.dim, model.dim)
-        for cb, Jb in zip(coeffs, model.J):
-            if cb != 0:
-                m = mat.mat_add(m, mat.mat_scale(cb, Jb))
-        rotated.append(m)
-    return rotated
+    dim = model.dim
+    return (rotation_matrix(q).T @ model.J.reshape(3, dim * dim)).reshape(3, dim, dim)
 
 
-def rotation_matrix(q: Quaternion):
+def rotation_matrix(q: Quaternion) -> QArray:
     """3x3 matrix of the conjugation action of a unit quaternion."""
     cols = []
     for u in UNITS:
         w = q * u * q.conj()
-        cols.append(list(w.imag_components()))
-    return [[cols[c][r] for c in range(3)] for r in range(3)]
+        assert w.h0 == 0
+        cols.append(w.imag_components())
+    return QArray.of(cols).T
 
 
 def signature(model: FlatModel, bilinear_matrix):

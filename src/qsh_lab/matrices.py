@@ -1,132 +1,173 @@
-"""Exact linear algebra on lists of Fraction.
+"""Exact linear algebra: one array type and Gaussian elimination.
 
-Matrices are lists of row lists and are treated as immutable by
-convention.  Entries may be int or Fraction; a float raises TypeError
-instead of being rounded.
+QArray is the only exact matrix and vector representation of the linear
+stack (linmodel, liealg, curvature and their suites).  It holds a
+read-only numpy array of Python ints (dtype=object), `values`, and a
+positive int `scale`, and stands for values / scale.  Every structure
+matrix and every enumerated basis element of the flat model has entries
+in {0, +-1}, so scales stay small and products are plain integer
+arithmetic: `@` multiplies the scales, `+` and `-` bring both operands
+over the lcm of their scales, and `*` by a Fraction multiplies the
+scale by its denominator.  Python ints never overflow, so every
+operation is exact for every rational input.  A scalar read-out (an
+entry, a vector.matrix.vector product, a trace, max_abs) is a Fraction;
+nothing else reduces by a gcd.  A float entry raises TypeError instead
+of being rounded.  numpy is imported inside the few functions that
+need it, so importing this module does not load it.
 
-Products (mat_mul, mat_vec, bilinear) run on cleared integers: each
-operand is brought once to (d, d * m), where d is the lcm of its
-denominators and d * m has int entries, the sums of products are
-plain int arithmetic, and each output entry is one
-Fraction(total, product of the d).  Python ints never overflow, so this
-is exact for every rational input, and every output entry is a
-Fraction.
-
-Reduction uses plain Gaussian elimination with the first nonzero entry
-in lexicographic column order as pivot, so echelon forms, nullspace
-bases and therefore every exported basis are reproducible
-byte-for-byte.
+Reduction (rref, rank, nullspace, solve, signature_symmetric) uses plain
+Gaussian elimination over Fraction with the first nonzero entry in
+lexicographic column order as pivot, so echelon forms, nullspace bases
+and therefore every exported basis are reproducible byte-for-byte.  A
+positive scale changes neither an echelon form nor a signature, so the
+elimination reads the integer rows of its QArray argument.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
 
 
-def zeros(rows: int, cols: int):
-    return [[Fraction(0)] * cols for _ in range(rows)]
+class QArray:
+    """values / scale, for an integer array `values` and an int scale > 0."""
+
+    __slots__ = ("values", "scale")
+    __array_ufunc__ = None  # numpy operands defer to the methods below
+
+    def __init__(self, values, scale: int = 1):
+        values.flags.writeable = False
+        self.values = values
+        self.scale = scale
+
+    @classmethod
+    def of(cls, nested) -> "QArray":
+        """The array of nested lists of int or Fraction entries."""
+        import numpy as np
+
+        entries = np.array(nested, dtype=object)
+        flat = entries.ravel().tolist()
+        try:
+            scale = lcm(*(x.denominator for x in flat))
+        except AttributeError:
+            bad = next(x for x in flat if not hasattr(x, "denominator"))
+            raise TypeError(f"exact entries must be int or Fraction, "
+                            f"not {type(bad).__name__}") from None
+        ints = [x.numerator * (scale // x.denominator) for x in flat]
+        return cls(np.array(ints, dtype=object).reshape(entries.shape), scale)
+
+    @classmethod
+    def eye(cls, n: int) -> "QArray":
+        import numpy as np
+
+        return cls(np.eye(n, dtype=object))
+
+    def kron(self, other: "QArray") -> "QArray":
+        import numpy as np
+
+        return QArray(np.kron(self.values, other.values), self.scale * other.scale)
+
+    def _wrap(self, values, scale: int):
+        if isinstance(values, int):
+            return Fraction(values, scale)
+        return QArray(values, scale)
+
+    def _common(self, other: "QArray"):
+        """Both value arrays over the lcm of the two scales."""
+        if self.scale == other.scale:
+            return self.values, other.values, self.scale
+        s = lcm(self.scale, other.scale)
+        return self.values * (s // self.scale), other.values * (s // other.scale), s
+
+    def __add__(self, other):
+        if not isinstance(other, QArray):
+            return NotImplemented
+        a, b, s = self._common(other)
+        return QArray(a + b, s)
+
+    def __radd__(self, other):
+        # sum() starts from the int 0
+        return self if other == 0 else NotImplemented
+
+    def __sub__(self, other):
+        if not isinstance(other, QArray):
+            return NotImplemented
+        a, b, s = self._common(other)
+        return QArray(a - b, s)
+
+    def __neg__(self):
+        return QArray(-self.values, self.scale)
+
+    def __mul__(self, c):
+        if isinstance(c, int):
+            return QArray(self.values * c, self.scale)
+        if isinstance(c, Fraction):
+            return QArray(self.values * c.numerator, self.scale * c.denominator)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other):
+        if not isinstance(other, QArray):
+            return NotImplemented
+        return self._wrap(self.values @ other.values, self.scale * other.scale)
+
+    def __eq__(self, other):
+        if not isinstance(other, QArray):
+            return NotImplemented
+        if self.values.shape != other.values.shape:
+            return False
+        a, b, _ = self._common(other)
+        return bool((a == b).all())
+
+    __hash__ = None
+
+    def __getitem__(self, key):
+        return self._wrap(self.values[key], self.scale)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self.values)))
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __repr__(self) -> str:
+        return f"QArray({self.values.tolist()!r}, scale={self.scale})"
+
+    @property
+    def shape(self):
+        return self.values.shape
+
+    @property
+    def T(self) -> "QArray":
+        """The transpose of a matrix, or of each matrix of a stack."""
+        if self.values.ndim < 2:
+            return self
+        return QArray(self.values.swapaxes(-1, -2), self.scale)
+
+    def transpose(self, *axes) -> "QArray":
+        return QArray(self.values.transpose(*axes), self.scale)
+
+    def reshape(self, *shape) -> "QArray":
+        return QArray(self.values.reshape(*shape), self.scale)
+
+    def trace(self) -> Fraction:
+        return Fraction(self.values.trace(), self.scale)
+
+    def max_abs(self) -> Fraction:
+        return Fraction(max(map(abs, self.values.flat), default=0), self.scale)
 
 
-def identity(n: int):
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
-
-
-def transpose(m):
-    return [list(col) for col in zip(*m)]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c, m):
-    return [[c * x for x in row] for row in m]
-
-
-def _denominator(entries) -> int:
-    """The lcm of the denominators of int or Fraction entries."""
-    try:
-        return lcm(*(x.denominator for x in entries))
-    except AttributeError:
-        bad = next(x for x in entries if not hasattr(x, "denominator"))
-        raise TypeError(f"exact entries must be int or Fraction, "
-                        f"not {type(bad).__name__}") from None
-
-
-def _scaled(v, d: int):
-    """d * v as ints, for a multiple d of every denominator in v."""
-    if d == 1:
-        return [x.numerator for x in v]
-    return [x.numerator * (d // x.denominator) for x in v]
-
-
-def cleared(m):
-    """(d, rows): d is the lcm of the denominators of m and rows = d * m
-    as lists of ints."""
-    d = _denominator([x for row in m for x in row])
-    return d, [_scaled(row, d) for row in m]
-
-
-def mat_mul(a, b):
-    da, ia = cleared(a)
-    db, ib = cleared(b)
-    d = da * db
-    cols = list(zip(*ib))
-    return [[Fraction(sum(map(mul, row, col)), d) for col in cols] for row in ia]
-
-
-def mat_vec(m, v):
-    dm, im = cleared(m)
-    dv = _denominator(v)
-    iv = _scaled(v, dv)
-    d = dm * dv
-    return [Fraction(sum(map(mul, row, iv)), d) for row in im]
-
-
-def outer(u, v):
-    """Rank-one matrix u v^T."""
-    return [[x * y for y in v] for x in u]
-
-
-def bilinear(m, x, y):
-    """x^T m y."""
-    dm, im = cleared(m)
-    dx, dy = _denominator(x), _denominator(y)
-    iy = _scaled(y, dy)
-    total = sum(xi * sum(map(mul, row, iy))
-                for xi, row in zip(_scaled(x, dx), im) if xi)
-    return Fraction(total, dm * dx * dy)
-
-
-def max_abs(m) -> Fraction:
-    return max((abs(x) for row in m for x in row), default=Fraction(0))
-
-
-def vec_max_abs(v):
-    return max((abs(x) for x in v), default=Fraction(0))
-
-
-def flatten(m):
-    return [x for row in m for x in row]
-
-
-def rref(m):
-    """Reduced row echelon form.  Returns (R, pivot_columns)."""
-    r = [[Fraction(x) for x in row] for row in m]
-    rows = len(r)
-    cols = len(r[0]) if rows else 0
+def rref(m: QArray):
+    """Reduced row echelon form of the rows of m (a 2-d QArray): returns
+    (R as rows of Fraction, pivot_columns)."""
+    r = [[Fraction(x) for x in row] for row in m.values.tolist()]
+    rows, cols = m.shape
     pivots = []
     pr = 0
     for pc in range(cols):
+        if pr == rows:
+            break
         pivot_row = None
         for i in range(pr, rows):
             if r[i][pc] != 0:
@@ -143,23 +184,17 @@ def rref(m):
                 r[i] = [x - f * y for x, y in zip(r[i], r[pr])]
         pivots.append(pc)
         pr += 1
-        if pr == rows:
-            break
     return r, pivots
 
 
-def rank(m) -> int:
-    if not m or not m[0]:
-        return 0
-    _, pivots = rref(m)
-    return len(pivots)
+def rank(m: QArray) -> int:
+    return len(rref(m)[1])
 
 
-def nullspace(m):
-    """Basis of {x : m x = 0}, one vector per free column, in column order."""
-    if not m:
-        return []
-    cols = len(m[0])
+def nullspace(m: QArray) -> QArray:
+    """Basis of {x : m x = 0} as the rows of a QArray, one vector per free
+    column, in column order."""
+    cols = m.shape[1]
     r, pivots = rref(m)
     pivot_set = set(pivots)
     free = [c for c in range(cols) if c not in pivot_set]
@@ -170,24 +205,27 @@ def nullspace(m):
         for row_idx, pc in enumerate(pivots):
             v[pc] = -r[row_idx][f]
         basis.append(v)
-    return basis
+    return QArray.of(basis).reshape(len(basis), cols)
 
 
-def solve(m, b):
-    """One exact solution of m x = b, or None when inconsistent."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    aug = [list(map(Fraction, m[i])) + [Fraction(b[i])] for i in range(rows)]
-    r, pivots = rref(aug)
+def solve(m: QArray, b: QArray):
+    """One exact solution of m x = b as a QArray, or None when
+    inconsistent."""
+    import numpy as np
+
+    cols = m.shape[1]
+    # both sides times m.scale * b.scale
+    r, pivots = rref(QArray(np.column_stack([m.values * b.scale,
+                                             b.values * m.scale])))
     if cols in pivots:
         return None
     x = [Fraction(0)] * cols
     for row_idx, pc in enumerate(pivots):
         x[pc] = r[row_idx][cols]
-    return x
+    return QArray.of(x)
 
 
-def signature_symmetric(s):
+def signature_symmetric(s: QArray):
     """Signature (n_plus, n_minus, n_zero) of a symmetric matrix.
 
     Congruence (Lagrange) reduction with symmetric pivot search: take the
@@ -196,7 +234,7 @@ def signature_symmetric(s):
     onto the diagonal.  Exact, no eigenvalue tolerances.
     """
     n = len(s)
-    m = [[Fraction(x) for x in row] for row in s]
+    m = [[Fraction(x) for x in row] for row in s.values.tolist()]
     active = list(range(n))
     n_pos = n_neg = 0
     while active:
@@ -236,7 +274,3 @@ def signature_symmetric(s):
                     m[c][r_] -= f * m[c][pivot]
     n_zero = n - n_pos - n_neg
     return n_pos, n_neg, n_zero
-
-
-def dot(u, v):
-    return sum(x * y for x, y in zip(u, v) if x and y)

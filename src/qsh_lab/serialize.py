@@ -16,19 +16,19 @@ Used for golden-file regression of the deterministic enumeration.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from qsh_lab.liealg import LieBasis
+from qsh_lab.matrices import QArray
 
 SCHEMA_VERSION = 1
 
 
-def matrix_to_dict(m) -> dict:
+def matrix_to_dict(m: QArray) -> dict:
+    rows, cols = m.shape
     return {
-        "rows": len(m),
-        "cols": len(m[0]) if m else 0,
-        "entries": [[f"{Fraction(x).numerator}/{Fraction(x).denominator}"
-                     for x in row] for row in m],
+        "rows": rows,
+        "cols": cols,
+        "entries": [[f"{x.numerator}/{x.denominator}" for x in row] for row in m],
     }
 
 

@@ -27,6 +27,7 @@ from qsh_lab import swann
 from qsh_lab.linmodel import (FlatModel, build_flat_model, fundamental_4tensor,
                               qsh_form, qsh_form_matrix, rotation_matrix,
                               signature, sp1_conjugate_frame)
+from qsh_lab.matrices import QArray
 from qsh_lab.quaternion import Quaternion
 from qsh_lab.report import CheckResult
 
@@ -76,8 +77,9 @@ def _residual_of(value) -> float:
     return float(abs(value))
 
 
-def _rational_vector(rng: random.Random, dim: int):
-    return [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim)]
+def _rational_vector(rng: random.Random, dim: int) -> QArray:
+    return QArray.of([Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                      for _ in range(dim)])
 
 
 def _unit_quaternion(rng: random.Random) -> Quaternion:
@@ -100,21 +102,18 @@ def run_model_suite(ctx: SuiteContext):
     for n in ctx.ns:
         m = ctx.model(n)
         dim = m.dim
-        ident = mat.identity(dim)
+        ident = QArray.eye(dim)
 
         def quaternionic_identity():
-            worst = Fraction(0)
-            for Ja in m.J:
-                worst = max(worst, mat.max_abs(mat.mat_add(mat.mat_mul(Ja, Ja), ident)))
-            prod = mat.mat_mul(mat.mat_mul(m.J[0], m.J[1]), m.J[2])
-            worst = max(worst, mat.max_abs(mat.mat_add(prod, ident)))
+            worst = max((Ja @ Ja + ident).max_abs() for Ja in m.J)
+            worst = max(worst, (m.J[0] @ m.J[1] @ m.J[2] + ident).max_abs())
             return worst == 0, _residual_of(worst), None, ""
         out.append(_run("model", f"quaternionic-identity[n={n}]",
                         "J1^2 = J2^2 = J3^2 = J1 J2 J3 = -Id, exactly",
                         quaternionic_identity))
 
         def omega_skew():
-            skew = mat.max_abs(mat.mat_add(m.omega, mat.transpose(m.omega)))
+            skew = (m.omega + m.omega.T).max_abs()
             rk = mat.rank(m.omega)
             ok = skew == 0 and rk == dim
             return ok, _residual_of(skew), None if ok else {"rank": rk}, f"rank {rk}"
@@ -123,24 +122,15 @@ def run_model_suite(ctx: SuiteContext):
                         omega_skew))
 
         def omega_hermitian():
-            worst = Fraction(0)
-            for Ja in m.J:
-                lhs = mat.mat_mul(mat.transpose(Ja), mat.mat_mul(m.omega, Ja))
-                worst = max(worst, mat.max_abs(mat.mat_sub(lhs, m.omega)))
+            worst = (m.J.T @ m.omega @ m.J - m.omega).max_abs()
             return worst == 0, _residual_of(worst), None, ""
         out.append(_run("model", f"omega-hermitian[n={n}]",
                         "omega0(J_a x, J_a y) = omega0(x, y) for a = 1, 2, 3",
                         omega_hermitian))
 
         def metric_compatibility():
-            worst = Fraction(0)
-            for a in range(3):
-                ga = m.g[a]
-                worst = max(worst, mat.max_abs(mat.mat_sub(ga, mat.transpose(ga))))
-                worst = max(worst, mat.max_abs(
-                    mat.mat_sub(ga, mat.mat_mul(m.omega, m.J[a]))))
-                lhs = mat.mat_mul(mat.transpose(m.J[a]), mat.mat_mul(ga, m.J[a]))
-                worst = max(worst, mat.max_abs(mat.mat_sub(lhs, ga)))
+            worst = max((m.g - m.g.T).max_abs(), (m.g - m.omega @ m.J).max_abs(),
+                        (m.J.T @ m.g @ m.J - m.g).max_abs())
             return worst == 0, _residual_of(worst), None, ""
         out.append(_run("model", f"metric-compatibility[n={n}]",
                         "g_a = omega0(., J_a .), symmetric and J_a-Hermitian",
@@ -156,12 +146,12 @@ def run_model_suite(ctx: SuiteContext):
 
         def non_hermitian_witness():
             # invariance of g_1 under J_2 must fail on some basis pair
-            lhs = mat.mat_mul(mat.transpose(m.J[1]), mat.mat_mul(m.g[0], m.J[1]))
+            lhs = m.J[1].T @ m.g[0] @ m.J[1]
             for i in range(dim):
                 for j in range(dim):
-                    if lhs[i][j] != m.g[0][i][j]:
-                        wit = {"pair": (i, j), "g1": m.g[0][i][j],
-                               "g1_J2_rotated": lhs[i][j]}
+                    if lhs[i, j] != m.g[0][i, j]:
+                        wit = {"pair": (i, j), "g1": m.g[0][i, j],
+                               "g1_J2_rotated": lhs[i, j]}
                         return True, None, wit, "witness found as required"
             return False, 0.0, None, "g_1 unexpectedly invariant under J_2"
         out.append(_run("model", f"non-hermitian-witness[n={n}]",
@@ -175,15 +165,10 @@ def run_model_suite(ctx: SuiteContext):
                 x = _rational_vector(rng, dim)
                 y = _rational_vector(rng, dim)
                 z = _rational_vector(rng, dim)
-                hm = qsh_form_matrix(m, x, y)
-                direct = mat.mat_vec(hm, z)
+                direct = qsh_form_matrix(m, x, y) @ z
                 scalar, sp1 = qsh_form(m, x, y)
-                recon = [scalar * zi for zi in z]
-                for c, Ja in zip(sp1, m.J):
-                    jz = mat.mat_vec(Ja, z)
-                    recon = [r + c * v for r, v in zip(recon, jz)]
-                worst = max(worst, mat.vec_max_abs(
-                    [a - b for a, b in zip(direct, recon)]))
+                recon = z * scalar + sum(c * (Ja @ z) for c, Ja in zip(sp1, m.J))
+                worst = max(worst, (direct - recon).max_abs())
             return worst == 0, _residual_of(worst), None, ""
         out.append(_run("model", f"qsh-reconstruction[n={n}]",
                         "h(x,y)z = omega0(x,y) z + sum_a g_a(x,y) J_a z, "
@@ -216,8 +201,7 @@ def run_model_suite(ctx: SuiteContext):
                 worst = max(worst, abs(phi - fundamental_4tensor(m, y, x, z, w)))
                 worst = max(worst, abs(phi - fundamental_4tensor(m, z, w, x, y)))
                 _, sp1_zw = qsh_form(m, z, w)
-                imh_y = [sum(c * v for c, v in zip(sp1_zw, col))
-                         for col in zip(*(mat.mat_vec(Ja, y) for Ja in m.J))]
+                imh_y = sum(c * (Ja @ y) for c, Ja in zip(sp1_zw, m.J))
                 worst = max(worst, abs(phi - m.omega_of(x, imh_y)))
             return worst == 0, _residual_of(worst), None, ""
         out.append(_run("model", f"phi-identity[n={n}]",
@@ -231,17 +215,16 @@ def run_model_suite(ctx: SuiteContext):
             for _ in range(5):
                 q = _unit_quaternion(rng)
                 rotated = sp1_conjugate_frame(m, q)
-                prod = mat.mat_mul(mat.mat_mul(rotated[0], rotated[1]), rotated[2])
-                worst = max(worst, mat.max_abs(mat.mat_add(prod, ident)))
+                prod = rotated[0] @ rotated[1] @ rotated[2]
+                worst = max(worst, (prod + ident).max_abs())
                 r3 = rotation_matrix(q)
-                rtr = mat.mat_mul(mat.transpose(r3), r3)
-                worst = max(worst, mat.max_abs(mat.mat_sub(rtr, mat.identity(3))))
+                worst = max(worst, (r3.T @ r3 - QArray.eye(3)).max_abs())
                 x = _rational_vector(rng, dim)
                 y = _rational_vector(rng, dim)
                 _, sp1 = qsh_form(m, x, y)
                 for a in range(3):
-                    rotated_ga = mat.bilinear(mat.mat_mul(m.omega, rotated[a]), x, y)
-                    expected = sum(r3[b][a] * sp1[b] for b in range(3))
+                    rotated_ga = x @ (m.omega @ rotated[a]) @ y
+                    expected = sum(r3[b, a] * sp1[b] for b in range(3))
                     worst = max(worst, abs(rotated_ga - expected))
             return worst == 0, _residual_of(worst), None, ""
         out.append(_run("model", f"frame-rotation-covariance[n={n}]",
@@ -275,13 +258,10 @@ def run_liealg_suite(ctx: SuiteContext):
             worst = Fraction(0)
             for el in basis.so_basis:
                 worst = max(worst, liealg.commutation_defect(m, el.matrix))
-                worst = max(worst, mat.max_abs(liealg.symplectic_defect(m, el.matrix)))
-                tr = sum(el.matrix[i][i] for i in range(dim))
-                worst = max(worst, abs(tr))
+                worst = max(worst, liealg.symplectic_defect(m, el.matrix).max_abs())
+                worst = max(worst, abs(el.matrix.trace()))
                 for Ja in m.J:
-                    trj = sum(sum(Ja[i][k] * el.matrix[k][i] for k in range(dim))
-                              for i in range(dim))
-                    worst = max(worst, abs(trj))
+                    worst = max(worst, abs((Ja @ el.matrix).trace()))
             return worst == 0, _residual_of(worst), None, ""
         out.append(_run("liealg", f"basis-defining-equations[n={n}]",
                         "every basis element commutes with J_a, is omega0-skew, "
@@ -292,23 +272,21 @@ def run_liealg_suite(ctx: SuiteContext):
             basis = ctx.basis(n)
             rng = ctx.rng("liealg", f"decompose{n}")
             el = liealg.decompose(m, basis, m.J[1])
-            if el.sp_coeffs != (0, 1, 0) or mat.max_abs(el.so_part) != 0:
+            if el.sp_coeffs != (0, 1, 0) or el.so_part.max_abs() != 0:
                 return False, None, {"got": el.sp_coeffs}, "J2 decomposition"
             first = basis.so_basis[0].matrix
             el = liealg.decompose(m, basis, first)
-            if el.sp_coeffs != (0, 0, 0) or mat.max_abs(mat.mat_sub(el.so_part, first)) != 0:
+            if el.sp_coeffs != (0, 0, 0) or (el.so_part - first).max_abs() != 0:
                 return False, None, None, "so* element decomposition"
             for _ in range(5):
                 coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                           for _ in basis.elements()]
-                combo = mat.zeros(dim, dim)
-                for c, b in zip(coeffs, basis.elements()):
-                    combo = mat.mat_add(combo, mat.mat_scale(c, b.matrix))
+                combo = sum(c * b.matrix for c, b in zip(coeffs, basis.elements()))
                 el = liealg.decompose(m, basis, combo)
                 if tuple(el.sp_coeffs) != tuple(coeffs[-3:]):
                     return False, None, {"want": coeffs[-3:], "got": el.sp_coeffs}, ""
             try:
-                liealg.decompose(m, basis, mat.identity(dim))
+                liealg.decompose(m, basis, QArray.eye(dim))
                 return False, None, None, "identity accepted as a member"
             except liealg.MembershipError as exc:
                 detail = f"membership error residual {exc.residual}"
@@ -327,8 +305,7 @@ def run_liealg_suite(ctx: SuiteContext):
                 p = liealg.project_ZQ(m, x, y)
                 worst = max(worst, liealg.commutation_defect(m, p))
                 q = liealg.project_Q(m, x, y)
-                worst = max(worst, mat.max_abs(
-                    mat.mat_sub(q, liealg.project_Q_operator(m, q))))
+                worst = max(worst, (q - liealg.project_Q_operator(m, q)).max_abs())
             return worst == 0, _residual_of(worst), None, ""
         out.append(_run("liealg", f"projection-targets[n={n}]",
                         "project_ZQ lands in the centralizer; project_Q lands "
@@ -343,12 +320,10 @@ def run_liealg_suite(ctx: SuiteContext):
                 frame = sp1_conjugate_frame(m, q)
                 x = _rational_vector(rng, dim)
                 y = _rational_vector(rng, dim)
-                worst = max(worst, mat.max_abs(mat.mat_sub(
-                    liealg.project_ZQ(m, x, y),
-                    liealg.project_ZQ(m, x, y, frame=frame))))
-                worst = max(worst, mat.max_abs(mat.mat_sub(
-                    liealg.project_Q(m, x, y),
-                    liealg.project_Q(m, x, y, frame=frame))))
+                worst = max(worst, (liealg.project_ZQ(m, x, y)
+                                    - liealg.project_ZQ(m, x, y, frame=frame)).max_abs())
+                worst = max(worst, (liealg.project_Q(m, x, y)
+                                    - liealg.project_Q(m, x, y, frame=frame)).max_abs())
             return worst == 0, _residual_of(worst), None, ""
         out.append(_run("liealg", f"projection-frame-independence[n={n}]",
                         "both projections are unchanged under admissible "
@@ -358,15 +333,13 @@ def run_liealg_suite(ctx: SuiteContext):
         def projection_idempotence():
             basis = ctx.basis(n)
             worst = Fraction(0)
-            zq_members = [mat.identity(dim)] + [el.matrix for el in basis.so_basis[:3]]
+            zq_members = [QArray.eye(dim)] + [el.matrix for el in basis.so_basis[:3]]
             for t in zq_members:
-                worst = max(worst, mat.max_abs(mat.mat_sub(
-                    liealg.project_ZQ_operator(m, t), t)))
-                worst = max(worst, mat.max_abs(liealg.project_Q_operator(m, t)))
+                worst = max(worst, (liealg.project_ZQ_operator(m, t) - t).max_abs())
+                worst = max(worst, liealg.project_Q_operator(m, t).max_abs())
             for Ja in m.J:
-                worst = max(worst, mat.max_abs(mat.mat_sub(
-                    liealg.project_Q_operator(m, Ja), Ja)))
-                worst = max(worst, mat.max_abs(liealg.project_ZQ_operator(m, Ja)))
+                worst = max(worst, (liealg.project_Q_operator(m, Ja) - Ja).max_abs())
+                worst = max(worst, liealg.project_ZQ_operator(m, Ja).max_abs())
             return worst == 0, _residual_of(worst), None, ""
         out.append(_run("liealg", f"projection-idempotence[n={n}]",
                         "projections fix their targets and kill each other's "
@@ -375,23 +348,18 @@ def run_liealg_suite(ctx: SuiteContext):
 
         def projection_oracle():
             rng = ctx.rng("liealg", f"proj-oracle{n}")
-            zq = liealg.centralizer_basis(m)
-            gram = [[mat.dot(mat.flatten(a), mat.flatten(b)) for b in zq] for a in zq]
+            zq = liealg.centralizer_basis(m).reshape(-1, dim * dim)
+            gram = zq @ zq.T
             worst = Fraction(0)
             cases = [(m.basis_vector(0), m.basis_vector(0))]
             for _ in range(2):
                 cases.append((_rational_vector(rng, dim), _rational_vector(rng, dim)))
             for x, y in cases:
-                omega_x = [-v for v in mat.mat_vec(m.omega, x)]
-                target = mat.outer(y, omega_x)  # omega0(x,-) (x) y
-                rhs = [mat.dot(mat.flatten(b), mat.flatten(target)) for b in zq]
-                coeffs = mat.solve(gram, rhs)
-                proj = mat.zeros(dim, dim)
-                for c, b in zip(coeffs, zq):
-                    if c:
-                        proj = mat.mat_add(proj, mat.mat_scale(c, b))
-                worst = max(worst, mat.max_abs(mat.mat_sub(
-                    proj, liealg.project_ZQ(m, x, y))))
+                # omega0(x,-) (x) y, with omega0(x, z) = -(Omega x).z
+                target = y[:, None] @ (-(m.omega @ x))[None, :]
+                coeffs = mat.solve(gram, zq @ target.reshape(dim * dim))
+                proj = (coeffs @ zq).reshape(dim, dim)
+                worst = max(worst, (proj - liealg.project_ZQ(m, x, y)).max_abs())
             return (worst == 0, _residual_of(worst), None,
                     "orthogonal projection oracle (unit-quaternion conjugation "
                     "is orthogonal, so averaging = trace-orthogonal projection)")
@@ -408,19 +376,16 @@ def run_liealg_suite(ctx: SuiteContext):
                 y = _rational_vector(rng, dim)
                 el_xy = liealg.circle_map(m, x, y, ctx.kappa)
                 el_yx = liealg.circle_map(m, y, x, ctx.kappa)
-                worst = max(worst, mat.max_abs(mat.mat_sub(el_xy.matrix, el_yx.matrix)))
+                worst = max(worst, (el_xy.matrix - el_yx.matrix).max_abs())
                 sp = liealg.circle_sp1(m, x, y)
-                expected = mat.zeros(dim, dim)
-                for a in range(3):
-                    c = Fraction(-1, 2 * n) * mat.bilinear(m.g[a], x, y)
-                    expected = mat.mat_add(expected, mat.mat_scale(c, m.J[a]))
-                worst = max(worst, mat.max_abs(mat.mat_sub(sp, expected)))
+                expected = sum(Fraction(-1, 2 * n) * (x @ ga @ y) * Ja
+                               for ga, Ja in zip(m.g, m.J))
+                worst = max(worst, (sp - expected).max_abs())
                 # so* part is the invariant projection of f_{x (.) y}
-                fxy = mat.mat_add(mat.outer(y, [-v for v in mat.mat_vec(m.omega, x)]),
-                                  mat.outer(x, [-v for v in mat.mat_vec(m.omega, y)]))
-                worst = max(worst, mat.max_abs(mat.mat_sub(
-                    liealg.circle_so_star(m, x, y),
-                    liealg.project_ZQ_operator(m, fxy))))
+                fxy = (y[:, None] @ (-(m.omega @ x))[None, :]
+                       + x[:, None] @ (-(m.omega @ y))[None, :])
+                worst = max(worst, (liealg.circle_so_star(m, x, y)
+                                    - liealg.project_ZQ_operator(m, fxy)).max_abs())
             return worst == 0, _residual_of(worst), None, ""
         out.append(_run("liealg", f"circle-map[n={n}]",
                         "x o y is symmetric, its sp1 part is "
@@ -439,11 +404,10 @@ def run_liealg_suite(ctx: SuiteContext):
                 x = _rational_vector(rng, dim)
                 y = _rational_vector(rng, dim)
                 circ = liealg.circle_map(m, x, y, ctx.kappa).matrix
-                lhs = mat.mat_sub(mat.mat_mul(B, circ), mat.mat_mul(circ, B))
-                rhs = mat.mat_add(
-                    liealg.circle_map(m, mat.mat_vec(B, x), y, ctx.kappa).matrix,
-                    liealg.circle_map(m, x, mat.mat_vec(B, y), ctx.kappa).matrix)
-                worst = max(worst, mat.max_abs(mat.mat_sub(lhs, rhs)))
+                lhs = B @ circ - circ @ B
+                rhs = (liealg.circle_map(m, B @ x, y, ctx.kappa).matrix
+                       + liealg.circle_map(m, x, B @ y, ctx.kappa).matrix)
+                worst = max(worst, (lhs - rhs).max_abs())
             return worst == 0, _residual_of(worst), None, ""
         out.append(_run("liealg", f"circle-equivariance[n={n}]",
                         "[B, x o y] = (Bx) o y + x o (By) for sampled basis B",
@@ -519,9 +483,7 @@ def _curvature_checks_at(ctx: SuiteContext, n: int):
                 direct = curv.curvature_13(m, el.matrix, params,
                                            m.basis_vector(i), m.basis_vector(j),
                                            m.basis_vector(k))
-                via = tensor.apply(i, j, k)
-                worst = max(worst, mat.vec_max_abs(
-                    [a - b for a, b in zip(direct, via)]))
+                worst = max(worst, (direct - tensor[i, j, k]).max_abs())
         return worst == 0, _residual_of(worst), None, ""
     out.append(_run("curvature", f"curvature-two-paths[n={n}]",
                     "the projection-built tensor and the expanded "
@@ -535,14 +497,11 @@ def _curvature_checks_at(ctx: SuiteContext, n: int):
         worst = Fraction(0)
         for _ in range(10):
             i, j = rng.randrange(dim), rng.randrange(dim)
-            rij = tensor.matrix(i, j)
-            rji = tensor.matrix(j, i)
-            worst = max(worst, mat.max_abs(mat.mat_add(rij, rji)))
+            worst = max(worst, (tensor[i, j] + tensor[j, i]).max_abs())
         for i, j in itertools.islice(itertools.combinations(range(dim), 2), 6):
-            liealg.decompose(m, basis, tensor.matrix(i, j))  # raises if outside g
-        zero_tensor = curv.curvature_of(m, basis, mat.zeros(dim, dim), params)
-        worst = max(worst, Fraction(int(abs(zero_tensor.values).max()),
-                                    zero_tensor.scale))
+            liealg.decompose(m, basis, tensor[i, j].T)  # raises if outside g
+        zero_tensor = curv.curvature_of(m, basis, m.omega * 0, params)
+        worst = max(worst, zero_tensor.max_abs())
         return worst == 0, _residual_of(worst), None, "values decompose in g"
     out.append(_run("curvature", f"tensor-wellformed[n={n}]",
                     "R is antisymmetric, g-valued, and vanishes for A = 0",
@@ -554,8 +513,8 @@ def _curvature_checks_at(ctx: SuiteContext, n: int):
         for el in basis.so_basis:
             tensor = curv.curvature_of(m, basis, el, params)
             ric = curv.ricci_of(m, tensor)
-            target = mat.mat_scale(coef, curv.omega_pairing(m, el.matrix))
-            worst = max(worst, mat.max_abs(mat.mat_sub(ric, target)))
+            target = curv.omega_pairing(m, el.matrix) * coef
+            worst = max(worst, (ric - target).max_abs())
         return worst == 0, _residual_of(worst), None, f"coefficient {coef}"
     out.append(_run("curvature", f"ricci-commuting-part[n={n}]",
                     "Ric_A = 2(n+2) k omega0(A., .) for every commuting-part "
@@ -568,8 +527,8 @@ def _curvature_checks_at(ctx: SuiteContext, n: int):
         for el in basis.sp_basis:
             tensor = curv.curvature_of(m, basis, el, params)
             ric = curv.ricci_of(m, tensor)
-            target = mat.mat_scale(coef, curv.omega_pairing(m, el.matrix))
-            worst = max(worst, mat.max_abs(mat.mat_sub(ric, target)))
+            target = curv.omega_pairing(m, el.matrix) * coef
+            worst = max(worst, (ric - target).max_abs())
         return worst == 0, _residual_of(worst), None, f"coefficient {coef}"
     out.append(_run("curvature", f"ricci-sp1-part[n={n}]",
                     "Ric_A = 4n k omega0(A., .) for A in {J1, J2, J3}",
@@ -579,16 +538,14 @@ def _curvature_checks_at(ctx: SuiteContext, n: int):
         rng = ctx.rng("curvature", f"ricci-closed{n}")
         worst = Fraction(0)
         for _ in range(10):
-            combo = mat.zeros(dim, dim)
-            for b in basis.elements():
-                c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                combo = mat.mat_add(combo, mat.mat_scale(c, b.matrix))
+            combo = sum(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * b.matrix
+                        for b in basis.elements())
             el = liealg.decompose(m, basis, combo)
             tensor = curv.curvature_of(m, basis, el, params)
             ric = curv.ricci_of(m, tensor)
             closed = curv.ricci_closed_form(m, el.matrix, ctx.kappa)
-            worst = max(worst, mat.max_abs(mat.mat_sub(ric, closed)))
-            worst = max(worst, mat.max_abs(mat.mat_sub(ric, mat.transpose(ric))))
+            worst = max(worst, (ric - closed).max_abs())
+            worst = max(worst, (ric - ric.T).max_abs())
         return worst == 0, _residual_of(worst), None, "10 random A"
     out.append(_run("curvature", f"ricci-closed-form[n={n}]",
                     "trace Ricci equals (2n+1)k w(Ay,z) + (k/2) sum_a g_a(y,z) "
@@ -599,22 +556,13 @@ def _curvature_checks_at(ctx: SuiteContext, n: int):
         rng = ctx.rng("curvature", f"ricci-linear{n}")
         worst = Fraction(0)
         for _ in range(3):
-            a1 = mat.zeros(dim, dim)
-            for b in basis.so_basis:
-                a1 = mat.mat_add(a1, mat.mat_scale(
-                    Fraction(rng.randint(-3, 3)), b.matrix))
-            a2 = mat.zeros(dim, dim)
-            for b in basis.sp_basis:
-                a2 = mat.mat_add(a2, mat.mat_scale(
-                    Fraction(rng.randint(-3, 3)), b.matrix))
-            total = liealg.decompose(m, basis, mat.mat_add(a1, a2))
+            a1 = sum(rng.randint(-3, 3) * b.matrix for b in basis.so_basis)
+            a2 = sum(rng.randint(-3, 3) * b.matrix for b in basis.sp_basis)
+            total = liealg.decompose(m, basis, a1 + a2)
             ric = curv.ricci_of(m, curv.curvature_of(m, basis, total, params))
-            split = mat.mat_add(
-                mat.mat_scale(Fraction(2 * n + 4) * ctx.kappa,
-                              curv.omega_pairing(m, a1)),
-                mat.mat_scale(Fraction(4 * n) * ctx.kappa,
-                              curv.omega_pairing(m, a2)))
-            worst = max(worst, mat.max_abs(mat.mat_sub(ric, split)))
+            split = (curv.omega_pairing(m, a1) * (Fraction(2 * n + 4) * ctx.kappa)
+                     + curv.omega_pairing(m, a2) * (Fraction(4 * n) * ctx.kappa))
+            worst = max(worst, (ric - split).max_abs())
         return worst == 0, _residual_of(worst), None, ""
     out.append(_run("curvature", f"ricci-linearity[n={n}]",
                     "Ric_{A1+A2} = (2n+4) k omega0(A1., .) + 4n k omega0(A2., .) "
@@ -658,13 +606,13 @@ def _ricci_dichotomy_check(ctx: SuiteContext, n: int, mandatory: bool = False):
                 return False, None, None, "sp1 part should fail Hermiticity"
             witness = wit
         # mixed element must fail as well (both directions of the dichotomy)
-        mixed = mat.mat_add(basis.so_basis[0].matrix, basis.sp_basis[0].matrix)
+        mixed = basis.so_basis[0].matrix + basis.sp_basis[0].matrix
         el = liealg.decompose(m, basis, mixed)
         ric = curv.ricci_of(m, curv.curvature_of(m, basis, el, params))
         ok, wit = curv.is_Q_hermitian(m, ric, frames=frames)
         if ok:
             return False, None, None, "mixed element should fail Hermiticity"
-        zero_ok, _ = curv.is_Q_hermitian(m, mat.zeros(m.dim, m.dim), frames=frames)
+        zero_ok, _ = curv.is_Q_hermitian(m, m.omega * 0, frames=frames)
         return zero_ok, None, witness, "witness recorded for the sp1 failure"
     name = f"ricci-hermitian-dichotomy[n={n}]" + ("[mandatory]" if mandatory else "")
     return _run("curvature", name,
@@ -1007,16 +955,24 @@ def run_flat_suite(ctx: SuiteContext):
     if ctx.user_solution is not None:
         def user_input():
             # a point passes when each residual is at most 1e-8, both
-            # absolutely and relative to the largest partial it sums
+            # absolutely and relative to the largest partial it sums; a
+            # point where every residual and every partial is exactly 0.0
+            # although some partial is not structurally zero has
+            # underflowed and is no evidence either way
             rng = ctx.rng("flat", "user-input")
             F = ctx.user_solution.F
             partials = [F[a - 1].diff(b) for row in swann.PDE_TERMS
                         for a, b, _ in row]
+            can_underflow = not all(sf.is_zero(p) for p in partials)
             worst = worst_relative = 0.0
             witness = None
+            underflow = 0
             for point, values in forms.sample(
                     (*swann.pde_residuals(ctx.user_solution), *partials),
                     ctx.trials, rng):
+                if can_underflow and not any(values):
+                    underflow += 1
+                    continue
                 residuals = values[:4]
                 worst = max(worst, max(abs(v) for v in residuals))
                 scales = [max(map(abs, values[i:i + 3])) for i in (4, 7, 10, 13)]
@@ -1025,6 +981,11 @@ def run_flat_suite(ctx: SuiteContext):
                     worst_relative = relative
                     witness = {"point": point, "residuals": residuals}
             detail = "closedness of the user-supplied coefficients"
+            if underflow == ctx.trials:
+                return False, None, {"evaluated": 0, "rejected": underflow}, \
+                    (f"no evidence: every residual and partial underflowed to "
+                     f"0.0 at all {underflow} points ({underflow} rejected: "
+                     f"{underflow} underflow)")
             if worst <= 1e-8 and worst_relative <= 1e-8:
                 return True, worst, None, detail
             return False, worst, witness, \

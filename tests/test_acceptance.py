@@ -14,7 +14,6 @@ from fractions import Fraction
 from qsh_lab import curvature as curv
 from qsh_lab import forms
 from qsh_lab import liealg
-from qsh_lab import matrices as mat
 from qsh_lab import scalarfield as sf
 from qsh_lab import swann
 from qsh_lab.quaternion import Quaternion
@@ -82,18 +81,16 @@ def test_criterion_03_ricci_formulas(model2, basis2, model3, basis3):
         sp_coef = Fraction(4 * n)
         for el in basis.so_basis:
             ric = curv.ricci_of(model, curv.curvature_of(model, basis, el, params))
-            ok = ok and ric == mat.mat_scale(so_coef,
-                                             curv.omega_pairing(model, el.matrix))
+            ok = ok and ric == curv.omega_pairing(model, el.matrix) * so_coef
         for el in basis.sp_basis:
             ric = curv.ricci_of(model, curv.curvature_of(model, basis, el, params))
-            ok = ok and ric == mat.mat_scale(sp_coef,
-                                             curv.omega_pairing(model, el.matrix))
+            ok = ok and ric == curv.omega_pairing(model, el.matrix) * sp_coef
         # closed form vs trace computation, 10 random A per n (20 total)
         for _ in range(10):
-            combo = mat.zeros(model.dim, model.dim)
+            combo = model.omega * 0
             for b in basis.elements():
-                combo = mat.mat_add(combo, mat.mat_scale(
-                    Fraction(rng.randint(-4, 4), rng.randint(1, 3)), b.matrix))
+                combo = combo + b.matrix * Fraction(rng.randint(-4, 4),
+                                                    rng.randint(1, 3))
             el = liealg.decompose(model, basis, combo)
             ric = curv.ricci_of(model, curv.curvature_of(model, basis, el, params))
             ok = ok and ric == curv.ricci_closed_form(model, el.matrix, 1)
@@ -110,13 +107,13 @@ def test_criterion_04_ricci_symmetry_dichotomy(model3, basis3):
     witness_seen = False
     for el in basis3.elements():
         ric = curv.ricci_of(model3, curv.curvature_of(model3, basis3, el, params))
-        ok = ok and ric == mat.transpose(ric)
+        ok = ok and ric == ric.T
         hermitian, witness = curv.is_Q_hermitian(model3, ric)
         is_so = el.sp_coeffs == (0, 0, 0)
         ok = ok and (hermitian == is_so)
         if not hermitian:
             witness_seen = witness_seen or witness is not None
-    mixed = mat.mat_add(basis3.so_basis[0].matrix, basis3.sp_basis[1].matrix)
+    mixed = basis3.so_basis[0].matrix + basis3.sp_basis[1].matrix
     el = liealg.decompose(model3, basis3, mixed)
     ric = curv.ricci_of(model3, curv.curvature_of(model3, basis3, el, params))
     hermitian, witness = curv.is_Q_hermitian(model3, ric)

@@ -276,6 +276,20 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_fiber_run_leaves_numpy_unloaded():
+    # the fiber, flat and symspace suites run no linear-model code, so the
+    # fiber-input workload never imports numpy (its set-up time and peak
+    # memory depend on that)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from qsh_lab.cli import main; "
+         f"code = main(['run', '--suites', 'fiber,flat,symspace', '--n', '2', "
+         f"'--trials', '3', '--input', {str(GOLDEN_F)!r}]); "
+         "print(code, 'numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "qsh_lab.cli", "run", "--suites", "model",
@@ -336,6 +350,29 @@ def test_user_solution_with_cancelling_large_partials_fails(tmp_path):
     assert check.residual == 1.0
     assert "relative residual 1e-09" in check.detail
     assert check.witness["residuals"] == [1.0, 0.0, 0.0, 0.0]
+
+
+def test_user_solution_underflowing_everywhere_has_no_evidence(capsys, tmp_path):
+    # F1 and every partial of exp(-1000-h0^2) are exactly 0.0 at every
+    # float point, although F1,0 is not structurally zero: no point is
+    # evidence, so the check fails instead of passing with residual 0.0
+    F = {"F1": "exp(-1000-h0^2)", "F2": "0", "F3": "0"}
+    check, code = _user_check(tmp_path, F)
+    assert code == 1 and not check.passed and check.residual is None
+    assert check.witness == {"evaluated": 0, "rejected": 100}
+    assert check.detail.startswith("no evidence: ")
+    assert "100 underflow" in check.detail
+    path = tmp_path / "F.json"
+    assert main(["run", "--suites", "flat", "--n", "2",
+                 "--input", str(path)]) == 1
+    assert "[FAIL] flat/user-solution-residuals" in capsys.readouterr().out
+
+
+def test_user_solution_structurally_zero_partials_are_evidence(tmp_path):
+    # every partial of a constant F is structurally zero: an all-zero point
+    # is then an exact pass, not an underflow
+    check, code = _user_check(tmp_path, {"F1": "1", "F2": "0", "F3": "-2/3"})
+    assert code == 0 and check.passed and check.residual == 0.0
 
 
 def test_user_solution_relative_rule_passes_exact_and_sampled_solutions(tmp_path):

@@ -7,9 +7,9 @@ import pytest
 
 from qsh_lab import curvature as curv
 from qsh_lab import liealg
-from qsh_lab import matrices as mat
 from qsh_lab.liealg import enumerate_so_star_basis
 from qsh_lab.linmodel import build_flat_model
+from qsh_lab.matrices import QArray
 
 
 @pytest.fixture(scope="module")
@@ -18,10 +18,10 @@ def pinned2():
 
 
 def _random_element(model, basis, rng):
-    combo = mat.zeros(model.dim, model.dim)
+    combo = model.omega * 0
     for b in basis.elements():
         c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        combo = mat.mat_add(combo, mat.mat_scale(c, b.matrix))
+        combo = combo + b.matrix * c
     return liealg.decompose(model, basis, combo)
 
 
@@ -34,15 +34,15 @@ def test_params_validation():
 
 
 def test_zero_element_gives_zero_tensor(model2, basis2, pinned2):
-    tensor = curv.curvature_of(model2, basis2, mat.zeros(8, 8), pinned2)
-    assert all(mat.max_abs(tensor.matrix(i, j)) == 0
+    tensor = curv.curvature_of(model2, basis2, model2.omega * 0, pinned2)
+    assert all(tensor[i, j].T.max_abs() == 0
                for i in range(8) for j in range(i + 1, 8))
     assert curv.bianchi_residual(model2, tensor) == 0
 
 
 def test_membership_enforced(model2, basis2, pinned2):
     with pytest.raises(liealg.MembershipError):
-        curv.curvature_of(model2, basis2, mat.identity(8), pinned2)
+        curv.curvature_of(model2, basis2, QArray.eye(8), pinned2)
 
 
 def test_antisymmetry_and_g_values(model2, basis2, pinned2):
@@ -50,10 +50,9 @@ def test_antisymmetry_and_g_values(model2, basis2, pinned2):
     el = _random_element(model2, basis2, rng)
     tensor = curv.curvature_of(model2, basis2, el, pinned2)
     for (i, j) in [(0, 1), (2, 6), (3, 4)]:
-        assert tensor.matrix(i, j) == \
-            mat.mat_scale(Fraction(-1), tensor.matrix(j, i))
-        assert mat.max_abs(tensor.matrix(i, i)) == 0
-        liealg.decompose(model2, basis2, tensor.matrix(i, j))  # in g
+        assert tensor[i, j].T == tensor[j, i].T * Fraction(-1)
+        assert tensor[i, i].T.max_abs() == 0
+        liealg.decompose(model2, basis2, tensor[i, j].T)  # in g
 
 
 def test_two_implementations_agree(model2, basis2, pinned2):
@@ -68,7 +67,7 @@ def test_two_implementations_agree(model2, basis2, pinned2):
             direct = curv.curvature_13(
                 model2, el.matrix, params, model2.basis_vector(i),
                 model2.basis_vector(j), model2.basis_vector(k))
-            assert direct == tensor.apply(i, j, k)
+            assert direct == tensor[i, j, k]
 
 
 def test_bianchi_pinned_zero_all_basis(model2, basis2, pinned2):
@@ -108,9 +107,7 @@ def test_bianchi_defect_closed_form(model2, basis2):
         tensor = curv.curvature_of(model2, basis2, el, params)
         for _ in range(12):
             i, j, k = (rng.randrange(8) for _ in range(3))
-            actual = [a + b + c for a, b, c in zip(tensor.apply(i, j, k),
-                                                   tensor.apply(j, k, i),
-                                                   tensor.apply(k, i, j))]
+            actual = tensor[i, j, k] + tensor[j, k, i] + tensor[k, i, j]
             want = curv.bianchi_defect_closed_form(model2, el.matrix, params,
                                                    i, j, k)
             assert actual == want
@@ -120,16 +117,16 @@ def test_bianchi_defect_closed_form(model2, basis2):
         i, j, k = (rng.randrange(8) for _ in range(3))
         defect = curv.bianchi_defect_closed_form(model2, el.matrix, pinned,
                                                  i, j, k)
-        assert all(v == 0 for v in defect)
+        assert defect.max_abs() == 0
 
 
 def test_ricci_coefficients_n2(model2, basis2, pinned2):
     for el in basis2.so_basis:
         ric = curv.ricci_of(model2, curv.curvature_of(model2, basis2, el, pinned2))
-        assert ric == mat.mat_scale(Fraction(8), curv.omega_pairing(model2, el.matrix))
+        assert ric == curv.omega_pairing(model2, el.matrix) * Fraction(8)
     for el in basis2.sp_basis:
         ric = curv.ricci_of(model2, curv.curvature_of(model2, basis2, el, pinned2))
-        assert ric == mat.mat_scale(Fraction(8), curv.omega_pairing(model2, el.matrix))
+        assert ric == curv.omega_pairing(model2, el.matrix) * Fraction(8)
 
 
 def test_ricci_coefficients_n3_separate(model3, basis3):
@@ -137,10 +134,10 @@ def test_ricci_coefficients_n3_separate(model3, basis3):
     params = curv.CurvParams.pinned(1, 3)
     el = basis3.so_basis[0]
     ric = curv.ricci_of(model3, curv.curvature_of(model3, basis3, el, params))
-    assert ric == mat.mat_scale(Fraction(10), curv.omega_pairing(model3, el.matrix))
+    assert ric == curv.omega_pairing(model3, el.matrix) * Fraction(10)
     el = basis3.sp_basis[2]
     ric = curv.ricci_of(model3, curv.curvature_of(model3, basis3, el, params))
-    assert ric == mat.mat_scale(Fraction(12), curv.omega_pairing(model3, el.matrix))
+    assert ric == curv.omega_pairing(model3, el.matrix) * Fraction(12)
 
 
 def test_ricci_closed_form_and_symmetry(model2, basis2, pinned2):
@@ -150,28 +147,27 @@ def test_ricci_closed_form_and_symmetry(model2, basis2, pinned2):
         tensor = curv.curvature_of(model2, basis2, el, pinned2)
         ric = curv.ricci_of(model2, tensor)
         assert ric == curv.ricci_closed_form(model2, el.matrix, 1)
-        assert ric == mat.transpose(ric)
+        assert ric == ric.T
 
 
 def test_ricci_linearity_split(model2, basis2, pinned2):
     rng = random.Random(33)
-    a1 = mat.zeros(8, 8)
+    a1 = model2.omega * 0
     for b in basis2.so_basis:
-        a1 = mat.mat_add(a1, mat.mat_scale(Fraction(rng.randint(-3, 3)), b.matrix))
-    a2 = mat.zeros(8, 8)
+        a1 = a1 + b.matrix * Fraction(rng.randint(-3, 3))
+    a2 = model2.omega * 0
     for b in basis2.sp_basis:
-        a2 = mat.mat_add(a2, mat.mat_scale(Fraction(rng.randint(-3, 3)), b.matrix))
-    el = liealg.decompose(model2, basis2, mat.mat_add(a1, a2))
+        a2 = a2 + b.matrix * Fraction(rng.randint(-3, 3))
+    el = liealg.decompose(model2, basis2, a1 + a2)
     ric = curv.ricci_of(model2, curv.curvature_of(model2, basis2, el, pinned2))
-    split = mat.mat_add(
-        mat.mat_scale(Fraction(8), curv.omega_pairing(model2, a1)),
-        mat.mat_scale(Fraction(8), curv.omega_pairing(model2, a2)))
+    split = (curv.omega_pairing(model2, a1) * Fraction(8)
+             + curv.omega_pairing(model2, a2) * Fraction(8))
     assert ric == split
     ric1 = curv.ricci_of(model2, curv.curvature_of(
         model2, basis2, liealg.decompose(model2, basis2, a1), pinned2))
     ric2 = curv.ricci_of(model2, curv.curvature_of(
         model2, basis2, liealg.decompose(model2, basis2, a2), pinned2))
-    assert ric == mat.mat_add(ric1, ric2)
+    assert ric == ric1 + ric2
 
 
 def test_hermiticity_dichotomy(model3, basis3):
@@ -186,7 +182,7 @@ def test_hermiticity_dichotomy(model3, basis3):
         assert not ok
         assert witness is not None and "structure" in witness
     # mixed element fails too, so Hermiticity forces sp1 part zero
-    mixed = mat.mat_add(basis3.so_basis[0].matrix, basis3.sp_basis[0].matrix)
+    mixed = basis3.so_basis[0].matrix + basis3.sp_basis[0].matrix
     el = liealg.decompose(model3, basis3, mixed)
     ric = curv.ricci_of(model3, curv.curvature_of(model3, basis3, el, params))
     ok, _ = curv.is_Q_hermitian(model3, ric)
@@ -194,7 +190,7 @@ def test_hermiticity_dichotomy(model3, basis3):
 
 
 def test_hermitian_trivial_cases(model2):
-    ok, witness = curv.is_Q_hermitian(model2, mat.zeros(8, 8))
+    ok, witness = curv.is_Q_hermitian(model2, model2.omega * 0)
     assert ok and witness is None
     # omega0 itself is invariant under the whole 2-sphere
     ok, _ = curv.is_Q_hermitian(model2, model2.omega)
@@ -223,14 +219,13 @@ def test_wide_kappa_exact(model2, basis2, kappa):
         for el in basis2.elements())
     for el, coef in ((basis2.so_basis[0], 2 * (2 + 2)), (basis2.sp_basis[0], 4 * 2)):
         ric = curv.ricci_of(model2, curv.curvature_of(model2, basis2, el, pinned))
-        assert ric == mat.mat_scale(coef * kappa,
-                                    curv.omega_pairing(model2, el.matrix))
+        assert ric == curv.omega_pairing(model2, el.matrix) * (coef * kappa)
     assert curv.curvature_map_rank(model2, basis2, pinned) == 9
 
 
-def test_structure_arrays_cached_per_model(model2, model3, basis2, basis3):
-    # each model builds its integer structure arrays once; interleaving
-    # models of different and of equal n must not mix them up
+def test_tensor_independent_of_model_instance(model2, model3, basis2, basis3):
+    # the structure fields are read-only integer arrays of each model;
+    # interleaving models of different and of equal n must not mix them up
     second2 = build_flat_model(2)
     pinned = {2: curv.CurvParams.pinned(Fraction(3, 2), 2),
               3: curv.CurvParams.pinned(Fraction(3, 2), 3)}
@@ -245,6 +240,31 @@ def test_structure_arrays_cached_per_model(model2, model3, basis2, basis3):
         assert tensor.scale == expected.scale
         assert tensor.values.shape == expected.values.shape
         assert np.array_equal(tensor.values, expected.values)
-    assert model2.structure_arrays is model2.structure_arrays
-    assert second2.structure_arrays is not model2.structure_arrays
-    assert model3.structure_arrays[0].shape == (12, 12)
+    for model in (model2, model3, second2):
+        for field in (model.omega, model.J, model.g):
+            assert field.scale == 1
+            assert not field.values.flags.writeable
+            assert all(type(v) is int for v in field.values.flat)
+    assert second2 == model2 and second2.omega is not model2.omega
+    assert model3.omega.shape == (12, 12)
+    assert model3.J.shape == model3.g.shape == (3, 12, 12)
+
+
+def test_linear_claims_at_n4():
+    # the sizes above share no code path with n = 2, 3 that a larger n
+    # could not break: dimension, pinned Bianchi for every element, both
+    # Ricci coefficients and injectivity at n = 4
+    n = 4
+    model = build_flat_model(n)
+    basis = enumerate_so_star_basis(model)
+    assert len(basis.so_basis) == n * (2 * n - 1) == 28
+    params = curv.CurvParams.pinned(1, n)
+    for el in basis.elements():
+        tensor = curv.curvature_of(model, basis, el, params)
+        assert curv.bianchi_residual(model, tensor) == 0
+    for el, coef in ((basis.so_basis[0], 2 * (n + 2)), (basis.sp_basis[0], 4 * n)):
+        ric = curv.ricci_of(model, curv.curvature_of(model, basis, el, params))
+        assert ric == curv.omega_pairing(model, el.matrix) * coef
+    rows = curv.curvature_rows(model, basis, params)
+    assert curv.curvature_map_rank(model, basis, params, rows=rows) == 31
+    assert curv.curvature_map_rank_float(model, basis, params, rows=rows) == 31

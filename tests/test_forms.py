@@ -293,3 +293,22 @@ def test_equal_on_undefined_form_raises_sampling_error():
         forms.equal(u, forms.zero_form(1), trials=10, rng=_rng())
     assert err.value.evaluated == 0
     assert err.value.reasons == {"ValueError": 64}
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_sample_rejects_fewer_than_one_trial(trials):
+    # no verdict may rest on zero points: the call itself raises, before
+    # any point is drawn
+    rng = random.Random(3)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="at least one trial"):
+        forms.sample((sf.H0,), trials, rng)
+    assert rng.getstate() == state
+
+
+def test_equal_with_zero_trials_raises():
+    # u and 2u differ, so a verdict of equal=True after zero points is wrong
+    u = forms.scalar_form(sf.H1)
+    with pytest.raises(ValueError, match="at least one trial"):
+        forms.equal(u, forms.scale(2, u), trials=0, rng=_rng())
+    assert not forms.equal(u, forms.scale(2, u), trials=1, rng=_rng()).equal

@@ -6,6 +6,7 @@ import pytest
 
 from qsh_lab import liealg
 from qsh_lab import matrices as mat
+from qsh_lab.matrices import QArray
 from qsh_lab.linmodel import sp1_conjugate_frame
 from qsh_lab.quaternion import Quaternion
 from qsh_lab.serialize import basis_to_json
@@ -14,7 +15,12 @@ GOLDEN = pathlib.Path(__file__).parent / "golden" / "so_star_basis_n2.json"
 
 
 def _rational_vector(rng, dim):
-    return [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim)]
+    return QArray.of([Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                      for _ in range(dim)])
+
+
+def _outer(u, v):
+    return u[:, None] @ v[None, :]
 
 
 @pytest.mark.parametrize("n_fixture,expected", [("basis2", 6), ("basis3", 15)])
@@ -29,7 +35,7 @@ def test_basis_defining_equations(model2, basis2):
     dim = model2.dim
     for el in basis2.so_basis:
         assert liealg.commutation_defect(model2, el.matrix) == 0
-        assert mat.max_abs(liealg.symplectic_defect(model2, el.matrix)) == 0
+        assert liealg.symplectic_defect(model2, el.matrix).max_abs() == 0
         assert sum(el.matrix[i][i] for i in range(dim)) == 0
         for Ja in model2.J:
             assert sum(sum(Ja[i][k] * el.matrix[k][i] for k in range(dim))
@@ -37,7 +43,8 @@ def test_basis_defining_equations(model2, basis2):
 
 
 def test_basis_linear_independence(model2, basis2):
-    rows = [mat.flatten(el.matrix) for el in basis2.elements()]
+    rows = QArray.of([[e for row in el.matrix for e in row]
+                      for el in basis2.elements()])
     assert mat.rank(rows) == len(rows)
 
 
@@ -48,7 +55,7 @@ def test_golden_basis_export(basis2):
 def test_decompose_basis_elements(model2, basis2):
     el = liealg.decompose(model2, basis2, model2.J[1])
     assert el.sp_coeffs == (0, 1, 0)
-    assert mat.max_abs(el.so_part) == 0
+    assert el.so_part.max_abs() == 0
     first = basis2.so_basis[0].matrix
     el = liealg.decompose(model2, basis2, first)
     assert el.sp_coeffs == (0, 0, 0)
@@ -60,24 +67,24 @@ def test_decompose_random_roundtrip(model2, basis2):
     for _ in range(10):
         coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                   for _ in basis2.elements()]
-        combo = mat.zeros(model2.dim, model2.dim)
+        combo = model2.omega * 0
         for c, b in zip(coeffs, basis2.elements()):
-            combo = mat.mat_add(combo, mat.mat_scale(c, b.matrix))
+            combo = combo + b.matrix * c
         el = liealg.decompose(model2, basis2, combo)
         assert tuple(el.sp_coeffs) == tuple(coeffs[-3:])
-        assert mat.mat_add(el.so_part, _span(model2, el.sp_coeffs)) == combo
+        assert el.so_part + _span(model2, el.sp_coeffs) == combo
 
 
 def _span(model, coeffs):
-    out = mat.zeros(model.dim, model.dim)
+    out = model.omega * 0
     for c, Ja in zip(coeffs, model.J):
-        out = mat.mat_add(out, mat.mat_scale(c, Ja))
+        out = out + Ja * c
     return out
 
 
 def test_decompose_rejects_outsiders(model2, basis2):
     with pytest.raises(liealg.MembershipError) as err:
-        liealg.decompose(model2, basis2, mat.identity(model2.dim))
+        liealg.decompose(model2, basis2, QArray.eye(model2.dim))
     assert err.value.residual > 0
 
 
@@ -99,23 +106,23 @@ def test_projection_trace_identity(model2):
     for _ in range(10):
         x = _rational_vector(rng, m.dim)
         y = _rational_vector(rng, m.dim)
-        omega_x = [-v for v in mat.mat_vec(m.omega, x)]
+        omega_x = -(m.omega @ x)
         for a in range(3):
-            op = mat.outer(mat.mat_vec(m.J[a], y), omega_x)
+            op = _outer(m.J[a] @ y, omega_x)
             trace = sum(op[i][i] for i in range(m.dim))
-            assert trace == mat.bilinear(m.g[a], x, y)
+            assert trace == x @ m.g[a] @ y
 
 
 def test_project_Q_vanishes_on_orthogonal_pair(model2):
     # y ranges over the exact solution space of g_a(e0, y) = 0, a = 1, 2, 3
     m = model2
     e0 = m.basis_vector(0)
-    conditions = [mat.mat_vec(ga, e0) for ga in m.g]
+    conditions = m.g @ e0
     solutions = mat.nullspace(conditions)
     assert len(solutions) == m.dim - 3
     for y in solutions:
-        assert all(mat.bilinear(ga, e0, y) == 0 for ga in m.g)
-        assert mat.max_abs(liealg.project_Q(m, e0, y)) == 0
+        assert all(e0 @ ga @ y == 0 for ga in m.g)
+        assert liealg.project_Q(m, e0, y).max_abs() == 0
 
 
 def test_projection_frame_independence(model2):
@@ -132,15 +139,15 @@ def test_projection_frame_independence(model2):
 
 
 def test_projection_idempotence_and_cross(model2, basis2):
-    ident = mat.identity(model2.dim)
+    ident = QArray.eye(model2.dim)
     assert liealg.project_ZQ_operator(model2, ident) == ident
-    assert mat.max_abs(liealg.project_Q_operator(model2, ident)) == 0
+    assert liealg.project_Q_operator(model2, ident).max_abs() == 0
     for el in basis2.so_basis[:3]:
         assert liealg.project_ZQ_operator(model2, el.matrix) == el.matrix
-        assert mat.max_abs(liealg.project_Q_operator(model2, el.matrix)) == 0
+        assert liealg.project_Q_operator(model2, el.matrix).max_abs() == 0
     for Ja in model2.J:
         assert liealg.project_Q_operator(model2, Ja) == Ja
-        assert mat.max_abs(liealg.project_ZQ_operator(model2, Ja)) == 0
+        assert liealg.project_ZQ_operator(model2, Ja).max_abs() == 0
 
 
 def test_project_ZQ_against_least_squares_oracle(model2):
@@ -149,21 +156,22 @@ def test_project_ZQ_against_least_squares_oracle(model2):
     centralizer is the trace-orthogonal one; solve the normal equations
     over the nullspace-enumerated centralizer basis and compare."""
     m = model2
-    zq = liealg.centralizer_basis(m)
-    gram = [[mat.dot(mat.flatten(a), mat.flatten(b)) for b in zq] for a in zq]
+    zq = list(liealg.centralizer_basis(m))
+    flat = [QArray.of([e for row in b for e in row]) for b in zq]
+    gram = QArray.of([[a @ b for b in flat] for a in flat])
     rng = random.Random(25)
     cases = [(m.basis_vector(0), m.basis_vector(0))]
     for _ in range(3):
         cases.append((_rational_vector(rng, m.dim), _rational_vector(rng, m.dim)))
     for x, y in cases:
-        omega_x = [-v for v in mat.mat_vec(m.omega, x)]
-        target = mat.outer(y, omega_x)
-        rhs = [mat.dot(mat.flatten(b), mat.flatten(target)) for b in zq]
+        omega_x = -(m.omega @ x)
+        target = QArray.of([e for row in _outer(y, omega_x) for e in row])
+        rhs = QArray.of([b @ target for b in flat])
         coeffs = mat.solve(gram, rhs)
-        proj = mat.zeros(m.dim, m.dim)
+        proj = m.omega * 0
         for c, b in zip(coeffs, zq):
             if c:
-                proj = mat.mat_add(proj, mat.mat_scale(c, b))
+                proj = proj + b * c
         assert proj == liealg.project_ZQ(m, x, y)
 
 
@@ -178,15 +186,13 @@ def test_circle_map_symmetry_and_parts(model2):
         assert el.matrix == liealg.circle_map(m, y, x, kappa).matrix
         # sp1 component formula
         sp = liealg.circle_sp1(m, x, y)
-        expected = mat.zeros(m.dim, m.dim)
+        expected = m.omega * 0
         for a in range(3):
-            c = Fraction(-1, 2 * m.n) * mat.bilinear(m.g[a], x, y)
-            expected = mat.mat_add(expected, mat.mat_scale(c, m.J[a]))
+            c = Fraction(-1, 2 * m.n) * (x @ m.g[a] @ y)
+            expected = expected + m.J[a] * c
         assert sp == expected
         # so* part is the invariant projection of the symmetrized operator
-        fxy = mat.mat_add(
-            mat.outer(y, [-v for v in mat.mat_vec(m.omega, x)]),
-            mat.outer(x, [-v for v in mat.mat_vec(m.omega, y)]))
+        fxy = _outer(y, -(m.omega @ x)) + _outer(x, -(m.omega @ y))
         assert liealg.circle_so_star(m, x, y) == \
             liealg.project_ZQ_operator(m, fxy)
 
@@ -204,10 +210,9 @@ def test_circle_map_equivariance(model2, basis2):
         x = _rational_vector(rng, model2.dim)
         y = _rational_vector(rng, model2.dim)
         circ = liealg.circle_map(model2, x, y, Fraction(1)).matrix
-        lhs = mat.mat_sub(mat.mat_mul(B, circ), mat.mat_mul(circ, B))
-        rhs = mat.mat_add(
-            liealg.circle_map(model2, mat.mat_vec(B, x), y, Fraction(1)).matrix,
-            liealg.circle_map(model2, x, mat.mat_vec(B, y), Fraction(1)).matrix)
+        lhs = B @ circ - circ @ B
+        rhs = (liealg.circle_map(model2, B @ x, y, Fraction(1)).matrix
+               + liealg.circle_map(model2, x, B @ y, Fraction(1)).matrix)
         assert lhs == rhs
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qsh_lab import matrices as mat
+from qsh_lab.matrices import QArray
 from qsh_lab.linmodel import (DimensionMismatch, build_flat_model,
                               fundamental_4tensor, qsh_form, qsh_form_matrix,
                               rotation_matrix, signature, sp1_conjugate_frame)
@@ -11,7 +12,8 @@ from qsh_lab.quaternion import Quaternion
 
 
 def _rational_vector(rng, dim):
-    return [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim)]
+    return QArray.of([Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                      for _ in range(dim)])
 
 
 def test_rejects_small_n():
@@ -22,19 +24,19 @@ def test_rejects_small_n():
 @pytest.mark.parametrize("n", [2, 3])
 def test_quaternionic_identity(n):
     m = build_flat_model(n)
-    ident = mat.identity(m.dim)
+    ident = QArray.eye(m.dim)
     for Ja in m.J:
-        assert mat.mat_mul(Ja, Ja) == mat.mat_scale(Fraction(-1), ident)
-    prod = mat.mat_mul(mat.mat_mul(m.J[0], m.J[1]), m.J[2])
-    assert prod == mat.mat_scale(Fraction(-1), ident)
+        assert Ja @ Ja == ident * Fraction(-1)
+    prod = m.J[0] @ m.J[1] @ m.J[2]
+    assert prod == ident * Fraction(-1)
 
 
 def test_omega_skew_invariant_nondegenerate(model2):
     m = model2
-    assert mat.transpose(m.omega) == mat.mat_scale(Fraction(-1), m.omega)
+    assert m.omega.T == m.omega * Fraction(-1)
     assert mat.rank(m.omega) == m.dim
     for Ja in m.J:
-        lhs = mat.mat_mul(mat.transpose(Ja), mat.mat_mul(m.omega, Ja))
+        lhs = Ja.T @ m.omega @ Ja
         assert lhs == m.omega
 
 
@@ -47,19 +49,19 @@ def test_metrics_symmetric_signature(n):
     m = build_flat_model(n)
     for a in range(3):
         ga = m.g[a]
-        assert ga == mat.transpose(ga)
-        assert ga == mat.mat_mul(m.omega, m.J[a])
+        assert ga == ga.T
+        assert ga == m.omega @ m.J[a]
         assert signature(m, ga) == (2 * n, 2 * n, 0)
-        lhs = mat.mat_mul(mat.transpose(m.J[a]), mat.mat_mul(ga, m.J[a]))
+        lhs = m.J[a].T @ ga @ m.J[a]
         assert lhs == ga
 
 
 def test_non_hermitian_witness(model2):
     # g_1(J_2 ., J_2 .) = -g_1, so invariance fails wherever g_1 is nonzero
     m = model2
-    rotated = mat.mat_mul(mat.transpose(m.J[1]), mat.mat_mul(m.g[0], m.J[1]))
+    rotated = m.J[1].T @ m.g[0] @ m.J[1]
     assert rotated != m.g[0]
-    assert rotated == mat.mat_scale(Fraction(-1), m.g[0])
+    assert rotated == m.g[0] * Fraction(-1)
 
 
 def test_qsh_form_values(model2):
@@ -85,11 +87,10 @@ def test_qsh_reconstruction_matches_direct(model2):
     for _ in range(10):
         x, y, z = (_rational_vector(rng, m.dim) for _ in range(3))
         scalar, sp1 = qsh_form(m, x, y)
-        recon = [scalar * zi for zi in z]
+        recon = z * scalar
         for c, Ja in zip(sp1, m.J):
-            jz = mat.mat_vec(Ja, z)
-            recon = [r + c * v for r, v in zip(recon, jz)]
-        assert recon == mat.mat_vec(qsh_form_matrix(m, x, y), z)
+            recon = recon + (Ja @ z) * c
+        assert recon == qsh_form_matrix(m, x, y) @ z
 
 
 def test_qsh_real_and_imaginary_parts(model2):
@@ -103,13 +104,13 @@ def test_qsh_real_and_imaginary_parts(model2):
         hxy = qsh_form_matrix(m, x, y)
         hyx = qsh_form_matrix(m, y, x)
         half = Fraction(1, 2)
-        re = mat.mat_scale(half, mat.mat_sub(hxy, hyx))
-        im = mat.mat_scale(half, mat.mat_add(hxy, hyx))
+        re = (hxy - hyx) * half
+        im = (hxy + hyx) * half
         scalar, sp1 = qsh_form(m, x, y)
-        assert re == mat.mat_scale(scalar, mat.identity(m.dim))
-        expected_im = mat.zeros(m.dim, m.dim)
+        assert re == QArray.eye(m.dim) * scalar
+        expected_im = m.omega * 0
         for c, Ja in zip(sp1, m.J):
-            expected_im = mat.mat_add(expected_im, mat.mat_scale(c, Ja))
+            expected_im = expected_im + Ja * c
         assert im == expected_im
 
 
@@ -123,10 +124,9 @@ def test_fundamental_4tensor(model2):
         assert phi == fundamental_4tensor(m, z, w, x, y)
         # Phi(x,y,z,w) = omega0(x, Im(h)(z,w) y)
         _, sp1 = qsh_form(m, z, w)
-        imh_y = [Fraction(0)] * m.dim
+        imh_y = y * 0
         for c, Ja in zip(sp1, m.J):
-            jy = mat.mat_vec(Ja, y)
-            imh_y = [a + c * b for a, b in zip(imh_y, jy)]
+            imh_y = imh_y + (Ja @ y) * c
         assert phi == m.omega_of(x, imh_y)
 
 
@@ -149,22 +149,21 @@ def test_sp1_conjugate_frame_properties(model2):
         q = Quaternion(*(c / p.norm2() for c in sq.components()))
         assert q.is_unit()
         frame = sp1_conjugate_frame(m, q)
-        ident = mat.identity(m.dim)
-        prod = mat.mat_mul(mat.mat_mul(frame[0], frame[1]), frame[2])
-        assert prod == mat.mat_scale(Fraction(-1), ident)
+        ident = QArray.eye(m.dim)
+        prod = frame[0] @ frame[1] @ frame[2]
+        assert prod == ident * Fraction(-1)
         # change of basis is exactly special orthogonal
         r3 = rotation_matrix(q)
-        assert mat.mat_mul(mat.transpose(r3), r3) == mat.identity(3)
+        assert r3.T @ r3 == QArray.eye(3)
         det = (r3[0][0] * (r3[1][1] * r3[2][2] - r3[1][2] * r3[2][1])
                - r3[0][1] * (r3[1][0] * r3[2][2] - r3[1][2] * r3[2][0])
                + r3[0][2] * (r3[1][0] * r3[2][1] - r3[1][1] * r3[2][0]))
         assert det == 1
         # spans the same 3-space: each rotated J is a J-combination
         for a in range(3):
-            expected = mat.zeros(m.dim, m.dim)
+            expected = m.omega * 0
             for b in range(3):
-                expected = mat.mat_add(expected,
-                                       mat.mat_scale(r3[b][a], m.J[b]))
+                expected = expected + m.J[b] * r3[b][a]
             assert frame[a] == expected
 
 
@@ -186,6 +185,6 @@ def test_frame_rotation_covariance(model2):
         y = _rational_vector(rng, m.dim)
         scalar, sp1 = qsh_form(m, x, y)
         for a in range(3):
-            ga_rot = mat.bilinear(mat.mat_mul(m.omega, frame[a]), x, y)
+            ga_rot = x @ (m.omega @ frame[a]) @ y
             assert ga_rot == sum(r3[b][a] * sp1[b] for b in range(3))
         assert scalar == m.omega_of(x, y)

@@ -5,11 +5,16 @@ import numpy as np
 import pytest
 
 from qsh_lab import matrices as mat
+from qsh_lab.matrices import QArray
 
 
 def _random_matrix(rng, rows, cols, lo=-4, hi=4):
-    return [[Fraction(rng.randint(lo, hi)) for _ in range(cols)]
-            for _ in range(rows)]
+    return QArray.of([[Fraction(rng.randint(lo, hi)) for _ in range(cols)]
+                      for _ in range(rows)])
+
+
+def _vector(values):
+    return QArray.of(values)
 
 
 def test_rref_rank_nullspace_consistency():
@@ -19,11 +24,11 @@ def test_rref_rank_nullspace_consistency():
         m = _random_matrix(rng, rows, cols)
         r = mat.rank(m)
         basis = mat.nullspace(m)
-        assert r + len(basis) == cols
+        assert basis.shape == (cols - r, cols)
         for v in basis:
-            assert all(x == 0 for x in mat.mat_vec(m, v))
+            assert (m @ v).max_abs() == 0
         # rank agrees with numpy on these small integer matrices
-        np_rank = np.linalg.matrix_rank(np.array(m, dtype=float))
+        np_rank = np.linalg.matrix_rank(np.array(m.values, dtype=float))
         assert r == np_rank
 
 
@@ -32,14 +37,17 @@ def test_solve_consistent_and_inconsistent():
     for _ in range(30):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = _random_matrix(rng, rows, cols)
-        x = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
-        b = mat.mat_vec(m, x)
+        x = _vector([Fraction(rng.randint(-3, 3)) for _ in range(cols)])
+        b = m @ x
         sol = mat.solve(m, b)
         assert sol is not None
-        assert mat.mat_vec(m, sol) == b
+        assert m @ sol == b
+    # rational scales on both sides
+    m = QArray.of([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
+    assert mat.solve(m, _vector([Fraction(1, 5), 1])) == _vector([Fraction(2, 5), 3])
     # inconsistent system
-    m = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]]
-    assert mat.solve(m, [Fraction(0), Fraction(1)]) is None
+    m = QArray.of([[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]])
+    assert mat.solve(m, _vector([Fraction(0), Fraction(1)])) is None
 
 
 def test_signature_against_eigenvalue_counts():
@@ -47,9 +55,9 @@ def test_signature_against_eigenvalue_counts():
     for _ in range(40):
         n = rng.randint(1, 7)
         a = _random_matrix(rng, n, n)
-        s = [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
+        s = a + a.T
         n_pos, n_neg, n_zero = mat.signature_symmetric(s)
-        eig = np.linalg.eigvalsh(np.array(s, dtype=float))
+        eig = np.linalg.eigvalsh(np.array(s.values, dtype=float))
         tol = 1e-9 * max(1.0, float(np.abs(eig).max()))
         assert n_pos == int((eig > tol).sum())
         assert n_neg == int((eig < -tol).sum())
@@ -58,20 +66,23 @@ def test_signature_against_eigenvalue_counts():
 
 def test_signature_zero_diagonal_block():
     # hyperbolic plane: diagonal is zero, needs the off-diagonal move
-    s = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
+    s = QArray.of([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
     assert mat.signature_symmetric(s) == (1, 1, 0)
+    assert mat.signature_symmetric(s * Fraction(1, 7)) == (1, 1, 0)
 
 
 def test_outer_bilinear_dot():
-    u = [Fraction(1), Fraction(2)]
-    v = [Fraction(3), Fraction(-1)]
-    assert mat.outer(u, v) == [[3, -1], [6, -2]]
-    m = [[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]]
-    assert mat.bilinear(m, u, v) == u[0] * v[1] - u[1] * v[0]
-    assert mat.dot(u, v) == 1
+    # outer products, bilinear forms and dot products are all `@`
+    u = _vector([Fraction(1), Fraction(2)])
+    v = _vector([Fraction(3), Fraction(-1)])
+    assert u[:, None] @ v[None, :] == QArray.of([[3, -1], [6, -2]])
+    m = QArray.of([[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]])
+    assert u @ m @ v == u[0] * v[1] - u[1] * v[0]
+    assert u @ v == 1
+    assert type(u @ v) is Fraction
 
 
-# Naive Fraction products: the reference the cleared-integer ones must match.
+# Naive Fraction products on nested lists: the reference QArray must match.
 
 def _ref_mat_mul(a, b):
     return [[sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)),
@@ -88,6 +99,13 @@ def _ref_bilinear(m, x, y):
                Fraction(0))
 
 
+def _entries(q):
+    """The exact entries of a QArray, as nested lists of Fraction."""
+    if q.values.ndim == 1:
+        return list(q)
+    return [_entries(row) for row in q]
+
+
 def _wide_rational(rng):
     return Fraction(rng.randint(-10 ** 13, 10 ** 13), rng.randint(1, 10 ** 13))
 
@@ -102,28 +120,40 @@ def _mixed(rng):
     return Fraction(rng.randint(-5, 5), rng.randint(1, 7))
 
 
-def _all_fractions(values):
-    return all(type(x) is Fraction for x in values)
+def _check_of(nested):
+    q = QArray.of(nested)
+    assert q.scale > 0
+    assert all(type(x) is int for x in q.values.flat)
+    assert not q.values.flags.writeable
+    assert _entries(q) == [[Fraction(x) for x in row] for row in nested]
+    assert all(type(x) is Fraction for row in _entries(q) for x in row)
+    return q
 
 
 def _check_products(a, b, v):
-    prod = mat.mat_mul(a, b)
-    assert prod == _ref_mat_mul(a, b)
-    assert _all_fractions(mat.flatten(prod))
-    image = mat.mat_vec(a, v)
-    assert image == _ref_mat_vec(a, v)
-    assert _all_fractions(image)
+    qa, qb, qv = _check_of(a), _check_of(b), QArray.of(v)
+    assert _entries(qa @ qb) == _ref_mat_mul(a, b)
+    assert (qa @ qb).scale == qa.scale * qb.scale
+    assert _entries(qa @ qv) == _ref_mat_vec(a, v)
+    # sums over the lcm of the scales, products by int and Fraction
+    assert _entries(qa @ qb + qa @ qb) == _ref_mat_mul(a, [[2 * x for x in row]
+                                                           for row in b])
+    assert _entries(qa - qa) == [[0] * len(a[0]) for _ in a]
+    c = Fraction(-3, 7)
+    assert _entries(qa * c) == [[c * x for x in row] for row in a]
+    assert _entries(c * qa) == [[c * x for x in row] for row in a]
+    assert _entries(qa.T) == [list(col) for col in zip(*a)]
 
 
 def _check_bilinear(m, x, y):
-    value = mat.bilinear(m, x, y)
+    value = QArray.of(x) @ QArray.of(m) @ QArray.of(y)
     assert value == _ref_bilinear(m, x, y)
     assert type(value) is Fraction
 
 
 def test_products_match_fraction_reference_wide_rationals():
-    # 13-digit numerators and denominators: the cleared operands hold
-    # integers far outside the int64 range
+    # 13-digit numerators and denominators: the integer values hold
+    # numbers far outside the int64 range
     rng = random.Random(11)
     for _ in range(25):
         rows, inner, cols = (rng.randint(1, 5) for _ in range(3))
@@ -133,6 +163,7 @@ def test_products_match_fraction_reference_wide_rationals():
         s = [[_wide_rational(rng) for _ in range(inner)] for _ in range(inner)]
         _check_bilinear(s, [_wide_rational(rng) for _ in range(inner)],
                         [_wide_rational(rng) for _ in range(inner)])
+        assert QArray.of(a).max_abs() == max(abs(x) for row in a for x in row)
 
 
 def test_products_mixed_int_and_fraction_entries():
@@ -144,47 +175,58 @@ def test_products_mixed_int_and_fraction_entries():
         _check_products(a, b, [_mixed(rng) for _ in range(n)])
         _check_bilinear(a, [_mixed(rng) for _ in range(n)],
                         [_mixed(rng) for _ in range(n)])
-    # all-int operands still give Fraction entries
+        qa = QArray.of(a)
+        assert qa.trace() == sum((Fraction(a[i][i]) for i in range(n)), Fraction(0))
+        assert type(qa.trace()) is Fraction
+    # all-int operands have scale 1 and still read out Fractions
     ints = [[1, 2], [3, 4]]
-    assert mat.mat_mul(ints, ints) == [[7, 10], [15, 22]]
+    assert QArray.of(ints).scale == 1
+    assert QArray.of(ints) @ QArray.of(ints) == QArray.of([[7, 10], [15, 22]])
     _check_products(ints, ints, [1, -1])
     _check_bilinear(ints, [1, 0], [0, 1])
 
 
 def test_products_zero_and_degenerate_shapes():
-    zero = mat.zeros(3, 3)
-    v = [Fraction(1, 3), Fraction(-2), Fraction(5, 7)]
-    assert mat.mat_mul(zero, zero) == zero
-    assert _all_fractions(mat.flatten(mat.mat_mul(zero, zero)))
-    assert mat.mat_vec(zero, v) == [0, 0, 0]
-    assert _all_fractions(mat.mat_vec(zero, v))
-    assert mat.bilinear(zero, v, v) == 0
-    assert type(mat.bilinear(zero, v, v)) is Fraction
+    zero = QArray.of([[0] * 3] * 3)
+    v = QArray.of([Fraction(1, 3), Fraction(-2), Fraction(5, 7)])
+    assert zero @ zero == zero
+    assert zero @ v == QArray.of([0, 0, 0])
+    assert v @ zero @ v == 0
+    assert type(v @ zero @ v) is Fraction
+    assert zero.max_abs() == 0 and type(zero.max_abs()) is Fraction
+    # equality is by value at any scale
+    assert v * 2 == QArray.of([Fraction(2, 3), Fraction(-4), Fraction(10, 7)])
+    assert v * 7 * Fraction(1, 7) == v and (v * 7 * Fraction(1, 7)).scale != v.scale
+    assert v != v * 2 and v != QArray.of([[0] * 3])
     # 1 x 1
-    one = [[Fraction(3, 4)]]
-    assert mat.mat_mul(one, [[Fraction(2, 3)]]) == [[Fraction(1, 2)]]
-    assert mat.mat_vec(one, [Fraction(4)]) == [Fraction(3)]
-    assert mat.bilinear(one, [Fraction(2)], [Fraction(1, 3)]) == Fraction(1, 2)
-    # 0 rows
-    assert mat.mat_mul([], [[Fraction(1)]]) == []
-    assert mat.mat_vec([], [Fraction(1)]) == []
-    assert mat.bilinear([], [], []) == 0
-    assert type(mat.bilinear([], [], [])) is Fraction
+    one = QArray.of([[Fraction(3, 4)]])
+    assert one @ QArray.of([[Fraction(2, 3)]]) == QArray.of([[Fraction(1, 2)]])
+    assert one @ QArray.of([Fraction(4)]) == QArray.of([Fraction(3)])
+    assert QArray.of([2]) @ one @ QArray.of([Fraction(1, 3)]) == Fraction(1, 2)
+    assert one[0, 0] == Fraction(3, 4) and type(one[0, 0]) is Fraction
+    assert one.trace() == Fraction(3, 4)
+    # empty
+    empty = QArray.of([])
+    assert empty.shape == (0,) and empty.scale == 1
+    assert empty @ empty == 0
+    assert type(empty @ empty) is Fraction
+    assert empty.max_abs() == 0
+    assert QArray.of([[1]])[:0].shape == (0, 1)
 
 
 def test_products_reject_float_entries():
-    m = [[Fraction(1), 0.5], [Fraction(0), Fraction(1)]]
-    good = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    v = [Fraction(1), Fraction(2)]
     with pytest.raises(TypeError, match="float"):
-        mat.mat_mul(m, good)
+        QArray.of([[Fraction(1), 0.5], [Fraction(0), Fraction(1)]])
     with pytest.raises(TypeError, match="float"):
-        mat.mat_mul(good, m)
+        QArray.of([Fraction(1), 2.0])
     with pytest.raises(TypeError, match="float"):
-        mat.mat_vec(m, v)
-    with pytest.raises(TypeError, match="float"):
-        mat.mat_vec(good, [Fraction(1), 2.0])
-    with pytest.raises(TypeError, match="float"):
-        mat.bilinear(good, [0.25, Fraction(1)], v)
-    with pytest.raises(TypeError, match="float"):
-        mat.bilinear(good, v, [Fraction(1), 1e-3])
+        QArray.of([[0.25]])
+    good = QArray.of([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
+    with pytest.raises(TypeError):
+        good * 0.5
+    with pytest.raises(TypeError):
+        good + 1e-3
+    with pytest.raises(TypeError):
+        good @ np.eye(2)
+    with pytest.raises(ValueError):
+        good.values[0, 0] = 2  # read-only
