@@ -10,21 +10,23 @@ the free constructor exists so the necessity of that pinning can be
 exhibited by nonzero residuals.
 
 Kernel.  On the standard basis R_A is one array indexed
-[i, j, k, r] = (R(e_i, e_j) e_k)_r, and it splits as
-
-    R_A = kappa T0 + (c1/4) T1 + (c2/2n) T2
-
-into three kappa-free tensors built by einsum from the term-by-term
-formula of curvature_13, on the integer arrays of the model (omega0,
-the J_a, the g_a) and of A = B / d.  For the integer matrix B the
-tensors have integer entries; curvature_of combines them with
-Python-int coefficients over one common denominator L of (kappa,
-c1/4, c2/2n), so R_A is the QArray with values the integer array
-L * d * R_A and scale L * d: exact for every kappa and every rational
-A.  R(e_i, e_j) is tensor[i, j].T and R(e_i, e_j) e_k is
-tensor[i, j, k].  The Bianchi cyclic sum, the Ricci trace and the rank
-rows are contractions of that array.  numpy is imported inside the
-functions, so importing this module does not load it.
+[i, j, k, r] = (R(e_i, e_j) e_k)_r, so R(e_i, e_j) is tensor[i, j].T;
+the Bianchi sum, the Ricci trace and the rank rows contract it.  With
+A = B / d for an integer B, R_A = (k0 T0 + k1 T1 + k2 T2) / (L d) for
+three kappa-free tensors built by einsum from the terms of curvature_13
+on the integer arrays of the model and of B, and the Python ints
+(k0, k1, k2) = L (kappa, c1/4, c2/2n) over their common denominator L:
+exact for every kappa and every rational A.  The einsum and the sum
+run in int64 when a bound proves that no entry overflows, else on
+Python ints (dtype=object); the values are Python ints either way.
+The bound's premise, checked on the model by _kernel_dtype: omega0,
+each J_a and each g_a is a signed permutation matrix (one +-1 in every
+row and column), so a product with B on either side is bounded by
+m = max(1, max|B|).  Then |T0| <= m; the four terms of half of T1 are
+at most m, 3m, m, 3m, so |T1| <= 16m; |T2| <= 6m; and the sum is at
+most m (|k0| + 16 |k1| + 6 |k2|), which must be below 2^63.  numpy is
+imported inside the functions, so importing this module does not load
+it.
 
 curvature_13, bianchi_defect_closed_form, ricci_closed_form,
 is_Q_hermitian and curvature_map_rank_float never call the kernel: they
@@ -39,7 +41,7 @@ from math import lcm
 
 from qsh_lab import matrices as mat
 from qsh_lab.liealg import LieBasis, LieElement, decompose
-from qsh_lab.linmodel import FlatModel, sp1_conjugate_frame
+from qsh_lab.linmodel import FlatModel
 from qsh_lab.matrices import QArray
 
 
@@ -78,14 +80,29 @@ def _as_element(model: FlatModel, basis: LieBasis, a) -> LieElement:
     return decompose(model, basis, a)  # raises MembershipError if outside g
 
 
-def _parts(model: FlatModel, A):
-    """The kappa-free tensors (T0, T1, T2) of R_A for an integer array A,
-    indexed like the values of curvature_of, term by term as in
-    curvature_13."""
+def _kernel_dtype(model: FlatModel, B, coeffs):
+    """np.int64 if the Kernel bound proves that the parts of B and their
+    combination with the int coeffs fit in it, else object."""
     import numpy as np
 
-    W, J, G = model.omega.values, model.J.values, model.g.values
-    eye = np.eye(model.dim, dtype=object)
+    for field in (model.omega.values, model.J.values, model.g.values):
+        size = abs(field)
+        if not ((size <= 1).all() and (size.sum(-1) == 1).all()
+                and (size.sum(-2) == 1).all()):
+            return object
+    m = max(1, max(map(abs, B.flat), default=0))
+    k0, k1, k2 = map(abs, coeffs)
+    return np.int64 if m * (k0 + 16 * k1 + 6 * k2) < 2 ** 63 else object
+
+
+def _parts(model: FlatModel, B, dtype):
+    """The kappa-free tensors (T0, T1, T2) of an integer array B in
+    dtype, term by term as in curvature_13."""
+    import numpy as np
+
+    W, J, G, A = (np.asarray(x, dtype=dtype) for x in
+                  (model.omega.values, model.J.values, model.g.values, B))
+    eye = np.eye(model.dim, dtype=dtype)
     # w(x,y) Az
     t0 = np.einsum("ij,rk->ijkr", W, A)
     # w(x,z) Ay - sum_a g_a(x,z) J_a Ay + w(Ay,z) x - sum_a g_a(Ay,z) J_a x
@@ -101,18 +118,14 @@ def _parts(model: FlatModel, A):
 
 
 def curvature_of(model: FlatModel, basis: LieBasis, a, params: CurvParams) -> QArray:
-    """Evaluate R_A on all standard basis triples.
-
-    With A = B / d for an integer matrix B,
-    R_A = (kappa T0 + (c1/4) T1 + (c2/2n) T2)(B) / d.  The three
-    coefficients are brought over their common denominator L, so the
-    tensor holds an integer combination of the parts with scale L * d.
-    """
+    """R_A on all standard basis triples, with scale L * d (see Kernel)."""
     A = _as_element(model, basis, a).matrix
     coeffs = (params.kappa, params.c1 / 4, params.c2 / Fraction(2 * model.n))
     common = lcm(*(c.denominator for c in coeffs))
-    values = sum(int(c * common) * t for c, t in zip(coeffs, _parts(model, A.values)))
-    return QArray(values, common * A.scale)
+    ints = [int(c * common) for c in coeffs]
+    parts = _parts(model, A.values, _kernel_dtype(model, A.values, ints))
+    values = sum(c * t for c, t in zip(ints, parts))
+    return QArray(values.astype(object, copy=False), common * A.scale)
 
 
 def curvature_13(model: FlatModel, A: QArray, params: CurvParams, x, y, z) -> QArray:
@@ -212,32 +225,25 @@ def omega_pairing(model: FlatModel, A: QArray) -> QArray:
     return A.T @ model.omega
 
 
-def is_Q_hermitian(model: FlatModel, t: QArray, frames=None):
+def is_Q_hermitian(model: FlatModel, t: QArray, frames=()):
     """Check T(Jx, Jy) = T(x, y) for the three generators, plus optional
-    rotated frames as a randomized 2-sphere backstop.
+    rotated frames as a randomized 2-sphere backstop, given as pairs
+    (q, sp1_conjugate_frame(model, q)) built once by the caller.
 
     Returns (True, None) or (False, witness) where the witness names the
     violating structure and the first violating basis pair.
     """
-    def violation(J, label):
-        lhs = J.T @ t @ J
-        if lhs == t:
-            return None
-        for i, lhs_row, t_row in zip(range(model.dim), lhs, t):
-            for j, (l, r) in enumerate(zip(lhs_row, t_row)):
-                if l != r:
-                    return {"structure": label, "i": i, "j": j, "lhs": l, "rhs": r}
-        return None
+    import numpy as np
 
-    for a, J in enumerate(model.J):
-        w = violation(J, f"J{a + 1}")
-        if w is not None:
-            return False, w
-    for q in frames or ():
-        for a, J in enumerate(sp1_conjugate_frame(model, q)):
-            w = violation(J, f"rotated(J{a + 1}; q={q.components()})")
-            if w is not None:
-                return False, w
+    labelled = [(f"J{a + 1}", J) for a, J in enumerate(model.J)]
+    labelled += [(f"rotated(J{a + 1}; q={q.components()})", J)
+                 for q, frame in frames for a, J in enumerate(frame)]
+    for label, J in labelled:
+        lhs = J.T @ t @ J
+        if not lhs == t:
+            i, j = (int(x) for x in np.argwhere((lhs - t).values != 0)[0])
+            return False, {"structure": label, "i": i, "j": j,
+                           "lhs": lhs[i, j], "rhs": t[i, j]}
     return True, None
 
 
@@ -258,11 +264,16 @@ def curvature_map_rank(model: FlatModel, basis: LieBasis, params: CurvParams,
 
     rank(B) = rank(B B^T) over the rationals, and the integer Gram matrix
     is tiny compared to the flattened tensors, so the echelon step runs
-    on it.
+    on it.  The Gram product runs in int64 when cols * max|row|^2 is
+    below 2^63, and on Python ints otherwise.
     """
+    import numpy as np
+
     if rows is None:
         rows = curvature_rows(model, basis, params)
-    return mat.rank(QArray(rows @ rows.T))
+    if rows.shape[1] * max(map(abs, rows.flat), default=0) ** 2 < 2 ** 63:
+        rows = rows.astype(np.int64)  # no Gram entry or partial sum overflows
+    return mat.rank(QArray((rows @ rows.T).astype(object, copy=False)))
 
 
 def curvature_map_rank_float(model: FlatModel, basis: LieBasis,

@@ -592,25 +592,24 @@ def _ricci_dichotomy_check(ctx: SuiteContext, n: int, mandatory: bool = False):
         basis = ctx.basis(n)
         params = curv.CurvParams.pinned(ctx.kappa, n)
         rng = ctx.rng("curvature", f"dichotomy{n}")
-        frames = [_unit_quaternion(rng) for _ in range(3)]
-        witness = None
-        for el in basis.so_basis:
+        frames = [(q, sp1_conjugate_frame(m, q))
+                  for q in [_unit_quaternion(rng) for _ in range(3)]]
+
+        def hermitian(el):
             ric = curv.ricci_of(m, curv.curvature_of(m, basis, el, params))
-            ok, wit = curv.is_Q_hermitian(m, ric, frames=frames)
+            return curv.is_Q_hermitian(m, ric, frames=frames)
+
+        for el in basis.so_basis:
+            ok, wit = hermitian(el)
             if not ok:
                 return False, None, wit, "commuting part should be Hermitian"
         for el in basis.sp_basis:
-            ric = curv.ricci_of(m, curv.curvature_of(m, basis, el, params))
-            ok, wit = curv.is_Q_hermitian(m, ric, frames=frames)
+            ok, witness = hermitian(el)
             if ok:
                 return False, None, None, "sp1 part should fail Hermiticity"
-            witness = wit
         # mixed element must fail as well (both directions of the dichotomy)
         mixed = basis.so_basis[0].matrix + basis.sp_basis[0].matrix
-        el = liealg.decompose(m, basis, mixed)
-        ric = curv.ricci_of(m, curv.curvature_of(m, basis, el, params))
-        ok, wit = curv.is_Q_hermitian(m, ric, frames=frames)
-        if ok:
+        if hermitian(liealg.decompose(m, basis, mixed))[0]:
             return False, None, None, "mixed element should fail Hermiticity"
         zero_ok, _ = curv.is_Q_hermitian(m, m.omega * 0, frames=frames)
         return zero_ok, None, witness, "witness recorded for the sp1 failure"

@@ -418,16 +418,6 @@ def symspace_ddf_check(params: SymSpaceParams, trials: int = 100,
 
 # --- obstruction mechanics -------------------------------------------------------
 
-#: Fixed nondegenerate placeholder for the horizontal 2-form: a 4x4
-#: symplectic block matrix standing in for the pullback form.
-PLACEHOLDER_2FORM = (
-    (0, 1, 0, 0),
-    (-1, 0, 0, 0),
-    (0, 0, 0, 1),
-    (0, 0, -1, 0),
-)
-
-
 @dataclass
 class ObstructionReport:
     implication_holds: bool

@@ -1,20 +1,32 @@
+import dataclasses
+import functools
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsh_lab import curvature as curv
 from qsh_lab import liealg
 from qsh_lab.liealg import enumerate_so_star_basis
-from qsh_lab.linmodel import build_flat_model
+from qsh_lab.linmodel import build_flat_model, sp1_conjugate_frame
 from qsh_lab.matrices import QArray
+from qsh_lab.quaternion import Quaternion
 
 
 @pytest.fixture(scope="module")
 def pinned2():
     return curv.CurvParams.pinned(1, 2)
+
+
+@functools.cache
+def _model_and_basis(n):
+    model = build_flat_model(n)
+    return model, enumerate_so_star_basis(model)
 
 
 def _random_element(model, basis, rng):
@@ -250,14 +262,13 @@ def test_tensor_independent_of_model_instance(model2, model3, basis2, basis3):
     assert model3.J.shape == model3.g.shape == (3, 12, 12)
 
 
-def test_linear_claims_at_n4():
+@pytest.mark.parametrize("n", [4, 5])
+def test_linear_claims_at_large_n(n):
     # the sizes above share no code path with n = 2, 3 that a larger n
     # could not break: dimension, pinned Bianchi for every element, both
-    # Ricci coefficients and injectivity at n = 4
-    n = 4
-    model = build_flat_model(n)
-    basis = enumerate_so_star_basis(model)
-    assert len(basis.so_basis) == n * (2 * n - 1) == 28
+    # Ricci coefficients and injectivity at n = 4 and 5
+    model, basis = _model_and_basis(n)
+    assert len(basis.so_basis) == n * (2 * n - 1)
     params = curv.CurvParams.pinned(1, n)
     for el in basis.elements():
         tensor = curv.curvature_of(model, basis, el, params)
@@ -266,5 +277,108 @@ def test_linear_claims_at_n4():
         ric = curv.ricci_of(model, curv.curvature_of(model, basis, el, params))
         assert ric == curv.omega_pairing(model, el.matrix) * coef
     rows = curv.curvature_rows(model, basis, params)
-    assert curv.curvature_map_rank(model, basis, params, rows=rows) == 31
-    assert curv.curvature_map_rank_float(model, basis, params, rows=rows) == 31
+    rank = n * (2 * n - 1) + 3
+    assert curv.curvature_map_rank(model, basis, params, rows=rows) == rank
+    assert curv.curvature_map_rank_float(model, basis, params, rows=rows) == rank
+
+
+def _kernel_paths(model, basis, el, params):
+    """R_A in the dtype the bound picks, that dtype, and R_A from the
+    object path."""
+    with mock.patch.object(curv, "_parts", wraps=curv._parts) as parts:
+        fast = curv.curvature_of(model, basis, el, params)
+    with mock.patch.object(curv, "_kernel_dtype", return_value=object):
+        slow = curv.curvature_of(model, basis, el, params)
+    return fast, parts.call_args.args[2], slow
+
+
+def _same_tensor(fast, dtype, slow):
+    assert dtype is np.int64
+    assert fast.scale == slow.scale
+    assert fast.values.dtype == object
+    assert all(type(v) is int for v in fast.values.flat)
+    assert np.array_equal(fast.values, slow.values)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_int64_kernel_matches_object_path(n):
+    model, basis = _model_and_basis(n)
+    params = curv.CurvParams.free(Fraction(7, 3), Fraction(-5, 2), Fraction(9, 4))
+    for el in basis.elements():
+        for p in (curv.CurvParams.pinned(1, n), params):
+            _same_tensor(*_kernel_paths(model, basis, el, p))
+
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(coeffs=st.lists(_small, min_size=9, max_size=9),
+       kappa=_small.filter(bool), c1=_small, c2=_small)
+def test_int64_kernel_matches_object_path_on_combinations(model2, basis2, coeffs,
+                                                           kappa, c1, c2):
+    combo = sum(b.matrix * c for b, c in zip(basis2.elements(), coeffs))
+    el = liealg.decompose(model2, basis2, combo)
+    _same_tensor(*_kernel_paths(model2, basis2, el,
+                                curv.CurvParams.free(kappa, c1, c2)))
+
+
+def test_wide_rational_A_takes_object_fallback(model2, basis2):
+    # entries around 2^62 / 3: the bound refuses int64, and the tensor
+    # itself leaves the int64 range
+    a1 = basis2.so_basis[0].matrix * Fraction(2 ** 62 + 1, 3)
+    a2 = basis2.sp_basis[0].matrix * Fraction(-(2 ** 62) + 5, 3)
+    el = liealg.decompose(model2, basis2, a1 + a2)
+    tensor, dtype, _ = _kernel_paths(model2, basis2, el, curv.CurvParams.pinned(1, 2))
+    assert dtype is object
+    assert max(map(abs, tensor.values.flat)) >= 2 ** 63
+    assert curv.bianchi_residual(model2, tensor) == 0
+    ric = curv.ricci_of(model2, tensor)
+    assert ric == (curv.omega_pairing(model2, a1) * Fraction(8)
+                   + curv.omega_pairing(model2, a2) * Fraction(8))
+    assert ric == curv.ricci_closed_form(model2, el.matrix, 1)
+
+
+def test_kernel_premise_checked_on_model(model2):
+    # int64 needs every structure matrix to be a signed permutation
+    ones = model2.omega.values * 0
+    ones[:, 0] = 1  # one entry per row, but all in one column
+    for bad in (dataclasses.replace(model2, omega=model2.omega * 2),
+                dataclasses.replace(model2, omega=QArray(ones))):
+        assert curv._kernel_dtype(bad, model2.omega.values, [1, 1, 1]) is object
+    assert curv._kernel_dtype(model2, model2.omega.values, [1, 1, 1]) is np.int64
+
+
+def test_rank_gram_exact_in_both_dtypes(model2, basis2, pinned2):
+    rows = curv.curvature_rows(model2, basis2, pinned2)
+    for scaled in (rows, rows * 2 ** 40):  # int64 Gram, then object Gram
+        with mock.patch.object(curv.mat, "rank", side_effect=lambda g: g) as rank:
+            gram = curv.curvature_map_rank(model2, basis2, pinned2, rows=scaled)
+        rank.assert_called_once()
+        assert all(type(v) is int for v in gram.values.flat)
+        assert np.array_equal(gram.values, scaled @ scaled.T)
+        assert curv.curvature_map_rank(model2, basis2, pinned2, rows=scaled) == 9
+
+
+def test_second_paths_never_call_the_kernel(model3, basis3, monkeypatch):
+    params = curv.CurvParams.pinned(1, 3)
+    el = basis3.sp_basis[0]
+    rows = curv.curvature_rows(model3, basis3, params)
+    tensor = curv.curvature_of(model3, basis3, el, params)
+    ric = curv.ricci_of(model3, tensor)
+    q = Quaternion.of(*(Fraction(c, 5) for c in (1, 2, 2, 4)))  # |q| = 1
+    frames = [(q, sp1_conjugate_frame(model3, q))]
+
+    def refuse(*args):
+        raise AssertionError("the kernel was called")
+    monkeypatch.setattr(curv, "_parts", refuse)
+    with pytest.raises(AssertionError):
+        curv.curvature_of(model3, basis3, el, params)
+    x, y, z = (model3.basis_vector(i) for i in (0, 5, 7))
+    assert curv.curvature_13(model3, el.matrix, params, x, y, z) == tensor[0, 5, 7]
+    assert curv.bianchi_defect_closed_form(model3, el.matrix, params,
+                                           0, 5, 7).max_abs() == 0
+    assert curv.ricci_closed_form(model3, el.matrix, 1) == ric
+    assert curv.is_Q_hermitian(model3, ric, frames=frames)[0] is False
+    assert curv.is_Q_hermitian(model3, model3.omega, frames=frames) == (True, None)
+    assert curv.curvature_map_rank_float(model3, basis3, params, rows=rows) == 18
