@@ -281,10 +281,12 @@ def curvature_map_rank_float(model: FlatModel, basis: LieBasis,
                              *, rows) -> int:
     """Float SVD rank of the rows of curvature_rows, for cross-checking the
     exact rank.  The rows are required: this path never evaluates the
-    map itself, so it does not call the kernel."""
+    map itself, so it does not call the kernel.  The SVD runs on the
+    transpose: the same singular values, and LAPACK is much faster on a
+    tall matrix than on a wide one."""
     import numpy as np
 
-    svals = np.linalg.svd(np.array(rows, dtype=float), compute_uv=False)
+    svals = np.linalg.svd(np.array(rows, dtype=float).T, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0
     return int((svals > tolerance * svals[0]).sum())

@@ -318,12 +318,16 @@ def d_via_structure(u: VerticalForm) -> VerticalForm:
 # --- sampling ------------------------------------------------------------------
 
 def sample_point(rng: random.Random, lo: float = 0.5, hi: float = 2.0):
-    """A float point with lo <= |h| <= hi (rejection sampling)."""
+    """A float point with lo <= |h| <= hi (rejection sampling).  Each
+    coordinate is rng.uniform(-hi, hi), inlined as its documented formula
+    a + (b - a) * random(), so the draws and values stay the same."""
+    random, width = rng.random, hi - -hi
     while True:
-        p = tuple(rng.uniform(-hi, hi) for _ in range(4))
-        norm = sum(x * x for x in p) ** 0.5
-        if lo <= norm <= hi:
-            return p
+        x0, x1, x2, x3 = (-hi + width * random(), -hi + width * random(),
+                          -hi + width * random(), -hi + width * random())
+        # sum, not a + chain: from Python 3.12 sum compensates
+        if lo <= sum((x0 * x0, x1 * x1, x2 * x2, x3 * x3)) ** 0.5 <= hi:
+            return x0, x1, x2, x3
 
 
 def sample_rational_point(rng: random.Random):

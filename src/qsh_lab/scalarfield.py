@@ -17,6 +17,14 @@ all-float point constants enter as float(c), which ``Fraction op float``
 computes with anyway, so results are bit-identical; elsewhere they stay
 exact.
 
+The tape is then compiled into one straight-line Python function, one
+statement per step (``r7 = r4 * r5``), so a point costs no interpreter
+dispatch per step.  Generating source is safe because nothing from the
+fields reaches it: the text is slot numbers, a fixed operator table and
+fixed helper names.  Constants, exponents and the exceptions of raise
+steps are passed in as data.  ``parse`` caps the nodes of an input field
+(MAX_NODES), which bounds the source built from it and its derivatives.
+
 The printable grammar (round-tripped by ``parse``):
 
     expr   := term (('+' | '-') term)*
@@ -361,10 +369,12 @@ def constant_value(f: Field):
 
 # --- evaluation -------------------------------------------------------------
 
+def _zero_div():
+    raise ZeroDivisionError("scalar field denominator vanished")
+
+
 def _div(x, y):
-    if y == 0:
-        raise ZeroDivisionError("scalar field denominator vanished")
-    return x / y
+    return x / y if y != 0 else _zero_div()
 
 
 def _negative_power(base, k):
@@ -400,13 +410,28 @@ def _reraise(exc):
     raise type(exc)(*exc.args)
 
 
+# Source of one tape step per op, over its operand slots a and b.  With
+# the slot numbers, these fixed strings are all the generated text.
+_SOURCE = {operator.add: "r{a} + r{b}", operator.sub: "r{a} - r{b}",
+           operator.mul: "r{a} * r{b}", operator.neg: "-r{a}",
+           operator.pow: "r{a} ** r{b}",
+           _div: "r{a} / r{b} if r{b} != 0 else _zero_div()",
+           _negative_power: "_negative_power(r{a}, r{b})", _sqrt: "_sqrt(r{a})",
+           math.exp: "_exp(r{a})", math.sin: "_sin(r{a})",
+           math.cos: "_cos(r{a})", _reraise: "_reraise(r{a})"}
+_GLOBALS = {"_zero_div": _zero_div, "_negative_power": _negative_power,
+            "_sqrt": _sqrt, "_exp": math.exp, "_sin": math.sin,
+            "_cos": math.cos, "_reraise": _reraise}
+
+
 def evaluator(fields):
     """One evaluator for a sequence of fields: returns point -> tuple of
     their values at point = (v0, v1, v2, v3), as ``Field.evaluate`` would
     give them one by one, raising the first error that would raise.
-    Build it once, outside the loop over sample points."""
-    # registers at a non-float point: 0..3 hold h0..h3, constant slots
-    # their exact value, every other slot None until a step writes it
+    Build it once, outside the loop over sample points: building compiles
+    the tape."""
+    # slots: 0..3 hold h0..h3; a constant slot holds its exact value (and
+    # float value), every other slot None until a step writes it
     exact = [None] * 4
     floats = [None] * 4  # the same at an all-float point
     slots = {}           # id(node) -> slot of its value
@@ -472,16 +497,31 @@ def evaluator(fields):
     # a constant field keeps its exact value at float points too
     outputs = [s if exact[s] is None else slot_for(None, exact[s], exact[s])
                for s in (slots[id(f)] for f in fields)]
-    exact, floats = exact[4:], floats[4:]
+    run = _compile(tape, outputs)
+    exact, floats = tuple(exact[4:]), tuple(floats[4:])
 
     def evaluate(point):
         h0, h1, h2, h3 = point
-        r = [h0, h1, h2, h3]
-        r += floats if type(h0) is type(h1) is type(h2) is type(h3) is float else exact
-        for out, op, a, b in tape:
-            r[out] = op(r[a]) if b is None else op(r[a], r[b])
-        return tuple([r[i] for i in outputs])
+        return run(h0, h1, h2, h3, floats if type(h0) is type(h1) is type(h2)
+                   is type(h3) is float else exact)
     return evaluate
+
+
+def _compile(tape, outputs):
+    """The tape as one straight-line function run(r0, r1, r2, r3, K),
+    returning the tuple of the output slots; a slot past 3 that no step
+    writes is a constant, K[slot - 4].  Only slot numbers and the fixed
+    text of _SOURCE reach the source: constants, exponents and exceptions
+    travel in K."""
+    read = {s for _, _, a, b in tape for s in (a, b) if s is not None}
+    constants = read.union(outputs).difference(out for out, _, _, _ in tape)
+    lines = ["def run(r0, r1, r2, r3, K):"]
+    lines += [f" r{s} = K[{s - 4}]" for s in sorted(constants) if s > 3]
+    lines += [f" r{out} = " + _SOURCE[op].format(a=a, b=b) for out, op, a, b in tape]
+    lines.append(" return (" + "".join(f"r{s}, " for s in outputs) + ")")
+    namespace = dict(_GLOBALS, __builtins__={})
+    exec(compile("\n".join(lines), "<scalarfield tape>", "exec"), namespace)
+    return namespace["run"]
 
 
 # --- parser -----------------------------------------------------------------
@@ -495,6 +535,13 @@ _INFIX = {"+": add, "-": sub, "*": mul, "/": div}
 # a chain h1 - h1 - ... of n terms is n - 1 levels deep); deeper input
 # would exhaust the recursion of the parser and of the tree walks.
 MAX_NESTING = 100
+
+# Most nodes parse builds: each number, variable, operator, function and
+# power counts one, before folding.  Compiling a field's evaluator emits
+# a line per distinct node, and derivatives multiply them, so the input
+# must bound its size; a closed-form solution of the flat family needs
+# under 300 per field.
+MAX_NODES = 5000
 
 # Largest exponent magnitude parse accepts after '^'.  Huge powers are
 # where float evaluation over- or underflows: (h0+1/3)^2000000 underflows
@@ -526,11 +573,12 @@ def _tokens(text: str) -> list:
 
 def parse(text: str) -> Field:
     """Parse the documented grammar into a field; raises ParseError, also
-    when nesting goes deeper than MAX_NESTING levels or an exponent is
-    larger than MAX_EXPONENT in magnitude."""
+    when nesting goes deeper than MAX_NESTING levels, the field has more
+    than MAX_NODES nodes or an exponent is larger than MAX_EXPONENT in
+    magnitude."""
     tokens = _tokens(text)[::-1]  # next token last; "end" is taken only to fail
     take = tokens.pop
-    depth = 0
+    depth = nodes = 0
 
     def peek():
         return tokens[-1]
@@ -539,6 +587,12 @@ def parse(text: str) -> Field:
         if level > MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", line, col)
         return level
+
+    def counted(line, col):
+        nonlocal nodes
+        nodes += 1
+        if nodes > MAX_NODES:
+            raise ParseError(f"more than {MAX_NODES} nodes", line, col)
 
     # each rule returns (node, height of its syntax tree)
     def nested(inner, line, col):
@@ -562,6 +616,7 @@ def parse(text: str) -> Field:
             if kind != "op" or tok not in ops:
                 return node, height
             take()
+            counted(line, col)
             rhs, rhs_height = operand()
             height = grown(max(height, rhs_height) + 1, line, col)
             node = _INFIX[tok](node, rhs)
@@ -576,6 +631,7 @@ def parse(text: str) -> Field:
         kind, tok, line, col = peek()
         if kind == "op" and tok == "-":
             take()
+            counted(line, col)
             node, height = nested(unary, line, col)
             return neg(node), grown(height + 1, line, col)
         return power()
@@ -585,6 +641,7 @@ def parse(text: str) -> Field:
         kind, tok, line, col = peek()
         if kind == "op" and tok == "^":
             take()
+            counted(line, col)
             height = grown(height + 1, line, col)
             sign = 1
             kind, tok, line, col = peek()
@@ -603,6 +660,8 @@ def parse(text: str) -> Field:
 
     def atom():
         kind, tok, line, col = take()
+        if kind in ("num", "name"):
+            counted(line, col)
         if kind == "num":
             try:
                 return const(Fraction(tok)), 0

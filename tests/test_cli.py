@@ -217,6 +217,18 @@ def test_main_long_operator_chain_is_usage_error(capsys, tmp_path, op):
     assert "line 1, column 303" in err and "Traceback" not in err
 
 
+def test_main_too_many_nodes_is_usage_error(capsys, tmp_path):
+    # a shallow sum of MAX_NODES + 1 nodes
+    terms = ["(" + "+".join(["h0"] * 50) + ")"] * (sf.MAX_NODES // 99 + 1)
+    path = tmp_path / "F.json"
+    path.write_text(json.dumps({"F1": "+".join(terms), "F2": "0", "F3": "0"}))
+    assert main(["run", "--suites", "flat", "--n", "2",
+                 "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"more than {sf.MAX_NODES} nodes" in err
+    assert "line 1, column" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("expression", ["h1/0", "0^-1"])
 def test_main_constant_zero_denominator_is_usage_error(capsys, tmp_path,
                                                        expression):

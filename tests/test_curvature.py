@@ -209,11 +209,18 @@ def test_hermitian_trivial_cases(model2):
     assert ok
 
 
-def test_curvature_map_rank(model2, basis2, pinned2):
+def test_curvature_map_rank(model2, basis2, pinned2, model3, basis3):
     rows = curv.curvature_rows(model2, basis2, pinned2)
     assert curv.curvature_map_rank(model2, basis2, pinned2, rows=rows) == 9
     assert curv.curvature_map_rank_float(model2, basis2, pinned2,
                                          rows=rows) == 9
+    rows[-1] = rows[0]  # a duplicated row costs the float rank exactly one
+    assert curv.curvature_map_rank_float(model2, basis2, pinned2,
+                                         rows=rows) == 8
+    pinned3 = curv.CurvParams.pinned(1, 3)
+    rows = curv.curvature_rows(model3, basis3, pinned3)
+    assert curv.curvature_map_rank_float(model3, basis3, pinned3, rows=rows) \
+        == curv.curvature_map_rank(model3, basis3, pinned3, rows=rows) == 18
 
 
 @pytest.mark.parametrize("kappa", [Fraction(4398046511104123, 1000000000000037),

@@ -227,6 +227,21 @@ def test_equal_syntactic_fast_path():
 _UNDEFINED = sf.sqrt(sf.sub(sf.const(-1), sf.pow_(sf.H0, 2)))  # nowhere real
 
 
+def _reference_sample_point(rng, lo=0.5, hi=2.0):
+    while True:
+        p = tuple(rng.uniform(-hi, hi) for _ in range(4))
+        if lo <= sum(x * x for x in p) ** 0.5 <= hi:
+            return p
+
+
+def test_sample_point_matches_uniform_reference():
+    for seed in range(50):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(2000):
+            assert forms.sample_point(rng) == _reference_sample_point(ref)
+        assert rng.getstate() == ref.getstate()
+
+
 def test_sample_without_rejections_matches_sample_point_loop():
     fields = (sf.H0, sf.mul(sf.H1, sf.H3))
     got = list(forms.sample(fields, 25, random.Random(5)))

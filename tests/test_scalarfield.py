@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import struct
 from fractions import Fraction
 
@@ -326,11 +327,67 @@ def test_constants_at_float_points_match_reference(field):
 
 
 def test_deep_chain_evaluates_without_recursion():
+    # a 20,000-step tape compiles into one function and runs
     field = sf.H0
-    for _ in range(5000):
+    for _ in range(20000):
         field = sf.add(field, sf.H1)
-    assert sf.evaluator([field])((1.0, 2.0, 0.0, 0.0)) == (10001.0,)
-    assert field.evaluate((Fraction(1), Fraction(1, 2), 0, 0)) == 2501
+    assert sf.evaluator([field])((1.0, 2.0, 0.0, 0.0)) == (40001.0,)
+    assert field.evaluate((Fraction(1), Fraction(1, 2), 0, 0)) == 10001
+
+
+_TAPE_NAMES = {"def", "run", "K", "return", "if", "else", "_zero_div",
+               "_negative_power", "_sqrt", "_exp", "_sin", "_cos", "_reraise"}
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 3), 10 ** 3999 + 7, float("nan"),
+                               float("inf"), -0.0],
+                         ids=["1/3", "4000 digits", "nan", "inf", "-0.0"])
+def test_constants_travel_as_data(monkeypatch, c):
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+    monkeypatch.setattr(sf, "compile", spy, raising=False)
+    fields = [sf.add(sf.mul(sf.const(c), sf.H0), sf.pow_(sf.H1, -2)),
+              sf.div(sf.H2, sf.sub(sf.const(c), sf.H3)),
+              sf.sqrt(sf.add(sf.exp(sf.H0), sf.const(c)))]
+    for point in ((1.5, -0.25, 2.0, -0.0), (0.0, 1e-300, 3.0, 4.0),
+                  (Fraction(3, 2), Fraction(-1, 4), Fraction(1), 0)):
+        assert_matches_reference(fields, point)
+    # the generated text is slot numbers, fixed operators and fixed names
+    assert sources
+    for source in sources:
+        assert set(re.findall(r"[A-Za-z_]\w*", source)) <= _TAPE_NAMES | {
+            f"r{i}" for i in range(100)}
+        assert re.fullmatch(r"[\sA-Za-z_0-9=+\-*/!()\[\],:]*", source)
+        # no number but slots, K[i] and the zero test of a division
+        assert re.findall(r"(?<![\w\[])\d+", source.replace("!= 0", "")) == []
+
+
+@pytest.mark.parametrize("doomed, raised", [
+    (sf.sqrt(sf.const(-1)), (ValueError, "sqrt of a negative value")),
+    (sf.exp(sf.const(1000)), (OverflowError, "math range error")),
+    (sf.sin(sf.const(float("inf"))), (ValueError, "math domain error")),
+])
+def test_raise_step_mid_tape_raises_the_same_error_everywhere(doomed, raised):
+    before = sf.mul(sf.add(sf.H0, sf.H1), sf.H2)
+    field = sf.sub(sf.add(before, sf.mul(doomed, sf.H3)), sf.exp(sf.H1))
+    evaluate = sf.evaluator([before, field, sf.cos(sf.H0)])
+    for point in ((1.0, 2.0, 3.0, 4.0), (Fraction(1, 3), 0, 0, Fraction(2)),
+                  (0, 0, 0, 0), (0.5, Fraction(1), 2, 3.0)):
+        with pytest.raises(raised[0]) as err:
+            evaluate(point)
+        assert type(err.value) is raised[0] and str(err.value) == raised[1]
+        assert_matches_reference([before, field, sf.cos(sf.H0)], point)
+
+
+def test_variable_alone_evaluates_to_the_point_coordinate():
+    point = (Fraction(1, 3), 2.5, 7, -0.0)
+    for i, h in enumerate(sf._VARS):
+        assert h.evaluate(point) is point[i]
+    values = sf.evaluator([sf.H3, sf.H1, sf.H3])(point)
+    assert values[0] is point[3] and values[1] is point[1] and values[2] is point[3]
 
 
 @pytest.mark.parametrize("op", ["-", "*", "+", "/"])
@@ -353,6 +410,30 @@ def test_parse_caps_tree_height_not_just_open_nesting():
     assert sf.parse("sqrt(" * 60 + "h0" + ")" * 60 + "+h0" * 40) is not None
     with pytest.raises(sf.ParseError, match="nesting deeper than"):
         sf.parse("(" * 50 + "h0" + "+h0" * 100 + ")" * 50 + "^2")
+
+
+def _balanced(nodes):
+    """Text of exactly `nodes` nodes (h0 and + only, unary - for an even
+    count), shallow enough for the nesting cap."""
+    if nodes % 2 == 0:
+        return "-(" + _balanced(nodes - 1) + ")"
+    if nodes == 1:
+        return "h0"
+    leaves = (nodes + 1) // 2
+    left = leaves // 2
+    return "(" + _balanced(2 * left - 1) + "+" + _balanced(2 * (leaves - left) - 1) + ")"
+
+
+def test_parse_node_cap():
+    cap = sf.MAX_NODES
+    for nodes in (cap - 1, cap):
+        assert sf.parse(_balanced(nodes)) is not None
+    text = "\n" + _balanced(cap + 1)
+    with pytest.raises(sf.ParseError, match=f"more than {cap} nodes") as err:
+        sf.parse(text)
+    # at the node past the cap: every token but a parenthesis is a node
+    past = [m.start() for m in re.finditer(r"h0|[-+]", text)][cap]
+    assert (err.value.line, err.value.col) == (2, past)
 
 
 def test_parse_exponent_cap():
