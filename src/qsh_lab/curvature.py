@@ -70,9 +70,6 @@ class CurvParams:
     def free(kappa, c1, c2) -> "CurvParams":
         return CurvParams(kappa=Fraction(kappa), c1=Fraction(c1), c2=Fraction(c2))
 
-    def is_pinned(self, n: int) -> bool:
-        return self.c1 == 2 * self.kappa and self.c2 == n * self.kappa
-
 
 def _as_element(model: FlatModel, basis: LieBasis, a) -> LieElement:
     if isinstance(a, LieElement):

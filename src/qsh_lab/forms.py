@@ -39,11 +39,13 @@ where a field raises ZeroDivisionError or ValueError is redrawn, up to
 MAX_DRAWS draws per trial; when they run out it raises SamplingError
 with the evaluated and rejected counts and the rejections by exception
 type, so no verdict rests on zero points.  OverflowError is not a
-rejection and propagates.
+rejection and propagates.  The suites decide every sampled identity
+through `equal` or `is_zero_form` alone.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
@@ -437,8 +439,13 @@ def maurer_cartan_components(h: Quaternion):
     return [[cols[b].components()[i] for b in range(4)] for i in range(4)]
 
 
+@functools.cache
+def _theta_evaluator():
+    return sf.evaluator([THETA_IN_DH[i].coefficient((b,)) for i in range(4)
+                         for b in range(4)])
+
+
 def theta_components_at(h: Quaternion):
     """The same matrix from the closed coframe formulas, exactly."""
-    values = sf.evaluator([THETA_IN_DH[i].coefficient((b,)) for i in range(4)
-                           for b in range(4)])(h.components())
+    values = _theta_evaluator()(h.components())
     return [list(values[4 * i:4 * i + 4]) for i in range(4)]

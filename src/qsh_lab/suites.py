@@ -73,6 +73,20 @@ def _run(suite: str, name: str, anchor: str, fn) -> CheckResult:
                        wall_time=time.perf_counter() - start)
 
 
+def _verdict(reports, detail: str = ""):
+    """The check result of a run of sampled identities: the first
+    (EqualityReport, failure detail) pair whose report is not equal fails
+    the check with its residual, witness and detail; else the check
+    passes with the worst residual and `detail`.  `reports` is lazy, so
+    nothing after a failure is built or draws from the rng."""
+    worst = 0.0
+    for rep, failure in reports:
+        if not rep.equal:
+            return False, rep.max_residual, rep.witness, failure
+        worst = max(worst, rep.max_residual)
+    return True, worst, None, detail
+
+
 def _residual_of(value) -> float:
     return float(abs(value))
 
@@ -507,10 +521,9 @@ def _curvature_checks_at(ctx: SuiteContext, n: int):
                     "R is antisymmetric, g-valued, and vanishes for A = 0",
                     tensor_wellformed))
 
-    def ricci_so_star():
+    def ricci_part(elements, coef):
         worst = Fraction(0)
-        coef = Fraction(2 * (n + 2)) * ctx.kappa
-        for el in basis.so_basis:
+        for el in elements:
             tensor = curv.curvature_of(m, basis, el, params)
             ric = curv.ricci_of(m, tensor)
             target = curv.omega_pairing(m, el.matrix) * coef
@@ -519,20 +532,11 @@ def _curvature_checks_at(ctx: SuiteContext, n: int):
     out.append(_run("curvature", f"ricci-commuting-part[n={n}]",
                     "Ric_A = 2(n+2) k omega0(A., .) for every commuting-part "
                     "basis element",
-                    ricci_so_star))
-
-    def ricci_sp1():
-        worst = Fraction(0)
-        coef = Fraction(4 * n) * ctx.kappa
-        for el in basis.sp_basis:
-            tensor = curv.curvature_of(m, basis, el, params)
-            ric = curv.ricci_of(m, tensor)
-            target = curv.omega_pairing(m, el.matrix) * coef
-            worst = max(worst, (ric - target).max_abs())
-        return worst == 0, _residual_of(worst), None, f"coefficient {coef}"
+                    lambda: ricci_part(basis.so_basis,
+                                       Fraction(2 * (n + 2)) * ctx.kappa)))
     out.append(_run("curvature", f"ricci-sp1-part[n={n}]",
                     "Ric_A = 4n k omega0(A., .) for A in {J1, J2, J3}",
-                    ricci_sp1))
+                    lambda: ricci_part(basis.sp_basis, Fraction(4 * n) * ctx.kappa)))
 
     def ricci_closed_form():
         rng = ctx.rng("curvature", f"ricci-closed{n}")
@@ -649,15 +653,10 @@ def run_fiber_suite(ctx: SuiteContext):
 
     def structure_equations():
         rng = ctx.rng("fiber", "structure")
-        worst = 0.0
-        for a in (1, 2, 3):
-            lhs = forms.d(forms.ALPHA_IN_DH[a])
-            rhs = forms.to_dh(forms.structure_dalpha(a))
-            rep = forms.equal(lhs, rhs, trials=ctx.trials, tolerance=tol, rng=rng)
-            worst = max(worst, rep.max_residual)
-            if not rep.equal:
-                return False, rep.max_residual, rep.witness, f"a = {a}"
-        return True, worst, None, ""
+        return _verdict((forms.equal(forms.d(forms.ALPHA_IN_DH[a]),
+                                     forms.to_dh(forms.structure_dalpha(a)),
+                                     trials=ctx.trials, tolerance=tol, rng=rng),
+                         f"a = {a}") for a in (1, 2, 3))
     out.append(_run("fiber", "structure-equations",
                     "d a_a = -t a0 ^ a_a - 2t a_b ^ a_c on the trivial fiber",
                     structure_equations))
@@ -697,19 +696,14 @@ def run_fiber_suite(ctx: SuiteContext):
 
     def dbeta_two_paths():
         rng = ctx.rng("fiber", "dbeta-paths")
-        worst = 0.0
-        for a in (1, 2, 3):
-            form = swann.beta_basis_form(a)
-            structural = forms.d_via_structure(form)
-            if not structural.is_structurally_zero():
+        betas = [swann.beta_basis_form(a) for a in (1, 2, 3)]
+        for a, beta in enumerate(betas, 1):
+            if not forms.d_via_structure(beta).is_structurally_zero():
                 return False, None, {"a": a}, "structure path not exactly zero"
-            direct = forms.d(forms.to_dh(form))
-            rep = forms.is_zero_form(direct, trials=ctx.trials, tolerance=tol,
-                                     rng=rng)
-            worst = max(worst, rep.max_residual)
-            if not rep.equal:
-                return False, rep.max_residual, rep.witness, f"a = {a}"
-        return True, worst, None, "structure path exact, coordinate path sampled"
+        return _verdict(((forms.is_zero_form(forms.d(forms.to_dh(beta)),
+                                             trials=ctx.trials, tolerance=tol, rng=rng),
+                          f"a = {a}") for a, beta in enumerate(betas, 1)),
+                        "structure path exact, coordinate path sampled")
     out.append(_run("fiber", "dbeta-trivial-fiber-two-paths",
                     "d beta_a = 0 on the trivial fiber via the structure "
                     "equations and via the coordinate expansion",
@@ -722,49 +716,42 @@ def run_fiber_suite(ctx: SuiteContext):
                        for j in range(4)] for i in range(4)]
         det = _det4(sub_matrix)
         want = forms.VerticalForm(forms.DH, 4, {(0, 1, 2, 3): det})
-        rep = forms.equal(top, want, trials=ctx.trials, tolerance=tol, rng=rng)
-        if not rep.equal:
-            return False, rep.max_residual, rep.witness, ""
-        # determinant of the unscaled matrix is t^4
-        detM = _det4([[forms.COFRAME_MATRIX[i][j] for j in range(4)]
-                      for i in range(4)])
-        worst = rep.max_residual
-        oracle = sf.sub(detM, sf.pow_(forms.T2, 2))
-        for _, (v,) in forms.sample((oracle,), 50, rng):
-            worst = max(worst, abs(v))
-        return worst <= tol, worst, None, "cofactor-expansion oracle"
+
+        def reports():
+            yield forms.equal(top, want, trials=ctx.trials, tolerance=tol, rng=rng), ""
+            # determinant of the unscaled matrix is t^4
+            detM = _det4([[forms.COFRAME_MATRIX[i][j] for j in range(4)]
+                          for i in range(4)])
+            oracle = forms.scalar_form(sf.sub(detM, sf.pow_(forms.T2, 2)))
+            yield (forms.is_zero_form(oracle, trials=50, tolerance=tol, rng=rng),
+                   "cofactor-expansion oracle")
+        return _verdict(reports(), "cofactor-expansion oracle")
     out.append(_run("fiber", "top-form-determinant",
                     "a0^a1^a2^a3 has DH coefficient det(substitution) = t^-8",
                     top_form))
 
     def random_form_laws():
         rng = ctx.rng("fiber", "form-laws")
-        worst = 0.0
-        for _ in range(10):
-            p = rng.randrange(0, 3)
-            u = _random_dh_form(rng, p)
-            rep = forms.is_zero_form(forms.d(forms.d(u)), trials=20,
-                                     tolerance=tol, rng=rng)
-            if not rep.equal:
-                return False, rep.max_residual, rep.witness, "d^2 != 0"
-            worst = max(worst, rep.max_residual)
-            q = rng.randrange(0, 4 - p)
-            v = _random_dh_form(rng, q)
-            lhs = forms.d(forms.wedge(u, v))
-            rhs = forms.add(forms.wedge(forms.d(u), v),
-                            forms.scale(sf.const((-1) ** p),
-                                        forms.wedge(u, forms.d(v))))
-            rep = forms.equal(lhs, rhs, trials=20, tolerance=tol, rng=rng)
-            if not rep.equal:
-                return False, rep.max_residual, rep.witness, "Leibniz failed"
-            worst = max(worst, rep.max_residual)
-            uv = forms.wedge(u, v)
-            vu = forms.scale(sf.const((-1) ** (p * q)), forms.wedge(v, u))
-            rep = forms.equal(uv, vu, trials=10, tolerance=tol, rng=rng)
-            if not rep.equal:
-                return False, rep.max_residual, rep.witness, "anticommutativity"
-            worst = max(worst, rep.max_residual)
-        return True, worst, None, ""
+
+        def reports():
+            for _ in range(10):
+                p = rng.randrange(0, 3)
+                u = _random_dh_form(rng, p)
+                yield (forms.is_zero_form(forms.d(forms.d(u)), trials=20,
+                                          tolerance=tol, rng=rng), "d^2 != 0")
+                q = rng.randrange(0, 4 - p)
+                v = _random_dh_form(rng, q)
+                lhs = forms.d(forms.wedge(u, v))
+                rhs = forms.add(forms.wedge(forms.d(u), v),
+                                forms.scale(sf.const((-1) ** p),
+                                            forms.wedge(u, forms.d(v))))
+                yield (forms.equal(lhs, rhs, trials=20, tolerance=tol, rng=rng),
+                       "Leibniz failed")
+                uv = forms.wedge(u, v)
+                vu = forms.scale(sf.const((-1) ** (p * q)), forms.wedge(v, u))
+                yield (forms.equal(uv, vu, trials=10, tolerance=tol, rng=rng),
+                       "anticommutativity")
+        return _verdict(reports())
     out.append(_run("fiber", "exterior-algebra-laws",
                     "d^2 = 0, the graded Leibniz rule, and graded "
                     "anticommutativity on random forms",
@@ -772,21 +759,19 @@ def run_fiber_suite(ctx: SuiteContext):
 
     def dbeta_general_f():
         rng = ctx.rng("fiber", "dbeta-general")
-        worst = 0.0
-        for _ in range(5):
-            f_fields = tuple(_random_field(rng) for _ in range(3))
-            beta = swann.BetaForm(f=f_fields).form()
-            lhs = forms.d(forms.to_dh(beta))
-            rhs = forms.zero_form(3, forms.DH)
-            for a in (1, 2, 3):
-                df = forms.d(forms.scalar_form(f_fields[a - 1]))
-                rhs = forms.add(rhs, forms.wedge(
-                    df, forms.to_dh(swann.beta_basis_form(a))))
-            rep = forms.equal(lhs, rhs, trials=30, tolerance=tol, rng=rng)
-            if not rep.equal:
-                return False, rep.max_residual, rep.witness, ""
-            worst = max(worst, rep.max_residual)
-        return True, worst, None, ""
+
+        def reports():
+            for _ in range(5):
+                f_fields = tuple(_random_field(rng) for _ in range(3))
+                beta = swann.BetaForm(f=f_fields).form()
+                lhs = forms.d(forms.to_dh(beta))
+                rhs = forms.zero_form(3, forms.DH)
+                for a in (1, 2, 3):
+                    df = forms.d(forms.scalar_form(f_fields[a - 1]))
+                    rhs = forms.add(rhs, forms.wedge(
+                        df, forms.to_dh(swann.beta_basis_form(a))))
+                yield forms.equal(lhs, rhs, trials=30, tolerance=tol, rng=rng), ""
+        return _verdict(reports())
     out.append(_run("fiber", "dbeta-general-coefficients",
                     "d(sum f_a beta_a) = sum df_a ^ beta_a on the trivial "
                     "fiber for arbitrary coefficient fields",
@@ -835,16 +820,11 @@ def run_flat_suite(ctx: SuiteContext):
 
     def pde_dbeta_equivalence():
         rng = ctx.rng("flat", "pde-dbeta")
-        worst = 0.0
-        for _ in range(10):
-            solution = swann.FlatSolution(F=tuple(_random_field(rng)
-                                                  for _ in range(3)))
-            rep = swann.dbeta_equals_pde(solution, trials=30, tolerance=tol,
-                                         rng=rng)
-            if not rep.equal:
-                return False, rep.max_residual, rep.witness, ""
-            worst = max(worst, rep.max_residual)
-        return True, worst, None, "10 random coefficient triples"
+        solutions = (swann.FlatSolution(F=tuple(_random_field(rng) for _ in range(3)))
+                     for _ in range(10))
+        reports = (swann.dbeta_equals_pde(s, trials=30, tolerance=tol, rng=rng)
+                   for s in solutions)
+        return _verdict(((rep, "") for rep in reports), "10 random coefficient triples")
     out.append(_run("flat", "pde-dbeta-equivalence",
                     "the 3-form coefficients of d beta are exactly the four "
                     "first-order residuals (documented sign table)",
@@ -896,17 +876,14 @@ def run_flat_suite(ctx: SuiteContext):
 
     def family_cross_representation():
         rng = ctx.rng("flat", "family-cross")
-        worst = 0.0
-        for _ in range(5):
-            k = _random_constants(rng)
-            solution = swann.explicit_solution_family(k)
-            frame = swann.BetaForm(f=swann.f_from_F(solution)).form()
-            rep = forms.equal(forms.to_dh(frame), swann.beta_of_F(solution),
-                              trials=40, tolerance=1e-8, rng=rng)
-            if not rep.equal:
-                return False, rep.max_residual, rep.witness, ""
-            worst = max(worst, rep.max_residual)
-        return True, worst, None, ""
+
+        def reports():
+            for _ in range(5):
+                solution = swann.explicit_solution_family(_random_constants(rng))
+                frame = swann.BetaForm(f=swann.f_from_F(solution)).form()
+                yield forms.equal(forms.to_dh(frame), swann.beta_of_F(solution),
+                                  trials=40, tolerance=1e-8, rng=rng), ""
+        return _verdict(reports())
     out.append(_run("flat", "family-cross-representation",
                     "sum_a f_a(F, h) beta_a and the coordinate presentation "
                     "of beta agree as forms",
@@ -1043,16 +1020,11 @@ def run_symspace_suite(ctx: SuiteContext):
 
     def primitive():
         rng = ctx.rng("symspace", "primitive")
-        worst = 0.0
-        for _ in range(10):
-            params = _random_symspace_params(rng)
-            rep = swann.symspace_primitive_check(params, trials=ctx.trials,
-                                                 tolerance=1e-8, rng=rng)
-            if not rep.equal:
-                return False, rep.max_residual, rep.witness, \
-                    f"params {params}"
-            worst = max(worst, rep.max_residual)
-        return True, worst, None, "10 random parameter sets"
+        param_sets = (_random_symspace_params(rng) for _ in range(10))
+        return _verdict(((swann.symspace_primitive_check(p, trials=ctx.trials,
+                                                         tolerance=1e-8, rng=rng),
+                          f"params {p}") for p in param_sets),
+                        "10 random parameter sets")
     out.append(_run("symspace", "primitive-df-equals-tau",
                     "the logarithmic differential of the closed-form "
                     "exp(f) equals the curvature-coefficient 1-form tau",

@@ -243,40 +243,25 @@ class TorsionClass:
     degenerate: bool = False  # beta identically zero
 
 
-def _is_constant_field(f: sf.Field, trials: int, tolerance: float,
-                       rng: random.Random) -> bool:
-    if not f.free_vars():
-        return True
-    grads = sf.gradient(f)
-    if all(sf.is_zero(g) for g in grads):
-        return True
-    return all(abs(v) <= tolerance
-               for _, values in forms.sample(grads, trials, rng) for v in values)
-
-
-def _is_zero_field(f: sf.Field, trials: int, tolerance: float,
-                   rng: random.Random) -> bool:
-    if sf.is_const(f):
-        return f.value == 0
-    return all(abs(v) <= tolerance
-               for _, (v,) in forms.sample((f,), trials, rng))
-
-
 def torsion_type(solution: FlatSolution, trials: int = 100,
                  tolerance: float = 1e-10, rng: random.Random = None) -> TorsionClass:
-    """Classify a closed beta: torsion-free iff every F_a is constant,
-    else the closed-but-nonconstant class X57.  Rejects non-closed input
+    """Classify a closed beta: torsion-free iff every F_a is constant
+    (dF_a = 0), else the closed-but-nonconstant class X57.  Each question
+    is one forms.is_zero_form identity test.  Rejects non-closed input
     with ValueError; raises forms.SamplingError when the sampled points
     cannot be evaluated."""
     rng = rng or random.Random(0)
+
+    def zero(u: forms.VerticalForm) -> bool:
+        return forms.is_zero_form(u, trials=trials, tolerance=tolerance, rng=rng).equal
+
     for i, res in enumerate(pde_residuals(solution)):
-        if not _is_zero_field(res, trials, tolerance, rng):
+        if not zero(forms.scalar_form(res)):
             raise ValueError(f"input is not closed (residual {i + 1} is nonzero); "
                              "classification applies to closed forms only")
-    constant = all(_is_constant_field(f, trials, tolerance, rng)
-                   for f in solution.F)
-    degenerate = all(_is_zero_field(f, trials, tolerance, rng)
-                     for f in solution.F)
+    constant = all(zero(forms.d(forms.scalar_form(f))) for f in solution.F)
+    # a nonconstant field is not zero, so only a constant beta can vanish
+    degenerate = constant and all(zero(forms.scalar_form(f)) for f in solution.F)
     return TorsionClass(kind="torsion-free" if constant else "X57",
                         degenerate=degenerate)
 
@@ -303,19 +288,11 @@ class SymSpaceParams:
 
 
 def symspace_r(params: SymSpaceParams, h: Quaternion):
-    """The adjoint-orbit coefficients at a fiber point:
-    r1 = -(c/2n)(h0^2+h1^2-h2^2-h3^2)/t^2,
-    r2 =  (c/2n)*2(h0 h3 - h1 h2)/t^2,
-    r3 = -(c/2n)*2(h0 h2 + h1 h3)/t^2."""
+    """The adjoint-orbit coefficients (r1, r2, r3) at a fiber point: the
+    fields of symspace_r_fields evaluated there, exact at a rational h."""
     if h.is_zero():
         raise ValueError("the fiber excludes h = 0")
-    h0, h1, h2, h3 = h.components()
-    t2 = h.norm2()
-    k = Fraction(params.c, 2 * params.n)
-    r1 = -k * (h0 ** 2 + h1 ** 2 - h2 ** 2 - h3 ** 2) / t2
-    r2 = k * 2 * (h0 * h3 - h1 * h2) / t2
-    r3 = -k * 2 * (h0 * h2 + h1 * h3) / t2
-    return (r1, r2, r3)
+    return sf.evaluator(symspace_r_fields(params))(h.components())
 
 
 def symspace_r_oracle(params: SymSpaceParams, h: Quaternion):
@@ -330,7 +307,12 @@ def symspace_r_oracle(params: SymSpaceParams, h: Quaternion):
 
 
 def symspace_r_fields(params: SymSpaceParams):
-    """r1, r2, r3 as ScalarFields on the fiber."""
+    """The adjoint-orbit coefficients as ScalarFields on the fiber:
+
+        r1 = -(c/2n)(h0^2+h1^2-h2^2-h3^2)/t^2,
+        r2 =  (c/2n)*2(h0 h3 - h1 h2)/t^2,
+        r3 = -(c/2n)*2(h0 h2 + h1 h3)/t^2.
+    """
     h0, h1, h2, h3 = sf.H0, sf.H1, sf.H2, sf.H3
     sq = lambda v: sf.pow_(v, 2)
     k = sf.const(Fraction(params.c, 2 * params.n))

@@ -42,7 +42,6 @@ def test_params_validation():
         curv.CurvParams.pinned(0, 2)
     p = curv.CurvParams.pinned(Fraction(3, 2), 3)
     assert (p.c1, p.c2) == (3, Fraction(9, 2))
-    assert p.is_pinned(3) and not p.is_pinned(2)
 
 
 def test_zero_element_gives_zero_tensor(model2, basis2, pinned2):

@@ -193,6 +193,27 @@ def test_torsion_type_sees_through_disguised_constants():
     assert result.kind == "torsion-free"
 
 
+def test_torsion_type_decides_a_sampled_constant():
+    # sin^2 + cos^2 folds to nothing, so closedness, constancy and
+    # degeneracy are each decided at sampled points
+    F1 = sf.parse("sin(h1)^2 + cos(h1)^2")
+    assert not sf.is_const(F1) and not sf.is_const(F1.diff(1))
+    result = swann.torsion_type(swann.FlatSolution(F=(F1, sf.ZERO, sf.ZERO)),
+                                rng=_rng())
+    assert result == swann.TorsionClass(kind="torsion-free", degenerate=False)
+
+
+def test_torsion_type_of_a_family_member():
+    k = swann.SolutionConstants(
+        C1=Fraction(1), C2=Fraction(2), C3=Fraction(-1), C4=Fraction(1),
+        C5=Fraction(3, 2), C6=Fraction(-2), C7=Fraction(1), C8=Fraction(2),
+        C9=Fraction(1), C10=Fraction(-1), s1=Fraction(1, 2), s2=Fraction(1),
+        s3=Fraction(1, 2), C14=Fraction(1))
+    result = swann.torsion_type(swann.explicit_solution_family(k),
+                                tolerance=1e-8, rng=_rng())
+    assert result == swann.TorsionClass(kind="X57", degenerate=False)
+
+
 def test_symspace_r_matches_oracle():
     rng = _rng()
     for _ in range(50):
