@@ -46,6 +46,7 @@ through `equal` or `is_zero_form` alone.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
@@ -415,7 +416,8 @@ def equal(u: VerticalForm, v: VerticalForm, trials: int = 100,
     worst = 0.0
     witness = None
     for point, values in sample(deltas, trials, rng or random.Random(0), rational):
-        residual = max(abs(v) for v in values)
+        # a nan value is no agreement: it counts as an infinite residual
+        residual = max(abs(v) if v == v else math.inf for v in values)
         if residual > worst:
             worst = residual
             witness = point

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from qsh_lab import matrices as mat
 from qsh_lab.matrices import QArray
 from qsh_lab.quaternion import Quaternion
 
@@ -152,8 +151,3 @@ def rotation_matrix(q: Quaternion) -> QArray:
         assert w.h0 == 0
         cols.append(w.imag_components())
     return QArray.of(cols).T
-
-
-def signature(model: FlatModel, bilinear_matrix):
-    """Signature of a symmetric bilinear form, exactly."""
-    return mat.signature_symmetric(bilinear_matrix)

@@ -358,10 +358,6 @@ _VARS = tuple(Var(i) for i in range(4))
 H0, H1, H2, H3 = _VARS
 
 
-def gradient(f: Field):
-    return tuple(f.diff(i) for i in range(4))
-
-
 def constant_value(f: Field):
     """The literal value when the tree folded to a constant, else None."""
     return f.value if isinstance(f, Const) else None

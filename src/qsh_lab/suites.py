@@ -7,6 +7,9 @@ acceptance tests call the same functions with pinned parameters.
 
 Checks derive their randomness from the run seed, the suite name and
 the check name, so reports are reproducible bit-for-bit.
+
+Exact identities over Q are decided by `_exact`, sampled ones by
+`_verdict`.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from qsh_lab import scalarfield as sf
 from qsh_lab import swann
 from qsh_lab.linmodel import (FlatModel, build_flat_model, fundamental_4tensor,
                               qsh_form, qsh_form_matrix, rotation_matrix,
-                              signature, sp1_conjugate_frame)
+                              sp1_conjugate_frame)
 from qsh_lab.matrices import QArray
 from qsh_lab.quaternion import Quaternion
 from qsh_lab.report import CheckResult
@@ -87,8 +90,14 @@ def _verdict(reports, detail: str = ""):
     return True, worst, None, detail
 
 
-def _residual_of(value) -> float:
-    return float(abs(value))
+def _exact(diffs, detail: str = ""):
+    """The check result of a run of exact identities over Q: it passes iff
+    every item of `diffs` (a Fraction or a QArray) is 0, with the largest
+    |entry| as its residual.  Every item is read, so a failing check makes
+    the same rng draws as a passing one and records its worst residual."""
+    worst = max((d.max_abs() if isinstance(d, QArray) else abs(d) for d in diffs),
+                default=Fraction(0))
+    return worst == 0, float(worst), None, detail
 
 
 def _rational_vector(rng: random.Random, dim: int) -> QArray:
@@ -119,39 +128,37 @@ def run_model_suite(ctx: SuiteContext):
         ident = QArray.eye(dim)
 
         def quaternionic_identity():
-            worst = max((Ja @ Ja + ident).max_abs() for Ja in m.J)
-            worst = max(worst, (m.J[0] @ m.J[1] @ m.J[2] + ident).max_abs())
-            return worst == 0, _residual_of(worst), None, ""
+            yield from (Ja @ Ja + ident for Ja in m.J)
+            yield m.J[0] @ m.J[1] @ m.J[2] + ident
         out.append(_run("model", f"quaternionic-identity[n={n}]",
                         "J1^2 = J2^2 = J3^2 = J1 J2 J3 = -Id, exactly",
-                        quaternionic_identity))
+                        lambda: _exact(quaternionic_identity())))
 
         def omega_skew():
             skew = (m.omega + m.omega.T).max_abs()
             rk = mat.rank(m.omega)
             ok = skew == 0 and rk == dim
-            return ok, _residual_of(skew), None if ok else {"rank": rk}, f"rank {rk}"
+            return ok, float(skew), None if ok else {"rank": rk}, f"rank {rk}"
         out.append(_run("model", f"omega-skew-nondegenerate[n={n}]",
                         "omega0 is skew with full rank 4n",
                         omega_skew))
 
         def omega_hermitian():
-            worst = (m.J.T @ m.omega @ m.J - m.omega).max_abs()
-            return worst == 0, _residual_of(worst), None, ""
+            yield m.J.T @ m.omega @ m.J - m.omega
         out.append(_run("model", f"omega-hermitian[n={n}]",
                         "omega0(J_a x, J_a y) = omega0(x, y) for a = 1, 2, 3",
-                        omega_hermitian))
+                        lambda: _exact(omega_hermitian())))
 
         def metric_compatibility():
-            worst = max((m.g - m.g.T).max_abs(), (m.g - m.omega @ m.J).max_abs(),
-                        (m.J.T @ m.g @ m.J - m.g).max_abs())
-            return worst == 0, _residual_of(worst), None, ""
+            yield m.g - m.g.T
+            yield m.g - m.omega @ m.J
+            yield m.J.T @ m.g @ m.J - m.g
         out.append(_run("model", f"metric-compatibility[n={n}]",
                         "g_a = omega0(., J_a .), symmetric and J_a-Hermitian",
-                        metric_compatibility))
+                        lambda: _exact(metric_compatibility())))
 
         def metric_signature():
-            sigs = [signature(m, ga) for ga in m.g]
+            sigs = [mat.signature_symmetric(ga) for ga in m.g]
             ok = all(s == (2 * n, 2 * n, 0) for s in sigs)
             return ok, None, None if ok else {"signatures": sigs}, f"signatures {sigs}"
         out.append(_run("model", f"metric-signature[n={n}]",
@@ -174,7 +181,6 @@ def run_model_suite(ctx: SuiteContext):
 
         def qsh_reconstruction():
             rng = ctx.rng("model", f"qsh-reconstruction{n}")
-            worst = Fraction(0)
             for _ in range(min(ctx.trials, 25)):
                 x = _rational_vector(rng, dim)
                 y = _rational_vector(rng, dim)
@@ -182,69 +188,62 @@ def run_model_suite(ctx: SuiteContext):
                 direct = qsh_form_matrix(m, x, y) @ z
                 scalar, sp1 = qsh_form(m, x, y)
                 recon = z * scalar + sum(c * (Ja @ z) for c, Ja in zip(sp1, m.J))
-                worst = max(worst, (direct - recon).max_abs())
-            return worst == 0, _residual_of(worst), None, ""
+                yield direct - recon
         out.append(_run("model", f"qsh-reconstruction[n={n}]",
                         "h(x,y)z = omega0(x,y) z + sum_a g_a(x,y) J_a z, "
                         "rebuilt from the scalar/sp1 output",
-                        qsh_reconstruction))
+                        lambda: _exact(qsh_reconstruction())))
 
         def qsh_special_values():
             rng = ctx.rng("model", f"qsh-special{n}")
-            worst = Fraction(0)
             for _ in range(10):
                 x = _rational_vector(rng, dim)
                 scalar, _ = qsh_form(m, x, x)
-                worst = max(worst, abs(scalar))
+                yield scalar
             e1 = m.basis_vector(0)
             j1e1 = m.apply_J(1, e1)
             _, sp1 = qsh_form(m, e1, j1e1)
-            worst = max(worst, abs(sp1[0]))
-            return worst == 0, _residual_of(worst), None, ""
+            yield sp1[0]
         out.append(_run("model", f"qsh-special-values[n={n}]",
                         "scalar part vanishes on the diagonal; "
                         "g_1(e1, J_1 e1) = -omega0(e1, e1) = 0",
-                        qsh_special_values))
+                        lambda: _exact(qsh_special_values())))
 
         def phi_identity():
             rng = ctx.rng("model", f"phi{n}")
-            worst = Fraction(0)
             for _ in range(min(ctx.trials, 20)):
                 x, y, z, w = (_rational_vector(rng, dim) for _ in range(4))
                 phi = fundamental_4tensor(m, x, y, z, w)
-                worst = max(worst, abs(phi - fundamental_4tensor(m, y, x, z, w)))
-                worst = max(worst, abs(phi - fundamental_4tensor(m, z, w, x, y)))
+                yield phi - fundamental_4tensor(m, y, x, z, w)
+                yield phi - fundamental_4tensor(m, z, w, x, y)
                 _, sp1_zw = qsh_form(m, z, w)
                 imh_y = sum(c * (Ja @ y) for c, Ja in zip(sp1_zw, m.J))
-                worst = max(worst, abs(phi - m.omega_of(x, imh_y)))
-            return worst == 0, _residual_of(worst), None, ""
+                yield phi - m.omega_of(x, imh_y)
         out.append(_run("model", f"phi-identity[n={n}]",
                         "Phi = sum_a g_a (x) g_a agrees with omega0(., Im(h) .) "
                         "and is pair-symmetric",
-                        phi_identity))
+                        lambda: _exact(phi_identity())))
 
         def frame_rotation():
             rng = ctx.rng("model", f"frame{n}")
-            worst = Fraction(0)
             for _ in range(5):
                 q = _unit_quaternion(rng)
                 rotated = sp1_conjugate_frame(m, q)
                 prod = rotated[0] @ rotated[1] @ rotated[2]
-                worst = max(worst, (prod + ident).max_abs())
+                yield prod + ident
                 r3 = rotation_matrix(q)
-                worst = max(worst, (r3.T @ r3 - QArray.eye(3)).max_abs())
+                yield r3.T @ r3 - QArray.eye(3)
                 x = _rational_vector(rng, dim)
                 y = _rational_vector(rng, dim)
                 _, sp1 = qsh_form(m, x, y)
                 for a in range(3):
                     rotated_ga = x @ (m.omega @ rotated[a]) @ y
                     expected = sum(r3[b, a] * sp1[b] for b in range(3))
-                    worst = max(worst, abs(rotated_ga - expected))
-            return worst == 0, _residual_of(worst), None, ""
+                    yield rotated_ga - expected
         out.append(_run("model", f"frame-rotation-covariance[n={n}]",
                         "rotated frames stay admissible, the rotation is exactly "
                         "orthogonal, and the sp1 part of h rotates covariantly",
-                        frame_rotation))
+                        lambda: _exact(frame_rotation())))
     return out
 
 
@@ -269,18 +268,16 @@ def run_liealg_suite(ctx: SuiteContext):
 
         def defining_equations():
             basis = ctx.basis(n)
-            worst = Fraction(0)
             for el in basis.so_basis:
-                worst = max(worst, liealg.commutation_defect(m, el.matrix))
-                worst = max(worst, liealg.symplectic_defect(m, el.matrix).max_abs())
-                worst = max(worst, abs(el.matrix.trace()))
+                yield liealg.commutation_defect(m, el.matrix)
+                yield liealg.symplectic_defect(m, el.matrix)
+                yield el.matrix.trace()
                 for Ja in m.J:
-                    worst = max(worst, abs((Ja @ el.matrix).trace()))
-            return worst == 0, _residual_of(worst), None, ""
+                    yield (Ja @ el.matrix).trace()
         out.append(_run("liealg", f"basis-defining-equations[n={n}]",
                         "every basis element commutes with J_a, is omega0-skew, "
                         "traceless, and Tr(J_a B) = 0",
-                        defining_equations))
+                        lambda: _exact(defining_equations())))
 
         def decompose_roundtrip():
             basis = ctx.basis(n)
@@ -312,59 +309,52 @@ def run_liealg_suite(ctx: SuiteContext):
 
         def projection_targets():
             rng = ctx.rng("liealg", f"proj-targets{n}")
-            worst = Fraction(0)
             for _ in range(5):
                 x = _rational_vector(rng, dim)
                 y = _rational_vector(rng, dim)
                 p = liealg.project_ZQ(m, x, y)
-                worst = max(worst, liealg.commutation_defect(m, p))
+                yield liealg.commutation_defect(m, p)
                 q = liealg.project_Q(m, x, y)
-                worst = max(worst, (q - liealg.project_Q_operator(m, q)).max_abs())
-            return worst == 0, _residual_of(worst), None, ""
+                yield q - liealg.project_Q_operator(m, q)
         out.append(_run("liealg", f"projection-targets[n={n}]",
                         "project_ZQ lands in the centralizer; project_Q lands "
                         "in span{J_a}",
-                        projection_targets))
+                        lambda: _exact(projection_targets())))
 
         def projection_frame_independence():
             rng = ctx.rng("liealg", f"proj-frames{n}")
-            worst = Fraction(0)
             for _ in range(5):
                 q = _unit_quaternion(rng)
                 frame = sp1_conjugate_frame(m, q)
                 x = _rational_vector(rng, dim)
                 y = _rational_vector(rng, dim)
-                worst = max(worst, (liealg.project_ZQ(m, x, y)
-                                    - liealg.project_ZQ(m, x, y, frame=frame)).max_abs())
-                worst = max(worst, (liealg.project_Q(m, x, y)
-                                    - liealg.project_Q(m, x, y, frame=frame)).max_abs())
-            return worst == 0, _residual_of(worst), None, ""
+                yield (liealg.project_ZQ(m, x, y)
+                       - liealg.project_ZQ(m, x, y, frame=frame))
+                yield (liealg.project_Q(m, x, y)
+                       - liealg.project_Q(m, x, y, frame=frame))
         out.append(_run("liealg", f"projection-frame-independence[n={n}]",
                         "both projections are unchanged under admissible "
                         "frame rotations",
-                        projection_frame_independence))
+                        lambda: _exact(projection_frame_independence())))
 
         def projection_idempotence():
             basis = ctx.basis(n)
-            worst = Fraction(0)
             zq_members = [QArray.eye(dim)] + [el.matrix for el in basis.so_basis[:3]]
             for t in zq_members:
-                worst = max(worst, (liealg.project_ZQ_operator(m, t) - t).max_abs())
-                worst = max(worst, liealg.project_Q_operator(m, t).max_abs())
+                yield liealg.project_ZQ_operator(m, t) - t
+                yield liealg.project_Q_operator(m, t)
             for Ja in m.J:
-                worst = max(worst, (liealg.project_Q_operator(m, Ja) - Ja).max_abs())
-                worst = max(worst, liealg.project_ZQ_operator(m, Ja).max_abs())
-            return worst == 0, _residual_of(worst), None, ""
+                yield liealg.project_Q_operator(m, Ja) - Ja
+                yield liealg.project_ZQ_operator(m, Ja)
         out.append(_run("liealg", f"projection-idempotence[n={n}]",
                         "projections fix their targets and kill each other's "
                         "(centralizer meets span{J_a} trivially for n > 1)",
-                        projection_idempotence))
+                        lambda: _exact(projection_idempotence())))
 
         def projection_oracle():
             rng = ctx.rng("liealg", f"proj-oracle{n}")
             zq = liealg.centralizer_basis(m).reshape(-1, dim * dim)
             gram = zq @ zq.T
-            worst = Fraction(0)
             cases = [(m.basis_vector(0), m.basis_vector(0))]
             for _ in range(2):
                 cases.append((_rational_vector(rng, dim), _rational_vector(rng, dim)))
@@ -373,44 +363,41 @@ def run_liealg_suite(ctx: SuiteContext):
                 target = y[:, None] @ (-(m.omega @ x))[None, :]
                 coeffs = mat.solve(gram, zq @ target.reshape(dim * dim))
                 proj = (coeffs @ zq).reshape(dim, dim)
-                worst = max(worst, (proj - liealg.project_ZQ(m, x, y)).max_abs())
-            return (worst == 0, _residual_of(worst), None,
-                    "orthogonal projection oracle (unit-quaternion conjugation "
-                    "is orthogonal, so averaging = trace-orthogonal projection)")
+                yield proj - liealg.project_ZQ(m, x, y)
         out.append(_run("liealg", f"projection-oracle[n={n}]",
                         "project_ZQ equals the exact least-squares projection "
                         "onto the nullspace-computed centralizer basis",
-                        projection_oracle))
+                        lambda: _exact(projection_oracle(),
+                                       "orthogonal projection oracle (unit-quaternion "
+                                       "conjugation is orthogonal, so averaging = "
+                                       "trace-orthogonal projection)")))
 
         def circle_map_checks():
             rng = ctx.rng("liealg", f"circle{n}")
-            worst = Fraction(0)
             for _ in range(5):
                 x = _rational_vector(rng, dim)
                 y = _rational_vector(rng, dim)
                 el_xy = liealg.circle_map(m, x, y, ctx.kappa)
                 el_yx = liealg.circle_map(m, y, x, ctx.kappa)
-                worst = max(worst, (el_xy.matrix - el_yx.matrix).max_abs())
+                yield el_xy.matrix - el_yx.matrix
                 sp = liealg.circle_sp1(m, x, y)
                 expected = sum(Fraction(-1, 2 * n) * (x @ ga @ y) * Ja
                                for ga, Ja in zip(m.g, m.J))
-                worst = max(worst, (sp - expected).max_abs())
+                yield sp - expected
                 # so* part is the invariant projection of f_{x (.) y}
                 fxy = (y[:, None] @ (-(m.omega @ x))[None, :]
                        + x[:, None] @ (-(m.omega @ y))[None, :])
-                worst = max(worst, (liealg.circle_so_star(m, x, y)
-                                    - liealg.project_ZQ_operator(m, fxy)).max_abs())
-            return worst == 0, _residual_of(worst), None, ""
+                yield (liealg.circle_so_star(m, x, y)
+                       - liealg.project_ZQ_operator(m, fxy))
         out.append(_run("liealg", f"circle-map[n={n}]",
                         "x o y is symmetric, its sp1 part is "
                         "-(1/2n) sum_a g_a(x,y) J_a, and its so* part is the "
                         "projection of omega0(x,-)y + omega0(y,-)x",
-                        circle_map_checks))
+                        lambda: _exact(circle_map_checks())))
 
         def circle_equivariance():
             basis = ctx.basis(n)
             rng = ctx.rng("liealg", f"equivariance{n}")
-            worst = Fraction(0)
             sample = [basis.so_basis[0], basis.so_basis[-1], basis.sp_basis[0],
                       basis.sp_basis[2]]
             for el in sample:
@@ -421,11 +408,10 @@ def run_liealg_suite(ctx: SuiteContext):
                 lhs = B @ circ - circ @ B
                 rhs = (liealg.circle_map(m, B @ x, y, ctx.kappa).matrix
                        + liealg.circle_map(m, x, B @ y, ctx.kappa).matrix)
-                worst = max(worst, (lhs - rhs).max_abs())
-            return worst == 0, _residual_of(worst), None, ""
+                yield lhs - rhs
         out.append(_run("liealg", f"circle-equivariance[n={n}]",
                         "[B, x o y] = (Bx) o y + x o (By) for sampled basis B",
-                        circle_equivariance))
+                        lambda: _exact(circle_equivariance())))
     return out
 
 
@@ -453,16 +439,14 @@ def _curvature_checks_at(ctx: SuiteContext, n: int):
     dim = m.dim
 
     def bianchi_pinned():
-        worst = Fraction(0)
         for el in basis.elements():
             tensor = curv.curvature_of(m, basis, el, params)
-            worst = max(worst, curv.bianchi_residual(m, tensor))
-        return worst == 0, _residual_of(worst), None, \
-            f"all {len(basis.elements())} basis elements"
+            yield curv.bianchi_residual(m, tensor)
     out.append(_run("curvature", f"bianchi-pinned-zero[n={n}]",
                     "cyclic sum R(x,y)z + R(y,z)x + R(z,x)y = 0 for "
                     "(c1, c2) = (2k, nk) and every basis A",
-                    bianchi_pinned))
+                    lambda: _exact(bianchi_pinned(),
+                                   f"all {len(basis.elements())} basis elements")))
 
     def bianchi_perturbed():
         failures = []
@@ -489,7 +473,6 @@ def _curvature_checks_at(ctx: SuiteContext, n: int):
 
     def two_paths():
         rng = ctx.rng("curvature", f"two-paths{n}")
-        worst = Fraction(0)
         for el in (basis.sp_basis[0], basis.so_basis[0]):
             tensor = curv.curvature_of(m, basis, el, params)
             for _ in range(min(ctx.trials, 40)):
@@ -497,38 +480,34 @@ def _curvature_checks_at(ctx: SuiteContext, n: int):
                 direct = curv.curvature_13(m, el.matrix, params,
                                            m.basis_vector(i), m.basis_vector(j),
                                            m.basis_vector(k))
-                worst = max(worst, (direct - tensor[i, j, k]).max_abs())
-        return worst == 0, _residual_of(worst), None, ""
+                yield direct - tensor[i, j, k]
     out.append(_run("curvature", f"curvature-two-paths[n={n}]",
                     "the projection-built tensor and the expanded "
                     "(1,3) formula agree on basis triples",
-                    two_paths))
+                    lambda: _exact(two_paths())))
 
     def tensor_wellformed():
         rng = ctx.rng("curvature", f"wellformed{n}")
         el = basis.so_basis[1]
         tensor = curv.curvature_of(m, basis, el, params)
-        worst = Fraction(0)
         for _ in range(10):
             i, j = rng.randrange(dim), rng.randrange(dim)
-            worst = max(worst, (tensor[i, j] + tensor[j, i]).max_abs())
+            yield tensor[i, j] + tensor[j, i]
         for i, j in itertools.islice(itertools.combinations(range(dim), 2), 6):
             liealg.decompose(m, basis, tensor[i, j].T)  # raises if outside g
-        zero_tensor = curv.curvature_of(m, basis, m.omega * 0, params)
-        worst = max(worst, zero_tensor.max_abs())
-        return worst == 0, _residual_of(worst), None, "values decompose in g"
+        yield curv.curvature_of(m, basis, m.omega * 0, params)
     out.append(_run("curvature", f"tensor-wellformed[n={n}]",
                     "R is antisymmetric, g-valued, and vanishes for A = 0",
-                    tensor_wellformed))
+                    lambda: _exact(tensor_wellformed(), "values decompose in g")))
 
     def ricci_part(elements, coef):
-        worst = Fraction(0)
-        for el in elements:
-            tensor = curv.curvature_of(m, basis, el, params)
-            ric = curv.ricci_of(m, tensor)
-            target = curv.omega_pairing(m, el.matrix) * coef
-            worst = max(worst, (ric - target).max_abs())
-        return worst == 0, _residual_of(worst), None, f"coefficient {coef}"
+        def diffs():
+            for el in elements:
+                tensor = curv.curvature_of(m, basis, el, params)
+                ric = curv.ricci_of(m, tensor)
+                target = curv.omega_pairing(m, el.matrix) * coef
+                yield ric - target
+        return _exact(diffs(), f"coefficient {coef}")
     out.append(_run("curvature", f"ricci-commuting-part[n={n}]",
                     "Ric_A = 2(n+2) k omega0(A., .) for every commuting-part "
                     "basis element",
@@ -540,7 +519,6 @@ def _curvature_checks_at(ctx: SuiteContext, n: int):
 
     def ricci_closed_form():
         rng = ctx.rng("curvature", f"ricci-closed{n}")
-        worst = Fraction(0)
         for _ in range(10):
             combo = sum(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * b.matrix
                         for b in basis.elements())
@@ -548,17 +526,15 @@ def _curvature_checks_at(ctx: SuiteContext, n: int):
             tensor = curv.curvature_of(m, basis, el, params)
             ric = curv.ricci_of(m, tensor)
             closed = curv.ricci_closed_form(m, el.matrix, ctx.kappa)
-            worst = max(worst, (ric - closed).max_abs())
-            worst = max(worst, (ric - ric.T).max_abs())
-        return worst == 0, _residual_of(worst), None, "10 random A"
+            yield ric - closed
+            yield ric - ric.T
     out.append(_run("curvature", f"ricci-closed-form[n={n}]",
                     "trace Ricci equals (2n+1)k w(Ay,z) + (k/2) sum_a g_a(y,z) "
                     "Tr(J_a A) - k sum_a w(J_a A J_a y, z), and is symmetric",
-                    ricci_closed_form))
+                    lambda: _exact(ricci_closed_form(), "10 random A")))
 
     def ricci_linearity():
         rng = ctx.rng("curvature", f"ricci-linear{n}")
-        worst = Fraction(0)
         for _ in range(3):
             a1 = sum(rng.randint(-3, 3) * b.matrix for b in basis.so_basis)
             a2 = sum(rng.randint(-3, 3) * b.matrix for b in basis.sp_basis)
@@ -566,12 +542,11 @@ def _curvature_checks_at(ctx: SuiteContext, n: int):
             ric = curv.ricci_of(m, curv.curvature_of(m, basis, total, params))
             split = (curv.omega_pairing(m, a1) * (Fraction(2 * n + 4) * ctx.kappa)
                      + curv.omega_pairing(m, a2) * (Fraction(4 * n) * ctx.kappa))
-            worst = max(worst, (ric - split).max_abs())
-        return worst == 0, _residual_of(worst), None, ""
+            yield ric - split
     out.append(_run("curvature", f"ricci-linearity[n={n}]",
                     "Ric_{A1+A2} = (2n+4) k omega0(A1., .) + 4n k omega0(A2., .) "
                     "for the split into commuting and sp1 parts",
-                    ricci_linearity))
+                    lambda: _exact(ricci_linearity())))
 
     out.append(_ricci_dichotomy_check(ctx, n))
 

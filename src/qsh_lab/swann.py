@@ -29,6 +29,7 @@ where F_{a,b} is the partial of F_a by h_b.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -289,10 +290,12 @@ class SymSpaceParams:
 
 def symspace_r(params: SymSpaceParams, h: Quaternion):
     """The adjoint-orbit coefficients (r1, r2, r3) at a fiber point: the
-    fields of symspace_r_fields evaluated there, exact at a rational h."""
+    fields of symspace_r_fields evaluated there, exact at a rational h.
+    One evaluator of their c/2n = 1 form serves every parameter set."""
     if h.is_zero():
         raise ValueError("the fiber excludes h = 0")
-    return sf.evaluator(symspace_r_fields(params))(h.components())
+    k = Fraction(params.c, 2 * params.n)
+    return tuple(k * r for r in _r_evaluator()(h.components()))
 
 
 def symspace_r_oracle(params: SymSpaceParams, h: Quaternion):
@@ -313,15 +316,26 @@ def symspace_r_fields(params: SymSpaceParams):
         r2 =  (c/2n)*2(h0 h3 - h1 h2)/t^2,
         r3 = -(c/2n)*2(h0 h2 + h1 h3)/t^2.
     """
+    k = sf.const(Fraction(params.c, 2 * params.n))
+    return tuple(sf.mul(k, r) for r in _unit_r_fields())
+
+
+@functools.cache
+def _unit_r_fields():
+    """The fields of symspace_r_fields at c/2n = 1."""
     h0, h1, h2, h3 = sf.H0, sf.H1, sf.H2, sf.H3
     sq = lambda v: sf.pow_(v, 2)
-    k = sf.const(Fraction(params.c, 2 * params.n))
     t2 = forms.T2
-    r1 = sf.neg(sf.mul(k, sf.div(sf.sub(sf.add(sq(h0), sq(h1)),
-                                        sf.add(sq(h2), sq(h3))), t2)))
-    r2 = sf.mul(k, sf.div(sf.mul(sf.TWO, sf.sub(sf.mul(h0, h3), sf.mul(h1, h2))), t2))
-    r3 = sf.neg(sf.mul(k, sf.div(sf.mul(sf.TWO, sf.add(sf.mul(h0, h2), sf.mul(h1, h3))), t2)))
+    r1 = sf.neg(sf.div(sf.sub(sf.add(sq(h0), sq(h1)),
+                              sf.add(sq(h2), sq(h3))), t2))
+    r2 = sf.div(sf.mul(sf.TWO, sf.sub(sf.mul(h0, h3), sf.mul(h1, h2))), t2)
+    r3 = sf.neg(sf.div(sf.mul(sf.TWO, sf.add(sf.mul(h0, h2), sf.mul(h1, h3))), t2))
     return (r1, r2, r3)
+
+
+@functools.cache
+def _r_evaluator():
+    return sf.evaluator(_unit_r_fields())
 
 
 def symspace_exp_f(params: SymSpaceParams) -> sf.Field:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -327,3 +328,15 @@ def test_equal_with_zero_trials_raises():
     with pytest.raises(ValueError, match="at least one trial"):
         forms.equal(u, forms.scale(2, u), trials=0, rng=_rng())
     assert not forms.equal(u, forms.scale(2, u), trials=1, rng=_rng()).equal
+
+
+def test_nan_value_is_an_infinite_residual():
+    # each product overflows to inf, so the difference is inf - inf = nan
+    # at every float point although the field contains + h2
+    X = str(10 ** 200)
+    field = sf.parse(f"{X}*h0*{X}*h1 - {X}*h0*{X}*h1 + h2")
+    rep = forms.is_zero_form(forms.scalar_form(field), trials=20,
+                             rng=random.Random(1))
+    assert not rep.equal
+    assert rep.max_residual == math.inf
+    assert rep.witness is not None

@@ -7,7 +7,7 @@ from qsh_lab import matrices as mat
 from qsh_lab.matrices import QArray
 from qsh_lab.linmodel import (DimensionMismatch, build_flat_model,
                               fundamental_4tensor, qsh_form, qsh_form_matrix,
-                              rotation_matrix, signature, sp1_conjugate_frame)
+                              rotation_matrix, sp1_conjugate_frame)
 from qsh_lab.quaternion import Quaternion
 
 
@@ -51,7 +51,7 @@ def test_metrics_symmetric_signature(n):
         ga = m.g[a]
         assert ga == ga.T
         assert ga == m.omega @ m.J[a]
-        assert signature(m, ga) == (2 * n, 2 * n, 0)
+        assert mat.signature_symmetric(ga) == (2 * n, 2 * n, 0)
         lhs = m.J[a].T @ ga @ m.J[a]
         assert lhs == ga
 

@@ -1,5 +1,10 @@
+from fractions import Fraction
+
+from qsh_lab import curvature as curv
 from qsh_lab import forms
-from qsh_lab.suites import SuiteContext, _verdict, run_fiber_suite
+from qsh_lab.matrices import QArray
+from qsh_lab.suites import (SuiteContext, _curvature_checks_at, _exact, _verdict,
+                            run_fiber_suite)
 
 
 def _report(equal, residual, witness=None):
@@ -48,3 +53,28 @@ def test_structure_equations_record_carries_the_failing_report(monkeypatch):
     assert not record.passed
     assert (record.residual, record.witness, record.detail) == \
         (0.125, (0.5, -1.0, 0.25, 1.0), "a = 2")
+
+
+def test_exact_passes_an_empty_stream():
+    assert _exact(iter([])) == (True, 0.0, None, "")
+
+
+def test_exact_passes_zero_fractions_and_arrays():
+    diffs = [Fraction(0), QArray.of([[0, 0], [0, 0]]), QArray.of([Fraction(0, 3)])]
+    assert _exact(iter(diffs), "all zero") == (True, 0.0, None, "all zero")
+
+
+def test_exact_fails_with_the_largest_item():
+    diffs = [QArray.of([Fraction(-1, 3), Fraction(0)]), Fraction(0), Fraction(-2),
+             QArray.of([[Fraction(1, 2)]])]
+    assert _exact(iter(diffs), "pass detail") == (False, 2.0, None, "pass detail")
+
+
+def test_ricci_closed_form_record_fails_on_a_doubled_closed_form(monkeypatch):
+    real_closed_form = curv.ricci_closed_form
+    monkeypatch.setattr(curv, "ricci_closed_form",
+                        lambda *args: real_closed_form(*args) * 2)
+    records = {r.name: r for r in _curvature_checks_at(SuiteContext(seed=1), 2)}
+    record = records["ricci-closed-form[n=2]"]
+    assert not record.passed
+    assert record.residual > 0

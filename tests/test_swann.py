@@ -345,3 +345,20 @@ def test_obstruction_with_undefined_r_fields_raises_sampling_error():
                                         (sf.ONE, sf.H1, sf.ZERO),
                                         trials=20, rng=_rng())
     assert err.value.evaluated == 0 and err.value.reasons == {"ValueError": 64}
+
+
+def test_symspace_r_builds_one_evaluator(monkeypatch):
+    built = []
+    real_evaluator = sf.evaluator
+
+    def evaluator(fields):
+        built.append(fields)
+        return real_evaluator(fields)
+    monkeypatch.setattr(sf, "evaluator", evaluator)
+    swann._r_evaluator.cache_clear()
+    rng = _rng()
+    for _ in range(50):
+        params = _random_params(rng)
+        h = Quaternion(*forms.sample_rational_point(rng))
+        assert swann.symspace_r(params, h) == swann.symspace_r_oracle(params, h)
+    assert len(built) <= 1
