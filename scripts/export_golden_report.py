@@ -51,7 +51,6 @@ def stripped(config: RunConfig) -> str:
     if code != 0:
         raise SystemExit(f"golden run failed: {config}")
     payload = report.to_dict(omit_timing=True)
-    payload["config"].pop("wall_time_s")
     if payload["config"]["input"] is not None:
         payload["config"]["input"] = pathlib.Path(payload["config"]["input"]).name
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

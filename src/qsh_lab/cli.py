@@ -89,10 +89,10 @@ def ingest_user_F(path: str) -> FlatSolution:
 
     The file must be an object with keys F1, F2, F3; each value parses in
     the scalar-field grammar and may only use the variables h0..h3."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, too deep
             raise UsageError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise UsageError(f"{path}: expected an object with keys F1, F2, F3")
@@ -128,8 +128,8 @@ def run(config: RunConfig):
     checks = [check for name in selected
               for check in suites_mod.SUITE_RUNNERS[name](ctx)]
     checks.sort(key=lambda c: (selected.index(c.suite), c.name))
-    report = Report(config=config.as_dict(), checks=checks)
-    report.config["wall_time_s"] = round(time.perf_counter() - started, 3)
+    report = Report(config=config.as_dict(), checks=checks,
+                    wall_time=time.perf_counter() - started)
     if config.output_path:
         text = report.to_json() if config.fmt == "json" else report.to_markdown()
         write_atomic(config.output_path, text)
@@ -188,10 +188,7 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         report, code = run(config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     summary = report.summary()
@@ -202,7 +199,7 @@ def main(argv=None) -> int:
             residual = f"  (residual {check.residual:.3e})"
         print(f"[{status}] {check.suite}/{check.name}{residual}")
     print(f"{summary['passed']}/{summary['total']} checks passed "
-          f"in {report.config['wall_time_s']}s")
+          f"in {round(report.wall_time, 3)}s")
     if config.output_path:
         print(f"report written to {config.output_path}")
     return code

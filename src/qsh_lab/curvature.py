@@ -62,8 +62,6 @@ class CurvParams:
     def pinned(kappa, n: int) -> "CurvParams":
         """The Bianchi-compatible coefficients c1 = 2k, c2 = nk."""
         k = Fraction(kappa)
-        if k == 0:
-            raise ValueError("kappa must be nonzero")
         return CurvParams(kappa=k, c1=2 * k, c2=n * k)
 
     @staticmethod

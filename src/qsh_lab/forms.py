@@ -39,8 +39,10 @@ where a field raises ZeroDivisionError or ValueError is redrawn, up to
 MAX_DRAWS draws per trial; when they run out it raises SamplingError
 with the evaluated and rejected counts and the rejections by exception
 type, so no verdict rests on zero points.  OverflowError is not a
-rejection and propagates.  The suites decide every sampled identity
-through `equal` or `is_zero_form` alone.
+rejection and propagates.  The suites decide most sampled identities
+through `equal` or `is_zero_form`; solution-family-residuals,
+frame-coefficient-proportionality, user-solution-residuals and
+obstruction-mechanics compute their own statistics over `sample`.
 """
 
 from __future__ import annotations
@@ -113,10 +115,6 @@ def add(u: VerticalForm, v: VerticalForm) -> VerticalForm:
     return VerticalForm(u.coframe, u.degree, terms)
 
 
-def sub(u: VerticalForm, v: VerticalForm) -> VerticalForm:
-    return add(u, scale(sf.const(-1), v))
-
-
 def scale(f, u: VerticalForm) -> VerticalForm:
     if not isinstance(f, sf.Field):
         f = sf.const(f)
@@ -124,16 +122,13 @@ def scale(f, u: VerticalForm) -> VerticalForm:
                         {k: sf.mul(f, g) for k, g in u.terms.items()})
 
 
-def _merge_sign(s, t):
-    """Sign of sorting the concatenation of two strictly increasing tuples,
-    or (0, None) when they share an index."""
-    inversions = 0
-    for x in t:
-        if x in s:
-            return 0, None
-        inversions += sum(1 for y in s if y > x)
-    merged = tuple(sorted(s + t))
-    return (-1) ** inversions, merged
+def _sort_sign(indices):
+    """(sign of the permutation that sorts `indices`, the sorted tuple), or
+    (0, None) when an index repeats."""
+    if len(set(indices)) < len(indices):
+        return 0, None
+    inversions = sum(x > y for i, x in enumerate(indices) for y in indices[i + 1:])
+    return (-1) ** inversions, tuple(sorted(indices))
 
 
 def wedge(u: VerticalForm, v: VerticalForm) -> VerticalForm:
@@ -145,7 +140,7 @@ def wedge(u: VerticalForm, v: VerticalForm) -> VerticalForm:
     terms = {}
     for s, f in u.terms.items():
         for t, g in v.terms.items():
-            sign, merged = _merge_sign(s, t)
+            sign, merged = _sort_sign(s + t)
             if sign == 0:
                 continue
             contrib = sf.mul(f, g)
@@ -178,8 +173,7 @@ def d(u: VerticalForm) -> VerticalForm:
             df = f.diff(b)
             if sf.is_zero(df):
                 continue
-            sign = (-1) ** sum(1 for x in s if x < b)
-            key = tuple(sorted(s + (b,)))
+            sign, key = _sort_sign((b,) + s)
             contrib = df if sign > 0 else sf.neg(df)
             terms[key] = sf.add(terms.get(key, sf.ZERO), contrib)
     return VerticalForm(DH, u.degree + 1, terms)
@@ -256,19 +250,8 @@ def pullback_hyper(u: VerticalForm, a: int) -> VerticalForm:
     mapping = _pullback_index_map(a)
     terms = {}
     for key, f in u.terms.items():
-        sign = 1
-        image = []
-        for idx in key:
-            new_idx, s = mapping[idx]
-            image.append(new_idx)
-            sign *= s
-        inversions = 0
-        for i in range(len(image)):
-            for j in range(i + 1, len(image)):
-                if image[i] > image[j]:
-                    inversions += 1
-        sign *= (-1) ** inversions
-        new_key = tuple(sorted(image))
+        sign, new_key = _sort_sign(tuple(mapping[idx][0] for idx in key))
+        sign *= math.prod(mapping[idx][1] for idx in key)
         contrib = f if sign > 0 else sf.neg(f)
         terms[new_key] = sf.add(terms.get(new_key, sf.ZERO), contrib)
     return VerticalForm(ALPHA, u.degree, terms)

@@ -15,12 +15,14 @@ nothing else reduces by a gcd.  A float entry raises TypeError instead
 of being rounded.  numpy is imported inside the few functions that
 need it, so importing this module does not load it.
 
-Reduction (rref, rank, nullspace, solve, signature_symmetric) uses plain
-Gaussian elimination over Fraction with the first nonzero entry in
-lexicographic column order as pivot, so echelon forms, nullspace bases
-and therefore every exported basis are reproducible byte-for-byte.  A
-positive scale changes neither an echelon form nor a signature, so the
+Reduction (rref, rank, nullspace, solve) is the only code that leaves
+QArray: it uses plain Gaussian elimination over Fraction with the first
+nonzero entry in lexicographic column order as pivot, so echelon forms,
+nullspace bases and therefore every exported basis are reproducible
+byte-for-byte.  A positive scale changes no echelon form, so the
 elimination reads the integer rows of its QArray argument.
+signature_symmetric stays on QArray: its characteristic polynomial takes
+one `@` and one trace a step.
 """
 
 from __future__ import annotations
@@ -225,52 +227,27 @@ def solve(m: QArray, b: QArray):
     return QArray.of(x)
 
 
+def _sign_changes(coeffs) -> int:
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def signature_symmetric(s: QArray):
     """Signature (n_plus, n_minus, n_zero) of a symmetric matrix.
 
-    Congruence (Lagrange) reduction with symmetric pivot search: take the
-    first nonzero diagonal entry; if the diagonal of the active block is
-    all zero, a row+column addition moves a nonzero off-diagonal entry
-    onto the diagonal.  Exact, no eigenvalue tolerances.
+    The Faddeev-LeVerrier recurrence gives the characteristic polynomial
+    p(x) = x^n + c_1 x^(n-1) + ... + c_n exactly.  Every root of p is
+    real, so Descartes' rule of signs counts the roots exactly: n_plus is
+    the number of sign changes of p(x), n_minus that of p(-x), and n_zero
+    the multiplicity of the root 0.
     """
     n = len(s)
-    m = [[Fraction(x) for x in row] for row in s.values.tolist()]
-    active = list(range(n))
-    n_pos = n_neg = 0
-    while active:
-        pivot = None
-        for k in active:
-            if m[k][k] != 0:
-                pivot = k
-                break
-        if pivot is None:
-            moved = False
-            for ii, i in enumerate(active):
-                for j in active[ii + 1:]:
-                    if m[i][j] != 0:
-                        for c in range(n):
-                            m[i][c] += m[j][c]
-                        for r_ in range(n):
-                            m[r_][i] += m[r_][j]
-                        pivot = i
-                        moved = True
-                        break
-                if moved:
-                    break
-            if pivot is None:
-                break  # active block is zero
-        d = m[pivot][pivot]
-        if d > 0:
-            n_pos += 1
-        else:
-            n_neg += 1
-        active.remove(pivot)
-        for r_ in active:
-            f = m[r_][pivot] / d
-            if f != 0:
-                for c in range(n):
-                    m[r_][c] -= f * m[pivot][c]
-                for c in range(n):
-                    m[c][r_] -= f * m[c][pivot]
-    n_zero = n - n_pos - n_neg
-    return n_pos, n_neg, n_zero
+    eye, am, c = QArray.eye(n), s * 0, Fraction(1)
+    coeffs = [c]  # c_0 = 1, ..., c_n
+    for k in range(1, n + 1):
+        am = s @ (am + eye * c)
+        c = -am.trace() / k
+        coeffs.append(c)
+    n_zero = n - max(i for i, x in enumerate(coeffs) if x)
+    return (_sign_changes(coeffs),
+            _sign_changes([x * (-1) ** i for i, x in enumerate(coeffs)]), n_zero)

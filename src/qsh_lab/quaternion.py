@@ -80,9 +80,3 @@ class Quaternion:
 
     def imag_components(self):
         return (self.h1, self.h2, self.h3)
-
-
-ONE = Quaternion.unit(0)
-I = Quaternion.unit(1)
-J = Quaternion.unit(2)
-K = Quaternion.unit(3)

@@ -64,6 +64,7 @@ class CheckResult:
 class Report:
     config: dict
     checks: list = field(default_factory=list)
+    wall_time: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -78,9 +79,12 @@ class Report:
         }
 
     def to_dict(self, omit_timing: bool = False) -> dict:
+        config = jsonable(self.config)
+        if not omit_timing:
+            config["wall_time_s"] = round(self.wall_time, 3)
         return {
             "schema": SCHEMA_VERSION,
-            "config": jsonable(self.config),
+            "config": config,
             "summary": self.summary(),
             "checks": [c.record(omit_timing) for c in self.checks],
         }

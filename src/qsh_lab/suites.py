@@ -621,9 +621,9 @@ def run_fiber_suite(ctx: SuiteContext):
 
     def dalpha0():
         rng = ctx.rng("fiber", "dalpha0")
-        rep = forms.is_zero_form(forms.d(forms.ALPHA_IN_DH[0]),
-                                 trials=ctx.trials, tolerance=tol, rng=rng)
-        return rep.equal, rep.max_residual, rep.witness, ""
+        return _verdict([(forms.is_zero_form(forms.d(forms.ALPHA_IN_DH[0]),
+                                             trials=ctx.trials, tolerance=tol,
+                                             rng=rng), "")])
     out.append(_run("fiber", "dalpha0-zero", "d a0 = 0", dalpha0))
 
     def structure_equations():
@@ -811,9 +811,9 @@ def run_flat_suite(ctx: SuiteContext):
         residuals = swann.pde_residuals(solution)
         if not all(sf.is_zero(r) for r in residuals):
             return False, None, None, "residuals did not fold to zero"
-        rep = forms.is_zero_form(forms.d(swann.beta_of_F(solution)),
-                                 trials=ctx.trials, tolerance=tol, rng=rng)
-        return rep.equal, rep.max_residual, rep.witness, ""
+        return _verdict([(forms.is_zero_form(forms.d(swann.beta_of_F(solution)),
+                                             trials=ctx.trials, tolerance=tol,
+                                             rng=rng), "")])
     out.append(_run("flat", "pde-hand-solution",
                     "(F1, F2, F3) = (h1, -h2, 0) solves all four equations "
                     "and closes beta",
@@ -1008,10 +1008,10 @@ def run_symspace_suite(ctx: SuiteContext):
     def ddf_zero():
         rng = ctx.rng("symspace", "ddf")
         params = _random_symspace_params(rng)
-        rep = swann.symspace_ddf_check(params, trials=50, tolerance=ctx.tolerance,
-                                       rng=rng)
-        return rep.equal, rep.max_residual, rep.witness, \
-            "exact rational evaluation"
+        detail = "exact rational evaluation"
+        return _verdict([(swann.symspace_ddf_check(params, trials=50,
+                                                   tolerance=ctx.tolerance,
+                                                   rng=rng), detail)], detail)
     out.append(_run("symspace", "ddf-zero", "d(df) = 0", ddf_zero))
 
     def expf_plugin():

@@ -64,6 +64,26 @@ def test_signature_against_eigenvalue_counts():
         assert n_zero == n - n_pos - n_neg
 
 
+def test_signature_of_singular_matrices():
+    # the multiplicity of the root 0 is counted apart from the sign changes
+    rng = random.Random(4)
+    v, w = (QArray.of([Fraction(rng.randint(-3, 3)) for _ in range(5)])
+            for _ in range(2))
+    u = QArray.of([Fraction(1), Fraction(-2), Fraction(0), Fraction(3)])
+    cases = [v[:, None] @ v[None, :] - w[:, None] @ w[None, :],
+             QArray.of([[Fraction(0)] * 4] * 4),
+             u[:, None] @ u[None, :] * Fraction(1, 7)]
+    for s in cases:
+        values = np.array(s.values, dtype=float) / s.scale
+        eig = np.linalg.eigvalsh(values)
+        tol = 1e-9 * max(1.0, float(np.abs(eig).max()))
+        counts = (int((eig > tol).sum()), int((eig < -tol).sum()),
+                  int((abs(eig) <= tol).sum()))
+        assert mat.signature_symmetric(s) == counts
+    assert [mat.signature_symmetric(s) for s in cases] == \
+        [(1, 1, 3), (0, 0, 4), (1, 0, 3)]
+
+
 def test_signature_zero_diagonal_block():
     # hyperbolic plane: diagonal is zero, needs the off-diagonal move
     s = QArray.of([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
