@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -54,8 +55,8 @@ class RunConfig:
             raise UsageError("--kappa must be nonzero")
         if self.trials < 1:
             raise UsageError("--trials must be >= 1")
-        if self.tolerance <= 0:
-            raise UsageError("--tolerance must be positive")
+        if not 0 < self.tolerance < float("inf"):  # also refuses nan
+            raise UsageError("--tolerance must be positive and finite")
         unknown = set(self.suites) - set(VALID_SUITES)
         if unknown:
             raise UsageError(f"unknown suites {sorted(unknown)}; "
@@ -116,6 +117,11 @@ def serialize_solution(solution: FlatSolution) -> str:
 
 def run(config: RunConfig):
     """Execute the selected suites; returns (Report, exit_code)."""
+    if config.output_path:  # refused before any check runs
+        if os.path.isdir(config.output_path):
+            raise UsageError(f"--output {config.output_path}: is a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(config.output_path))):
+            raise UsageError(f"--output {config.output_path}: no such directory")
     user_solution = None
     if config.input_path is not None:
         user_solution = ingest_user_F(config.input_path)

@@ -166,11 +166,12 @@ def d(u: VerticalForm) -> VerticalForm:
     if u.degree >= 4:
         return zero_form(4, DH)
     terms = {}
+    passes = [sf.derivative(b) for b in _INDICES]  # shared by every term
     for s, f in u.terms.items():
         for b in _INDICES:
             if b in s:
                 continue
-            df = f.diff(b)
+            df = passes[b](f)
             if sf.is_zero(df):
                 continue
             sign, key = _sort_sign((b,) + s)

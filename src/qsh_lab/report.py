@@ -20,7 +20,8 @@ SCHEMA_VERSION = 1
 
 def jsonable(value):
     """Recursively convert check payloads to JSON-safe values; exact
-    rationals become 'p/q' strings."""
+    rationals become 'p/q' strings and non-finite floats 'inf', '-inf' or
+    'nan', which strict JSON has no literal for."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, (list, tuple)):
@@ -28,7 +29,7 @@ def jsonable(value):
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, float):
-        return value
+        return value if abs(value) < float("inf") else str(value)
     if isinstance(value, (int, str, bool)) or value is None:
         return value
     return str(value)
@@ -90,7 +91,8 @@ class Report:
         }
 
     def to_json(self, omit_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(omit_timing), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.to_dict(omit_timing), indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
 
     def to_markdown(self) -> str:
         lines = ["# Verification report", ""]
@@ -116,7 +118,8 @@ class Report:
                 if c.detail:
                     lines.append(f"- detail: {c.detail}")
                 if c.witness is not None:
-                    lines.append(f"- witness: `{json.dumps(jsonable(c.witness))}`")
+                    witness = json.dumps(jsonable(c.witness), allow_nan=False)
+                    lines.append(f"- witness: `{witness}`")
         lines.append("")
         return "\n".join(lines)
 

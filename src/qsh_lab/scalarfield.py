@@ -6,6 +6,14 @@ constants and algebraic identities (x+0, x*1, x*0, sqrt of a perfect
 square, even powers of sqrt, exp(0), ...), so rational subtrees stay
 rational and many fields reduce to literal constants.
 
+``derivative(var)`` is one pass of d/dh_var whose memo (node id -> node,
+derivative; the node keeps its id unique) differentiates each shared
+subtree once.  It must not outlive the pass: the two sides of an identity
+could become one object, fold by ``sub(a, a)`` to ZERO and let
+``forms.equal`` decide without drawing points, moving every later draw.
+Nor does ``Sub`` fold a derivative made once for both its sides, so a
+pass builds the fields of the tree walk, printed and evaluated.
+
 Evaluation is exact (Fraction) on rational subtrees and falls back to
 float where sqrt/exp/sin/cos force it.  ``evaluator`` walks the DAG under
 some fields once (fields in order, a before b, as the recursive
@@ -62,7 +70,8 @@ class Field:
     __slots__ = ()
 
     def diff(self, var: int) -> "Field":
-        raise NotImplementedError
+        """d/dh_var, as one pass of ``derivative(var)``."""
+        return derivative(var)(self)
 
     def evaluate(self, point):
         """Evaluate at point = (v0, v1, v2, v3); a loop over many points
@@ -92,7 +101,7 @@ class Field:
 class Const(Field):
     value: object  # Fraction or float
 
-    def diff(self, var):
+    def _d(self, var, d):
         return ZERO
 
     def to_str(self):
@@ -109,7 +118,7 @@ class Const(Field):
 class Var(Field):
     index: int
 
-    def diff(self, var):
+    def _d(self, var, d):
         return ONE if var == self.index else ZERO
 
     def to_str(self):
@@ -125,32 +134,36 @@ class _Binary(Field):
 
 
 class Add(_Binary):
-    def diff(self, var):
-        return add(self.a.diff(var), self.b.diff(var))
+    def _d(self, var, d):
+        return add(d(self.a), d(self.b))
 
     def to_str(self):
         return f"{self.a.to_str()} + {self.b.to_str()}"
 
 
 class Sub(_Binary):
-    def diff(self, var):
-        return sub(self.a.diff(var), self.b.diff(var))
+    def _d(self, var, d):
+        da, db = d(self.a), d(self.b)
+        if da is not db or id(da) in d.memo:
+            return sub(da, db)
+        # one derivative for the two copies the tree walk makes: no a - a fold
+        return const(da.value - db.value) if type(da) is Const else Sub(da, db)
 
     def to_str(self):
         return f"{self.a.to_str()} - ({self.b.to_str()})"
 
 
 class Mul(_Binary):
-    def diff(self, var):
-        return add(mul(self.a.diff(var), self.b), mul(self.a, self.b.diff(var)))
+    def _d(self, var, d):
+        return add(mul(d(self.a), self.b), mul(self.a, d(self.b)))
 
     def to_str(self):
         return f"({self.a.to_str()}) * ({self.b.to_str()})"
 
 
 class Div(_Binary):
-    def diff(self, var):
-        num = sub(mul(self.a.diff(var), self.b), mul(self.a, self.b.diff(var)))
+    def _d(self, var, d):
+        num = sub(mul(d(self.a), self.b), mul(self.a, d(self.b)))
         return div(num, mul(self.b, self.b))
 
     def to_str(self):
@@ -165,8 +178,8 @@ class _Unary(Field):
 
 
 class Neg(_Unary):
-    def diff(self, var):
-        return neg(self.a.diff(var))
+    def _d(self, var, d):
+        return neg(d(self.a))
 
     def to_str(self):
         return f"-({self.a.to_str()})"
@@ -179,41 +192,41 @@ class Pow(_Unary):
         self.a = a
         self.exponent = exponent
 
-    def diff(self, var):
+    def _d(self, var, d):
         k = self.exponent
-        return mul(mul(const(k), pow_(self.a, k - 1)), self.a.diff(var))
+        return mul(mul(const(k), pow_(self.a, k - 1)), d(self.a))
 
     def to_str(self):
         return f"({self.a.to_str()})^{self.exponent}"
 
 
 class Sqrt(_Unary):
-    def diff(self, var):
-        return div(self.a.diff(var), mul(TWO, self))
+    def _d(self, var, d):
+        return div(d(self.a), mul(TWO, self))
 
     def to_str(self):
         return f"sqrt({self.a.to_str()})"
 
 
 class Exp(_Unary):
-    def diff(self, var):
-        return mul(self, self.a.diff(var))
+    def _d(self, var, d):
+        return mul(self, d(self.a))
 
     def to_str(self):
         return f"exp({self.a.to_str()})"
 
 
 class Sin(_Unary):
-    def diff(self, var):
-        return mul(cos(self.a), self.a.diff(var))
+    def _d(self, var, d):
+        return mul(cos(self.a), d(self.a))
 
     def to_str(self):
         return f"sin({self.a.to_str()})"
 
 
 class Cos(_Unary):
-    def diff(self, var):
-        return mul(neg(sin(self.a)), self.a.diff(var))
+    def _d(self, var, d):
+        return mul(neg(sin(self.a)), d(self.a))
 
     def to_str(self):
         return f"cos({self.a.to_str()})"
@@ -231,9 +244,7 @@ def _exact_sqrt(q: Fraction):
 
 
 def const(v) -> Const:
-    if isinstance(v, float):
-        return Const(v)
-    return Const(Fraction(v))
+    return Const(v if isinstance(v, (Fraction, float)) else Fraction(v))
 
 
 def var(i: int) -> Var:
@@ -243,48 +254,42 @@ def var(i: int) -> Var:
 
 
 def is_const(f: Field) -> bool:
-    return isinstance(f, Const)
+    return type(f) is Const
 
 
 def is_zero(f: Field) -> bool:
-    return isinstance(f, Const) and f.value == 0
+    return type(f) is Const and not f.value  # as == 0, on nan and -0.0 too
 
 
 def add(a, b):
-    if is_const(a) and is_const(b):
+    ca, cb = type(a) is Const, type(b) is Const
+    if ca and cb:
         return const(a.value + b.value)
-    if is_zero(a):
+    if ca and not a.value:
         return b
-    if is_zero(b):
-        return a
-    return Add(a, b)
+    return a if cb and not b.value else Add(a, b)
 
 
 def sub(a, b):
     if a is b:
         return ZERO
-    if is_const(a) and is_const(b):
+    ca, cb = type(a) is Const, type(b) is Const
+    if ca and cb:
         return const(a.value - b.value)
-    if is_zero(b):
+    if cb and not b.value:
         return a
-    if is_zero(a):
-        return neg(b)
-    return Sub(a, b)
+    return neg(b) if ca and not a.value else Sub(a, b)
 
 
 def mul(a, b):
-    if is_zero(a) or is_zero(b):
+    ca, cb = type(a) is Const, type(b) is Const
+    if (ca and not a.value) or (cb and not b.value):
         return ZERO
-    if is_const(a) and is_const(b):
+    if ca and cb:
         return const(a.value * b.value)
-    if is_const(a) and a.value == 1:
-        return b
-    if is_const(b) and b.value == 1:
-        return a
-    if is_const(a) and a.value == -1:
-        return neg(b)
-    if is_const(b) and b.value == -1:
-        return neg(a)
+    c, other = (a, b) if ca else (b, a)
+    if (ca or cb) and c.value in (1, -1):
+        return other if c.value == 1 else neg(other)
     return Mul(a, b)
 
 
@@ -302,7 +307,7 @@ def div(a, b):
 
 
 def neg(a):
-    if is_const(a):
+    if type(a) is Const:
         return const(-a.value)
     if isinstance(a, Neg):
         return a.a
@@ -356,6 +361,19 @@ ONE = Const(Fraction(1))
 TWO = Const(Fraction(2))
 _VARS = tuple(Var(i) for i in range(4))
 H0, H1, H2, H3 = _VARS
+
+
+def derivative(var: int):
+    """d/dh_var as a function of fields, for one pass (module docstring)."""
+    memo = {}  # id(node) -> (node, its derivative)
+
+    def d(node):
+        hit = memo.get(id(node))
+        if hit is None:
+            hit = memo[id(node)] = (node, node._d(var, d))
+        return hit[1]
+    d.memo = memo
+    return d
 
 
 def constant_value(f: Field):

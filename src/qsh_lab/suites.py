@@ -911,15 +911,14 @@ def run_flat_suite(ctx: SuiteContext):
             # although some partial is not structurally zero has
             # underflowed and is no evidence either way
             rng = ctx.rng("flat", "user-input")
-            F = ctx.user_solution.F
-            partials = [F[a - 1].diff(b) for row in swann.PDE_TERMS
-                        for a, b, _ in row]
-            can_underflow = not all(sf.is_zero(p) for p in partials)
+            partials = swann.pde_partials(ctx.user_solution)
+            can_underflow = not all(map(sf.is_zero, partials.values()))
             worst = worst_relative = 0.0
             witness = None
             underflow = 0
             for point, values in forms.sample(
-                    (*swann.pde_residuals(ctx.user_solution), *partials),
+                    (*swann.pde_residuals(ctx.user_solution, partials),
+                     *partials.values()),
                     ctx.trials, rng):
                 if can_underflow and not any(values):
                     underflow += 1

@@ -95,14 +95,21 @@ PDE_TERMS = (((1, 0, 1), (3, 2, -1), (2, 3, 1)),
              ((1, 2, 1), (2, 1, -1), (3, 0, 1)))
 
 
-def pde_residuals(solution: FlatSolution):
-    """The four closedness equations, as ScalarFields (zero iff closed)."""
-    d = lambda a, b: solution.F[a - 1].diff(b)
+def pde_partials(solution: FlatSolution) -> dict:
+    """dF_a/dh_b by (a, b) in the order of PDE_TERMS, one pass a variable."""
+    passes = [sf.derivative(b) for b in range(4)]
+    return {(a, b): passes[b](solution.F[a - 1]) for row in PDE_TERMS for a, b, _ in row}
+
+
+def pde_residuals(solution: FlatSolution, partials: dict = None):
+    """The four closedness equations, as ScalarFields (zero iff closed),
+    summed from `partials`, pde_partials(solution) when not given."""
+    d = partials or pde_partials(solution)
     out = []
     for (a, b, _), *rest in PDE_TERMS:
-        acc = d(a, b)
+        acc = d[a, b]
         for a, b, sign in rest:
-            acc = (sf.add if sign > 0 else sf.sub)(acc, d(a, b))
+            acc = (sf.add if sign > 0 else sf.sub)(acc, d[a, b])
         out.append(acc)
     return tuple(out)
 

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import random
 import subprocess
@@ -9,10 +10,10 @@ import pytest
 
 from qsh_lab import forms
 from qsh_lab import scalarfield as sf
-from qsh_lab import swann
+from qsh_lab import suites, swann
 from qsh_lab.cli import (RunConfig, UsageError, ingest_user_F, main, run,
                          serialize_solution)
-from qsh_lab.report import write_atomic
+from qsh_lab.report import CheckResult, Report, write_atomic
 from qsh_lab.suites import _random_constants
 
 # Written by scripts/export_golden_report.py; compared, never regenerated.
@@ -29,8 +30,9 @@ def test_config_validation():
         RunConfig(ns=(1,))
     with pytest.raises(UsageError):
         RunConfig(trials=0)
-    with pytest.raises(UsageError):
-        RunConfig(tolerance=0.0)
+    for tolerance in (0.0, math.nan, math.inf):
+        with pytest.raises(UsageError):
+            RunConfig(tolerance=tolerance)
     with pytest.raises(UsageError):
         RunConfig(suites=("nope",))
     with pytest.raises(UsageError):
@@ -200,12 +202,33 @@ def test_main_unreadable_input_is_usage_error(capsys, tmp_path, content):
     _one_error_line(capsys)
 
 
-def test_main_unwritable_output_is_usage_error(capsys, tmp_path):
-    # the checks run first; the rename onto a directory fails
-    assert main(["run", "--suites", "model", "--n", "2",
-                 "--output", str(tmp_path)]) == 2
-    assert "Is a directory" in _one_error_line(capsys)
+def test_main_unwritable_output_is_usage_error(capsys, tmp_path, monkeypatch):
+    # refused before any check runs
+    ran = []
+    monkeypatch.setitem(suites.SUITE_RUNNERS, "model", lambda ctx: ran.append(ctx))
+    (tmp_path / "file").touch()
+    for output, message in ((tmp_path, "is a directory"),
+                            (tmp_path / "missing" / "r.json", "no such directory"),
+                            (tmp_path / "file" / "r.json", "no such directory")):
+        assert main(["run", "--suites", "model", "--n", "2",
+                     "--output", str(output)]) == 2
+        assert message in _one_error_line(capsys)
+    assert not ran
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_report_json_has_no_non_finite_literals():
+    check = CheckResult("fiber", "x", "anchor", False, residual=math.inf,
+                        witness={"point": [math.nan, -math.inf, 0.5]})
+    text = Report(config={}, checks=[check]).to_json(omit_timing=True)
+
+    def refuse(literal):
+        raise ValueError(f"non-standard JSON literal {literal}")
+    record = json.loads(text, parse_constant=refuse)["checks"][0]
+    assert record["residual"] == "inf"
+    assert record["witness"] == {"point": ["nan", "-inf", 0.5]}
+    assert "`{\"point\": [\"nan\", \"-inf\", 0.5]}`" in \
+        Report(config={}, checks=[check]).to_markdown()
 
 
 def test_main_pass_run(capsys, tmp_path):

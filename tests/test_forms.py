@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -139,6 +140,35 @@ def test_structure_equations():
         rhs = forms.to_dh(forms.structure_dalpha(a))
         rep = forms.equal(lhs, rhs, trials=100, tolerance=1e-10, rng=rng)
         assert rep.equal, (a, rep.max_residual)
+
+
+def test_d_differentiates_each_distinct_node_once_per_variable(monkeypatch):
+    # an ALPHA 2-form in DH: its six coefficients share t, t^-3 and the
+    # coframe rows, each reached by many paths
+    u = forms.to_dh(forms.wedge(forms.alpha(1), forms.alpha(2)))
+    calls = Counter()
+    node_types = {type(node) for f in u.terms.values()
+                  for node in _nodes(f)}
+    for kind in node_types:
+        rule = kind._d
+
+        def counted(node, var, d, rule=rule):
+            calls[id(node), var] += 1
+            return rule(node, var, d)
+        monkeypatch.setattr(kind, "_d", counted)
+    forms.d(u)
+    assert calls and max(calls.values()) == 1
+
+
+def _nodes(field):
+    """Every node under field, each once."""
+    seen, stack = {}, [field]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(getattr(node, k) for k in ("a", "b") if hasattr(node, k))
+    return seen.values()
 
 
 def test_pullback_rules():

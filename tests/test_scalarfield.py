@@ -459,3 +459,221 @@ def test_parse_invalid_numbers_are_parse_errors():
         sf.parse("h0 * \u00b2")
     with pytest.raises(sf.ParseError, match="integer exponent"):
         sf.parse("h0^\u00b2")
+
+
+# --- derivatives --------------------------------------------------------------
+
+def reference_diff(field, var):
+    """The recursive tree walk that ``derivative`` replaced, rule for rule:
+    a node reached by k paths is differentiated k times."""
+    if isinstance(field, sf.Const):
+        return sf.ZERO
+    if isinstance(field, sf.Var):
+        return sf.ONE if field.index == var else sf.ZERO
+    da, kind = reference_diff(field.a, var), type(field)
+    if kind is sf.Neg:
+        return sf.neg(da)
+    if kind is sf.Pow:
+        k = field.exponent
+        return sf.mul(sf.mul(sf.const(k), sf.pow_(field.a, k - 1)), da)
+    if kind is sf.Sqrt:
+        return sf.div(da, sf.mul(sf.TWO, field))
+    if kind is sf.Exp:
+        return sf.mul(field, da)
+    if kind is sf.Sin:
+        return sf.mul(sf.cos(field.a), da)
+    if kind is sf.Cos:
+        return sf.mul(sf.neg(sf.sin(field.a)), da)
+    db = reference_diff(field.b, var)
+    if kind is sf.Add:
+        return sf.add(da, db)
+    if kind is sf.Sub:
+        return sf.sub(da, db)
+    if kind is sf.Mul:
+        return sf.add(sf.mul(da, field.b), sf.mul(field.a, db))
+    num = sf.sub(sf.mul(da, field.b), sf.mul(field.a, db))
+    return sf.div(num, sf.mul(field.b, field.b))
+
+
+def distinct_nodes(field):
+    seen, stack = {}, [field]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(getattr(node, k) for k in ("a", "b") if hasattr(node, k))
+    return len(seen)
+
+
+_DAG_OPS = ("add", "sub", "mul", "div", "pow", "neg", "sqrt", "exp", "sin", "twin")
+
+
+@st.composite
+def dags(draw):
+    """Fields whose nodes reuse earlier nodes of a pool, so subtrees are
+    shared by many paths; returns the last three."""
+    pool = [sf.H0, sf.H1, sf.H2, sf.const(draw(rationals)),
+            sf.const(draw(st.sampled_from((0.5, -1.5, 2.0))))]
+    for _ in range(draw(st.integers(1, 10))):
+        # counted from the end, so recent nodes are reused most
+        a, b = (pool[-1 - draw(st.integers(0, len(pool) - 1))] for _ in range(2))
+        op = draw(st.sampled_from(_DAG_OPS))
+        if op == "twin":  # two sums sharing a, differenced
+            c = pool[-1 - draw(st.integers(0, len(pool) - 1))]
+            node = sf.sub(sf.add(a, b), sf.add(a, c))
+        elif op == "div":
+            if sf.is_zero(b):
+                continue
+            node = sf.div(a, b)
+        elif op == "pow":
+            k = draw(st.integers(-2, 3))
+            node = sf.pow_(a, abs(k) if sf.is_zero(a) else k)
+        elif op in ("add", "sub", "mul"):
+            node = getattr(sf, op)(a, b)
+        else:
+            node = getattr(sf, op)(a)
+        pool.append(node)
+    return pool[-3:]
+
+
+@given(dags(), st.integers(0, 3), st.tuples(floats, floats, floats, floats),
+       st.tuples(rationals, rationals, rationals, rationals))
+@settings(max_examples=300, deadline=None)
+def test_derivative_matches_tree_walk(roots, var, float_point, rational_point):
+    d = sf.derivative(var)  # one pass serves every root
+    got = [d(f) for f in roots]
+    want = [reference_diff(f, var) for f in roots]
+    assert [g.to_str() for g in got] == [w.to_str() for w in want]
+    for point in (float_point, rational_point):
+        assert same(outcome(lambda: sf.evaluator(got)(point)),
+                    outcome(lambda: sf.evaluator(want)(point)))
+
+
+def test_derivative_keeps_two_copies_apart_like_the_tree_walk():
+    # both sides of the difference have derivative d(g) by h0, once per
+    # pass; the tree walk makes two copies of it, which sub does not fold
+    g = sf.mul(sf.H0, sf.H0)
+    field = sf.sub(sf.add(g, sf.H1), sf.add(g, sf.H2))
+    got, want = sf.derivative(0)(field), reference_diff(field, 0)
+    assert isinstance(got, sf.Sub) and got.a is got.b
+    assert got.to_str() == want.to_str() == "h0 + h0 - (h0 + h0)"
+    # a node that was already there folds, in both
+    e = sf.exp(sf.H0)
+    field = sf.sub(sf.add(e, sf.H1), sf.add(e, sf.H2))
+    assert sf.derivative(0)(field) is sf.ZERO is reference_diff(field, 0)
+
+
+def test_self_product_chain_has_a_linear_derivative():
+    depth, field = 12, sf.add(sf.H0, sf.H1)
+    for _ in range(depth):
+        field = sf.mul(field, field)
+    assert distinct_nodes(field) == depth + 3
+    # d(f f) = d(f) f + f d(f): three new nodes a level with sharing
+    assert distinct_nodes(sf.derivative(0)(field)) <= 4 * depth + 4
+    assert distinct_nodes(reference_diff(field, 0)) >= 2 ** depth
+
+
+def test_separate_passes_share_nothing():
+    for field in (sf.mul(sf.H0, sf.H0), sf.parse("sin(h0)*exp(h0*h1)"),
+                  sf.parse("sqrt(h0^2 + h1^2)/(h0 - h2)")):
+        d1, d2 = sf.derivative(0), sf.derivative(0)
+        x, y = d1(field), d2(field)
+        assert d1(field) is x and x is not y
+        assert isinstance(sf.sub(x, y), sf.Sub)
+
+
+@pytest.mark.parametrize("text", [
+    "sin(" * sf.MAX_NESTING + "h0" + ")" * sf.MAX_NESTING,
+    "h0*(" * (sf.MAX_NESTING - 1) + "h0 + h1" + ")" * (sf.MAX_NESTING - 1),
+    "sin(" + "sqrt(1 + exp(" * 33 + "h0" + "))" * 33 + ")"],
+    ids=["sin-chain", "product-chain", "sqrt-exp-chain"])
+def test_field_at_the_nesting_cap_differentiates_three_times(text):
+    field = sf.parse(text)
+    with pytest.raises(sf.ParseError, match="nesting deeper than"):
+        sf.parse("sin(" + text + ")")
+    for _ in range(3):
+        field = field.diff(0)
+    assert not sf.is_const(field)
+
+
+# Today's folding rules, written out as they stood before the exact-type
+# and truth-value tests replaced them.
+def _old_const(v):
+    return sf.Const(v) if isinstance(v, float) else sf.Const(Fraction(v))
+
+
+def _old_is_zero(f):
+    return isinstance(f, sf.Const) and f.value == 0
+
+
+def _old_add(a, b):
+    if isinstance(a, sf.Const) and isinstance(b, sf.Const):
+        return _old_const(a.value + b.value)
+    if _old_is_zero(a):
+        return b
+    return a if _old_is_zero(b) else sf.Add(a, b)
+
+
+def _old_neg(a):
+    if isinstance(a, sf.Const):
+        return _old_const(-a.value)
+    return a.a if isinstance(a, sf.Neg) else sf.Neg(a)
+
+
+def _old_sub(a, b):
+    if a is b:
+        return sf.ZERO
+    if isinstance(a, sf.Const) and isinstance(b, sf.Const):
+        return _old_const(a.value - b.value)
+    if _old_is_zero(b):
+        return a
+    return _old_neg(b) if _old_is_zero(a) else sf.Sub(a, b)
+
+
+def _old_mul(a, b):
+    if _old_is_zero(a) or _old_is_zero(b):
+        return sf.ZERO
+    ca, cb = isinstance(a, sf.Const), isinstance(b, sf.Const)
+    if ca and cb:
+        return _old_const(a.value * b.value)
+    for c, other in ((a, b), (b, a)):
+        if isinstance(c, sf.Const) and c.value == 1:
+            return other
+    for c, other in ((a, b), (b, a)):
+        if isinstance(c, sf.Const) and c.value == -1:
+            return _old_neg(other)
+    return sf.Mul(a, b)
+
+
+_FOLD_VALUES = (Fraction(0), -0.0, math.nan, math.inf, Fraction(1), Fraction(-1),
+                1.0, -1.0, Fraction(1, 2))
+
+
+def _folded(result, operands):
+    """What a constructor returned: one of its operands, the ZERO
+    singleton, a constant (bit pattern of a float), or a new node."""
+    for i, x in enumerate(operands):
+        if result is x:
+            return ("operand", i)
+    if result is sf.ZERO:
+        return ("ZERO",)
+    if isinstance(result, sf.Const):
+        v = result.value
+        return ("const", type(v), struct.pack("<d", v) if isinstance(v, float) else v)
+    return (type(result), result.to_str())
+
+
+def test_folding_table_is_unchanged():
+    operands = [sf.Const(v) for v in _FOLD_VALUES] + [sf.H0]
+    for new, old in ((sf.add, _old_add), (sf.sub, _old_sub), (sf.mul, _old_mul)):
+        for a in operands:
+            for b in operands:
+                assert _folded(new(a, b), (a, b)) == _folded(old(a, b), (a, b)), \
+                    (new.__name__, a, b)
+    for a in operands:
+        assert _folded(sf.neg(a), (a,)) == _folded(_old_neg(a), (a,)), a
+    for v in _FOLD_VALUES + (3, True):
+        assert _folded(sf.const(v), ()) == _folded(_old_const(v), ())
+        assert sf.is_zero(sf.Const(v)) == _old_is_zero(sf.Const(v))
+    half = Fraction(1, 2)
+    assert sf.const(half).value is half
