@@ -131,8 +131,7 @@ def run(config: RunConfig):
         user_solution=user_solution)
     selected = config.selected_suites()
     started = time.perf_counter()
-    checks = [check for name in selected
-              for check in suites_mod.SUITE_RUNNERS[name](ctx)]
+    checks = suites_mod.run_suites(ctx, selected)
     checks.sort(key=lambda c: (selected.index(c.suite), c.name))
     report = Report(config=config.as_dict(), checks=checks,
                     wall_time=time.perf_counter() - started)
@@ -191,6 +190,8 @@ def _config_from_args(args) -> RunConfig:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # BLAS threads only spin on the linear suites' small matrices
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         config = _config_from_args(args)
         report, code = run(config)

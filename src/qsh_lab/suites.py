@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -1094,3 +1095,67 @@ SUITE_RUNNERS = {
     "flat": run_flat_suite,
     "symspace": run_symspace_suite,
 }
+
+LINEAR_SUITES = ("model", "liealg", "curvature")  # one task: they share ctx.model
+
+
+def run_suites(ctx: SuiteContext, selected) -> list:
+    """The checks of the `selected` suites, run in min(tasks, CPUs) lanes.
+
+    The linear suites are one task and every other suite is a task.  This
+    process is one lane and forks the others before any suite runs; lanes
+    claim task numbers from one pipe, so no suite splits and the report
+    does not depend on the CPUs.  A child pickles its checks, or the
+    set-up error it raised (raised again here), back through a pipe of
+    its own and never returns.  A test that observes a runner's side
+    effects must select one task: a forked lane's do not reach this one."""
+    import pickle
+    linear = [s for s in selected if s in LINEAR_SUITES]
+    tasks = [linear if s in linear[:1] else [s]
+             for s in selected if s not in linear[1:]]
+    queue, feed = os.pipe()
+    os.write(feed, bytes(range(len(tasks))))
+    os.close(feed)
+
+    def lane():
+        return {i: [c for s in tasks[i] for c in SUITE_RUNNERS[s](ctx)]
+                for (i,) in iter(lambda: os.read(queue, 1), b"")}
+    done, children = {}, {}  # children: pid -> read end of its result pipe
+    try:
+        cpus = (len(os.sched_getaffinity(0))  # Linux; elsewhere one lane
+                if hasattr(os, "sched_getaffinity") else 1)
+        for _ in range(min(len(tasks), cpus) - 1):
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    for fd in (r, *children.values()):
+                        os.close(fd)
+                    try:
+                        result = lane()
+                    except Exception as exc:
+                        import traceback
+                        traceback.print_exc()  # the pickled error loses it
+                        result = exc
+                    with open(w, "wb") as out:  # a dead parent: broken pipe
+                        out.write(pickle.dumps(result))
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children[pid] = r
+        done.update(lane())
+        for r in children.values():
+            with open(r, "rb", closefd=False) as fh:
+                data = fh.read()
+            result = pickle.loads(data) if data else {}  # {}: the lane died
+            if isinstance(result, Exception):
+                raise result
+            done.update(result)
+    finally:
+        os.close(queue)
+        for pid, r in children.items():
+            os.close(r)
+            os.waitpid(pid, 0)
+    lost = [s for i, task in enumerate(tasks) if i not in done for s in task]
+    if lost:
+        raise RuntimeError(f"a lane ended without the checks of suites {lost}")
+    return [c for i in range(len(tasks)) for c in done[i]]

@@ -1,9 +1,11 @@
 import json
 import math
+import os
 import pathlib
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -467,3 +469,83 @@ def test_sampling_error_is_one_failed_record():
     assert not check.passed and check.residual is None
     assert check.witness == {"evaluated": 0, "rejected": 64}
     assert "64 ValueError" in check.detail
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("selected, input_path, tasks", [
+    (("all",), None, 4),  # the linear suites are one task
+    (("fiber", "flat", "symspace"), str(GOLDEN_F), 3),
+    (("flat",), str(GOLDEN_F), 1)])
+def test_report_does_not_depend_on_the_lane_count(monkeypatch, selected,
+                                                  input_path, tasks):
+    forks, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", spy)
+    texts = set()
+    for cpus in (1, 2, 4):
+        _cpus(monkeypatch, cpus)
+        forks.clear()
+        report, code = run(RunConfig(ns=(2,), seed=42, suites=selected,
+                                     input_path=input_path))
+        assert code == 0
+        assert len(forks) == min(tasks, cpus) - 1
+        texts.add(report.to_json(omit_timing=True))
+    assert len(texts) == 1
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("failure", ["raise", "exit", "system-exit",
+                                     "raise-here"])
+def test_a_failed_lane_fails_the_run(monkeypatch, tmp_path, failure):
+    # two tasks in two lanes: one runner fails in the forked lane (or, for
+    # raise-here, in this one), the other returns no checks
+    here, claimed = os.getpid(), tmp_path / "claimed"
+    ran_here = []
+
+    def runner(name):
+        def run_suite(ctx):
+            if os.getpid() == here:
+                ran_here.append(name)
+                if failure == "raise-here":
+                    raise RuntimeError("set-up failed")
+                deadline = time.monotonic() + 30
+                while not claimed.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)  # until the other lane has a task
+                return []
+            claimed.touch()
+            if failure == "raise":
+                raise RuntimeError("set-up failed")
+            if failure == "exit":
+                os._exit(3)
+            if failure == "system-exit":  # must not return into pytest
+                raise SystemExit(0)
+            time.sleep(0.2)  # still running when this lane fails
+            return []
+        return run_suite
+    for name in ("fiber", "flat"):
+        monkeypatch.setitem(suites.SUITE_RUNNERS, name, runner(name))
+    _cpus(monkeypatch, 2)
+    out = tmp_path / "r.json"
+    with pytest.raises(RuntimeError) as err:
+        run(RunConfig(ns=(2,), suites=("fiber", "flat"), output_path=str(out)))
+    if failure in ("raise", "raise-here"):
+        assert str(err.value) == "set-up failed"
+    else:
+        lost, = {"fiber", "flat"} - set(ran_here)
+        assert str(err.value) == \
+            f"a lane ended without the checks of suites ['{lost}']"
+    assert not out.exists()
+    _assert_no_child_left()
