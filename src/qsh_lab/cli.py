@@ -49,6 +49,8 @@ class RunConfig:
     fmt: str = "json"
 
     def __post_init__(self):
+        # a repeated --n runs once, at its first place, as a suite does
+        object.__setattr__(self, "ns", tuple(dict.fromkeys(self.ns)))
         if not self.ns or any(n < 2 for n in self.ns):
             raise UsageError("every --n must be an integer >= 2")
         if self.kappa == 0:
@@ -57,6 +59,9 @@ class RunConfig:
             raise UsageError("--trials must be >= 1")
         if not 0 < self.tolerance < float("inf"):  # also refuses nan
             raise UsageError("--tolerance must be positive and finite")
+        if not self.suites:
+            raise UsageError("--suites selects no suite; valid: "
+                             f"{', '.join(VALID_SUITES)}")
         unknown = set(self.suites) - set(VALID_SUITES)
         if unknown:
             raise UsageError(f"unknown suites {sorted(unknown)}; "
@@ -67,11 +72,7 @@ class RunConfig:
     def selected_suites(self):
         if "all" in self.suites:
             return list(suites_mod.SUITE_NAMES)
-        seen = []
-        for s in self.suites:
-            if s not in seen:
-                seen.append(s)
-        return seen
+        return list(dict.fromkeys(self.suites))
 
     def as_dict(self) -> dict:
         return {
@@ -126,7 +127,7 @@ def run(config: RunConfig):
     if config.input_path is not None:
         user_solution = ingest_user_F(config.input_path)
     ctx = suites_mod.SuiteContext(
-        seed=config.seed, ns=tuple(config.ns), kappa=config.kappa,
+        seed=config.seed, ns=config.ns, kappa=config.kappa,
         trials=config.trials, tolerance=config.tolerance,
         user_solution=user_solution)
     selected = config.selected_suites()

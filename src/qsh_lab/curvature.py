@@ -253,9 +253,9 @@ def curvature_rows(model: FlatModel, basis: LieBasis, params: CurvParams):
                      for el in basis.elements()])
 
 
-def curvature_map_rank(model: FlatModel, basis: LieBasis, params: CurvParams,
-                       rows=None) -> int:
-    """Exact rank of A -> R_A over the enumerated basis of g.
+def curvature_map_rank(rows) -> int:
+    """Exact rank of A -> R_A over the enumerated basis of g, given the
+    integer rows of curvature_rows.
 
     rank(B) = rank(B B^T) over the rationals, and the integer Gram matrix
     is tiny compared to the flattened tensors, so the echelon step runs
@@ -264,21 +264,16 @@ def curvature_map_rank(model: FlatModel, basis: LieBasis, params: CurvParams,
     """
     import numpy as np
 
-    if rows is None:
-        rows = curvature_rows(model, basis, params)
     if rows.shape[1] * max(map(abs, rows.flat), default=0) ** 2 < 2 ** 63:
         rows = rows.astype(np.int64)  # no Gram entry or partial sum overflows
     return mat.rank(QArray((rows @ rows.T).astype(object, copy=False)))
 
 
-def curvature_map_rank_float(model: FlatModel, basis: LieBasis,
-                             params: CurvParams, tolerance: float = 1e-8,
-                             *, rows) -> int:
+def curvature_map_rank_float(rows, tolerance: float = 1e-8) -> int:
     """Float SVD rank of the rows of curvature_rows, for cross-checking the
-    exact rank.  The rows are required: this path never evaluates the
-    map itself, so it does not call the kernel.  The SVD runs on the
-    transpose: the same singular values, and LAPACK is much faster on a
-    tall matrix than on a wide one."""
+    exact rank.  It gets no model, so it cannot evaluate the map itself
+    or call the kernel.  The SVD runs on the transpose: the same singular
+    values, and LAPACK is much faster on a tall matrix than on a wide one."""
     import numpy as np
 
     svals = np.linalg.svd(np.array(rows, dtype=float).T, compute_uv=False)

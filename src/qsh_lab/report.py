@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -126,12 +127,20 @@ class Report:
 
 def write_atomic(path: str, text: str):
     """Write via a temp file in the target directory, then rename, so a
-    crash can never leave a partial report."""
+    crash can never leave a partial report.  The report gets the mode
+    open(path, "w") would give it, not the 0600 of the temp file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        try:  # open keeps the mode of a file that exists
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)  # reading the umask means setting it
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

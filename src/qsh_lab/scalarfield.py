@@ -17,21 +17,21 @@ pass builds the fields of the tree walk, printed and evaluated.
 Evaluation is exact (Fraction) on rational subtrees and falls back to
 float where sqrt/exp/sin/cos force it.  ``evaluator`` walks the DAG under
 some fields once (fields in order, a before b, as the recursive
-definition evaluates) into a flat tape of (out_slot, op, a_slot, b_slot)
-steps, one per distinct operation, so shared derivative subtrees cost one
-step per point and the first error raised is the same.  Subtrees without
-variables are folded once; one that raises becomes a raise step.  At an
+definition evaluates) and writes, as it goes, one straight-line Python
+function: a line per constant and per distinct operation
+(``r7 = r4 * r5``).  So shared derivative subtrees cost one line per
+point, a point costs no interpreter dispatch per operation, and the first
+error raised is the same.  Building evaluates nothing: a subtree without
+variables is computed, and raises, at each point like any other.  At an
 all-float point constants enter as float(c), which ``Fraction op float``
 computes with anyway, so results are bit-identical; elsewhere they stay
 exact.
 
-The tape is then compiled into one straight-line Python function, one
-statement per step (``r7 = r4 * r5``), so a point costs no interpreter
-dispatch per step.  Generating source is safe because nothing from the
-fields reaches it: the text is slot numbers, a fixed operator table and
-fixed helper names.  Constants, exponents and the exceptions of raise
-steps are passed in as data.  ``parse`` caps the nodes of an input field
-(MAX_NODES), which bounds the source built from it and its derivatives.
+Generating source is safe because nothing from the fields reaches it:
+the text is slot numbers, a fixed template per node type and fixed
+helper names.  Constants and exponents are passed in as data.  ``parse``
+caps the nodes of an input field (MAX_NODES), which bounds the source
+built from it and its derivatives.
 
 The printable grammar (round-tripped by ``parse``):
 
@@ -49,7 +49,6 @@ to exact rationals.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -387,10 +386,6 @@ def _zero_div():
     raise ZeroDivisionError("scalar field denominator vanished")
 
 
-def _div(x, y):
-    return x / y if y != 0 else _zero_div()
-
-
 def _negative_power(base, k):
     if base == 0:
         raise ZeroDivisionError("negative power of zero")
@@ -404,11 +399,6 @@ def _sqrt(x):
     return exact if exact is not None else math.sqrt(x)
 
 
-_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: _div,
-        Neg: operator.neg, Sqrt: _sqrt, Exp: math.exp, Sin: math.sin,
-        Cos: math.cos}
-
-
 def _as_float(c):
     """The float that ``c op x`` computes with at a float x; c itself when
     that conversion overflows or rounds a nonzero c to 0, so the same
@@ -420,56 +410,54 @@ def _as_float(c):
     return f if f or not c else c
 
 
-def _reraise(exc):
-    raise type(exc)(*exc.args)
-
-
-# Source of one tape step per op, over its operand slots a and b.  With
-# the slot numbers, these fixed strings are all the generated text.
-_SOURCE = {operator.add: "r{a} + r{b}", operator.sub: "r{a} - r{b}",
-           operator.mul: "r{a} * r{b}", operator.neg: "-r{a}",
-           operator.pow: "r{a} ** r{b}",
-           _div: "r{a} / r{b} if r{b} != 0 else _zero_div()",
-           _negative_power: "_negative_power(r{a}, r{b})", _sqrt: "_sqrt(r{a})",
-           math.exp: "_exp(r{a})", math.sin: "_sin(r{a})",
-           math.cos: "_cos(r{a})", _reraise: "_reraise(r{a})"}
+# Source of one node over its operand slots a and b; for Pow the sign of
+# the exponent picks the template.  With the slot numbers, these fixed
+# strings are all the generated text.
+_SOURCE = {Add: "r{a} + r{b}", Sub: "r{a} - r{b}", Mul: "r{a} * r{b}",
+           Div: "r{a} / r{b} if r{b} != 0 else _zero_div()", Neg: "-r{a}",
+           Pow: ("r{a} ** r{b}", "_negative_power(r{a}, r{b})"),
+           Sqrt: "_sqrt(r{a})", Exp: "_exp(r{a})", Sin: "_sin(r{a})",
+           Cos: "_cos(r{a})"}
 _GLOBALS = {"_zero_div": _zero_div, "_negative_power": _negative_power,
             "_sqrt": _sqrt, "_exp": math.exp, "_sin": math.sin,
-            "_cos": math.cos, "_reraise": _reraise}
+            "_cos": math.cos}
 
 
 def evaluator(fields):
     """One evaluator for a sequence of fields: returns point -> tuple of
     their values at point = (v0, v1, v2, v3), as ``Field.evaluate`` would
     give them one by one, raising the first error that would raise.
-    Build it once, outside the loop over sample points: building compiles
-    the tape."""
-    # slots: 0..3 hold h0..h3; a constant slot holds its exact value (and
-    # float value), every other slot None until a step writes it
-    exact = [None] * 4
-    floats = [None] * 4  # the same at an all-float point
-    slots = {}           # id(node) -> slot of its value
-    numbered = {}        # rational constant, exponent or (op, a, b) -> slot
-    tape = []
+    Build it once, outside the loop over sample points: building writes
+    and compiles the function but evaluates nothing.
 
-    def slot_for(key, value=None, as_float=None):
-        slot = numbered.get(key)
-        if slot is None:
-            slot = len(exact)
-            exact.append(value)
-            floats.append(as_float)
-            if key is not None:
-                numbered[key] = slot
+    The source is run(r0, r1, r2, r3, K), one line per slot: r0..r3 hold
+    h0..h3, a constant slot reads K (exact values, or their floats at an
+    all-float point), and every other slot is one distinct (node type,
+    operand slots).  Only slot numbers and the fixed text of _SOURCE reach
+    it: constants and exponents travel in K."""
+    exact, floats = [], []  # K at other points, K at all-float points
+    slots = {}              # id(node) -> slot of its value
+    numbered = {}           # rational constant, exponent or (type, a, b) -> slot
+    lines = ["def run(r0, r1, r2, r3, K):"]  # slot s is set on line s - 3
+
+    def emit(text, key):
+        slot = len(lines) + 3
+        lines.append(f" r{slot} = {text}")
+        if key is not None:
+            numbered[key] = slot
         return slot
 
-    def constant(value):
-        # floats are not shared: 0.0 == -0.0 and nan != nan
-        key = None if isinstance(value, float) else (type(value), value)
-        return slot_for(key, value, _as_float(value))
+    def constant(value, as_float, key=None):
+        slot = numbered.get(key)
+        if slot is None:
+            slot = emit(f"K[{len(exact)}]", key)
+            exact.append(value)
+            floats.append(as_float)
+        return slot
 
     fields = tuple(fields)
     for root in fields:
-        stack = [root]
+        stack = [] if isinstance(root, Const) else [root]  # see outputs
         while stack:
             node = stack[-1]
             if id(node) in slots:
@@ -478,64 +466,40 @@ def evaluator(fields):
             if isinstance(node, Var):
                 slot = node.index
             elif isinstance(node, Const):
-                slot = constant(node.value)
+                # floats are not shared: 0.0 == -0.0 and nan != nan
+                v = node.value
+                slot = constant(v, _as_float(v),
+                                None if isinstance(v, float) else (type(v), v))
             else:
                 kids = (node.b, node.a) if isinstance(node, _Binary) else (node.a,)
                 pending = [kid for kid in kids if id(kid) not in slots]
                 if pending:
                     stack.extend(pending)
                     continue
-                a, b = slots[id(node.a)], None
+                a, b, source = slots[id(node.a)], None, _SOURCE[type(node)]
                 if isinstance(node, Pow):
                     k = node.exponent
-                    op = operator.pow if k >= 0 else _negative_power
-                    b = slot_for(k, k, k)
-                else:
-                    op = _OPS[type(node)]
-                    if isinstance(node, _Binary):
-                        b = slots[id(node.b)]
-                if exact[a] is not None and (b is None or exact[b] is not None):
-                    try:
-                        slot = constant(op(exact[a]) if b is None
-                                        else op(exact[a], exact[b]))
-                    except Exception as exc:  # raised at every point
-                        slot = slot_for(None)
-                        tape.append((slot, _reraise, slot_for(None, exc, exc), None))
-                else:
-                    slot = numbered.get((op, a, b))
-                    if slot is None:
-                        slot = slot_for((op, a, b))
-                        tape.append((slot, op, a, b))
+                    b, source = constant(k, k, k), source[k < 0]
+                elif isinstance(node, _Binary):
+                    b = slots[id(node.b)]
+                slot = numbered.get((type(node), a, b))
+                if slot is None:
+                    slot = emit(source.format(a=a, b=b), (type(node), a, b))
             slots[id(node)] = slot
             stack.pop()
     # a constant field keeps its exact value at float points too
-    outputs = [s if exact[s] is None else slot_for(None, exact[s], exact[s])
-               for s in (slots[id(f)] for f in fields)]
-    run = _compile(tape, outputs)
-    exact, floats = tuple(exact[4:]), tuple(floats[4:])
+    outputs = [constant(f.value, f.value) if isinstance(f, Const)
+               else slots[id(f)] for f in fields]
+    lines.append(" return (" + "".join(f"r{s}, " for s in outputs) + ")")
+    namespace = dict(_GLOBALS, __builtins__={})
+    exec(compile("\n".join(lines), "<scalarfield evaluator>", "exec"), namespace)
+    run, exact, floats = namespace["run"], tuple(exact), tuple(floats)
 
     def evaluate(point):
         h0, h1, h2, h3 = point
         return run(h0, h1, h2, h3, floats if type(h0) is type(h1) is type(h2)
                    is type(h3) is float else exact)
     return evaluate
-
-
-def _compile(tape, outputs):
-    """The tape as one straight-line function run(r0, r1, r2, r3, K),
-    returning the tuple of the output slots; a slot past 3 that no step
-    writes is a constant, K[slot - 4].  Only slot numbers and the fixed
-    text of _SOURCE reach the source: constants, exponents and exceptions
-    travel in K."""
-    read = {s for _, _, a, b in tape for s in (a, b) if s is not None}
-    constants = read.union(outputs).difference(out for out, _, _, _ in tape)
-    lines = ["def run(r0, r1, r2, r3, K):"]
-    lines += [f" r{s} = K[{s - 4}]" for s in sorted(constants) if s > 3]
-    lines += [f" r{out} = " + _SOURCE[op].format(a=a, b=b) for out, op, a, b in tape]
-    lines.append(" return (" + "".join(f"r{s}, " for s in outputs) + ")")
-    namespace = dict(_GLOBALS, __builtins__={})
-    exec(compile("\n".join(lines), "<scalarfield tape>", "exec"), namespace)
-    return namespace["run"]
 
 
 # --- parser -----------------------------------------------------------------

@@ -553,8 +553,8 @@ def _curvature_checks_at(ctx: SuiteContext, n: int):
 
     def map_rank():
         rows = curv.curvature_rows(m, basis, params)
-        exact = curv.curvature_map_rank(m, basis, params, rows=rows)
-        approx = curv.curvature_map_rank_float(m, basis, params, rows=rows)
+        exact = curv.curvature_map_rank(rows)
+        approx = curv.curvature_map_rank_float(rows)
         expected = n * (2 * n - 1) + 3
         ok = exact == expected and approx == expected
         wit = None if ok else {"exact": exact, "svd": approx, "expected": expected}

@@ -127,9 +127,8 @@ def test_criterion_05_curvature_space_dimension(model2, basis2, model3, basis3):
     for model, basis, n in ((model2, basis2, 2), (model3, basis3, 3)):
         params = curv.CurvParams.pinned(1, n)
         rows = curv.curvature_rows(model, basis, params)
-        exact = curv.curvature_map_rank(model, basis, params, rows=rows)
-        approx = curv.curvature_map_rank_float(model, basis, params,
-                                               tolerance=1e-8, rows=rows)
+        exact = curv.curvature_map_rank(rows)
+        approx = curv.curvature_map_rank_float(rows, tolerance=1e-8)
         expected = n * (2 * n - 1) + 3
         ok = ok and exact == expected and approx == expected
     _report(5, "rank of A -> R_A equals n(2n-1)+3 (9 at n=2, 18 at n=3), "

@@ -3,6 +3,7 @@ import math
 import os
 import pathlib
 import random
+import stat
 import subprocess
 import sys
 import time
@@ -37,6 +38,8 @@ def test_config_validation():
             RunConfig(tolerance=tolerance)
     with pytest.raises(UsageError):
         RunConfig(suites=("nope",))
+    with pytest.raises(UsageError, match="selects no suite"):
+        RunConfig(suites=())
     with pytest.raises(UsageError):
         RunConfig(fmt="yaml")
     assert RunConfig(suites=("model", "all")).selected_suites() == \
@@ -174,6 +177,27 @@ def test_write_atomic_no_partial_on_error(tmp_path):
     assert target.read_text() == "hello"
 
 
+def test_write_atomic_gives_the_mode_of_open(tmp_path):
+    old = os.umask(0o022)
+    try:
+        for umask, mode in ((0o022, 0o644), (0o002, 0o664), (0o077, 0o600)):
+            os.umask(umask)
+            target, plain = tmp_path / f"{umask:o}.json", tmp_path / f"{umask:o}.txt"
+            write_atomic(str(target), "{}")
+            assert os.umask(umask) == umask  # left as it was
+            plain.write_text("{}")
+            assert stat.S_IMODE(target.stat().st_mode) == mode
+            assert stat.S_IMODE(plain.stat().st_mode) == mode
+            for path in (target, plain):  # an existing report keeps its mode
+                path.chmod(0o640)
+            write_atomic(str(target), "{}")
+            plain.write_text("{}")
+            assert stat.S_IMODE(target.stat().st_mode) == 0o640
+            assert stat.S_IMODE(plain.stat().st_mode) == 0o640
+    finally:
+        os.umask(old)
+
+
 def test_main_usage_errors(capsys):
     assert main(["run", "--suites", "curvature", "--kappa", "0"]) == 2
     assert "kappa" in capsys.readouterr().err
@@ -181,6 +205,11 @@ def test_main_usage_errors(capsys):
     assert main(["run", "--kappa", "not-a-number"]) == 2
     assert main(["run", "--input", "/nonexistent/F.json",
                  "--suites", "flat"]) == 2
+    # a run of no check would report "0/0 checks passed" and exit 0
+    for selection in (",", " ", " , ,"):
+        capsys.readouterr()
+        assert main(["run", "--suites", selection, "--n", "2"]) == 2
+        assert "selects no suite" in capsys.readouterr().err
 
 
 def _one_error_line(capsys) -> str:
@@ -202,6 +231,18 @@ def test_main_unreadable_input_is_usage_error(capsys, tmp_path, content):
     assert main(["run", "--suites", "flat", "--n", "2",
                  "--input", str(path)]) == 2
     _one_error_line(capsys)
+
+
+def test_repeated_n_runs_once(capsys, tmp_path):
+    assert RunConfig(ns=(3, 2, 3, 2)).ns == (3, 2)
+    out = tmp_path / "report.json"
+    assert main(["run", "--suites", "model", "--n", "2", "--n", "2",
+                 "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    names = [check["name"] for check in payload["checks"]]
+    assert payload["config"]["ns"] == [2]
+    assert names and len(names) == len(set(names))
+    assert f"{len(names)}/{len(names)} checks passed" in capsys.readouterr().out
 
 
 def test_main_unwritable_output_is_usage_error(capsys, tmp_path, monkeypatch):

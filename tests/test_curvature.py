@@ -210,16 +210,12 @@ def test_hermitian_trivial_cases(model2):
 
 def test_curvature_map_rank(model2, basis2, pinned2, model3, basis3):
     rows = curv.curvature_rows(model2, basis2, pinned2)
-    assert curv.curvature_map_rank(model2, basis2, pinned2, rows=rows) == 9
-    assert curv.curvature_map_rank_float(model2, basis2, pinned2,
-                                         rows=rows) == 9
+    assert curv.curvature_map_rank(rows) == 9
+    assert curv.curvature_map_rank_float(rows) == 9
     rows[-1] = rows[0]  # a duplicated row costs the float rank exactly one
-    assert curv.curvature_map_rank_float(model2, basis2, pinned2,
-                                         rows=rows) == 8
-    pinned3 = curv.CurvParams.pinned(1, 3)
-    rows = curv.curvature_rows(model3, basis3, pinned3)
-    assert curv.curvature_map_rank_float(model3, basis3, pinned3, rows=rows) \
-        == curv.curvature_map_rank(model3, basis3, pinned3, rows=rows) == 18
+    assert curv.curvature_map_rank_float(rows) == 8
+    rows = curv.curvature_rows(model3, basis3, curv.CurvParams.pinned(1, 3))
+    assert curv.curvature_map_rank_float(rows) == curv.curvature_map_rank(rows) == 18
 
 
 @pytest.mark.parametrize("kappa", [Fraction(4398046511104123, 1000000000000037),
@@ -238,7 +234,7 @@ def test_wide_kappa_exact(model2, basis2, kappa):
     for el, coef in ((basis2.so_basis[0], 2 * (2 + 2)), (basis2.sp_basis[0], 4 * 2)):
         ric = curv.ricci_of(model2, curv.curvature_of(model2, basis2, el, pinned))
         assert ric == curv.omega_pairing(model2, el.matrix) * (coef * kappa)
-    assert curv.curvature_map_rank(model2, basis2, pinned) == 9
+    assert curv.curvature_map_rank(curv.curvature_rows(model2, basis2, pinned)) == 9
 
 
 def test_tensor_independent_of_model_instance(model2, model3, basis2, basis3):
@@ -284,8 +280,8 @@ def test_linear_claims_at_large_n(n):
         assert ric == curv.omega_pairing(model, el.matrix) * coef
     rows = curv.curvature_rows(model, basis, params)
     rank = n * (2 * n - 1) + 3
-    assert curv.curvature_map_rank(model, basis, params, rows=rows) == rank
-    assert curv.curvature_map_rank_float(model, basis, params, rows=rows) == rank
+    assert curv.curvature_map_rank(rows) == rank
+    assert curv.curvature_map_rank_float(rows) == rank
 
 
 def _kernel_paths(model, basis, el, params):
@@ -359,11 +355,11 @@ def test_rank_gram_exact_in_both_dtypes(model2, basis2, pinned2):
     rows = curv.curvature_rows(model2, basis2, pinned2)
     for scaled in (rows, rows * 2 ** 40):  # int64 Gram, then object Gram
         with mock.patch.object(curv.mat, "rank", side_effect=lambda g: g) as rank:
-            gram = curv.curvature_map_rank(model2, basis2, pinned2, rows=scaled)
+            gram = curv.curvature_map_rank(scaled)
         rank.assert_called_once()
         assert all(type(v) is int for v in gram.values.flat)
         assert np.array_equal(gram.values, scaled @ scaled.T)
-        assert curv.curvature_map_rank(model2, basis2, pinned2, rows=scaled) == 9
+        assert curv.curvature_map_rank(scaled) == 9
 
 
 def test_second_paths_never_call_the_kernel(model3, basis3, monkeypatch):
@@ -387,4 +383,4 @@ def test_second_paths_never_call_the_kernel(model3, basis3, monkeypatch):
     assert curv.ricci_closed_form(model3, el.matrix, 1) == ric
     assert curv.is_Q_hermitian(model3, ric, frames=frames)[0] is False
     assert curv.is_Q_hermitian(model3, model3.omega, frames=frames) == (True, None)
-    assert curv.curvature_map_rank_float(model3, basis3, params, rows=rows) == 18
+    assert curv.curvature_map_rank_float(rows) == 18

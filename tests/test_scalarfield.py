@@ -335,7 +335,7 @@ def test_deep_chain_evaluates_without_recursion():
 
 
 _TAPE_NAMES = {"def", "run", "K", "return", "if", "else", "_zero_div",
-               "_negative_power", "_sqrt", "_exp", "_sin", "_cos", "_reraise"}
+               "_negative_power", "_sqrt", "_exp", "_sin", "_cos"}
 
 
 @pytest.mark.parametrize("c", [Fraction(1, 3), 10 ** 3999 + 7, float("nan"),
