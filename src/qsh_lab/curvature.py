@@ -18,7 +18,10 @@ on the integer arrays of the model and of B, and the Python ints
 (k0, k1, k2) = L (kappa, c1/4, c2/2n) over their common denominator L:
 exact for every kappa and every rational A.  The einsum and the sum
 run in int64 when a bound proves that no entry overflows, else on
-Python ints (dtype=object); the values are Python ints either way.
+Python ints (dtype=object), and R_A is an int64 QArray exactly when its
+entries fit (see matrices); the Bianchi sum, the Ricci trace, the
+Hermiticity products and the rank rows then run in int64 under the
+bounds that QArray carries.
 The bound's premise, checked on the model by _kernel_dtype: omega0,
 each J_a and each g_a is a signed permutation matrix (one +-1 in every
 row and column), so a product with B on either side is bounded by
@@ -85,9 +88,9 @@ def _kernel_dtype(model: FlatModel, B, coeffs):
         if not ((size <= 1).all() and (size.sum(-1) == 1).all()
                 and (size.sum(-2) == 1).all()):
             return object
-    m = max(1, max(map(abs, B.flat), default=0))
+    m = max(1, mat.magnitude(B))
     k0, k1, k2 = map(abs, coeffs)
-    return np.int64 if m * (k0 + 16 * k1 + 6 * k2) < 2 ** 63 else object
+    return np.int64 if m * (k0 + 16 * k1 + 6 * k2) < mat.INT64_LIMIT else object
 
 
 def _parts(model: FlatModel, B, dtype):
@@ -119,8 +122,7 @@ def curvature_of(model: FlatModel, basis: LieBasis, a, params: CurvParams) -> QA
     common = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * common) for c in coeffs]
     parts = _parts(model, A.values, _kernel_dtype(model, A.values, ints))
-    values = sum(c * t for c, t in zip(ints, parts))
-    return QArray(values.astype(object, copy=False), common * A.scale)
+    return QArray(sum(c * t for c, t in zip(ints, parts)), common * A.scale)
 
 
 def curvature_13(model: FlatModel, A: QArray, params: CurvParams, x, y, z) -> QArray:
@@ -198,7 +200,9 @@ def ricci_of(model: FlatModel, tensor: QArray) -> QArray:
     """Ric[y][z] = trace of x -> R(x, y) z, summed over the standard basis."""
     import numpy as np
 
-    return QArray(np.einsum("iyzi->yz", tensor.values), tensor.scale)
+    bound = tensor.bound * len(tensor)  # the trace sums len(tensor) terms
+    (t,) = mat.operands(max(bound, tensor.bound), tensor)
+    return QArray(np.einsum("iyzi->yz", t), tensor.scale, bound)
 
 
 def ricci_closed_form(model: FlatModel, A: QArray, kappa) -> QArray:
@@ -259,14 +263,11 @@ def curvature_map_rank(rows) -> int:
 
     rank(B) = rank(B B^T) over the rationals, and the integer Gram matrix
     is tiny compared to the flattened tensors, so the echelon step runs
-    on it.  The Gram product runs in int64 when cols * max|row|^2 is
-    below 2^63, and on Python ints otherwise.
+    on it.  The Gram product is a QArray `@`: it runs in int64 when
+    cols * max|row|^2 is below 2^63, and on Python ints otherwise.
     """
-    import numpy as np
-
-    if rows.shape[1] * max(map(abs, rows.flat), default=0) ** 2 < 2 ** 63:
-        rows = rows.astype(np.int64)  # no Gram entry or partial sum overflows
-    return mat.rank(QArray((rows @ rows.T).astype(object, copy=False)))
+    rows = QArray(rows.view())  # a view: the caller's rows stay writeable
+    return mat.rank(rows @ rows.T)
 
 
 def curvature_map_rank_float(rows, tolerance: float = 1e-8) -> int:

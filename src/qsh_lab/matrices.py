@@ -2,18 +2,27 @@
 
 QArray is the only exact matrix and vector representation of the linear
 stack (linmodel, liealg, curvature and their suites).  It holds a
-read-only numpy array of Python ints (dtype=object), `values`, and a
-positive int `scale`, and stands for values / scale.  Every structure
-matrix and every enumerated basis element of the flat model has entries
-in {0, +-1}, so scales stay small and products are plain integer
-arithmetic: `@` multiplies the scales, `+` and `-` bring both operands
-over the lcm of their scales, and `*` by a Fraction multiplies the
-scale by its denominator.  Python ints never overflow, so every
-operation is exact for every rational input.  A scalar read-out (an
-entry, a vector.matrix.vector product, a trace, max_abs) is a Fraction;
-nothing else reduces by a gcd.  A float entry raises TypeError instead
-of being rounded.  numpy is imported inside the few functions that
-need it, so importing this module does not load it.
+read-only integer numpy array `values`, a positive int `scale` and an
+int `bound` >= max |values|, and stands for values / scale.  Every
+structure matrix and every enumerated basis element of the flat model
+has entries in {0, +-1}, so scales stay small and products are plain
+integer arithmetic: `@` multiplies the scales, `+` and `-` bring both
+operands over the lcm of their scales (factors fa, fb), and `*` by a
+Fraction multiplies the scale by its denominator.  Each operation first
+computes its result's bound in Python ints: a.bound fa + b.bound fb for
+a sum, a.bound b.bound k for `@` over k terms (which also bounds every
+partial sum), bound |c| for `*` by c, a.bound b.bound for kron and
+bound n for a trace of n terms; transposes, reshapes, indexing and
+negation keep it.  The values are int64 exactly when the bound is below
+2^63, and an operation runs in int64 only when its result bound, its
+operands' bounds and its int factors are; otherwise it runs on Python
+ints (dtype=object), which never overflow.  So every operation is exact
+for every rational input, whatever numpy's integer promotion.  A scalar
+read-out (an entry, a vector.matrix.vector product, a trace, max_abs)
+is a Fraction of Python ints; nothing else reduces by a gcd.  A float
+entry raises TypeError instead of being rounded.  numpy is imported
+inside the functions that need it, so importing this module does not
+load it.
 
 Reduction (rref, rank, nullspace, solve) is the only code that leaves
 QArray: it uses plain Gaussian elimination over Fraction with the first
@@ -28,19 +37,50 @@ one `@` and one trace a step.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import lcm
+
+INT64_LIMIT = 2 ** 63  # int64 holds every int of smaller magnitude
+
+
+def magnitude(values) -> int:
+    """max |entry| of an integer array as a Python int, 0 when empty."""
+    return max(int(values.max()), -int(values.min())) if values.size else 0
+
+
+def operands(bound: int, *arrays: "QArray"):
+    """The values of the arrays in int64 when `bound` is below 2^63, else
+    as Python ints.  `bound` must cover every operand's bound and every
+    entry, partial sum and factor of the computation."""
+    if bound < INT64_LIMIT:
+        return [a.values for a in arrays]
+    return [a.values.astype(object) for a in arrays]
+
+
+@cache
+def _int64():
+    import numpy as np
+
+    return np.dtype(np.int64)
 
 
 class QArray:
-    """values / scale, for an integer array `values` and an int scale > 0."""
+    """values / scale, for an integer array `values`, an int scale > 0 and
+    an int bound >= max |values|, read off the values when not given."""
 
-    __slots__ = ("values", "scale")
+    __slots__ = ("values", "scale", "bound")
     __array_ufunc__ = None  # numpy operands defer to the methods below
 
-    def __init__(self, values, scale: int = 1):
+    def __init__(self, values, scale: int = 1, bound: int | None = None):
+        if bound is None:
+            bound = magnitude(values)
+        dtype = _int64() if bound < INT64_LIMIT else object
+        if values.dtype != dtype:
+            values = values.astype(dtype)
         values.flags.writeable = False
         self.values = values
         self.scale = scale
+        self.bound = bound
 
     @classmethod
     def of(cls, nested) -> "QArray":
@@ -56,36 +96,42 @@ class QArray:
             raise TypeError(f"exact entries must be int or Fraction, "
                             f"not {type(bad).__name__}") from None
         ints = [x.numerator * (scale // x.denominator) for x in flat]
-        return cls(np.array(ints, dtype=object).reshape(entries.shape), scale)
+        bound = max(map(abs, ints), default=0)
+        values = np.array(ints, dtype=np.int64 if bound < INT64_LIMIT else object)
+        return cls(values.reshape(entries.shape), scale, bound)
 
     @classmethod
     def eye(cls, n: int) -> "QArray":
         import numpy as np
 
-        return cls(np.eye(n, dtype=object))
+        return cls(np.eye(n, dtype=np.int64), 1, 1)
 
     def kron(self, other: "QArray") -> "QArray":
         import numpy as np
 
-        return QArray(np.kron(self.values, other.values), self.scale * other.scale)
+        bound = self.bound * other.bound
+        a, b = operands(max(bound, self.bound, other.bound), self, other)
+        return QArray(np.kron(a, b), self.scale * other.scale, bound)
 
-    def _wrap(self, values, scale: int):
-        if isinstance(values, int):
-            return Fraction(values, scale)
-        return QArray(values, scale)
+    def _wrap(self, values, scale: int, bound: int):
+        if not getattr(values, "ndim", 0):  # an int or a numpy integer
+            return Fraction(int(values), scale)
+        return QArray(values, scale, bound)
 
     def _common(self, other: "QArray"):
-        """Both value arrays over the lcm of the two scales."""
-        if self.scale == other.scale:
-            return self.values, other.values, self.scale
+        """Both value arrays over the lcm of the two scales, that scale,
+        and a bound of their sum."""
         s = lcm(self.scale, other.scale)
-        return self.values * (s // self.scale), other.values * (s // other.scale), s
+        fa, fb = s // self.scale, s // other.scale
+        bound = self.bound * fa + other.bound * fb  # >= both operand bounds
+        a, b = operands(max(bound, fa, fb), self, other)
+        return (a * fa if fa > 1 else a), (b * fb if fb > 1 else b), s, bound
 
     def __add__(self, other):
         if not isinstance(other, QArray):
             return NotImplemented
-        a, b, s = self._common(other)
-        return QArray(a + b, s)
+        a, b, s, bound = self._common(other)
+        return QArray(a + b, s, bound)
 
     def __radd__(self, other):
         # sum() starts from the int 0
@@ -94,38 +140,44 @@ class QArray:
     def __sub__(self, other):
         if not isinstance(other, QArray):
             return NotImplemented
-        a, b, s = self._common(other)
-        return QArray(a - b, s)
+        a, b, s, bound = self._common(other)
+        return QArray(a - b, s, bound)
 
     def __neg__(self):
-        return QArray(-self.values, self.scale)
+        return QArray(-self.values, self.scale, self.bound)
 
     def __mul__(self, c):
-        if isinstance(c, int):
-            return QArray(self.values * c, self.scale)
         if isinstance(c, Fraction):
-            return QArray(self.values * c.numerator, self.scale * c.denominator)
-        return NotImplemented
+            scale, c = self.scale * c.denominator, c.numerator
+        elif isinstance(c, int):
+            scale = self.scale
+        else:
+            return NotImplemented
+        bound = self.bound * abs(c)
+        (a,) = operands(max(bound, self.bound, abs(c)), self)
+        return QArray(a * c, scale, bound)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         if not isinstance(other, QArray):
             return NotImplemented
-        return self._wrap(self.values @ other.values, self.scale * other.scale)
+        bound = self.bound * other.bound * self.values.shape[-1]
+        a, b = operands(max(bound, self.bound, other.bound), self, other)
+        return self._wrap(a @ b, self.scale * other.scale, bound)
 
     def __eq__(self, other):
         if not isinstance(other, QArray):
             return NotImplemented
         if self.values.shape != other.values.shape:
             return False
-        a, b, _ = self._common(other)
+        a, b, _, _ = self._common(other)
         return bool((a == b).all())
 
     __hash__ = None
 
     def __getitem__(self, key):
-        return self._wrap(self.values[key], self.scale)
+        return self._wrap(self.values[key], self.scale, self.bound)
 
     def __iter__(self):
         return (self[i] for i in range(len(self.values)))
@@ -145,19 +197,20 @@ class QArray:
         """The transpose of a matrix, or of each matrix of a stack."""
         if self.values.ndim < 2:
             return self
-        return QArray(self.values.swapaxes(-1, -2), self.scale)
+        return QArray(self.values.swapaxes(-1, -2), self.scale, self.bound)
 
     def transpose(self, *axes) -> "QArray":
-        return QArray(self.values.transpose(*axes), self.scale)
+        return QArray(self.values.transpose(*axes), self.scale, self.bound)
 
     def reshape(self, *shape) -> "QArray":
-        return QArray(self.values.reshape(*shape), self.scale)
+        return QArray(self.values.reshape(*shape), self.scale, self.bound)
 
     def trace(self) -> Fraction:
-        return Fraction(self.values.trace(), self.scale)
+        (a,) = operands(max(self.bound * min(self.shape), self.bound), self)
+        return Fraction(int(a.trace()), self.scale)
 
     def max_abs(self) -> Fraction:
-        return Fraction(max(map(abs, self.values.flat), default=0), self.scale)
+        return Fraction(magnitude(self.values), self.scale)
 
 
 def rref(m: QArray):
@@ -217,8 +270,8 @@ def solve(m: QArray, b: QArray):
 
     cols = m.shape[1]
     # both sides times m.scale * b.scale
-    r, pivots = rref(QArray(np.column_stack([m.values * b.scale,
-                                             b.values * m.scale])))
+    r, pivots = rref(QArray(np.column_stack([(m * b.scale).values,
+                                             (b * m.scale).values])))
     if cols in pivots:
         return None
     x = [Fraction(0)] * cols

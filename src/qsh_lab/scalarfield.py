@@ -395,6 +395,8 @@ def _negative_power(base, k):
 def _sqrt(x):
     if x < 0:
         raise ValueError("sqrt of a negative value")
+    if type(x) is float:  # the sampled case; skips the ABC check below
+        return math.sqrt(x)
     exact = _exact_sqrt(x) if isinstance(x, Fraction) else None
     return exact if exact is not None else math.sqrt(x)
 

@@ -258,7 +258,7 @@ def test_tensor_independent_of_model_instance(model2, model3, basis2, basis3):
         for field in (model.omega, model.J, model.g):
             assert field.scale == 1
             assert not field.values.flags.writeable
-            assert all(type(v) is int for v in field.values.flat)
+            _check_values(field)
     assert second2 == model2 and second2.omega is not model2.omega
     assert model3.omega.shape == (12, 12)
     assert model3.J.shape == model3.g.shape == (3, 12, 12)
@@ -294,11 +294,21 @@ def _kernel_paths(model, basis, el, params):
     return fast, parts.call_args.args[2], slow
 
 
+def _check_values(q):
+    """int64 under a bound below 2^63, else Python ints; the bound holds."""
+    assert type(q.bound) is int
+    assert all(abs(int(v)) <= q.bound for v in q.values.flat)
+    if q.bound < 2 ** 63:
+        assert q.values.dtype == np.int64
+    else:
+        assert q.values.dtype == object
+        assert all(type(v) is int for v in q.values.flat)
+
+
 def _same_tensor(fast, dtype, slow):
     assert dtype is np.int64
     assert fast.scale == slow.scale
-    assert fast.values.dtype == object
-    assert all(type(v) is int for v in fast.values.flat)
+    _check_values(fast)
     assert np.array_equal(fast.values, slow.values)
 
 
@@ -357,9 +367,23 @@ def test_rank_gram_exact_in_both_dtypes(model2, basis2, pinned2):
         with mock.patch.object(curv.mat, "rank", side_effect=lambda g: g) as rank:
             gram = curv.curvature_map_rank(scaled)
         rank.assert_called_once()
-        assert all(type(v) is int for v in gram.values.flat)
-        assert np.array_equal(gram.values, scaled @ scaled.T)
+        _check_values(gram)
+        exact = scaled.astype(object)  # the reference Gram on Python ints
+        assert np.array_equal(gram.values, exact @ exact.T)
         assert curv.curvature_map_rank(scaled) == 9
+
+
+def test_overflow_bounds_are_python_ints(model2):
+    # both bounds overflow int64 when computed in it: 2 * (2^32)^2 wraps
+    # to 0, which would pass an int64 Gram matrix of rank 0, and so does
+    # 2^40 * 2^30 in the kernel's bound
+    rows = np.array([[2 ** 32, 0], [2 ** 32, 0]], dtype=np.int64)
+    assert curv.curvature_map_rank(rows) == 1
+    assert curv.curvature_map_rank(rows.astype(object)) == 1
+    assert curv.curvature_map_rank_float(rows) == 1
+    wide = model2.omega.values * 2 ** 40
+    assert curv._kernel_dtype(model2, wide, [2 ** 30, 0, 0]) is object
+    assert curv._kernel_dtype(model2, wide, [2 ** 20, 0, 0]) is np.int64
 
 
 def test_second_paths_never_call_the_kernel(model3, basis3, monkeypatch):

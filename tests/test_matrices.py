@@ -1,8 +1,12 @@
+import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsh_lab import matrices as mat
 from qsh_lab.matrices import QArray
@@ -140,10 +144,21 @@ def _mixed(rng):
     return Fraction(rng.randint(-5, 5), rng.randint(1, 7))
 
 
+def _check_values(q):
+    """int64 under a bound below 2^63, else Python ints; the bound holds."""
+    assert type(q.bound) is int
+    assert all(abs(int(x)) <= q.bound for x in q.values.flat)
+    if q.bound < 2 ** 63:
+        assert q.values.dtype == np.int64
+    else:
+        assert q.values.dtype == object
+        assert all(type(x) is int for x in q.values.flat)
+
+
 def _check_of(nested):
     q = QArray.of(nested)
     assert q.scale > 0
-    assert all(type(x) is int for x in q.values.flat)
+    _check_values(q)
     assert not q.values.flags.writeable
     assert _entries(q) == [[Fraction(x) for x in row] for row in nested]
     assert all(type(x) is Fraction for row in _entries(q) for x in row)
@@ -250,3 +265,68 @@ def test_products_reject_float_entries():
         good @ np.eye(2)
     with pytest.raises(ValueError):
         good.values[0, 0] = 2  # read-only
+
+
+# Entries near 2^31 and near the int64 edges of a product of k terms, so
+# that results fall on both sides of 2^63: every operation must still be
+# exact, and its values int64 exactly when the bound it carries allows.
+
+_LIMIT = 2 ** 63
+
+
+def _near_edges(k):
+    centres = (2 ** 31, math.isqrt(_LIMIT // k), _LIMIT // k, _LIMIT)
+    return st.builds(lambda c, d, sign: sign * (c + d), st.sampled_from(centres),
+                     st.integers(-2, 2), st.sampled_from((1, -1)))
+
+
+def _edge_entries(k):
+    ints = st.integers(-3, 3) | _near_edges(k)
+    return ints | st.builds(Fraction, ints, st.integers(1, 4))
+
+
+def _exact_read_out(x):
+    return (type(x) is Fraction and type(x.numerator) is int
+            and type(x.denominator) is int)
+
+
+def _check_result(q, reference):
+    _check_values(q)
+    entries = _entries(q)
+    assert entries == reference
+    assert all(_exact_read_out(x) for row in entries for x in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_products_exact_across_the_int64_edge(data):
+    k, rows, cols = (data.draw(st.integers(1, 3)) for _ in range(3))
+    entries = _edge_entries(k)
+    a, c = ([[data.draw(entries) for _ in range(k)] for _ in range(rows)]
+            for _ in range(2))
+    b = [[data.draw(entries) for _ in range(cols)] for _ in range(k)]
+    n = data.draw(st.integers(-3, 3) | _near_edges(k))
+    f = data.draw(st.builds(Fraction, st.integers(-3, 3) | _near_edges(k),
+                            st.integers(1, 4)))
+    fa, fc = ([[Fraction(x) for x in row] for row in m] for m in (a, c))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        qa, qb, qc = QArray.of(a), QArray.of(b), QArray.of(c)
+        _check_result(qa + qc, [[x + y for x, y in zip(r, s)] for r, s in zip(fa, fc)])
+        _check_result(qa - qc, [[x - y for x, y in zip(r, s)] for r, s in zip(fa, fc)])
+        _check_result(qa @ qb, _ref_mat_mul(a, b))
+        _check_result(qa * n, [[x * n for x in row] for row in fa])
+        _check_result(qa * f, [[x * f for x in row] for row in fa])
+        _check_result(qa.kron(qb), [[x * Fraction(y) for x in ra for y in rb]
+                                    for ra in fa for rb in b])
+        square = qa @ qa.T
+        trace = square.trace()
+        assert _exact_read_out(trace)
+        assert trace == sum((x * x for row in fa for x in row), Fraction(0))
+        top = qa.max_abs()
+        assert _exact_read_out(top)
+        assert top == max(abs(x) for row in fa for x in row)
+        assert (qa == qc) == (fa == fc)
+        assert (qa * f == qa) == all(x * f == x for row in fa for x in row)
+        if f:
+            assert qa * f * (1 / f) == qa  # equal at another scale

@@ -677,3 +677,17 @@ def test_folding_table_is_unchanged():
         assert sf.is_zero(sf.Const(v)) == _old_is_zero(sf.Const(v))
     half = Fraction(1, 2)
     assert sf.const(half).value is half
+
+
+def test_sqrt_step_floats_and_fractions():
+    # floats take a fast path; NaN, inf, the error and exact roots hold
+    assert sf._sqrt(2.25) == 1.5 and type(sf._sqrt(2.25)) is float
+    assert math.isnan(sf._sqrt(float("nan")))
+    assert sf._sqrt(float("inf")) == float("inf")
+    for negative in (-1e-300, float("-inf"), Fraction(-1, 4), -4):
+        with pytest.raises(ValueError, match="sqrt of a negative value"):
+            sf._sqrt(negative)
+    assert sf._sqrt(Fraction(9, 4)) == Fraction(3, 2)
+    assert type(sf._sqrt(Fraction(9, 4))) is Fraction
+    assert sf._sqrt(Fraction(2)) == math.sqrt(2)
+    assert sf._sqrt(4) == 2.0
