@@ -1,24 +1,35 @@
 """Named verification checks, grouped into suites.
 
-Each check verifies one identity and returns a CheckResult carrying the
-identity text (anchor), a pass flag, the worst residual seen and, on
+Each check verifies one identity, and its record (a CheckResult) carries
+the identity text (anchor), a pass flag, the worst residual seen and, on
 failure, a witness.  The CLI composes suites into reports; the
 acceptance tests call the same functions with pinned parameters.
 
 Checks derive their randomness from the run seed, the suite name and
 the check name, so reports are reproducible bit-for-bit.
 
-Exact identities over Q are decided by `_exact`, sampled ones by
-`_verdict`.
+A check is one function `fn(ctx, n)` declared with
+`@_check(suite, name, anchor)`, which appends it to `CHECKS[suite]`:
+
+- A name that holds `{n}` runs once for each n in `ctx.ns`, with `{n}`
+  filled in; any other name runs once with n = None.
+- A generator's yielded differences (Fractions or QArrays) are decided
+  exactly by `_exact`; the value it returns, if any, is the detail.  Any
+  other check returns (passed, residual, witness, detail), for sampled
+  identities through `_verdict`, or None when it does not apply.
+- A check builds what it uses (`ctx.model(n)`, `ctx.basis(n)`,
+  `_pinned`) in its own body, so an error there fails that check only.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
 import random
 import time
+import types
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,6 +47,16 @@ from qsh_lab.quaternion import Quaternion
 from qsh_lab.report import CheckResult
 
 SUITE_NAMES = ("model", "liealg", "curvature", "fiber", "flat", "symspace")
+
+CHECKS = {suite: [] for suite in SUITE_NAMES}  # suite -> [(name, anchor, fn)]
+
+
+def _check(suite: str, name: str, anchor: str):
+    """Declare `fn(ctx, n)` as a check of `suite` (see the module docstring)."""
+    def declare(fn):
+        CHECKS[suite].append((name, anchor, fn))
+        return fn
+    return declare
 
 
 @dataclass
@@ -63,10 +84,17 @@ class SuiteContext:
         return random.Random(f"{self.seed}:{suite}:{name}")
 
 
-def _run(suite: str, name: str, anchor: str, fn) -> CheckResult:
+def _run(suite: str, name: str, anchor: str, fn) -> CheckResult | None:
+    """The record of `fn()`: a generator is decided by `_exact`, None means
+    the check does not apply, and an exception fails the check."""
     start = time.perf_counter()
     try:
-        passed, residual, witness, detail = fn()
+        result = fn()
+        if isinstance(result, types.GeneratorType):
+            result = _exact(result)
+        if result is None:
+            return None
+        passed, residual, witness, detail = result
     except forms.SamplingError as exc:  # no evidence is a failed check
         passed, residual, detail = False, None, f"no evidence: {exc}"
         witness = {"evaluated": exc.evaluated, "rejected": exc.rejected}
@@ -75,6 +103,13 @@ def _run(suite: str, name: str, anchor: str, fn) -> CheckResult:
     return CheckResult(suite=suite, name=name, anchor=anchor, passed=passed,
                        residual=residual, witness=witness, detail=detail,
                        wall_time=time.perf_counter() - start)
+
+
+def _run_suite(suite: str, ctx: SuiteContext) -> list:
+    records = (_run(suite, name.format(n=n), anchor, functools.partial(fn, ctx, n))
+               for name, anchor, fn in CHECKS[suite]
+               for n in (ctx.ns if "{n}" in name else (None,)))
+    return [record for record in records if record is not None]
 
 
 def _verdict(reports, detail: str = ""):
@@ -95,8 +130,12 @@ def _exact(diffs, detail: str = ""):
     """The check result of a run of exact identities over Q: it passes iff
     every item of `diffs` (a Fraction or a QArray) is 0, with the largest
     |entry| as its residual.  Every item is read, so a failing check makes
-    the same rng draws as a passing one and records its worst residual."""
-    worst = max((d.max_abs() if isinstance(d, QArray) else abs(d) for d in diffs),
+    the same rng draws as a passing one and records its worst residual.
+    A generator's return value, if any, replaces `detail`."""
+    def items():
+        nonlocal detail
+        detail = (yield from diffs) or detail
+    worst = max((d.max_abs() if isinstance(d, QArray) else abs(d) for d in items()),
                 default=Fraction(0))
     return worst == 0, float(worst), None, detail
 
@@ -121,638 +160,609 @@ def _unit_quaternion(rng: random.Random) -> Quaternion:
 # model suite
 # ---------------------------------------------------------------------------
 
-def run_model_suite(ctx: SuiteContext):
-    out = []
-    for n in ctx.ns:
-        m = ctx.model(n)
-        dim = m.dim
-        ident = QArray.eye(dim)
+@_check("model", "quaternionic-identity[n={n}]",
+        "J1^2 = J2^2 = J3^2 = J1 J2 J3 = -Id, exactly")
+def quaternionic_identity(ctx, n):
+    m = ctx.model(n)
+    ident = QArray.eye(m.dim)
+    yield from (Ja @ Ja + ident for Ja in m.J)
+    yield m.J[0] @ m.J[1] @ m.J[2] + ident
 
-        def quaternionic_identity():
-            yield from (Ja @ Ja + ident for Ja in m.J)
-            yield m.J[0] @ m.J[1] @ m.J[2] + ident
-        out.append(_run("model", f"quaternionic-identity[n={n}]",
-                        "J1^2 = J2^2 = J3^2 = J1 J2 J3 = -Id, exactly",
-                        lambda: _exact(quaternionic_identity())))
 
-        def omega_skew():
-            skew = (m.omega + m.omega.T).max_abs()
-            rk = mat.rank(m.omega)
-            ok = skew == 0 and rk == dim
-            return ok, float(skew), None if ok else {"rank": rk}, f"rank {rk}"
-        out.append(_run("model", f"omega-skew-nondegenerate[n={n}]",
-                        "omega0 is skew with full rank 4n",
-                        omega_skew))
+@_check("model", "omega-skew-nondegenerate[n={n}]", "omega0 is skew with full rank 4n")
+def omega_skew(ctx, n):
+    m = ctx.model(n)
+    skew = (m.omega + m.omega.T).max_abs()
+    rk = mat.rank(m.omega)
+    ok = skew == 0 and rk == m.dim
+    return ok, float(skew), None if ok else {"rank": rk}, f"rank {rk}"
 
-        def omega_hermitian():
-            yield m.J.T @ m.omega @ m.J - m.omega
-        out.append(_run("model", f"omega-hermitian[n={n}]",
-                        "omega0(J_a x, J_a y) = omega0(x, y) for a = 1, 2, 3",
-                        lambda: _exact(omega_hermitian())))
 
-        def metric_compatibility():
-            yield m.g - m.g.T
-            yield m.g - m.omega @ m.J
-            yield m.J.T @ m.g @ m.J - m.g
-        out.append(_run("model", f"metric-compatibility[n={n}]",
-                        "g_a = omega0(., J_a .), symmetric and J_a-Hermitian",
-                        lambda: _exact(metric_compatibility())))
+@_check("model", "omega-hermitian[n={n}]",
+        "omega0(J_a x, J_a y) = omega0(x, y) for a = 1, 2, 3")
+def omega_hermitian(ctx, n):
+    m = ctx.model(n)
+    yield m.J.T @ m.omega @ m.J - m.omega
 
-        def metric_signature():
-            sigs = [mat.signature_symmetric(ga) for ga in m.g]
-            ok = all(s == (2 * n, 2 * n, 0) for s in sigs)
-            return ok, None, None if ok else {"signatures": sigs}, f"signatures {sigs}"
-        out.append(_run("model", f"metric-signature[n={n}]",
-                        "each g_a has signature (2n, 2n)",
-                        metric_signature))
 
-        def non_hermitian_witness():
-            # invariance of g_1 under J_2 must fail on some basis pair
-            lhs = m.J[1].T @ m.g[0] @ m.J[1]
-            for i in range(dim):
-                for j in range(dim):
-                    if lhs[i, j] != m.g[0][i, j]:
-                        wit = {"pair": (i, j), "g1": m.g[0][i, j],
-                               "g1_J2_rotated": lhs[i, j]}
-                        return True, None, wit, "witness found as required"
-            return False, 0.0, None, "g_1 unexpectedly invariant under J_2"
-        out.append(_run("model", f"non-hermitian-witness[n={n}]",
-                        "g_1(J_2 x, J_2 y) != g_1(x, y) on some basis pair",
-                        non_hermitian_witness))
+@_check("model", "metric-compatibility[n={n}]",
+        "g_a = omega0(., J_a .), symmetric and J_a-Hermitian")
+def metric_compatibility(ctx, n):
+    m = ctx.model(n)
+    yield m.g - m.g.T
+    yield m.g - m.omega @ m.J
+    yield m.J.T @ m.g @ m.J - m.g
 
-        def qsh_reconstruction():
-            rng = ctx.rng("model", f"qsh-reconstruction{n}")
-            for _ in range(min(ctx.trials, 25)):
-                x = _rational_vector(rng, dim)
-                y = _rational_vector(rng, dim)
-                z = _rational_vector(rng, dim)
-                direct = qsh_form_matrix(m, x, y) @ z
-                scalar, sp1 = qsh_form(m, x, y)
-                recon = z * scalar + sum(c * (Ja @ z) for c, Ja in zip(sp1, m.J))
-                yield direct - recon
-        out.append(_run("model", f"qsh-reconstruction[n={n}]",
-                        "h(x,y)z = omega0(x,y) z + sum_a g_a(x,y) J_a z, "
-                        "rebuilt from the scalar/sp1 output",
-                        lambda: _exact(qsh_reconstruction())))
 
-        def qsh_special_values():
-            rng = ctx.rng("model", f"qsh-special{n}")
-            for _ in range(10):
-                x = _rational_vector(rng, dim)
-                scalar, _ = qsh_form(m, x, x)
-                yield scalar
-            e1 = m.basis_vector(0)
-            j1e1 = m.apply_J(1, e1)
-            _, sp1 = qsh_form(m, e1, j1e1)
-            yield sp1[0]
-        out.append(_run("model", f"qsh-special-values[n={n}]",
-                        "scalar part vanishes on the diagonal; "
-                        "g_1(e1, J_1 e1) = -omega0(e1, e1) = 0",
-                        lambda: _exact(qsh_special_values())))
+@_check("model", "metric-signature[n={n}]", "each g_a has signature (2n, 2n)")
+def metric_signature(ctx, n):
+    sigs = [mat.signature_symmetric(ga) for ga in ctx.model(n).g]
+    ok = all(s == (2 * n, 2 * n, 0) for s in sigs)
+    return ok, None, None if ok else {"signatures": sigs}, f"signatures {sigs}"
 
-        def phi_identity():
-            rng = ctx.rng("model", f"phi{n}")
-            for _ in range(min(ctx.trials, 20)):
-                x, y, z, w = (_rational_vector(rng, dim) for _ in range(4))
-                phi = fundamental_4tensor(m, x, y, z, w)
-                yield phi - fundamental_4tensor(m, y, x, z, w)
-                yield phi - fundamental_4tensor(m, z, w, x, y)
-                _, sp1_zw = qsh_form(m, z, w)
-                imh_y = sum(c * (Ja @ y) for c, Ja in zip(sp1_zw, m.J))
-                yield phi - m.omega_of(x, imh_y)
-        out.append(_run("model", f"phi-identity[n={n}]",
-                        "Phi = sum_a g_a (x) g_a agrees with omega0(., Im(h) .) "
-                        "and is pair-symmetric",
-                        lambda: _exact(phi_identity())))
 
-        def frame_rotation():
-            rng = ctx.rng("model", f"frame{n}")
-            for _ in range(5):
-                q = _unit_quaternion(rng)
-                rotated = sp1_conjugate_frame(m, q)
-                prod = rotated[0] @ rotated[1] @ rotated[2]
-                yield prod + ident
-                r3 = rotation_matrix(q)
-                yield r3.T @ r3 - QArray.eye(3)
-                x = _rational_vector(rng, dim)
-                y = _rational_vector(rng, dim)
-                _, sp1 = qsh_form(m, x, y)
-                for a in range(3):
-                    rotated_ga = x @ (m.omega @ rotated[a]) @ y
-                    expected = sum(r3[b, a] * sp1[b] for b in range(3))
-                    yield rotated_ga - expected
-        out.append(_run("model", f"frame-rotation-covariance[n={n}]",
-                        "rotated frames stay admissible, the rotation is exactly "
-                        "orthogonal, and the sp1 part of h rotates covariantly",
-                        lambda: _exact(frame_rotation())))
-    return out
+@_check("model", "non-hermitian-witness[n={n}]",
+        "g_1(J_2 x, J_2 y) != g_1(x, y) on some basis pair")
+def non_hermitian_witness(ctx, n):
+    # invariance of g_1 under J_2 must fail on some basis pair
+    m = ctx.model(n)
+    lhs = m.J[1].T @ m.g[0] @ m.J[1]
+    for i in range(m.dim):
+        for j in range(m.dim):
+            if lhs[i, j] != m.g[0][i, j]:
+                wit = {"pair": (i, j), "g1": m.g[0][i, j],
+                       "g1_J2_rotated": lhs[i, j]}
+                return True, None, wit, "witness found as required"
+    return False, 0.0, None, "g_1 unexpectedly invariant under J_2"
+
+
+@_check("model", "qsh-reconstruction[n={n}]", "h(x,y)z = omega0(x,y) z + sum_a "
+        "g_a(x,y) J_a z, rebuilt from the scalar/sp1 output")
+def qsh_reconstruction(ctx, n):
+    m = ctx.model(n)
+    rng = ctx.rng("model", f"qsh-reconstruction{n}")
+    for _ in range(min(ctx.trials, 25)):
+        x = _rational_vector(rng, m.dim)
+        y = _rational_vector(rng, m.dim)
+        z = _rational_vector(rng, m.dim)
+        direct = qsh_form_matrix(m, x, y) @ z
+        scalar, sp1 = qsh_form(m, x, y)
+        recon = z * scalar + sum(c * (Ja @ z) for c, Ja in zip(sp1, m.J))
+        yield direct - recon
+
+
+@_check("model", "qsh-special-values[n={n}]", "scalar part vanishes on the diagonal; "
+        "g_1(e1, J_1 e1) = -omega0(e1, e1) = 0")
+def qsh_special_values(ctx, n):
+    m = ctx.model(n)
+    rng = ctx.rng("model", f"qsh-special{n}")
+    for _ in range(10):
+        x = _rational_vector(rng, m.dim)
+        scalar, _ = qsh_form(m, x, x)
+        yield scalar
+    e1 = m.basis_vector(0)
+    j1e1 = m.apply_J(1, e1)
+    _, sp1 = qsh_form(m, e1, j1e1)
+    yield sp1[0]
+
+
+@_check("model", "phi-identity[n={n}]", "Phi = sum_a g_a (x) g_a agrees with omega0(., "
+        "Im(h) .) and is pair-symmetric")
+def phi_identity(ctx, n):
+    m = ctx.model(n)
+    rng = ctx.rng("model", f"phi{n}")
+    for _ in range(min(ctx.trials, 20)):
+        x, y, z, w = (_rational_vector(rng, m.dim) for _ in range(4))
+        phi = fundamental_4tensor(m, x, y, z, w)
+        yield phi - fundamental_4tensor(m, y, x, z, w)
+        yield phi - fundamental_4tensor(m, z, w, x, y)
+        _, sp1_zw = qsh_form(m, z, w)
+        imh_y = sum(c * (Ja @ y) for c, Ja in zip(sp1_zw, m.J))
+        yield phi - m.omega_of(x, imh_y)
+
+
+@_check("model", "frame-rotation-covariance[n={n}]", "rotated frames stay admissible, "
+        "the rotation is exactly orthogonal, and the sp1 part of h rotates covariantly")
+def frame_rotation(ctx, n):
+    m = ctx.model(n)
+    rng = ctx.rng("model", f"frame{n}")
+    for _ in range(5):
+        q = _unit_quaternion(rng)
+        rotated = sp1_conjugate_frame(m, q)
+        prod = rotated[0] @ rotated[1] @ rotated[2]
+        yield prod + QArray.eye(m.dim)
+        r3 = rotation_matrix(q)
+        yield r3.T @ r3 - QArray.eye(3)
+        x = _rational_vector(rng, m.dim)
+        y = _rational_vector(rng, m.dim)
+        _, sp1 = qsh_form(m, x, y)
+        for a in range(3):
+            rotated_ga = x @ (m.omega @ rotated[a]) @ y
+            expected = sum(r3[b, a] * sp1[b] for b in range(3))
+            yield rotated_ga - expected
 
 
 # ---------------------------------------------------------------------------
 # liealg suite
 # ---------------------------------------------------------------------------
 
-def run_liealg_suite(ctx: SuiteContext):
-    out = []
-    for n in ctx.ns:
-        m = ctx.model(n)
-        dim = m.dim
+@_check("liealg", "so-star-dimension[n={n}]",
+        "dim so*(2n) = n(2n-1) by exact nullspace")
+def so_star_dimension(ctx, n):
+    basis = ctx.basis(n)  # enumeration self-checks the count
+    expected = n * (2 * n - 1)
+    ok = len(basis.so_basis) == expected
+    return ok, None, None, f"{len(basis.so_basis)} elements"
 
-        def dimension():
-            basis = ctx.basis(n)  # enumeration self-checks the count
-            expected = n * (2 * n - 1)
-            ok = len(basis.so_basis) == expected
-            return ok, None, None, f"{len(basis.so_basis)} elements"
-        out.append(_run("liealg", f"so-star-dimension[n={n}]",
-                        "dim so*(2n) = n(2n-1) by exact nullspace",
-                        dimension))
 
-        def defining_equations():
-            basis = ctx.basis(n)
-            for el in basis.so_basis:
-                yield liealg.commutation_defect(m, el.matrix)
-                yield liealg.symplectic_defect(m, el.matrix)
-                yield el.matrix.trace()
-                for Ja in m.J:
-                    yield (Ja @ el.matrix).trace()
-        out.append(_run("liealg", f"basis-defining-equations[n={n}]",
-                        "every basis element commutes with J_a, is omega0-skew, "
-                        "traceless, and Tr(J_a B) = 0",
-                        lambda: _exact(defining_equations())))
+@_check("liealg", "basis-defining-equations[n={n}]", "every basis element commutes "
+        "with J_a, is omega0-skew, traceless, and Tr(J_a B) = 0")
+def defining_equations(ctx, n):
+    m = ctx.model(n)
+    for el in ctx.basis(n).so_basis:
+        yield liealg.commutation_defect(m, el.matrix)
+        yield liealg.symplectic_defect(m, el.matrix)
+        yield el.matrix.trace()
+        for Ja in m.J:
+            yield (Ja @ el.matrix).trace()
 
-        def decompose_roundtrip():
-            basis = ctx.basis(n)
-            rng = ctx.rng("liealg", f"decompose{n}")
-            el = liealg.decompose(m, basis, m.J[1])
-            if el.sp_coeffs != (0, 1, 0) or el.so_part.max_abs() != 0:
-                return False, None, {"got": el.sp_coeffs}, "J2 decomposition"
-            first = basis.so_basis[0].matrix
-            el = liealg.decompose(m, basis, first)
-            if el.sp_coeffs != (0, 0, 0) or (el.so_part - first).max_abs() != 0:
-                return False, None, None, "so* element decomposition"
-            for _ in range(5):
-                coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                          for _ in basis.elements()]
-                combo = sum(c * b.matrix for c, b in zip(coeffs, basis.elements()))
-                el = liealg.decompose(m, basis, combo)
-                if tuple(el.sp_coeffs) != tuple(coeffs[-3:]):
-                    return False, None, {"want": coeffs[-3:], "got": el.sp_coeffs}, ""
-            try:
-                liealg.decompose(m, basis, QArray.eye(dim))
-                return False, None, None, "identity accepted as a member"
-            except liealg.MembershipError as exc:
-                detail = f"membership error residual {exc.residual}"
-            return True, None, None, detail
-        out.append(_run("liealg", f"decompose-roundtrip[n={n}]",
-                        "decomposition recovers coefficients exactly and "
-                        "rejects non-members with a residual",
-                        decompose_roundtrip))
 
-        def projection_targets():
-            rng = ctx.rng("liealg", f"proj-targets{n}")
-            for _ in range(5):
-                x = _rational_vector(rng, dim)
-                y = _rational_vector(rng, dim)
-                p = liealg.project_ZQ(m, x, y)
-                yield liealg.commutation_defect(m, p)
-                q = liealg.project_Q(m, x, y)
-                yield q - liealg.project_Q_operator(m, q)
-        out.append(_run("liealg", f"projection-targets[n={n}]",
-                        "project_ZQ lands in the centralizer; project_Q lands "
-                        "in span{J_a}",
-                        lambda: _exact(projection_targets())))
+@_check("liealg", "decompose-roundtrip[n={n}]", "decomposition recovers coefficients "
+        "exactly and rejects non-members with a residual")
+def decompose_roundtrip(ctx, n):
+    m = ctx.model(n)
+    basis = ctx.basis(n)
+    rng = ctx.rng("liealg", f"decompose{n}")
+    el = liealg.decompose(m, basis, m.J[1])
+    if el.sp_coeffs != (0, 1, 0) or el.so_part.max_abs() != 0:
+        return False, None, {"got": el.sp_coeffs}, "J2 decomposition"
+    first = basis.so_basis[0].matrix
+    el = liealg.decompose(m, basis, first)
+    if el.sp_coeffs != (0, 0, 0) or (el.so_part - first).max_abs() != 0:
+        return False, None, None, "so* element decomposition"
+    for _ in range(5):
+        coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                  for _ in basis.elements()]
+        combo = sum(c * b.matrix for c, b in zip(coeffs, basis.elements()))
+        el = liealg.decompose(m, basis, combo)
+        if tuple(el.sp_coeffs) != tuple(coeffs[-3:]):
+            return False, None, {"want": coeffs[-3:], "got": el.sp_coeffs}, ""
+    try:
+        liealg.decompose(m, basis, QArray.eye(m.dim))
+        return False, None, None, "identity accepted as a member"
+    except liealg.MembershipError as exc:
+        detail = f"membership error residual {exc.residual}"
+    return True, None, None, detail
 
-        def projection_frame_independence():
-            rng = ctx.rng("liealg", f"proj-frames{n}")
-            for _ in range(5):
-                q = _unit_quaternion(rng)
-                frame = sp1_conjugate_frame(m, q)
-                x = _rational_vector(rng, dim)
-                y = _rational_vector(rng, dim)
-                yield (liealg.project_ZQ(m, x, y)
-                       - liealg.project_ZQ(m, x, y, frame=frame))
-                yield (liealg.project_Q(m, x, y)
-                       - liealg.project_Q(m, x, y, frame=frame))
-        out.append(_run("liealg", f"projection-frame-independence[n={n}]",
-                        "both projections are unchanged under admissible "
-                        "frame rotations",
-                        lambda: _exact(projection_frame_independence())))
 
-        def projection_idempotence():
-            basis = ctx.basis(n)
-            zq_members = [QArray.eye(dim)] + [el.matrix for el in basis.so_basis[:3]]
-            for t in zq_members:
-                yield liealg.project_ZQ_operator(m, t) - t
-                yield liealg.project_Q_operator(m, t)
-            for Ja in m.J:
-                yield liealg.project_Q_operator(m, Ja) - Ja
-                yield liealg.project_ZQ_operator(m, Ja)
-        out.append(_run("liealg", f"projection-idempotence[n={n}]",
-                        "projections fix their targets and kill each other's "
-                        "(centralizer meets span{J_a} trivially for n > 1)",
-                        lambda: _exact(projection_idempotence())))
+@_check("liealg", "projection-targets[n={n}]", "project_ZQ lands in the centralizer; "
+        "project_Q lands in span{J_a}")
+def projection_targets(ctx, n):
+    m = ctx.model(n)
+    rng = ctx.rng("liealg", f"proj-targets{n}")
+    for _ in range(5):
+        x = _rational_vector(rng, m.dim)
+        y = _rational_vector(rng, m.dim)
+        p = liealg.project_ZQ(m, x, y)
+        yield liealg.commutation_defect(m, p)
+        q = liealg.project_Q(m, x, y)
+        yield q - liealg.project_Q_operator(m, q)
 
-        def projection_oracle():
-            rng = ctx.rng("liealg", f"proj-oracle{n}")
-            zq = liealg.centralizer_basis(m).reshape(-1, dim * dim)
-            gram = zq @ zq.T
-            cases = [(m.basis_vector(0), m.basis_vector(0))]
-            for _ in range(2):
-                cases.append((_rational_vector(rng, dim), _rational_vector(rng, dim)))
-            for x, y in cases:
-                # omega0(x,-) (x) y, with omega0(x, z) = -(Omega x).z
-                target = y[:, None] @ (-(m.omega @ x))[None, :]
-                coeffs = mat.solve(gram, zq @ target.reshape(dim * dim))
-                proj = (coeffs @ zq).reshape(dim, dim)
-                yield proj - liealg.project_ZQ(m, x, y)
-        out.append(_run("liealg", f"projection-oracle[n={n}]",
-                        "project_ZQ equals the exact least-squares projection "
-                        "onto the nullspace-computed centralizer basis",
-                        lambda: _exact(projection_oracle(),
-                                       "orthogonal projection oracle (unit-quaternion "
-                                       "conjugation is orthogonal, so averaging = "
-                                       "trace-orthogonal projection)")))
 
-        def circle_map_checks():
-            rng = ctx.rng("liealg", f"circle{n}")
-            for _ in range(5):
-                x = _rational_vector(rng, dim)
-                y = _rational_vector(rng, dim)
-                el_xy = liealg.circle_map(m, x, y, ctx.kappa)
-                el_yx = liealg.circle_map(m, y, x, ctx.kappa)
-                yield el_xy.matrix - el_yx.matrix
-                sp = liealg.circle_sp1(m, x, y)
-                expected = sum(Fraction(-1, 2 * n) * (x @ ga @ y) * Ja
-                               for ga, Ja in zip(m.g, m.J))
-                yield sp - expected
-                # so* part is the invariant projection of f_{x (.) y}
-                fxy = (y[:, None] @ (-(m.omega @ x))[None, :]
-                       + x[:, None] @ (-(m.omega @ y))[None, :])
-                yield (liealg.circle_so_star(m, x, y)
-                       - liealg.project_ZQ_operator(m, fxy))
-        out.append(_run("liealg", f"circle-map[n={n}]",
-                        "x o y is symmetric, its sp1 part is "
-                        "-(1/2n) sum_a g_a(x,y) J_a, and its so* part is the "
-                        "projection of omega0(x,-)y + omega0(y,-)x",
-                        lambda: _exact(circle_map_checks())))
+@_check("liealg", "projection-frame-independence[n={n}]", "both projections are "
+        "unchanged under admissible frame rotations")
+def projection_frame_independence(ctx, n):
+    m = ctx.model(n)
+    rng = ctx.rng("liealg", f"proj-frames{n}")
+    for _ in range(5):
+        q = _unit_quaternion(rng)
+        frame = sp1_conjugate_frame(m, q)
+        x = _rational_vector(rng, m.dim)
+        y = _rational_vector(rng, m.dim)
+        yield (liealg.project_ZQ(m, x, y)
+               - liealg.project_ZQ(m, x, y, frame=frame))
+        yield (liealg.project_Q(m, x, y)
+               - liealg.project_Q(m, x, y, frame=frame))
 
-        def circle_equivariance():
-            basis = ctx.basis(n)
-            rng = ctx.rng("liealg", f"equivariance{n}")
-            sample = [basis.so_basis[0], basis.so_basis[-1], basis.sp_basis[0],
-                      basis.sp_basis[2]]
-            for el in sample:
-                B = el.matrix
-                x = _rational_vector(rng, dim)
-                y = _rational_vector(rng, dim)
-                circ = liealg.circle_map(m, x, y, ctx.kappa).matrix
-                lhs = B @ circ - circ @ B
-                rhs = (liealg.circle_map(m, B @ x, y, ctx.kappa).matrix
-                       + liealg.circle_map(m, x, B @ y, ctx.kappa).matrix)
-                yield lhs - rhs
-        out.append(_run("liealg", f"circle-equivariance[n={n}]",
-                        "[B, x o y] = (Bx) o y + x o (By) for sampled basis B",
-                        lambda: _exact(circle_equivariance())))
-    return out
+
+@_check("liealg", "projection-idempotence[n={n}]", "projections fix their targets and "
+        "kill each other's (centralizer meets span{J_a} trivially for n > 1)")
+def projection_idempotence(ctx, n):
+    m = ctx.model(n)
+    zq_members = [QArray.eye(m.dim)] + [el.matrix for el in ctx.basis(n).so_basis[:3]]
+    for t in zq_members:
+        yield liealg.project_ZQ_operator(m, t) - t
+        yield liealg.project_Q_operator(m, t)
+    for Ja in m.J:
+        yield liealg.project_Q_operator(m, Ja) - Ja
+        yield liealg.project_ZQ_operator(m, Ja)
+
+
+@_check("liealg", "projection-oracle[n={n}]", "project_ZQ equals the exact "
+        "least-squares projection onto the nullspace-computed centralizer basis")
+def projection_oracle(ctx, n):
+    m = ctx.model(n)
+    dim = m.dim
+    rng = ctx.rng("liealg", f"proj-oracle{n}")
+    zq = liealg.centralizer_basis(m).reshape(-1, dim * dim)
+    gram = zq @ zq.T
+    cases = [(m.basis_vector(0), m.basis_vector(0))]
+    for _ in range(2):
+        cases.append((_rational_vector(rng, dim), _rational_vector(rng, dim)))
+    for x, y in cases:
+        # omega0(x,-) (x) y, with omega0(x, z) = -(Omega x).z
+        target = y[:, None] @ (-(m.omega @ x))[None, :]
+        coeffs = mat.solve(gram, zq @ target.reshape(dim * dim))
+        proj = (coeffs @ zq).reshape(dim, dim)
+        yield proj - liealg.project_ZQ(m, x, y)
+    return ("orthogonal projection oracle (unit-quaternion conjugation is "
+            "orthogonal, so averaging = trace-orthogonal projection)")
+
+
+@_check("liealg", "circle-map[n={n}]", "x o y is symmetric, its sp1 part is -(1/2n) "
+        "sum_a g_a(x,y) J_a, and its so* part is the projection of omega0(x,-)y + "
+        "omega0(y,-)x")
+def circle_map_checks(ctx, n):
+    m = ctx.model(n)
+    rng = ctx.rng("liealg", f"circle{n}")
+    for _ in range(5):
+        x = _rational_vector(rng, m.dim)
+        y = _rational_vector(rng, m.dim)
+        el_xy = liealg.circle_map(m, x, y, ctx.kappa)
+        el_yx = liealg.circle_map(m, y, x, ctx.kappa)
+        yield el_xy.matrix - el_yx.matrix
+        sp = liealg.circle_sp1(m, x, y)
+        expected = sum(Fraction(-1, 2 * n) * (x @ ga @ y) * Ja
+                       for ga, Ja in zip(m.g, m.J))
+        yield sp - expected
+        # so* part is the invariant projection of f_{x (.) y}
+        fxy = (y[:, None] @ (-(m.omega @ x))[None, :]
+               + x[:, None] @ (-(m.omega @ y))[None, :])
+        yield (liealg.circle_so_star(m, x, y)
+               - liealg.project_ZQ_operator(m, fxy))
+
+
+@_check("liealg", "circle-equivariance[n={n}]",
+        "[B, x o y] = (Bx) o y + x o (By) for sampled basis B")
+def circle_equivariance(ctx, n):
+    m = ctx.model(n)
+    basis = ctx.basis(n)
+    rng = ctx.rng("liealg", f"equivariance{n}")
+    sample = [basis.so_basis[0], basis.so_basis[-1], basis.sp_basis[0],
+              basis.sp_basis[2]]
+    for el in sample:
+        B = el.matrix
+        x = _rational_vector(rng, m.dim)
+        y = _rational_vector(rng, m.dim)
+        circ = liealg.circle_map(m, x, y, ctx.kappa).matrix
+        lhs = B @ circ - circ @ B
+        rhs = (liealg.circle_map(m, B @ x, y, ctx.kappa).matrix
+               + liealg.circle_map(m, x, B @ y, ctx.kappa).matrix)
+        yield lhs - rhs
 
 
 # ---------------------------------------------------------------------------
 # curvature suite
 # ---------------------------------------------------------------------------
 
-def run_curvature_suite(ctx: SuiteContext):
-    out = []
-    ns = list(ctx.ns)
-    for n in ns:
-        out.extend(_curvature_checks_at(ctx, n))
-    if 3 not in ns:
-        # the two Ricci coefficients coincide at n = 2 (both 8k), so the
-        # Hermiticity dichotomy is only conclusive at n = 3; run it anyway
-        out.append(_ricci_dichotomy_check(ctx, 3, mandatory=True))
-    return out
+def _pinned(ctx: SuiteContext, n: int):
+    """The model, basis and pinned curvature coefficients of size n."""
+    return ctx.model(n), ctx.basis(n), curv.CurvParams.pinned(ctx.kappa, n)
 
 
-def _curvature_checks_at(ctx: SuiteContext, n: int):
-    out = []
-    m = ctx.model(n)
-    basis = ctx.basis(n)
-    params = curv.CurvParams.pinned(ctx.kappa, n)
-    dim = m.dim
-
-    def bianchi_pinned():
-        for el in basis.elements():
-            tensor = curv.curvature_of(m, basis, el, params)
-            yield curv.bianchi_residual(m, tensor)
-    out.append(_run("curvature", f"bianchi-pinned-zero[n={n}]",
-                    "cyclic sum R(x,y)z + R(y,z)x + R(z,x)y = 0 for "
-                    "(c1, c2) = (2k, nk) and every basis A",
-                    lambda: _exact(bianchi_pinned(),
-                                   f"all {len(basis.elements())} basis elements")))
-
-    def bianchi_perturbed():
-        failures = []
-        grid = [(params.c1 + d1, params.c2 + d2)
-                for d1 in (1, -1) for d2 in (1, -1)]
-        for c1, c2 in grid:
-            perturbed = curv.CurvParams.free(ctx.kappa, c1, c2)
-            found = None
-            for el in basis.elements():
-                tensor = curv.curvature_of(m, basis, el, perturbed)
-                res = curv.bianchi_residual(m, tensor)
-                if res != 0:
-                    found = (el.sp_coeffs, float(res))
-                    break
-            if found is None:
-                failures.append((c1, c2))
-        ok = not failures
-        return ok, None, None if ok else {"still_flat": failures}, \
-            f"grid {[(str(a), str(b)) for a, b in grid]}"
-    out.append(_run("curvature", f"bianchi-perturbed-nonzero[n={n}]",
-                    "each off-pinning coefficient pair (2k±1, nk±1) breaks "
-                    "the cyclic identity for some basis A",
-                    bianchi_perturbed))
-
-    def two_paths():
-        rng = ctx.rng("curvature", f"two-paths{n}")
-        for el in (basis.sp_basis[0], basis.so_basis[0]):
-            tensor = curv.curvature_of(m, basis, el, params)
-            for _ in range(min(ctx.trials, 40)):
-                i, j, k = (rng.randrange(dim) for _ in range(3))
-                direct = curv.curvature_13(m, el.matrix, params,
-                                           m.basis_vector(i), m.basis_vector(j),
-                                           m.basis_vector(k))
-                yield direct - tensor[i, j, k]
-    out.append(_run("curvature", f"curvature-two-paths[n={n}]",
-                    "the projection-built tensor and the expanded "
-                    "(1,3) formula agree on basis triples",
-                    lambda: _exact(two_paths())))
-
-    def tensor_wellformed():
-        rng = ctx.rng("curvature", f"wellformed{n}")
-        el = basis.so_basis[1]
+@_check("curvature", "bianchi-pinned-zero[n={n}]", "cyclic sum R(x,y)z + R(y,z)x + "
+        "R(z,x)y = 0 for (c1, c2) = (2k, nk) and every basis A")
+def bianchi_pinned(ctx, n):
+    m, basis, params = _pinned(ctx, n)
+    for el in basis.elements():
         tensor = curv.curvature_of(m, basis, el, params)
-        for _ in range(10):
-            i, j = rng.randrange(dim), rng.randrange(dim)
-            yield tensor[i, j] + tensor[j, i]
-        for i, j in itertools.islice(itertools.combinations(range(dim), 2), 6):
-            liealg.decompose(m, basis, tensor[i, j].T)  # raises if outside g
-        yield curv.curvature_of(m, basis, m.omega * 0, params)
-    out.append(_run("curvature", f"tensor-wellformed[n={n}]",
-                    "R is antisymmetric, g-valued, and vanishes for A = 0",
-                    lambda: _exact(tensor_wellformed(), "values decompose in g")))
-
-    def ricci_part(elements, coef):
-        def diffs():
-            for el in elements:
-                tensor = curv.curvature_of(m, basis, el, params)
-                ric = curv.ricci_of(m, tensor)
-                target = curv.omega_pairing(m, el.matrix) * coef
-                yield ric - target
-        return _exact(diffs(), f"coefficient {coef}")
-    out.append(_run("curvature", f"ricci-commuting-part[n={n}]",
-                    "Ric_A = 2(n+2) k omega0(A., .) for every commuting-part "
-                    "basis element",
-                    lambda: ricci_part(basis.so_basis,
-                                       Fraction(2 * (n + 2)) * ctx.kappa)))
-    out.append(_run("curvature", f"ricci-sp1-part[n={n}]",
-                    "Ric_A = 4n k omega0(A., .) for A in {J1, J2, J3}",
-                    lambda: ricci_part(basis.sp_basis, Fraction(4 * n) * ctx.kappa)))
-
-    def ricci_closed_form():
-        rng = ctx.rng("curvature", f"ricci-closed{n}")
-        for _ in range(10):
-            combo = sum(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * b.matrix
-                        for b in basis.elements())
-            el = liealg.decompose(m, basis, combo)
-            tensor = curv.curvature_of(m, basis, el, params)
-            ric = curv.ricci_of(m, tensor)
-            closed = curv.ricci_closed_form(m, el.matrix, ctx.kappa)
-            yield ric - closed
-            yield ric - ric.T
-    out.append(_run("curvature", f"ricci-closed-form[n={n}]",
-                    "trace Ricci equals (2n+1)k w(Ay,z) + (k/2) sum_a g_a(y,z) "
-                    "Tr(J_a A) - k sum_a w(J_a A J_a y, z), and is symmetric",
-                    lambda: _exact(ricci_closed_form(), "10 random A")))
-
-    def ricci_linearity():
-        rng = ctx.rng("curvature", f"ricci-linear{n}")
-        for _ in range(3):
-            a1 = sum(rng.randint(-3, 3) * b.matrix for b in basis.so_basis)
-            a2 = sum(rng.randint(-3, 3) * b.matrix for b in basis.sp_basis)
-            total = liealg.decompose(m, basis, a1 + a2)
-            ric = curv.ricci_of(m, curv.curvature_of(m, basis, total, params))
-            split = (curv.omega_pairing(m, a1) * (Fraction(2 * n + 4) * ctx.kappa)
-                     + curv.omega_pairing(m, a2) * (Fraction(4 * n) * ctx.kappa))
-            yield ric - split
-    out.append(_run("curvature", f"ricci-linearity[n={n}]",
-                    "Ric_{A1+A2} = (2n+4) k omega0(A1., .) + 4n k omega0(A2., .) "
-                    "for the split into commuting and sp1 parts",
-                    lambda: _exact(ricci_linearity())))
-
-    out.append(_ricci_dichotomy_check(ctx, n))
-
-    def map_rank():
-        rows = curv.curvature_rows(m, basis, params)
-        exact = curv.curvature_map_rank(rows)
-        approx = curv.curvature_map_rank_float(rows)
-        expected = n * (2 * n - 1) + 3
-        ok = exact == expected and approx == expected
-        wit = None if ok else {"exact": exact, "svd": approx, "expected": expected}
-        return ok, None, wit, f"rank {exact} (exact) / {approx} (svd)"
-    out.append(_run("curvature", f"curvature-map-rank[n={n}]",
-                    "A -> R_A is injective: rank = n(2n-1) + 3, exact rank "
-                    "and float SVD agree",
-                    map_rank))
-    return out
+        yield curv.bianchi_residual(m, tensor)
+    return f"all {len(basis.elements())} basis elements"
 
 
-def _ricci_dichotomy_check(ctx: SuiteContext, n: int, mandatory: bool = False):
-    def dichotomy():
-        m = ctx.model(n)
-        basis = ctx.basis(n)
-        params = curv.CurvParams.pinned(ctx.kappa, n)
-        rng = ctx.rng("curvature", f"dichotomy{n}")
-        frames = [(q, sp1_conjugate_frame(m, q))
-                  for q in [_unit_quaternion(rng) for _ in range(3)]]
+@_check("curvature", "bianchi-perturbed-nonzero[n={n}]", "each off-pinning coefficient "
+        "pair (2k±1, nk±1) breaks the cyclic identity for some basis A")
+def bianchi_perturbed(ctx, n):
+    m, basis, params = _pinned(ctx, n)
+    failures = []
+    grid = [(params.c1 + d1, params.c2 + d2)
+            for d1 in (1, -1) for d2 in (1, -1)]
+    for c1, c2 in grid:
+        perturbed = curv.CurvParams.free(ctx.kappa, c1, c2)
+        found = None
+        for el in basis.elements():
+            tensor = curv.curvature_of(m, basis, el, perturbed)
+            res = curv.bianchi_residual(m, tensor)
+            if res != 0:
+                found = (el.sp_coeffs, float(res))
+                break
+        if found is None:
+            failures.append((c1, c2))
+    ok = not failures
+    return ok, None, None if ok else {"still_flat": failures}, \
+        f"grid {[(str(a), str(b)) for a, b in grid]}"
 
-        def hermitian(el):
-            ric = curv.ricci_of(m, curv.curvature_of(m, basis, el, params))
-            return curv.is_Q_hermitian(m, ric, frames=frames)
 
-        for el in basis.so_basis:
-            ok, wit = hermitian(el)
-            if not ok:
-                return False, None, wit, "commuting part should be Hermitian"
-        for el in basis.sp_basis:
-            ok, witness = hermitian(el)
-            if ok:
-                return False, None, None, "sp1 part should fail Hermiticity"
-        # mixed element must fail as well (both directions of the dichotomy)
-        mixed = basis.so_basis[0].matrix + basis.sp_basis[0].matrix
-        if hermitian(liealg.decompose(m, basis, mixed))[0]:
-            return False, None, None, "mixed element should fail Hermiticity"
-        zero_ok, _ = curv.is_Q_hermitian(m, m.omega * 0, frames=frames)
-        return zero_ok, None, witness, "witness recorded for the sp1 failure"
-    name = f"ricci-hermitian-dichotomy[n={n}]" + ("[mandatory]" if mandatory else "")
-    return _run("curvature", name,
-                "Ric_A is invariant under the whole structure 2-sphere iff "
-                "the sp1 part of A vanishes; violations carry a witness",
-                dichotomy)
+@_check("curvature", "curvature-two-paths[n={n}]", "the projection-built tensor and "
+        "the expanded (1,3) formula agree on basis triples")
+def two_paths(ctx, n):
+    m, basis, params = _pinned(ctx, n)
+    rng = ctx.rng("curvature", f"two-paths{n}")
+    for el in (basis.sp_basis[0], basis.so_basis[0]):
+        tensor = curv.curvature_of(m, basis, el, params)
+        for _ in range(min(ctx.trials, 40)):
+            i, j, k = (rng.randrange(m.dim) for _ in range(3))
+            direct = curv.curvature_13(m, el.matrix, params,
+                                       m.basis_vector(i), m.basis_vector(j),
+                                       m.basis_vector(k))
+            yield direct - tensor[i, j, k]
+
+
+@_check("curvature", "tensor-wellformed[n={n}]",
+        "R is antisymmetric, g-valued, and vanishes for A = 0")
+def tensor_wellformed(ctx, n):
+    m, basis, params = _pinned(ctx, n)
+    rng = ctx.rng("curvature", f"wellformed{n}")
+    el = basis.so_basis[1]
+    tensor = curv.curvature_of(m, basis, el, params)
+    for _ in range(10):
+        i, j = rng.randrange(m.dim), rng.randrange(m.dim)
+        yield tensor[i, j] + tensor[j, i]
+    for i, j in itertools.islice(itertools.combinations(range(m.dim), 2), 6):
+        liealg.decompose(m, basis, tensor[i, j].T)  # raises if outside g
+    yield curv.curvature_of(m, basis, m.omega * 0, params)
+    return "values decompose in g"
+
+
+def _ricci_part(ctx, n, elements, coef):
+    m, basis, params = _pinned(ctx, n)
+    for el in elements:
+        tensor = curv.curvature_of(m, basis, el, params)
+        ric = curv.ricci_of(m, tensor)
+        target = curv.omega_pairing(m, el.matrix) * coef
+        yield ric - target
+    return f"coefficient {coef}"
+
+
+@_check("curvature", "ricci-commuting-part[n={n}]", "Ric_A = 2(n+2) k omega0(A., .) "
+        "for every commuting-part basis element")
+def ricci_commuting_part(ctx, n):
+    return _ricci_part(ctx, n, ctx.basis(n).so_basis, Fraction(2 * (n + 2)) * ctx.kappa)
+
+
+@_check("curvature", "ricci-sp1-part[n={n}]",
+        "Ric_A = 4n k omega0(A., .) for A in {J1, J2, J3}")
+def ricci_sp1_part(ctx, n):
+    return _ricci_part(ctx, n, ctx.basis(n).sp_basis, Fraction(4 * n) * ctx.kappa)
+
+
+@_check("curvature", "ricci-closed-form[n={n}]", "trace Ricci equals (2n+1)k w(Ay,z) + "
+        "(k/2) sum_a g_a(y,z) Tr(J_a A) - k sum_a w(J_a A J_a y, z), and is symmetric")
+def ricci_closed_form(ctx, n):
+    m, basis, params = _pinned(ctx, n)
+    rng = ctx.rng("curvature", f"ricci-closed{n}")
+    for _ in range(10):
+        combo = sum(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * b.matrix
+                    for b in basis.elements())
+        el = liealg.decompose(m, basis, combo)
+        tensor = curv.curvature_of(m, basis, el, params)
+        ric = curv.ricci_of(m, tensor)
+        closed = curv.ricci_closed_form(m, el.matrix, ctx.kappa)
+        yield ric - closed
+        yield ric - ric.T
+    return "10 random A"
+
+
+@_check("curvature", "ricci-linearity[n={n}]", "Ric_{A1+A2} = (2n+4) k omega0(A1., .) "
+        "+ 4n k omega0(A2., .) for the split into commuting and sp1 parts")
+def ricci_linearity(ctx, n):
+    m, basis, params = _pinned(ctx, n)
+    rng = ctx.rng("curvature", f"ricci-linear{n}")
+    for _ in range(3):
+        a1 = sum(rng.randint(-3, 3) * b.matrix for b in basis.so_basis)
+        a2 = sum(rng.randint(-3, 3) * b.matrix for b in basis.sp_basis)
+        total = liealg.decompose(m, basis, a1 + a2)
+        ric = curv.ricci_of(m, curv.curvature_of(m, basis, total, params))
+        split = (curv.omega_pairing(m, a1) * (Fraction(2 * n + 4) * ctx.kappa)
+                 + curv.omega_pairing(m, a2) * (Fraction(4 * n) * ctx.kappa))
+        yield ric - split
+
+
+_DICHOTOMY = ("Ric_A is invariant under the whole structure 2-sphere iff "
+              "the sp1 part of A vanishes; violations carry a witness")
+
+
+@_check("curvature", "ricci-hermitian-dichotomy[n={n}]", _DICHOTOMY)
+def ricci_dichotomy(ctx, n):
+    m, basis, params = _pinned(ctx, n)
+    rng = ctx.rng("curvature", f"dichotomy{n}")
+    frames = [(q, sp1_conjugate_frame(m, q))
+              for q in [_unit_quaternion(rng) for _ in range(3)]]
+
+    def hermitian(el):
+        ric = curv.ricci_of(m, curv.curvature_of(m, basis, el, params))
+        return curv.is_Q_hermitian(m, ric, frames=frames)
+
+    for el in basis.so_basis:
+        ok, wit = hermitian(el)
+        if not ok:
+            return False, None, wit, "commuting part should be Hermitian"
+    for el in basis.sp_basis:
+        ok, witness = hermitian(el)
+        if ok:
+            return False, None, None, "sp1 part should fail Hermiticity"
+    # mixed element must fail as well (both directions of the dichotomy)
+    mixed = basis.so_basis[0].matrix + basis.sp_basis[0].matrix
+    if hermitian(liealg.decompose(m, basis, mixed))[0]:
+        return False, None, None, "mixed element should fail Hermiticity"
+    zero_ok, _ = curv.is_Q_hermitian(m, m.omega * 0, frames=frames)
+    return zero_ok, None, witness, "witness recorded for the sp1 failure"
+
+
+@_check("curvature", "ricci-hermitian-dichotomy[n=3][mandatory]", _DICHOTOMY)
+def ricci_dichotomy_mandatory(ctx, n):
+    # the two Ricci coefficients coincide at n = 2 (both 8k), so the
+    # Hermiticity dichotomy is only conclusive at n = 3; run it anyway
+    return None if 3 in ctx.ns else ricci_dichotomy(ctx, 3)
+
+
+@_check("curvature", "curvature-map-rank[n={n}]", "A -> R_A is injective: rank = "
+        "n(2n-1) + 3, exact rank and float SVD agree")
+def map_rank(ctx, n):
+    rows = curv.curvature_rows(*_pinned(ctx, n))
+    exact = curv.curvature_map_rank(rows)
+    approx = curv.curvature_map_rank_float(rows)
+    expected = n * (2 * n - 1) + 3
+    ok = exact == expected and approx == expected
+    wit = None if ok else {"exact": exact, "svd": approx, "expected": expected}
+    return ok, None, wit, f"rank {exact} (exact) / {approx} (svd)"
 
 
 # ---------------------------------------------------------------------------
 # fiber suite (coframe calculus)
 # ---------------------------------------------------------------------------
 
-def run_fiber_suite(ctx: SuiteContext):
-    out = []
+@_check("fiber", "maurer-cartan-oracle", "the coframe component formulas equal the "
+        "quaternion expansion of h^-1 dh, exactly")
+def mc_oracle(ctx, n):
+    rng = ctx.rng("fiber", "maurer-cartan")
+    for _ in range(50):
+        h = Quaternion(*forms.sample_rational_point(rng))
+        if forms.maurer_cartan_components(h) != forms.theta_components_at(h):
+            return False, None, {"h": h.components()}, ""
+    return True, 0.0, None, "50 exact rational points"
+
+
+@_check("fiber", "dalpha0-zero", "d a0 = 0")
+def dalpha0(ctx, n):
+    rng = ctx.rng("fiber", "dalpha0")
+    return _verdict([(forms.is_zero_form(forms.d(forms.ALPHA_IN_DH[0]),
+                                         trials=ctx.trials, tolerance=ctx.tolerance,
+                                         rng=rng), "")])
+
+
+@_check("fiber", "structure-equations",
+        "d a_a = -t a0 ^ a_a - 2t a_b ^ a_c on the trivial fiber")
+def structure_equations(ctx, n):
+    rng = ctx.rng("fiber", "structure")
+    return _verdict((forms.equal(forms.d(forms.ALPHA_IN_DH[a]),
+                                 forms.to_dh(forms.structure_dalpha(a)),
+                                 trials=ctx.trials, tolerance=ctx.tolerance, rng=rng),
+                     f"a = {a}") for a in (1, 2, 3))
+
+
+@_check("fiber", "beta-pullback-invariance", "each beta_b is invariant under every "
+        "hypercomplex pullback, as an exact coframe substitution")
+def beta_invariance(ctx, n):
+    for a in (1, 2, 3):
+        for b in (1, 2, 3):
+            form = swann.beta_basis_form(b)
+            pulled = forms.pullback_hyper(form, a)
+            if set(pulled.terms) != set(form.terms):
+                return False, None, {"a": a, "b": b}, "term keys changed"
+            for key in form.terms:
+                delta = sf.sub(pulled.terms[key], form.terms[key])
+                if not sf.is_zero(delta):
+                    return False, None, {"a": a, "b": b, "key": key}, ""
+    return True, 0.0, None, "exact coefficient maps"
+
+
+@_check("fiber", "pullback-involution",
+        "pullback squares to -Id on 1-forms and to +Id on 2-forms")
+def pullback_involution(ctx, n):
+    for a in (1, 2, 3):
+        for i in range(4):
+            twice = forms.pullback_hyper(
+                forms.pullback_hyper(forms.alpha(i), a), a)
+            if sf.constant_value(twice.terms.get((i,), sf.ZERO)) != -1:
+                return False, None, {"a": a, "i": i}, "1-form square"
+        w = forms.wedge(forms.alpha(0), forms.alpha(a))
+        twice = forms.pullback_hyper(forms.pullback_hyper(w, a), a)
+        if sf.constant_value(twice.terms.get((0, a), sf.ZERO)) != 1:
+            return False, None, {"a": a}, "2-form square"
+    return True, 0.0, None, ""
+
+
+@_check("fiber", "dbeta-trivial-fiber-two-paths", "d beta_a = 0 on the trivial fiber "
+        "via the structure equations and via the coordinate expansion")
+def dbeta_two_paths(ctx, n):
+    rng = ctx.rng("fiber", "dbeta-paths")
+    betas = [swann.beta_basis_form(a) for a in (1, 2, 3)]
+    for a, beta in enumerate(betas, 1):
+        if not forms.d_via_structure(beta).is_structurally_zero():
+            return False, None, {"a": a}, "structure path not exactly zero"
+    return _verdict(((forms.is_zero_form(forms.d(forms.to_dh(beta)), trials=ctx.trials,
+                                         tolerance=ctx.tolerance, rng=rng),
+                      f"a = {a}") for a, beta in enumerate(betas, 1)),
+                    "structure path exact, coordinate path sampled")
+
+
+@_check("fiber", "top-form-determinant",
+        "a0^a1^a2^a3 has DH coefficient det(substitution) = t^-8")
+def top_form(ctx, n):
     tol = ctx.tolerance
+    rng = ctx.rng("fiber", "top-form")
+    top = forms.to_dh(forms.wedge_all([forms.alpha(i) for i in range(4)]))
+    sub_matrix = [[sf.mul(sf.pow_(forms.T, -3), forms.COFRAME_MATRIX[i][j])
+                   for j in range(4)] for i in range(4)]
+    det = _det4(sub_matrix)
+    want = forms.VerticalForm(forms.DH, 4, {(0, 1, 2, 3): det})
 
-    def mc_oracle():
-        rng = ctx.rng("fiber", "maurer-cartan")
-        for _ in range(50):
-            h = Quaternion(*forms.sample_rational_point(rng))
-            if forms.maurer_cartan_components(h) != forms.theta_components_at(h):
-                return False, None, {"h": h.components()}, ""
-        return True, 0.0, None, "50 exact rational points"
-    out.append(_run("fiber", "maurer-cartan-oracle",
-                    "the coframe component formulas equal the quaternion "
-                    "expansion of h^-1 dh, exactly",
-                    mc_oracle))
+    def reports():
+        yield forms.equal(top, want, trials=ctx.trials, tolerance=tol, rng=rng), ""
+        # determinant of the unscaled matrix is t^4
+        detM = _det4([[forms.COFRAME_MATRIX[i][j] for j in range(4)]
+                      for i in range(4)])
+        oracle = forms.scalar_form(sf.sub(detM, sf.pow_(forms.T2, 2)))
+        yield (forms.is_zero_form(oracle, trials=50, tolerance=tol, rng=rng),
+               "cofactor-expansion oracle")
+    return _verdict(reports(), "cofactor-expansion oracle")
 
-    def dalpha0():
-        rng = ctx.rng("fiber", "dalpha0")
-        return _verdict([(forms.is_zero_form(forms.d(forms.ALPHA_IN_DH[0]),
-                                             trials=ctx.trials, tolerance=tol,
-                                             rng=rng), "")])
-    out.append(_run("fiber", "dalpha0-zero", "d a0 = 0", dalpha0))
 
-    def structure_equations():
-        rng = ctx.rng("fiber", "structure")
-        return _verdict((forms.equal(forms.d(forms.ALPHA_IN_DH[a]),
-                                     forms.to_dh(forms.structure_dalpha(a)),
-                                     trials=ctx.trials, tolerance=tol, rng=rng),
-                         f"a = {a}") for a in (1, 2, 3))
-    out.append(_run("fiber", "structure-equations",
-                    "d a_a = -t a0 ^ a_a - 2t a_b ^ a_c on the trivial fiber",
-                    structure_equations))
+@_check("fiber", "exterior-algebra-laws", "d^2 = 0, the graded Leibniz rule, and "
+        "graded anticommutativity on random forms")
+def random_form_laws(ctx, n):
+    tol = ctx.tolerance
+    rng = ctx.rng("fiber", "form-laws")
 
-    def beta_invariance():
-        for a in (1, 2, 3):
-            for b in (1, 2, 3):
-                form = swann.beta_basis_form(b)
-                pulled = forms.pullback_hyper(form, a)
-                if set(pulled.terms) != set(form.terms):
-                    return False, None, {"a": a, "b": b}, "term keys changed"
-                for key in form.terms:
-                    delta = sf.sub(pulled.terms[key], form.terms[key])
-                    if not sf.is_zero(delta):
-                        return False, None, {"a": a, "b": b, "key": key}, ""
-        return True, 0.0, None, "exact coefficient maps"
-    out.append(_run("fiber", "beta-pullback-invariance",
-                    "each beta_b is invariant under every hypercomplex "
-                    "pullback, as an exact coframe substitution",
-                    beta_invariance))
+    def reports():
+        for _ in range(10):
+            p = rng.randrange(0, 3)
+            u = _random_dh_form(rng, p)
+            yield (forms.is_zero_form(forms.d(forms.d(u)), trials=20,
+                                      tolerance=tol, rng=rng), "d^2 != 0")
+            q = rng.randrange(0, 4 - p)
+            v = _random_dh_form(rng, q)
+            lhs = forms.d(forms.wedge(u, v))
+            rhs = forms.add(forms.wedge(forms.d(u), v),
+                            forms.scale(sf.const((-1) ** p),
+                                        forms.wedge(u, forms.d(v))))
+            yield (forms.equal(lhs, rhs, trials=20, tolerance=tol, rng=rng),
+                   "Leibniz failed")
+            uv = forms.wedge(u, v)
+            vu = forms.scale(sf.const((-1) ** (p * q)), forms.wedge(v, u))
+            yield (forms.equal(uv, vu, trials=10, tolerance=tol, rng=rng),
+                   "anticommutativity")
+    return _verdict(reports())
 
-    def pullback_involution():
-        for a in (1, 2, 3):
-            for i in range(4):
-                twice = forms.pullback_hyper(
-                    forms.pullback_hyper(forms.alpha(i), a), a)
-                if sf.constant_value(twice.terms.get((i,), sf.ZERO)) != -1:
-                    return False, None, {"a": a, "i": i}, "1-form square"
-            w = forms.wedge(forms.alpha(0), forms.alpha(a))
-            twice = forms.pullback_hyper(forms.pullback_hyper(w, a), a)
-            if sf.constant_value(twice.terms.get((0, a), sf.ZERO)) != 1:
-                return False, None, {"a": a}, "2-form square"
-        return True, 0.0, None, ""
-    out.append(_run("fiber", "pullback-involution",
-                    "pullback squares to -Id on 1-forms and to +Id on 2-forms",
-                    pullback_involution))
 
-    def dbeta_two_paths():
-        rng = ctx.rng("fiber", "dbeta-paths")
-        betas = [swann.beta_basis_form(a) for a in (1, 2, 3)]
-        for a, beta in enumerate(betas, 1):
-            if not forms.d_via_structure(beta).is_structurally_zero():
-                return False, None, {"a": a}, "structure path not exactly zero"
-        return _verdict(((forms.is_zero_form(forms.d(forms.to_dh(beta)),
-                                             trials=ctx.trials, tolerance=tol, rng=rng),
-                          f"a = {a}") for a, beta in enumerate(betas, 1)),
-                        "structure path exact, coordinate path sampled")
-    out.append(_run("fiber", "dbeta-trivial-fiber-two-paths",
-                    "d beta_a = 0 on the trivial fiber via the structure "
-                    "equations and via the coordinate expansion",
-                    dbeta_two_paths))
+@_check("fiber", "dbeta-general-coefficients", "d(sum f_a beta_a) = sum df_a ^ beta_a "
+        "on the trivial fiber for arbitrary coefficient fields")
+def dbeta_general_f(ctx, n):
+    rng = ctx.rng("fiber", "dbeta-general")
 
-    def top_form():
-        rng = ctx.rng("fiber", "top-form")
-        top = forms.to_dh(forms.wedge_all([forms.alpha(i) for i in range(4)]))
-        sub_matrix = [[sf.mul(sf.pow_(forms.T, -3), forms.COFRAME_MATRIX[i][j])
-                       for j in range(4)] for i in range(4)]
-        det = _det4(sub_matrix)
-        want = forms.VerticalForm(forms.DH, 4, {(0, 1, 2, 3): det})
-
-        def reports():
-            yield forms.equal(top, want, trials=ctx.trials, tolerance=tol, rng=rng), ""
-            # determinant of the unscaled matrix is t^4
-            detM = _det4([[forms.COFRAME_MATRIX[i][j] for j in range(4)]
-                          for i in range(4)])
-            oracle = forms.scalar_form(sf.sub(detM, sf.pow_(forms.T2, 2)))
-            yield (forms.is_zero_form(oracle, trials=50, tolerance=tol, rng=rng),
-                   "cofactor-expansion oracle")
-        return _verdict(reports(), "cofactor-expansion oracle")
-    out.append(_run("fiber", "top-form-determinant",
-                    "a0^a1^a2^a3 has DH coefficient det(substitution) = t^-8",
-                    top_form))
-
-    def random_form_laws():
-        rng = ctx.rng("fiber", "form-laws")
-
-        def reports():
-            for _ in range(10):
-                p = rng.randrange(0, 3)
-                u = _random_dh_form(rng, p)
-                yield (forms.is_zero_form(forms.d(forms.d(u)), trials=20,
-                                          tolerance=tol, rng=rng), "d^2 != 0")
-                q = rng.randrange(0, 4 - p)
-                v = _random_dh_form(rng, q)
-                lhs = forms.d(forms.wedge(u, v))
-                rhs = forms.add(forms.wedge(forms.d(u), v),
-                                forms.scale(sf.const((-1) ** p),
-                                            forms.wedge(u, forms.d(v))))
-                yield (forms.equal(lhs, rhs, trials=20, tolerance=tol, rng=rng),
-                       "Leibniz failed")
-                uv = forms.wedge(u, v)
-                vu = forms.scale(sf.const((-1) ** (p * q)), forms.wedge(v, u))
-                yield (forms.equal(uv, vu, trials=10, tolerance=tol, rng=rng),
-                       "anticommutativity")
-        return _verdict(reports())
-    out.append(_run("fiber", "exterior-algebra-laws",
-                    "d^2 = 0, the graded Leibniz rule, and graded "
-                    "anticommutativity on random forms",
-                    random_form_laws))
-
-    def dbeta_general_f():
-        rng = ctx.rng("fiber", "dbeta-general")
-
-        def reports():
-            for _ in range(5):
-                f_fields = tuple(_random_field(rng) for _ in range(3))
-                beta = swann.BetaForm(f=f_fields).form()
-                lhs = forms.d(forms.to_dh(beta))
-                rhs = forms.zero_form(3, forms.DH)
-                for a in (1, 2, 3):
-                    df = forms.d(forms.scalar_form(f_fields[a - 1]))
-                    rhs = forms.add(rhs, forms.wedge(
-                        df, forms.to_dh(swann.beta_basis_form(a))))
-                yield forms.equal(lhs, rhs, trials=30, tolerance=tol, rng=rng), ""
-        return _verdict(reports())
-    out.append(_run("fiber", "dbeta-general-coefficients",
-                    "d(sum f_a beta_a) = sum df_a ^ beta_a on the trivial "
-                    "fiber for arbitrary coefficient fields",
-                    dbeta_general_f))
-    return out
+    def reports():
+        for _ in range(5):
+            f_fields = tuple(_random_field(rng) for _ in range(3))
+            beta = swann.BetaForm(f=f_fields).form()
+            lhs = forms.d(forms.to_dh(beta))
+            rhs = forms.zero_form(3, forms.DH)
+            for a in (1, 2, 3):
+                df = forms.d(forms.scalar_form(f_fields[a - 1]))
+                rhs = forms.add(rhs, forms.wedge(
+                    df, forms.to_dh(swann.beta_basis_form(a))))
+            yield forms.equal(lhs, rhs, trials=30, tolerance=ctx.tolerance, rng=rng), ""
+    return _verdict(reports())
 
 
 def _det4(m):
@@ -790,162 +800,150 @@ def _random_dh_form(rng: random.Random, degree: int) -> forms.VerticalForm:
 # flat suite (PDE system and solution families)
 # ---------------------------------------------------------------------------
 
-def run_flat_suite(ctx: SuiteContext):
-    out = []
-    tol = ctx.tolerance
+@_check("flat", "pde-dbeta-equivalence", "the 3-form coefficients of d beta are "
+        "exactly the four first-order residuals (documented sign table)")
+def pde_dbeta_equivalence(ctx, n):
+    rng = ctx.rng("flat", "pde-dbeta")
+    solutions = (swann.FlatSolution(F=tuple(_random_field(rng) for _ in range(3)))
+                 for _ in range(10))
+    reports = (swann.dbeta_equals_pde(s, trials=30, tolerance=ctx.tolerance, rng=rng)
+               for s in solutions)
+    return _verdict(((rep, "") for rep in reports), "10 random coefficient triples")
 
-    def pde_dbeta_equivalence():
-        rng = ctx.rng("flat", "pde-dbeta")
-        solutions = (swann.FlatSolution(F=tuple(_random_field(rng) for _ in range(3)))
-                     for _ in range(10))
-        reports = (swann.dbeta_equals_pde(s, trials=30, tolerance=tol, rng=rng)
-                   for s in solutions)
-        return _verdict(((rep, "") for rep in reports), "10 random coefficient triples")
-    out.append(_run("flat", "pde-dbeta-equivalence",
-                    "the 3-form coefficients of d beta are exactly the four "
-                    "first-order residuals (documented sign table)",
-                    pde_dbeta_equivalence))
 
-    def hand_solution():
-        rng = ctx.rng("flat", "hand-solution")
-        solution = swann.FlatSolution(F=(sf.H1, sf.neg(sf.H2), sf.ZERO))
-        residuals = swann.pde_residuals(solution)
-        if not all(sf.is_zero(r) for r in residuals):
-            return False, None, None, "residuals did not fold to zero"
-        return _verdict([(forms.is_zero_form(forms.d(swann.beta_of_F(solution)),
-                                             trials=ctx.trials, tolerance=tol,
-                                             rng=rng), "")])
-    out.append(_run("flat", "pde-hand-solution",
-                    "(F1, F2, F3) = (h1, -h2, 0) solves all four equations "
-                    "and closes beta",
-                    hand_solution))
+@_check("flat", "pde-hand-solution", "(F1, F2, F3) = (h1, -h2, 0) solves all four "
+        "equations and closes beta")
+def hand_solution(ctx, n):
+    rng = ctx.rng("flat", "hand-solution")
+    solution = swann.FlatSolution(F=(sf.H1, sf.neg(sf.H2), sf.ZERO))
+    residuals = swann.pde_residuals(solution)
+    if not all(sf.is_zero(r) for r in residuals):
+        return False, None, None, "residuals did not fold to zero"
+    return _verdict([(forms.is_zero_form(forms.d(swann.beta_of_F(solution)),
+                                         trials=ctx.trials, tolerance=ctx.tolerance,
+                                         rng=rng), "")])
 
-    def violating_solution():
-        solution = swann.FlatSolution(F=(sf.H0, sf.ZERO, sf.ZERO))
-        residuals = swann.pde_residuals(solution)
-        first = sf.constant_value(residuals[0])
-        rest_zero = all(sf.is_zero(r) for r in residuals[1:])
-        dbeta = forms.d(swann.beta_of_F(solution))
-        coeff = sf.constant_value(dbeta.coefficient((0, 2, 3)))
-        ok = first == 1 and rest_zero and coeff == 1
-        wit = {"first_residual": first, "dbeta_023": coeff}
-        return ok, None, wit, "witness: the predicted nonzero coefficient"
-    out.append(_run("flat", "pde-violating-solution",
-                    "(h0, 0, 0) fails exactly in the first equation, and "
-                    "d beta exposes it in the matching coefficient",
-                    violating_solution))
 
-    def solution_family():
-        rng = ctx.rng("flat", "family")
-        worst = 0.0
-        for _ in range(20):
-            k = _random_constants(rng)
-            solution = swann.explicit_solution_family(k)
-            for _, values in forms.sample(swann.pde_residuals(solution),
-                                          ctx.trials, rng):
-                worst = max(worst, max(abs(v) for v in values))
-        return worst <= 1e-8, worst, None, "20 random constant sets"
-    out.append(_run("flat", "solution-family-residuals",
-                    "the closed-form exp/sin family solves all four "
-                    "equations (residual < 1e-8)",
-                    solution_family))
+@_check("flat", "pde-violating-solution", "(h0, 0, 0) fails exactly in the first "
+        "equation, and d beta exposes it in the matching coefficient")
+def violating_solution(ctx, n):
+    solution = swann.FlatSolution(F=(sf.H0, sf.ZERO, sf.ZERO))
+    residuals = swann.pde_residuals(solution)
+    first = sf.constant_value(residuals[0])
+    rest_zero = all(sf.is_zero(r) for r in residuals[1:])
+    dbeta = forms.d(swann.beta_of_F(solution))
+    coeff = sf.constant_value(dbeta.coefficient((0, 2, 3)))
+    ok = first == 1 and rest_zero and coeff == 1
+    wit = {"first_residual": first, "dbeta_023": coeff}
+    return ok, None, wit, "witness: the predicted nonzero coefficient"
 
-    def family_cross_representation():
-        rng = ctx.rng("flat", "family-cross")
 
-        def reports():
-            for _ in range(5):
-                solution = swann.explicit_solution_family(_random_constants(rng))
-                frame = swann.BetaForm(f=swann.f_from_F(solution)).form()
-                yield forms.equal(forms.to_dh(frame), swann.beta_of_F(solution),
-                                  trials=40, tolerance=1e-8, rng=rng), ""
-        return _verdict(reports())
-    out.append(_run("flat", "family-cross-representation",
-                    "sum_a f_a(F, h) beta_a and the coordinate presentation "
-                    "of beta agree as forms",
-                    family_cross_representation))
-
-    def degenerate_family():
-        k = swann.SolutionConstants(C9=Fraction(3), C10=Fraction(2),
-                                    C14=Fraction(1), s1=Fraction(1),
-                                    s2=Fraction(1), s3=Fraction(0))
+@_check("flat", "solution-family-residuals", "the closed-form exp/sin family solves "
+        "all four equations (residual < 1e-8)")
+def solution_family(ctx, n):
+    rng = ctx.rng("flat", "family")
+    worst = 0.0
+    for _ in range(20):
+        k = _random_constants(rng)
         solution = swann.explicit_solution_family(k)
-        values = [sf.constant_value(f) for f in solution.F]
-        residuals = swann.pde_residuals(solution)
-        ok = values == [1, 2, 3] and all(sf.is_zero(r) for r in residuals)
-        return ok, None, None if ok else {"values": values}, ""
-    out.append(_run("flat", "family-degenerate-limit",
-                    "with only the additive constants nonzero the family "
-                    "collapses to constants and stays a solution",
-                    degenerate_family))
+        for _, values in forms.sample(swann.pde_residuals(solution),
+                                      ctx.trials, rng):
+            worst = max(worst, max(abs(v) for v in values))
+    return worst <= 1e-8, worst, None, "20 random constant sets"
 
-    def classification():
-        rng = ctx.rng("flat", "classification")
-        const_sol = swann.FlatSolution(F=(sf.const(1), sf.const(2), sf.const(3)))
-        t1 = swann.torsion_type(const_sol, trials=ctx.trials, tolerance=tol,
-                                rng=rng)
-        vary = swann.FlatSolution(F=(sf.H1, sf.neg(sf.H2), sf.ZERO))
-        t2 = swann.torsion_type(vary, trials=ctx.trials, tolerance=tol, rng=rng)
-        zero = swann.FlatSolution(F=(sf.ZERO, sf.ZERO, sf.ZERO))
-        t3 = swann.torsion_type(zero, trials=ctx.trials, tolerance=tol, rng=rng)
-        try:
-            swann.torsion_type(swann.FlatSolution(F=(sf.H0, sf.ZERO, sf.ZERO)),
-                               trials=ctx.trials, tolerance=tol, rng=rng)
-            return False, None, None, "non-closed input was not rejected"
-        except ValueError:
-            pass
-        ok = (t1.kind == "torsion-free" and not t1.degenerate
-              and t2.kind == "X57"
-              and t3.kind == "torsion-free" and t3.degenerate)
-        wit = None if ok else {"got": [t1, t2, t3]}
-        return ok, None, wit, "degenerate zero solution flagged"
-    out.append(_run("flat", "torsion-classification",
-                    "constant coefficients are torsion-free, closed "
-                    "nonconstant ones are class X57, non-closed are rejected",
-                    classification))
 
-    if ctx.user_solution is not None:
-        def user_input():
-            # a point passes when each residual is at most 1e-8, both
-            # absolutely and relative to the largest partial it sums; a
-            # point where every residual and every partial is exactly 0.0
-            # although some partial is not structurally zero has
-            # underflowed and is no evidence either way
-            rng = ctx.rng("flat", "user-input")
-            partials = swann.pde_partials(ctx.user_solution)
-            can_underflow = not all(map(sf.is_zero, partials.values()))
-            worst = worst_relative = 0.0
-            witness = None
-            underflow = 0
-            for point, values in forms.sample(
-                    (*swann.pde_residuals(ctx.user_solution, partials),
-                     *partials.values()),
-                    ctx.trials, rng):
-                if can_underflow and not any(values):
-                    underflow += 1
-                    continue
-                residuals = values[:4]
-                worst = max(worst, max(abs(v) for v in residuals))
-                scales = [max(map(abs, values[i:i + 3])) for i in (4, 7, 10, 13)]
-                relative = max(map(_relative, residuals, scales))
-                if relative > worst_relative:
-                    worst_relative = relative
-                    witness = {"point": point, "residuals": residuals}
-            detail = "closedness of the user-supplied coefficients"
-            if underflow == ctx.trials:
-                return False, None, {"evaluated": 0, "rejected": underflow}, \
-                    (f"no evidence: every residual and partial underflowed to "
-                     f"0.0 at all {underflow} points ({underflow} rejected: "
-                     f"{underflow} underflow)")
-            if worst <= 1e-8 and worst_relative <= 1e-8:
-                return True, worst, None, detail
-            return False, worst, witness, \
-                f"{detail}: relative residual {worst_relative:.3g}"
-        out.append(_run("flat", "user-solution-residuals",
-                        "the user-supplied (F1, F2, F3) satisfies the four "
-                        "closedness equations",
-                        user_input))
-    return out
+@_check("flat", "family-cross-representation", "sum_a f_a(F, h) beta_a and the "
+        "coordinate presentation of beta agree as forms")
+def family_cross_representation(ctx, n):
+    rng = ctx.rng("flat", "family-cross")
+
+    def reports():
+        for _ in range(5):
+            solution = swann.explicit_solution_family(_random_constants(rng))
+            frame = swann.BetaForm(f=swann.f_from_F(solution)).form()
+            yield forms.equal(forms.to_dh(frame), swann.beta_of_F(solution),
+                              trials=40, tolerance=1e-8, rng=rng), ""
+    return _verdict(reports())
+
+
+@_check("flat", "family-degenerate-limit", "with only the additive constants nonzero "
+        "the family collapses to constants and stays a solution")
+def degenerate_family(ctx, n):
+    k = swann.SolutionConstants(C9=Fraction(3), C10=Fraction(2),
+                                C14=Fraction(1), s1=Fraction(1),
+                                s2=Fraction(1), s3=Fraction(0))
+    solution = swann.explicit_solution_family(k)
+    values = [sf.constant_value(f) for f in solution.F]
+    residuals = swann.pde_residuals(solution)
+    ok = values == [1, 2, 3] and all(sf.is_zero(r) for r in residuals)
+    return ok, None, None if ok else {"values": values}, ""
+
+
+@_check("flat", "torsion-classification", "constant coefficients are torsion-free, "
+        "closed nonconstant ones are class X57, non-closed are rejected")
+def classification(ctx, n):
+    tol = ctx.tolerance
+    rng = ctx.rng("flat", "classification")
+    const_sol = swann.FlatSolution(F=(sf.const(1), sf.const(2), sf.const(3)))
+    t1 = swann.torsion_type(const_sol, trials=ctx.trials, tolerance=tol,
+                            rng=rng)
+    vary = swann.FlatSolution(F=(sf.H1, sf.neg(sf.H2), sf.ZERO))
+    t2 = swann.torsion_type(vary, trials=ctx.trials, tolerance=tol, rng=rng)
+    zero = swann.FlatSolution(F=(sf.ZERO, sf.ZERO, sf.ZERO))
+    t3 = swann.torsion_type(zero, trials=ctx.trials, tolerance=tol, rng=rng)
+    try:
+        swann.torsion_type(swann.FlatSolution(F=(sf.H0, sf.ZERO, sf.ZERO)),
+                           trials=ctx.trials, tolerance=tol, rng=rng)
+        return False, None, None, "non-closed input was not rejected"
+    except ValueError:
+        pass
+    ok = (t1.kind == "torsion-free" and not t1.degenerate
+          and t2.kind == "X57"
+          and t3.kind == "torsion-free" and t3.degenerate)
+    wit = None if ok else {"got": [t1, t2, t3]}
+    return ok, None, wit, "degenerate zero solution flagged"
+
+
+@_check("flat", "user-solution-residuals", "the user-supplied (F1, F2, F3) satisfies "
+        "the four closedness equations")
+def user_input(ctx, n):
+    # a point passes when each residual is at most 1e-8, both
+    # absolutely and relative to the largest partial it sums; a
+    # point where every residual and every partial is exactly 0.0
+    # although some partial is not structurally zero has
+    # underflowed and is no evidence either way
+    if ctx.user_solution is None:  # runs only with --input
+        return None
+    rng = ctx.rng("flat", "user-input")
+    partials = swann.pde_partials(ctx.user_solution)
+    can_underflow = not all(map(sf.is_zero, partials.values()))
+    worst = worst_relative = 0.0
+    witness = None
+    underflow = 0
+    for point, values in forms.sample(
+            (*swann.pde_residuals(ctx.user_solution, partials),
+             *partials.values()),
+            ctx.trials, rng):
+        if can_underflow and not any(values):
+            underflow += 1
+            continue
+        residuals = values[:4]
+        worst = max(worst, max(abs(v) for v in residuals))
+        scales = [max(map(abs, values[i:i + 3])) for i in (4, 7, 10, 13)]
+        relative = max(map(_relative, residuals, scales))
+        if relative > worst_relative:
+            worst_relative = relative
+            witness = {"point": point, "residuals": residuals}
+    detail = "closedness of the user-supplied coefficients"
+    if underflow == ctx.trials:
+        return False, None, {"evaluated": 0, "rejected": underflow}, \
+            (f"no evidence: every residual and partial underflowed to "
+             f"0.0 at all {underflow} points ({underflow} rejected: "
+             f"{underflow} underflow)")
+    if worst <= 1e-8 and worst_relative <= 1e-8:
+        return True, worst, None, detail
+    return False, worst, witness, \
+        f"{detail}: relative residual {worst_relative:.3g}"
 
 
 def _relative(residual: float, scale: float) -> float:
@@ -972,109 +970,100 @@ def _random_constants(rng: random.Random) -> swann.SolutionConstants:
 # symspace suite
 # ---------------------------------------------------------------------------
 
-def run_symspace_suite(ctx: SuiteContext):
-    out = []
-
-    def r_oracle():
-        rng = ctx.rng("symspace", "r-oracle")
-        for _ in range(50):
-            params = _random_symspace_params(rng)
-            h = Quaternion(*forms.sample_rational_point(rng))
-            if swann.symspace_r(params, h) != swann.symspace_r_oracle(params, h):
-                return False, None, {"h": h.components()}, ""
+@_check("symspace", "r-formula-oracle", "the closed adjoint-orbit formulas equal "
+        "-(c/2n) h^-1 i h, exactly")
+def r_oracle(ctx, n):
+    rng = ctx.rng("symspace", "r-oracle")
+    for _ in range(50):
         params = _random_symspace_params(rng)
-        at_one = swann.symspace_r(params, Quaternion.unit(0))
-        expect = (Fraction(-params.c, 2 * params.n), Fraction(0), Fraction(0))
-        if at_one != expect:
-            return False, None, {"at_one": at_one}, ""
-        return True, 0.0, None, "50 random parameter/point pairs, exact"
-    out.append(_run("symspace", "r-formula-oracle",
-                    "the closed adjoint-orbit formulas equal "
-                    "-(c/2n) h^-1 i h, exactly",
-                    r_oracle))
+        h = Quaternion(*forms.sample_rational_point(rng))
+        if swann.symspace_r(params, h) != swann.symspace_r_oracle(params, h):
+            return False, None, {"h": h.components()}, ""
+    params = _random_symspace_params(rng)
+    at_one = swann.symspace_r(params, Quaternion.unit(0))
+    expect = (Fraction(-params.c, 2 * params.n), Fraction(0), Fraction(0))
+    if at_one != expect:
+        return False, None, {"at_one": at_one}, ""
+    return True, 0.0, None, "50 random parameter/point pairs, exact"
 
-    def primitive():
-        rng = ctx.rng("symspace", "primitive")
-        param_sets = (_random_symspace_params(rng) for _ in range(10))
-        return _verdict(((swann.symspace_primitive_check(p, trials=ctx.trials,
-                                                         tolerance=1e-8, rng=rng),
-                          f"params {p}") for p in param_sets),
-                        "10 random parameter sets")
-    out.append(_run("symspace", "primitive-df-equals-tau",
-                    "the logarithmic differential of the closed-form "
-                    "exp(f) equals the curvature-coefficient 1-form tau",
-                    primitive))
 
-    def ddf_zero():
-        rng = ctx.rng("symspace", "ddf")
-        params = _random_symspace_params(rng)
-        detail = "exact rational evaluation"
-        return _verdict([(swann.symspace_ddf_check(params, trials=50,
-                                                   tolerance=ctx.tolerance,
-                                                   rng=rng), detail)], detail)
-    out.append(_run("symspace", "ddf-zero", "d(df) = 0", ddf_zero))
+@_check("symspace", "primitive-df-equals-tau", "the logarithmic differential of the "
+        "closed-form exp(f) equals the curvature-coefficient 1-form tau")
+def primitive(ctx, n):
+    rng = ctx.rng("symspace", "primitive")
+    param_sets = (_random_symspace_params(rng) for _ in range(10))
+    return _verdict(((swann.symspace_primitive_check(p, trials=ctx.trials,
+                                                     tolerance=1e-8, rng=rng),
+                      f"params {p}") for p in param_sets),
+                    "10 random parameter sets")
 
-    def expf_plugin():
-        params = swann.SymSpaceParams(c=Fraction(-1), n=2, c1=Fraction(1),
-                                      c2=Fraction(0), c3=Fraction(0),
-                                      c4=Fraction(0))
-        value = swann.symspace_exp_f(params).evaluate(
-            (Fraction(1), Fraction(0), Fraction(0), Fraction(0)))
-        ok = value == Fraction(-8)
-        return ok, None, None if ok else {"value": value}, \
-            "direct substitution at the section point"
-    out.append(_run("symspace", "expf-plugin-evaluation",
-                    "exp(f) at h = (1,0,0,0) with c1=1, c2=c3=c4=0, c=-1, n=2 "
-                    "evaluates to -4n/(-c c1) = -8",
-                    expf_plugin))
 
-    def proportionality():
-        rng = ctx.rng("symspace", "proportionality")
-        params = swann.SymSpaceParams(c=Fraction(2), n=2, c1=Fraction(3),
-                                      c2=Fraction(5), c3=Fraction(0))
-        E = swann.symspace_exp_f(params)
-        f1 = sf.mul(sf.const(params.c1), E)
-        f2 = sf.mul(sf.const(params.c2), E)
-        worst = 0.0
-        for _, (v1, v2) in forms.sample((f1, f2), min(ctx.trials, 30), rng):
-            if abs(v1) > 1e-9:
-                worst = max(worst, abs(v2 / v1 - float(params.c2 / params.c1)))
-        return worst <= 1e-9, worst, None, ""
-    out.append(_run("symspace", "frame-coefficient-proportionality",
-                    "f_a = c_a exp(f), so ratios of the frame coefficients "
-                    "are the constant ratios c_a / c_b",
-                    proportionality))
+@_check("symspace", "ddf-zero", "d(df) = 0")
+def ddf_zero(ctx, n):
+    rng = ctx.rng("symspace", "ddf")
+    params = _random_symspace_params(rng)
+    detail = "exact rational evaluation"
+    return _verdict([(swann.symspace_ddf_check(params, trials=50,
+                                               tolerance=ctx.tolerance,
+                                               rng=rng), detail)], detail)
 
-    def obstruction():
-        rng = ctx.rng("symspace", "obstruction")
-        one, zero = sf.ONE, sf.ZERO
-        rep = swann.general_obstruction_check((one, zero, zero),
-                                              (one, zero, zero),
-                                              trials=20, rng=rng)
-        if not (rep.implication_holds and rep.witness is not None
-                and "sum" in rep.witness):
-            return False, None, rep.witness, "direct contradiction instance"
-        rep = swann.general_obstruction_check((zero, zero, zero),
-                                              (one, sf.H1, zero),
-                                              trials=20, rng=rng)
-        if not (rep.implication_holds and rep.witness is None):
-            return False, None, rep.witness, "flat case should be vacuous"
-        for trial in range(20):
-            lam = sf.const(Fraction(rng.randint(1, 5)))
-            f_fields = (sf.add(sf.pow_(sf.H0, 2), sf.ONE), sf.H1, sf.H2)
-            r_fields = tuple(sf.mul(lam, f) for f in f_fields)
-            rep = swann.general_obstruction_check(r_fields, f_fields,
-                                                  trials=30, rng=rng)
-            if not rep.implication_holds or rep.witness is None:
-                return False, None, {"trial": trial}, \
-                    "proportional curvature must force a witness"
-        return True, None, None, "20 proportional trials, witness every time"
-    out.append(_run("symspace", "obstruction-mechanics",
-                    "with nowhere-vanishing coefficients, proportional "
-                    "curvature coefficients make the five closedness "
-                    "conditions jointly unsatisfiable",
-                    obstruction))
-    return out
+
+@_check("symspace", "expf-plugin-evaluation", "exp(f) at h = (1,0,0,0) with c1=1, "
+        "c2=c3=c4=0, c=-1, n=2 evaluates to -4n/(-c c1) = -8")
+def expf_plugin(ctx, n):
+    params = swann.SymSpaceParams(c=Fraction(-1), n=2, c1=Fraction(1),
+                                  c2=Fraction(0), c3=Fraction(0),
+                                  c4=Fraction(0))
+    value = swann.symspace_exp_f(params).evaluate(
+        (Fraction(1), Fraction(0), Fraction(0), Fraction(0)))
+    ok = value == Fraction(-8)
+    return ok, None, None if ok else {"value": value}, \
+        "direct substitution at the section point"
+
+
+@_check("symspace", "frame-coefficient-proportionality", "f_a = c_a exp(f), so ratios "
+        "of the frame coefficients are the constant ratios c_a / c_b")
+def proportionality(ctx, n):
+    rng = ctx.rng("symspace", "proportionality")
+    params = swann.SymSpaceParams(c=Fraction(2), n=2, c1=Fraction(3),
+                                  c2=Fraction(5), c3=Fraction(0))
+    E = swann.symspace_exp_f(params)
+    f1 = sf.mul(sf.const(params.c1), E)
+    f2 = sf.mul(sf.const(params.c2), E)
+    worst = 0.0
+    for _, (v1, v2) in forms.sample((f1, f2), min(ctx.trials, 30), rng):
+        if abs(v1) > 1e-9:
+            worst = max(worst, abs(v2 / v1 - float(params.c2 / params.c1)))
+    return worst <= 1e-9, worst, None, ""
+
+
+@_check("symspace", "obstruction-mechanics", "with nowhere-vanishing coefficients, "
+        "proportional curvature coefficients make the five closedness conditions "
+        "jointly unsatisfiable")
+def obstruction(ctx, n):
+    rng = ctx.rng("symspace", "obstruction")
+    one, zero = sf.ONE, sf.ZERO
+    rep = swann.general_obstruction_check((one, zero, zero),
+                                          (one, zero, zero),
+                                          trials=20, rng=rng)
+    if not (rep.implication_holds and rep.witness is not None
+            and "sum" in rep.witness):
+        return False, None, rep.witness, "direct contradiction instance"
+    rep = swann.general_obstruction_check((zero, zero, zero),
+                                          (one, sf.H1, zero),
+                                          trials=20, rng=rng)
+    if not (rep.implication_holds and rep.witness is None):
+        return False, None, rep.witness, "flat case should be vacuous"
+    for trial in range(20):
+        lam = sf.const(Fraction(rng.randint(1, 5)))
+        f_fields = (sf.add(sf.pow_(sf.H0, 2), sf.ONE), sf.H1, sf.H2)
+        r_fields = tuple(sf.mul(lam, f) for f in f_fields)
+        rep = swann.general_obstruction_check(r_fields, f_fields,
+                                              trials=30, rng=rng)
+        if not rep.implication_holds or rep.witness is None:
+            return False, None, {"trial": trial}, \
+                "proportional curvature must force a witness"
+    return True, None, None, "20 proportional trials, witness every time"
 
 
 def _random_symspace_params(rng: random.Random) -> swann.SymSpaceParams:
@@ -1087,14 +1076,7 @@ def _random_symspace_params(rng: random.Random) -> swann.SymSpaceParams:
                                 c4=Fraction(rng.randint(-3, 3)))
 
 
-SUITE_RUNNERS = {
-    "model": run_model_suite,
-    "liealg": run_liealg_suite,
-    "curvature": run_curvature_suite,
-    "fiber": run_fiber_suite,
-    "flat": run_flat_suite,
-    "symspace": run_symspace_suite,
-}
+SUITE_RUNNERS = {suite: functools.partial(_run_suite, suite) for suite in SUITE_NAMES}
 
 LINEAR_SUITES = ("model", "liealg", "curvature")  # one task: they share ctx.model
 

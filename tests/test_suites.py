@@ -1,10 +1,16 @@
+import pathlib
 from fractions import Fraction
 
+import pytest
+
 from qsh_lab import curvature as curv
-from qsh_lab import forms
+from qsh_lab import forms, liealg, suites
+from qsh_lab.cli import RunConfig, run
 from qsh_lab.matrices import QArray
-from qsh_lab.suites import (SuiteContext, _curvature_checks_at, _exact, _verdict,
-                            run_fiber_suite)
+from qsh_lab.suites import (CHECKS, SUITE_NAMES, SUITE_RUNNERS, SuiteContext, _exact,
+                            _verdict)
+
+GOLDEN_F = pathlib.Path(__file__).resolve().parent / "golden" / "F_seed42.json"
 
 
 def _report(equal, residual, witness=None):
@@ -48,7 +54,8 @@ def test_structure_equations_record_carries_the_failing_report(monkeypatch):
                 return failing
         return real_equal(u, v, *args, **kwargs)
     monkeypatch.setattr(forms, "equal", equal)
-    records = {r.name: r for r in run_fiber_suite(SuiteContext(seed=1, trials=5))}
+    records = {r.name: r
+               for r in SUITE_RUNNERS["fiber"](SuiteContext(seed=1, trials=5))}
     record = records["structure-equations"]
     assert not record.passed
     assert (record.residual, record.witness, record.detail) == \
@@ -74,7 +81,51 @@ def test_ricci_closed_form_record_fails_on_a_doubled_closed_form(monkeypatch):
     real_closed_form = curv.ricci_closed_form
     monkeypatch.setattr(curv, "ricci_closed_form",
                         lambda *args: real_closed_form(*args) * 2)
-    records = {r.name: r for r in _curvature_checks_at(SuiteContext(seed=1), 2)}
+    records = {r.name: r
+               for r in SUITE_RUNNERS["curvature"](SuiteContext(seed=1, ns=(2,)))}
     record = records["ricci-closed-form[n=2]"]
     assert not record.passed
     assert record.residual > 0
+
+
+def test_a_generator_check_that_fails_records_its_worst_difference(monkeypatch):
+    real = suites.fundamental_4tensor
+    monkeypatch.setattr(suites, "fundamental_4tensor",
+                        lambda *args: real(*args) + Fraction(1, 2))
+    records = {r.name: r for r in SUITE_RUNNERS["model"](SuiteContext(seed=1, ns=(2,)))}
+    record = records["phi-identity[n=2]"]
+    assert not record.passed
+    assert record.residual == 0.5
+
+
+def test_a_set_up_error_fails_each_check_not_the_run(monkeypatch, tmp_path):
+    def enumerate_so_star_basis(model):
+        raise AssertionError("basis count")
+    monkeypatch.setattr(liealg, "enumerate_so_star_basis", enumerate_so_star_basis)
+    out = tmp_path / "r.json"
+    report, code = run(RunConfig(ns=(2,), suites=("curvature",), seed=5,
+                                 output_path=str(out)))
+    assert code == 1
+    assert len(report.checks) == 11  # ten at n = 2 and the [mandatory] n = 3 pass
+    for check in report.checks:
+        assert not check.passed
+        assert check.detail == "exception: AssertionError('basis count')"
+    assert out.exists()
+
+
+@pytest.mark.parametrize("ns", [(2,), (2, 3)])
+@pytest.mark.parametrize("input_path", [None, str(GOLDEN_F)])
+def test_records_are_the_registered_checks(ns, input_path):
+    report, _ = run(RunConfig(ns=ns, seed=3, trials=3, input_path=input_path))
+    names = {c.name for c in report.checks}
+    assert ("ricci-hermitian-dichotomy[n=3][mandatory]" in names) == (3 not in ns)
+    assert ("user-solution-residuals" in names) == (input_path is not None)
+    skipped = {"ricci-hermitian-dichotomy[n=3][mandatory]"} if 3 in ns else set()
+    if input_path is None:
+        skipped.add("user-solution-residuals")
+    for suite in SUITE_NAMES:
+        recorded = [c.name for c in report.checks if c.suite == suite]
+        assert len(recorded) == len(set(recorded))
+        declared = {name.replace("{n}", str(n)) if "{n}" in name else name
+                    for name, _, _ in CHECKS[suite] for n in ns}
+        assert set(recorded) == declared - skipped
