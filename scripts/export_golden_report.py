@@ -9,6 +9,10 @@ field stripped:
 - report_seed42_fiber.json: the report of
   `qsh-lab run --seed 42 --suites fiber,flat,symspace --n 2
   --input F_seed42.json`, with the input path reduced to its file name
+- report_seed7_kappa_wide_linear.json: the report of
+  `qsh-lab run --seed 7 --suites model,liealg,curvature --n 2 --n 4
+  --kappa 4567891234567/1234567891237`, whose wide kappa takes the
+  Python-int path of QArray at n = 4
 
 Run only when a report is meant to change on purpose; the regression
 tests compare byte-for-byte and never rewrite the files."""
@@ -66,6 +70,9 @@ def main() -> int:
     outputs["report_seed42_fiber.json"] = stripped(RunConfig(
         ns=(2,), seed=42, suites=("fiber", "flat", "symspace"),
         input_path=str(f_path)))
+    outputs["report_seed7_kappa_wide_linear.json"] = stripped(RunConfig(
+        ns=(2, 4), seed=7, suites=("model", "liealg", "curvature"),
+        kappa=Fraction(4567891234567, 1234567891237)))
     for name, text in outputs.items():
         (GOLDEN / name).write_text(text)
         print(f"wrote {GOLDEN / name}")

@@ -13,15 +13,19 @@ Kernel.  On the standard basis R_A is one array indexed
 [i, j, k, r] = (R(e_i, e_j) e_k)_r, so R(e_i, e_j) is tensor[i, j].T;
 the Bianchi sum, the Ricci trace and the rank rows contract it.  With
 A = B / d for an integer B, R_A = (k0 T0 + k1 T1 + k2 T2) / (L d) for
-three kappa-free tensors built by einsum from the terms of curvature_13
-on the integer arrays of the model and of B, and the Python ints
-(k0, k1, k2) = L (kappa, c1/4, c2/2n) over their common denominator L:
-exact for every kappa and every rational A.  The einsum and the sum
-run in int64 when a bound proves that no entry overflows, else on
-Python ints (dtype=object), and R_A is an int64 QArray exactly when its
-entries fit (see matrices); the Bianchi sum, the Ricci trace, the
-Hermiticity products and the rank rows then run in int64 under the
-bounds that QArray carries.
+three kappa-free tensors built by einsum from the terms of the
+expanded formula (see curvature_13) on the integer arrays of the model
+and of B, and the Python ints (k0, k1, k2) = L (kappa, c1/4, c2/2n)
+over their common denominator L: exact for every kappa and every
+rational A.  A tensor holds (4n)^4 entries, so callers keep it only as
+long as they contract it: a run computes R_A at the pinned parameters
+once per basis element, for its Bianchi sum and Ricci trace (the
+per-size pass of suites), and curvature_rows keeps one row of it per
+element.  The einsum and the sum run in int64 when a bound proves that
+no entry overflows, else on Python ints (dtype=object), and R_A is an
+int64 QArray exactly when its entries fit (see matrices); the Bianchi
+sum, the Ricci trace, the Hermiticity products and the rank rows then
+run in int64 under the bounds that QArray carries.
 The bound's premise, checked on the model by _kernel_dtype: omega0,
 each J_a and each g_a is a signed permutation matrix (one +-1 in every
 row and column), so a product with B on either side is bounded by
@@ -34,6 +38,10 @@ it.
 curvature_13, bianchi_defect_closed_form, ricci_closed_form,
 is_Q_hermitian and curvature_map_rank_float never call the kernel: they
 are the independent second paths the checks compare it against.
+curvature_13 evaluates the expanded formula on arrays of basis index
+triples, one row R_A(e_i, e_j) e_k per triple, from gathered columns and
+entries of the model's matrices and of A, so one call covers every
+sampled triple of an element.
 """
 
 from __future__ import annotations
@@ -125,9 +133,10 @@ def curvature_of(model: FlatModel, basis: LieBasis, a, params: CurvParams) -> QA
     return QArray(sum(c * t for c, t in zip(ints, parts)), common * A.scale)
 
 
-def curvature_13(model: FlatModel, A: QArray, params: CurvParams, x, y, z) -> QArray:
-    """Independent (1,3)-tensor evaluation of R_A(x, y) z, expanded
-    term by term:
+def curvature_13(model: FlatModel, A: QArray, params: CurvParams, I, J, K) -> QArray:
+    """Independent (1,3)-tensor evaluation of R_A(x, y) z at x, y, z =
+    e_i, e_j, e_k for each triple (i, j, k) of the index arrays (I, J, K),
+    one row per triple, expanded term by term:
 
       k w(x,y) Az
       + (c1/4) [w(x,z) Ay - sum_a g_a(x,z) J_a Ay
@@ -135,26 +144,33 @@ def curvature_13(model: FlatModel, A: QArray, params: CurvParams, x, y, z) -> QA
       - (c1/4) [same with x and y swapped]
       - (c2/2n) sum_a (g_a(x,Ay) - g_a(y,Ax)) J_a z.
 
-    Used as a cross-check against the projection-based construction.
+    On basis vectors every vector is a column (of A, J_a A, J_a or the
+    identity) and every scalar an entry (of w, g_a, A^T w, A^T g_a or
+    g_a A), gathered for all triples at once.  Used as a cross-check
+    against the projection-based construction.
     """
-    om = lambda u, v: u @ model.omega @ v
-    ga = lambda a, u, v: u @ model.g[a] @ v
-    Ax, Ay, Az = A @ x, A @ y, A @ z
+    W, Js, G = model.omega, model.J, model.g
+    JA, AtW, AtG, GA = Js @ A, A.T @ W, A.T @ G, G @ A
+    eye = QArray.eye(model.dim)
 
-    def block(u, Av):  # the bracket of the (c1/4) terms at (u, Av)
-        out = Av * om(u, z) + u * om(Av, z)
+    def at(M, r, c):  # the entries M[r_t, c_t], as a column
+        return M[r, c][:, None]
+
+    def col(M, c):  # the columns M[:, c_t], as rows
+        return M[:, c].T
+
+    def block(u, v):  # the (c1/4) bracket at x = e_u, y = e_v
+        out = at(W, u, K) * col(A, v) + at(AtW, v, K) * col(eye, u)
         for a in range(3):
-            out = out - model.apply_J(a + 1, Av) * ga(a, u, z)
-            out = out - model.apply_J(a + 1, u) * ga(a, Av, z)
+            out = out - at(G[a], u, K) * col(JA[a], v)
+            out = out - at(AtG[a], v, K) * col(Js[a], u)
         return out
 
-    out = Az * (params.kappa * om(x, y))
-    out = out + (block(x, Ay) - block(y, Ax)) * (params.c1 / 4)
+    out = at(W, I, J) * col(A, K) * params.kappa
+    out = out + (block(I, J) - block(J, I)) * (params.c1 / 4)
     q2 = params.c2 / Fraction(2 * model.n)
     for a in range(3):
-        coef = ga(a, x, Ay) - ga(a, y, Ax)
-        if coef != 0:
-            out = out - model.apply_J(a + 1, z) * (q2 * coef)
+        out = out - (at(GA[a], I, J) - at(GA[a], J, I)) * col(Js[a], K) * q2
     return out
 
 
@@ -266,7 +282,7 @@ def curvature_map_rank(rows) -> int:
     on it.  The Gram product is a QArray `@`: it runs in int64 when
     cols * max|row|^2 is below 2^63, and on Python ints otherwise.
     """
-    rows = QArray(rows.view())  # a view: the caller's rows stay writeable
+    rows = QArray(rows)
     return mat.rank(rows @ rows.T)
 
 

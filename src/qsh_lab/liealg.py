@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from qsh_lab import matrices as mat
 from qsh_lab.linmodel import FlatModel, structure_blocks
@@ -57,9 +58,11 @@ class LieBasis:
         return len(self.so_basis) + len(self.sp_basis)
 
 
+@cache
 def _commutant_block_basis() -> QArray:
     """Exact nullspace basis of {B in gl(4,R) : B j_a = j_a B, a=1,2,3},
-    stacked as shape (4, 4, 4)."""
+    stacked as shape (4, 4, 4).  It does not depend on n, and a QArray is
+    read-only, so it is computed once per process."""
     # entry (r, c) of B j - j B is row 4r + c of (I (x) j^T - j (x) I) vec(B)
     j = structure_blocks()
     eye4 = QArray.eye(4).reshape(1, 4, 4)

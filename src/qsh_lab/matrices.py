@@ -7,38 +7,47 @@ int `bound` >= max |values|, and stands for values / scale.  Every
 structure matrix and every enumerated basis element of the flat model
 has entries in {0, +-1}, so scales stay small and products are plain
 integer arithmetic: `@` multiplies the scales, `+` and `-` bring both
-operands over the lcm of their scales (factors fa, fb), and `*` by a
-Fraction multiplies the scale by its denominator.  Each operation first
-computes its result's bound in Python ints: a.bound fa + b.bound fb for
-a sum, a.bound b.bound k for `@` over k terms (which also bounds every
-partial sum), bound |c| for `*` by c, a.bound b.bound for kron and
-bound n for a trace of n terms; transposes, reshapes, indexing and
-negation keep it.  The values are int64 exactly when the bound is below
-2^63, and an operation runs in int64 only when its result bound, its
-operands' bounds and its int factors are; otherwise it runs on Python
-ints (dtype=object), which never overflow.  So every operation is exact
-for every rational input, whatever numpy's integer promotion.  A scalar
+operands over the lcm of their scales (factors fa, fb), `*` by a
+Fraction multiplies the scale by its denominator, and `*` by a QArray
+multiplies entrywise (numpy broadcasting) and multiplies the scales.
+Each operation first computes its result's bound in Python ints:
+a.bound fa + b.bound fb for a sum, a.bound b.bound k for `@` over k
+terms (which also bounds every partial sum), bound |c| for `*` by c,
+a.bound b.bound for an entrywise `*` and for kron, and bound n for a
+trace of n terms; transposes, reshapes, indexing and negation keep it.
+The values are int64 exactly when the bound is below 2^63, and an
+operation runs in int64 only when its result bound, its operands'
+bounds and its int factors are; otherwise it runs on Python ints
+(dtype=object), which never overflow.  So every operation is exact for
+every rational input, whatever numpy's integer promotion.  A scalar
 read-out (an entry, a vector.matrix.vector product, a trace, max_abs)
-is a Fraction of Python ints; nothing else reduces by a gcd.  A float
-entry raises TypeError instead of being rounded.  numpy is imported
-inside the functions that need it, so importing this module does not
-load it.
+is a Fraction of Python ints; no other QArray operation reduces by a
+gcd.  QArray(values) freezes a converted copy or a view of `values`,
+never the caller's array itself.  A float entry raises TypeError
+instead of being rounded.  numpy is imported inside the functions that
+need it, so importing this module does not load it.
 
 Reduction (rref, rank, nullspace, solve) is the only code that leaves
-QArray: it uses plain Gaussian elimination over Fraction with the first
-nonzero entry in lexicographic column order as pivot, so echelon forms,
-nullspace bases and therefore every exported basis are reproducible
-byte-for-byte.  A positive scale changes no echelon form, so the
-elimination reads the integer rows of its QArray argument.
-signature_symmetric stays on QArray: its characteristic polynomial takes
-one `@` and one trace a step.
+QArray.  A positive scale changes no echelon form, so rref reads the
+integer rows of its argument as Python ints and runs Gauss-Jordan
+elimination on them, fraction-free: with pivot p in the pivot row,
+every other row with f in the pivot column becomes p row - f pivot_row,
+divided by the gcd of its entries.  Each such row is a nonzero multiple
+of the row that elimination over Fraction reaches, so the pivot (the
+first nonzero entry in lexicographic column order), the echelon form
+and therefore nullspace bases and every exported basis are the same,
+byte for byte; Fractions are made only at the end, when each pivot row
+is divided by its pivot.  signature_symmetric stays on QArray: its
+characteristic polynomial takes one `@` and one trace a step, and the
+bound is read off the values after each step, because the carried bound
+of the recurrence outgrows its coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import gcd, lcm
 
 INT64_LIMIT = 2 ** 63  # int64 holds every int of smaller magnitude
 
@@ -75,8 +84,7 @@ class QArray:
         if bound is None:
             bound = magnitude(values)
         dtype = _int64() if bound < INT64_LIMIT else object
-        if values.dtype != dtype:
-            values = values.astype(dtype)
+        values = values.astype(dtype) if values.dtype != dtype else values.view()
         values.flags.writeable = False
         self.values = values
         self.scale = scale
@@ -147,6 +155,10 @@ class QArray:
         return QArray(-self.values, self.scale, self.bound)
 
     def __mul__(self, c):
+        if isinstance(c, QArray):  # entrywise, with numpy broadcasting
+            bound = self.bound * c.bound
+            a, b = operands(max(bound, self.bound, c.bound), self, c)
+            return QArray(a * b, self.scale * c.scale, bound)
         if isinstance(c, Fraction):
             scale, c = self.scale * c.denominator, c.numerator
         elif isinstance(c, int):
@@ -216,30 +228,29 @@ class QArray:
 def rref(m: QArray):
     """Reduced row echelon form of the rows of m (a 2-d QArray): returns
     (R as rows of Fraction, pivot_columns)."""
-    r = [[Fraction(x) for x in row] for row in m.values.tolist()]
+    r = m.values.tolist()  # Python ints
     rows, cols = m.shape
     pivots = []
     pr = 0
     for pc in range(cols):
         if pr == rows:
             break
-        pivot_row = None
-        for i in range(pr, rows):
-            if r[i][pc] != 0:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(pr, rows) if r[i][pc]), None)
         if pivot_row is None:
             continue
         r[pr], r[pivot_row] = r[pivot_row], r[pr]
-        inv = 1 / r[pr][pc]
-        r[pr] = [x * inv for x in r[pr]]
+        top = r[pr]
+        p = top[pc]
         for i in range(rows):
-            if i != pr and r[i][pc] != 0:
-                f = r[i][pc]
-                r[i] = [x - f * y for x, y in zip(r[i], r[pr])]
+            f = r[i][pc]
+            if i != pr and f:
+                row = [p * x - f * y for x, y in zip(r[i], top)]
+                g = gcd(*row) or 1
+                r[i] = [x // g for x in row]
         pivots.append(pc)
         pr += 1
-    return r, pivots
+    return ([[Fraction(x, row[pc]) for x in row] for row, pc in zip(r, pivots)]
+            + [[Fraction(x) for x in row] for row in r[pr:]]), pivots
 
 
 def rank(m: QArray) -> int:
@@ -299,6 +310,7 @@ def signature_symmetric(s: QArray):
     coeffs = [c]  # c_0 = 1, ..., c_n
     for k in range(1, n + 1):
         am = s @ (am + eye * c)
+        am = QArray(am.values, am.scale)  # the bound of the values themselves
         c = -am.trace() / k
         coeffs.append(c)
     n_zero = n - max(i for i, x in enumerate(coeffs) if x)

@@ -18,7 +18,19 @@ A check is one function `fn(ctx, n)` declared with
   other check returns (passed, residual, witness, detail), for sampled
   identities through `_verdict`, or None when it does not apply.
 - A check builds what it uses (`ctx.model(n)`, `ctx.basis(n)`,
-  `_pinned`) in its own body, so an error there fails that check only.
+  `_pinned`, `_pinned_pass`) in its own body, so an error there fails
+  that check only.
+
+Set-up is built once per context: `SuiteContext.memo` records the
+outcome of each build, its value or the exception it raised, and gives
+it to every later check, which fails on that exception again without
+rebuilding.  The model, the basis and the per-size pinned pass are
+memoized this way.  The pass (`_pinned_pass`) computes R_A at the
+pinned parameters once for each basis element, derives its Bianchi
+residual and its Ricci tensor, each with an outcome of its own, and
+drops the tensor: `bianchi-pinned-zero`, `ricci-commuting-part`,
+`ricci-sp1-part` and `ricci-hermitian-dichotomy` read it.  No check
+holds a tensor or the rank rows past its own body.
 """
 
 from __future__ import annotations
@@ -67,21 +79,40 @@ class SuiteContext:
     trials: int = 100
     tolerance: float = 1e-10
     user_solution: object = None  # FlatSolution from --input, if any
-    _models: dict = field(default_factory=dict)
-    _bases: dict = field(default_factory=dict)
+    _outcomes: dict = field(default_factory=dict)  # memo key -> outcome
+
+    def memo(self, key, build):
+        """build() once per key: its value, or the exception it raised,
+        raised again at this and every later call."""
+        if key not in self._outcomes:
+            self._outcomes[key] = _attempt(build)
+        return _result(self._outcomes[key])
 
     def model(self, n: int) -> FlatModel:
-        if n not in self._models:
-            self._models[n] = build_flat_model(n)
-        return self._models[n]
+        return self.memo(("model", n), lambda: build_flat_model(n))
 
     def basis(self, n: int) -> liealg.LieBasis:
-        if n not in self._bases:
-            self._bases[n] = liealg.enumerate_so_star_basis(self.model(n))
-        return self._bases[n]
+        return self.memo(("basis", n),
+                         lambda: liealg.enumerate_so_star_basis(self.model(n)))
 
     def rng(self, suite: str, name: str) -> random.Random:
         return random.Random(f"{self.seed}:{suite}:{name}")
+
+
+def _attempt(build):
+    """The outcome of build(): (value, None), or (None, the exception)."""
+    try:
+        return build(), None
+    except Exception as exc:
+        return None, exc
+
+
+def _result(outcome):
+    """The value of an outcome of _attempt, or its exception raised."""
+    value, exc = outcome
+    if exc is not None:
+        raise exc.with_traceback(None)  # a fresh traceback at each raise
+    return value
 
 
 def _run(suite: str, name: str, anchor: str, fn) -> CheckResult | None:
@@ -450,14 +481,28 @@ def _pinned(ctx: SuiteContext, n: int):
     return ctx.model(n), ctx.basis(n), curv.CurvParams.pinned(ctx.kappa, n)
 
 
+def _pinned_pass(ctx: SuiteContext, n: int) -> list:
+    """For each element of basis.elements(), in order, the outcomes (see
+    _attempt) of its Bianchi residual and of its Ricci tensor at the
+    pinned parameters, from one R_A that is dropped once both are read."""
+    def build():
+        m, basis, params = _pinned(ctx, n)
+        outcomes = []
+        for el in basis.elements():
+            R = _attempt(lambda: curv.curvature_of(m, basis, el, params))
+            outcomes.append((_attempt(lambda: curv.bianchi_residual(m, _result(R))),
+                             _attempt(lambda: curv.ricci_of(m, _result(R)))))
+        return outcomes
+    return ctx.memo(("pinned", n), build)
+
+
 @_check("curvature", "bianchi-pinned-zero[n={n}]", "cyclic sum R(x,y)z + R(y,z)x + "
         "R(z,x)y = 0 for (c1, c2) = (2k, nk) and every basis A")
 def bianchi_pinned(ctx, n):
-    m, basis, params = _pinned(ctx, n)
-    for el in basis.elements():
-        tensor = curv.curvature_of(m, basis, el, params)
-        yield curv.bianchi_residual(m, tensor)
-    return f"all {len(basis.elements())} basis elements"
+    outcomes = _pinned_pass(ctx, n)
+    for bianchi, _ in outcomes:
+        yield _result(bianchi)
+    return f"all {len(outcomes)} basis elements"
 
 
 @_check("curvature", "bianchi-perturbed-nonzero[n={n}]", "each off-pinning coefficient "
@@ -490,12 +535,9 @@ def two_paths(ctx, n):
     rng = ctx.rng("curvature", f"two-paths{n}")
     for el in (basis.sp_basis[0], basis.so_basis[0]):
         tensor = curv.curvature_of(m, basis, el, params)
-        for _ in range(min(ctx.trials, 40)):
-            i, j, k = (rng.randrange(m.dim) for _ in range(3))
-            direct = curv.curvature_13(m, el.matrix, params,
-                                       m.basis_vector(i), m.basis_vector(j),
-                                       m.basis_vector(k))
-            yield direct - tensor[i, j, k]
+        I, J, K = map(list, zip(*[[rng.randrange(m.dim) for _ in range(3)]
+                                  for _ in range(min(ctx.trials, 40))]))
+        yield curv.curvature_13(m, el.matrix, params, I, J, K) - tensor[I, J, K]
 
 
 @_check("curvature", "tensor-wellformed[n={n}]",
@@ -514,26 +556,33 @@ def tensor_wellformed(ctx, n):
     return "values decompose in g"
 
 
-def _ricci_part(ctx, n, elements, coef):
-    m, basis, params = _pinned(ctx, n)
-    for el in elements:
-        tensor = curv.curvature_of(m, basis, el, params)
-        ric = curv.ricci_of(m, tensor)
-        target = curv.omega_pairing(m, el.matrix) * coef
-        yield ric - target
+def _pinned_ricci(ctx, n):
+    """The (element, Ricci outcome) pairs of the pinned pass, split into
+    those of basis.so_basis and those of basis.sp_basis."""
+    basis = ctx.basis(n)
+    pairs = [(el, ricci)
+             for el, (_, ricci) in zip(basis.elements(), _pinned_pass(ctx, n))]
+    return pairs[:len(basis.so_basis)], pairs[len(basis.so_basis):]
+
+
+def _ricci_part(ctx, n, pairs, coef):
+    m = ctx.model(n)
+    for el, ricci in pairs:
+        yield _result(ricci) - curv.omega_pairing(m, el.matrix) * coef
     return f"coefficient {coef}"
 
 
 @_check("curvature", "ricci-commuting-part[n={n}]", "Ric_A = 2(n+2) k omega0(A., .) "
         "for every commuting-part basis element")
 def ricci_commuting_part(ctx, n):
-    return _ricci_part(ctx, n, ctx.basis(n).so_basis, Fraction(2 * (n + 2)) * ctx.kappa)
+    return _ricci_part(ctx, n, _pinned_ricci(ctx, n)[0],
+                       Fraction(2 * (n + 2)) * ctx.kappa)
 
 
 @_check("curvature", "ricci-sp1-part[n={n}]",
         "Ric_A = 4n k omega0(A., .) for A in {J1, J2, J3}")
 def ricci_sp1_part(ctx, n):
-    return _ricci_part(ctx, n, ctx.basis(n).sp_basis, Fraction(4 * n) * ctx.kappa)
+    return _ricci_part(ctx, n, _pinned_ricci(ctx, n)[1], Fraction(4 * n) * ctx.kappa)
 
 
 @_check("curvature", "ricci-closed-form[n={n}]", "trace Ricci equals (2n+1)k w(Ay,z) + "
@@ -579,21 +628,23 @@ def ricci_dichotomy(ctx, n):
     frames = [(q, sp1_conjugate_frame(m, q))
               for q in [_unit_quaternion(rng) for _ in range(3)]]
 
-    def hermitian(el):
-        ric = curv.ricci_of(m, curv.curvature_of(m, basis, el, params))
+    def hermitian(ric):
         return curv.is_Q_hermitian(m, ric, frames=frames)
 
-    for el in basis.so_basis:
-        ok, wit = hermitian(el)
+    commuting, sp1 = _pinned_ricci(ctx, n)
+    for _, ricci in commuting:
+        ok, wit = hermitian(_result(ricci))
         if not ok:
             return False, None, wit, "commuting part should be Hermitian"
-    for el in basis.sp_basis:
-        ok, witness = hermitian(el)
+    for _, ricci in sp1:
+        ok, witness = hermitian(_result(ricci))
         if ok:
             return False, None, None, "sp1 part should fail Hermiticity"
-    # mixed element must fail as well (both directions of the dichotomy)
+    # mixed element must fail as well (both directions of the dichotomy);
+    # it is no basis element, so the pinned pass does not hold it
     mixed = basis.so_basis[0].matrix + basis.sp_basis[0].matrix
-    if hermitian(liealg.decompose(m, basis, mixed))[0]:
+    tensor = curv.curvature_of(m, basis, liealg.decompose(m, basis, mixed), params)
+    if hermitian(curv.ricci_of(m, tensor))[0]:
         return False, None, None, "mixed element should fail Hermiticity"
     zero_ok, _ = curv.is_Q_hermitian(m, m.omega * 0, frames=frames)
     return zero_ok, None, witness, "witness recorded for the sp1 failure"

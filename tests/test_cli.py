@@ -23,6 +23,7 @@ from qsh_lab.suites import _random_constants
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 GOLDEN_REPORT = GOLDEN / "report_seed42_linear.json"
 GOLDEN_FIBER_REPORT = GOLDEN / "report_seed42_fiber.json"
+GOLDEN_WIDE_REPORT = GOLDEN / "report_seed7_kappa_wide_linear.json"
 GOLDEN_F = GOLDEN / "F_seed42.json"
 
 
@@ -135,6 +136,17 @@ def test_report_matches_golden():
     assert code == 0
     assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == \
         GOLDEN_REPORT.read_text()
+
+
+def test_wide_kappa_report_matches_golden():
+    # at n = 4 the wide kappa takes the Python-int path of QArray
+    report, code = run(RunConfig(ns=(2, 4), seed=7,
+                                 suites=("model", "liealg", "curvature"),
+                                 kappa=Fraction(4567891234567, 1234567891237)))
+    payload = report.to_dict(omit_timing=True)
+    assert code == 0
+    assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == \
+        GOLDEN_WIDE_REPORT.read_text()
 
 
 def test_fiber_report_matches_golden():

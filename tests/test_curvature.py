@@ -67,18 +67,24 @@ def test_antisymmetry_and_g_values(model2, basis2, pinned2):
 
 
 def test_two_implementations_agree(model2, basis2, pinned2):
+    # the expanded formula equals the kernel on all 8^3 basis triples
     rng = random.Random(31)
     off = curv.CurvParams.free(Fraction(7, 3), 5, -2)
+    I, J, K = np.array(list(itertools.product(range(8), repeat=3))).T
     for el, params in itertools.product(
             [basis2.sp_basis[0], basis2.so_basis[0],
              _random_element(model2, basis2, rng)], [pinned2, off]):
         tensor = curv.curvature_of(model2, basis2, el, params)
-        for _ in range(25):
-            i, j, k = (rng.randrange(8) for _ in range(3))
-            direct = curv.curvature_13(
-                model2, el.matrix, params, model2.basis_vector(i),
-                model2.basis_vector(j), model2.basis_vector(k))
-            assert direct == tensor[i, j, k]
+        direct = curv.curvature_13(model2, el.matrix, params, I, J, K)
+        assert direct.shape == (512, 8)
+        assert direct == tensor[I, J, K]
+    # one row per triple, in the order of the index arrays
+    el = basis2.so_basis[0]
+    tensor = curv.curvature_of(model2, basis2, el, pinned2)
+    rows = curv.curvature_13(model2, el.matrix, pinned2,
+                             [3, 0, 3], [1, 5, 1], [7, 2, 7])
+    for row, (i, j, k) in zip(rows, [(3, 1, 7), (0, 5, 2), (3, 1, 7)]):
+        assert row == tensor[i, j, k]
 
 
 def test_bianchi_pinned_zero_all_basis(model2, basis2, pinned2):
@@ -400,8 +406,8 @@ def test_second_paths_never_call_the_kernel(model3, basis3, monkeypatch):
     monkeypatch.setattr(curv, "_parts", refuse)
     with pytest.raises(AssertionError):
         curv.curvature_of(model3, basis3, el, params)
-    x, y, z = (model3.basis_vector(i) for i in (0, 5, 7))
-    assert curv.curvature_13(model3, el.matrix, params, x, y, z) == tensor[0, 5, 7]
+    assert curv.curvature_13(model3, el.matrix, params, [0], [5], [7])[0] == \
+        tensor[0, 5, 7]
     assert curv.bianchi_defect_closed_form(model3, el.matrix, params,
                                            0, 5, 7).max_abs() == 0
     assert curv.ricci_closed_form(model3, el.matrix, 1) == ric

@@ -222,3 +222,10 @@ def test_circle_map_membership(model2, basis2):
     y = _rational_vector(rng, model2.dim)
     el = liealg.circle_map(model2, x, y, Fraction(2))
     liealg.decompose(model2, basis2, el.matrix)  # must not raise
+
+
+def test_commutant_block_basis_is_computed_once():
+    first = liealg._commutant_block_basis()
+    assert liealg._commutant_block_basis() is first
+    assert first.shape == (4, 4, 4)
+    assert not first.values.flags.writeable

@@ -317,6 +317,8 @@ def test_products_exact_across_the_int64_edge(data):
         _check_result(qa @ qb, _ref_mat_mul(a, b))
         _check_result(qa * n, [[x * n for x in row] for row in fa])
         _check_result(qa * f, [[x * f for x in row] for row in fa])
+        _check_result(qa * qc, [[x * y for x, y in zip(r, s)] for r, s in zip(fa, fc)])
+        _check_result(qa[:, :1] * qc, [[r[0] * y for y in s] for r, s in zip(fa, fc)])
         _check_result(qa.kron(qb), [[x * Fraction(y) for x in ra for y in rb]
                                     for ra in fa for rb in b])
         square = qa @ qa.T
@@ -330,3 +332,70 @@ def test_products_exact_across_the_int64_edge(data):
         assert (qa * f == qa) == all(x * f == x for row in fa for x in row)
         if f:
             assert qa * f * (1 / f) == qa  # equal at another scale
+
+
+def test_wrapping_leaves_the_callers_array_writeable():
+    a = np.arange(6, dtype=np.int64).reshape(2, 3)
+    q = QArray(a)
+    a[0] = 1
+    assert a[0].tolist() == [1, 1, 1]
+    assert q.values[0].tolist() == [1, 1, 1]  # a view: the values follow
+    with pytest.raises(ValueError):
+        q.values[0, 0] = 2  # read-only
+    wide = np.array([2 ** 63, 1], dtype=object)
+    QArray(wide)
+    wide[1] = 5  # converted, so a copy is frozen
+
+
+def _reference_rref(rows):
+    """Gauss-Jordan elimination over Fraction: the first nonzero entry in
+    lexicographic column order is the pivot."""
+    r = [[Fraction(x) for x in row] for row in rows]
+    pivots, pr = [], 0
+    for pc in range(len(r[0]) if r else 0):
+        if pr == len(r):
+            break
+        pivot_row = next((i for i in range(pr, len(r)) if r[i][pc] != 0), None)
+        if pivot_row is None:
+            continue
+        r[pr], r[pivot_row] = r[pivot_row], r[pr]
+        inv = 1 / r[pr][pc]
+        r[pr] = [x * inv for x in r[pr]]
+        for i in range(len(r)):
+            if i != pr and r[i][pc] != 0:
+                f = r[i][pc]
+                r[i] = [x - f * y for x, y in zip(r[i], r[pr])]
+        pivots.append(pc)
+        pr += 1
+    return r, pivots
+
+
+_RREF_ENTRIES = (st.integers(-3, 3)
+                 | st.builds(lambda d, sign: sign * (2 ** 40 + d),
+                             st.integers(-3, 3), st.sampled_from((1, -1))))
+
+
+@st.composite
+def _rref_cases(draw):
+    """Tall, wide and square integer matrices, some of them rank-deficient
+    (a row that is a combination of two others), as int64 or object."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    m = [[draw(_RREF_ENTRIES) for _ in range(cols)] for _ in range(rows)]
+    if rows >= 3 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
+    return m, draw(st.sampled_from((np.int64, object)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_rref_cases())
+def test_rref_matches_elimination_over_fraction(case):
+    m, dtype = case
+    # a carried bound of 2^63 keeps object values however small they are
+    q = QArray(np.array(m, dtype=dtype), 1, None if dtype is np.int64 else 2 ** 63)
+    assert q.values.dtype == np.dtype(dtype)
+    r, pivots = mat.rref(q)
+    assert (r, pivots) == _reference_rref(m)
+    assert all(type(x) is Fraction for row in r for x in row)
+    assert mat.rank(q) == len(pivots)
+

@@ -5,6 +5,7 @@ import pytest
 
 from qsh_lab import curvature as curv
 from qsh_lab import forms, liealg, suites
+from qsh_lab import matrices as mat
 from qsh_lab.cli import RunConfig, run
 from qsh_lab.matrices import QArray
 from qsh_lab.suites import (CHECKS, SUITE_NAMES, SUITE_RUNNERS, SuiteContext, _exact,
@@ -129,3 +130,86 @@ def test_records_are_the_registered_checks(ns, input_path):
         declared = {name.replace("{n}", str(n)) if "{n}" in name else name
                     for name, _, _ in CHECKS[suite] for n in ns}
         assert set(recorded) == declared - skipped
+
+
+def test_a_failed_set_up_is_remembered_not_retried(monkeypatch):
+    sizes = []
+
+    def enumerate_so_star_basis(model):
+        sizes.append(model.n)
+        raise AssertionError("basis count")
+    monkeypatch.setattr(liealg, "enumerate_so_star_basis", enumerate_so_star_basis)
+    report, code = run(RunConfig(ns=(2,), suites=("liealg", "curvature"), seed=5))
+    assert code == 1
+    # five liealg checks and eleven curvature checks need the basis
+    failed = [c for c in report.checks if not c.passed]
+    assert len(failed) == 16
+    for check in failed:
+        assert check.detail == "exception: AssertionError('basis count')"
+    assert sizes == [2, 3]  # once per size: n = 2 and the [mandatory] n = 3 pass
+
+
+def _linear_records(ctx):
+    return {r.name: r for suite in ("model", "liealg", "curvature")
+            for r in SUITE_RUNNERS[suite](ctx)}
+
+
+def test_each_pinned_tensor_is_computed_once_per_size(monkeypatch):
+    calls = {"curvature_of": 0, "curvature_13": 0}
+    for name in calls:
+        real = getattr(curv, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(curv, name, counted)
+    records = _linear_records(SuiteContext(seed=1, ns=(2, 3)))
+    assert all(r.passed for r in records.values())
+    # per n: one pinned pass over the basis, one rank row each, and the
+    # off-pinning, two-path, well-formedness and random-element checks
+    assert calls["curvature_of"] <= 98
+    assert calls["curvature_13"] == 4  # one call per element and size
+
+
+def test_a_sign_flipped_kernel_fails_the_two_paths(monkeypatch):
+    real = curv._parts
+
+    def flipped(*args):
+        t0, t1, t2 = real(*args)
+        return t0, t1, -t2
+    monkeypatch.setattr(curv, "_parts", flipped)
+    records = {r.name: r
+               for r in SUITE_RUNNERS["curvature"](SuiteContext(seed=1, ns=(2,)))}
+    record = records["curvature-two-paths[n=2]"]
+    assert not record.passed
+    assert record.residual > 0
+
+
+def test_a_ricci_error_fails_only_the_checks_that_read_it(monkeypatch):
+    def ricci_of(model, tensor):
+        raise ArithmeticError("trace")
+    monkeypatch.setattr(curv, "ricci_of", ricci_of)
+    records = {r.name: r
+               for r in SUITE_RUNNERS["curvature"](SuiteContext(seed=1, ns=(2, 3)))}
+    for n in (2, 3):
+        assert records[f"bianchi-pinned-zero[n={n}]"].passed
+        assert records[f"curvature-map-rank[n={n}]"].passed
+        for name in ("ricci-commuting-part", "ricci-sp1-part",
+                     "ricci-hermitian-dichotomy", "ricci-closed-form"):
+            record = records[f"{name}[n={n}]"]
+            assert not record.passed
+            assert record.detail == "exception: ArithmeticError('trace')"
+
+
+def test_the_linear_suites_take_no_object_path_at_kappa_1(monkeypatch):
+    real = mat.operands
+    wide = []
+
+    def operands(bound, *arrays):
+        if bound >= mat.INT64_LIMIT:
+            wide.append(bound)
+        return real(bound, *arrays)
+    monkeypatch.setattr(mat, "operands", operands)
+    records = _linear_records(SuiteContext(seed=1, ns=(2, 3)))
+    assert all(r.passed for r in records.values())
+    assert wide == []
