@@ -11,29 +11,21 @@ exhibited by nonzero residuals.
 
 Kernel.  On the standard basis R_A is one array indexed
 [i, j, k, r] = (R(e_i, e_j) e_k)_r, so R(e_i, e_j) is tensor[i, j].T;
-the Bianchi sum, the Ricci trace and the rank rows contract it.  With
-A = B / d for an integer B, R_A = (k0 T0 + k1 T1 + k2 T2) / (L d) for
-three kappa-free tensors built by einsum from the terms of the
-expanded formula (see curvature_13) on the integer arrays of the model
-and of B, and the Python ints (k0, k1, k2) = L (kappa, c1/4, c2/2n)
-over their common denominator L: exact for every kappa and every
-rational A.  A tensor holds (4n)^4 entries, so callers keep it only as
-long as they contract it: a run computes R_A at the pinned parameters
-once per basis element, for its Bianchi sum and Ricci trace (the
-per-size pass of suites), and curvature_rows keeps one row of it per
-element.  The einsum and the sum run in int64 when a bound proves that
-no entry overflows, else on Python ints (dtype=object), and R_A is an
-int64 QArray exactly when its entries fit (see matrices); the Bianchi
-sum, the Ricci trace, the Hermiticity products and the rank rows then
-run in int64 under the bounds that QArray carries.
-The bound's premise, checked on the model by _kernel_dtype: omega0,
-each J_a and each g_a is a signed permutation matrix (one +-1 in every
-row and column), so a product with B on either side is bounded by
-m = max(1, max|B|).  Then |T0| <= m; the four terms of half of T1 are
-at most m, 3m, m, 3m, so |T1| <= 16m; |T2| <= 6m; and the sum is at
-most m (|k0| + 16 |k1| + 6 |k2|), which must be below 2^63.  numpy is
-imported inside the functions, so importing this module does not load
-it.
+the Bianchi sum, the Ricci trace and the rank rows contract it.
+R_A = kappa T0 + (c1/4) T1 + (c2/2n) T2 for three kappa-free tensors
+that matrices.einsum builds from the terms of the expanded formula (see
+curvature_13) on the model's QArrays and A: exact for every kappa and
+every rational A.  A tensor holds (4n)^4 entries, so callers keep it
+only as long as they contract it: a run computes R_A at the pinned
+parameters once per basis element, for its Bianchi sum and Ricci trace
+(the per-size pass of suites), and curvature_rows keeps one row of it
+per element.  Every step is a QArray operation, so matrices alone
+decides, from the bounds it carries, whether a step runs in int64 or on
+Python ints; nothing here assumes a bound.  The products J_a A, A^T w,
+A^T g_a and g_a A, and R_A itself, take the bound of their values (the
+generic bound of `@` would carry a factor 4n), so the kernel stays in
+int64 wherever the values allow it.  numpy is imported inside the
+functions, so importing this module does not load it.
 
 curvature_13, bianchi_defect_closed_form, ricci_closed_form,
 is_Q_hermitian and curvature_map_rank_float never call the kernel: they
@@ -48,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from qsh_lab import matrices as mat
 from qsh_lab.liealg import LieBasis, LieElement, decompose
@@ -86,51 +77,34 @@ def _as_element(model: FlatModel, basis: LieBasis, a) -> LieElement:
     return decompose(model, basis, a)  # raises MembershipError if outside g
 
 
-def _kernel_dtype(model: FlatModel, B, coeffs):
-    """np.int64 if the Kernel bound proves that the parts of B and their
-    combination with the int coeffs fit in it, else object."""
-    import numpy as np
-
-    for field in (model.omega.values, model.J.values, model.g.values):
-        size = abs(field)
-        if not ((size <= 1).all() and (size.sum(-1) == 1).all()
-                and (size.sum(-2) == 1).all()):
-            return object
-    m = max(1, mat.magnitude(B))
-    k0, k1, k2 = map(abs, coeffs)
-    return np.int64 if m * (k0 + 16 * k1 + 6 * k2) < mat.INT64_LIMIT else object
-
-
-def _parts(model: FlatModel, B, dtype):
-    """The kappa-free tensors (T0, T1, T2) of an integer array B in
-    dtype, term by term as in curvature_13."""
-    import numpy as np
-
-    W, J, G, A = (np.asarray(x, dtype=dtype) for x in
-                  (model.omega.values, model.J.values, model.g.values, B))
-    eye = np.eye(model.dim, dtype=dtype)
+def _parts(model: FlatModel, A: QArray):
+    """The kappa-free tensors (T0, T1, T2) of A, term by term as in
+    curvature_13."""
+    W, J, G = model.omega, model.J, model.g
+    # the bounds of the values themselves: max|A| where the generic bound
+    # of `@` would carry a factor 4n
+    At = A.T
+    JA, AtW, AtG, GA = (QArray(x.values, x.scale)
+                        for x in (J @ A, At @ W, At @ G, G @ A))
     # w(x,y) Az
-    t0 = np.einsum("ij,rk->ijkr", W, A)
+    t0 = mat.einsum("ij,rk->ijkr", W, A)
     # w(x,z) Ay - sum_a g_a(x,z) J_a Ay + w(Ay,z) x - sum_a g_a(Ay,z) J_a x
-    half = (np.einsum("ik,rj->ijkr", W, A)
-            - np.einsum("aik,arj->ijkr", G, J @ A)
-            + np.einsum("jk,ri->ijkr", A.T @ W, eye)
-            - np.einsum("ajk,ari->ijkr", A.T @ G, J))
+    half = (mat.einsum("ik,rj->ijkr", W, A)
+            - mat.einsum("aik,arj->ijkr", G, JA)
+            + mat.einsum("jk,ri->ijkr", AtW, QArray.eye(model.dim))
+            - mat.einsum("ajk,ari->ijkr", AtG, J))
     t1 = half - half.transpose(1, 0, 2, 3)
     # -sum_a (g_a(x,Ay) - g_a(y,Ax)) J_a z
-    GA = G @ A
-    t2 = -np.einsum("aij,ark->ijkr", GA - GA.transpose(0, 2, 1), J)
+    t2 = -mat.einsum("aij,ark->ijkr", GA - GA.transpose(0, 2, 1), J)
     return t0, t1, t2
 
 
 def curvature_of(model: FlatModel, basis: LieBasis, a, params: CurvParams) -> QArray:
-    """R_A on all standard basis triples, with scale L * d (see Kernel)."""
-    A = _as_element(model, basis, a).matrix
-    coeffs = (params.kappa, params.c1 / 4, params.c2 / Fraction(2 * model.n))
-    common = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * common) for c in coeffs]
-    parts = _parts(model, A.values, _kernel_dtype(model, A.values, ints))
-    return QArray(sum(c * t for c, t in zip(ints, parts)), common * A.scale)
+    """R_A on all standard basis triples (see Kernel)."""
+    t0, t1, t2 = _parts(model, _as_element(model, basis, a).matrix)
+    r = (t0 * params.kappa + t1 * (params.c1 / 4)
+         + t2 * (params.c2 / Fraction(2 * model.n)))
+    return QArray(r.values, r.scale)  # the bound of the values themselves
 
 
 def curvature_13(model: FlatModel, A: QArray, params: CurvParams, I, J, K) -> QArray:
@@ -214,11 +188,7 @@ def bianchi_residual(model: FlatModel, tensor: QArray) -> Fraction:
 
 def ricci_of(model: FlatModel, tensor: QArray) -> QArray:
     """Ric[y][z] = trace of x -> R(x, y) z, summed over the standard basis."""
-    import numpy as np
-
-    bound = tensor.bound * len(tensor)  # the trace sums len(tensor) terms
-    (t,) = mat.operands(max(bound, tensor.bound), tensor)
-    return QArray(np.einsum("iyzi->yz", t), tensor.scale, bound)
+    return mat.einsum("iyzi->yz", tensor)
 
 
 def ricci_closed_form(model: FlatModel, A: QArray, kappa) -> QArray:

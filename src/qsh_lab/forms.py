@@ -207,13 +207,12 @@ THETA_IN_DH = tuple(
     VerticalForm(DH, 1, {(j,): sf.div(_M_ENTRIES[i][j], T2) for j in _INDICES})
     for i in _INDICES)
 
-_ALPHA_WEDGE_CACHE = {(): scalar_form(sf.ONE, DH)}
 
-
+@functools.cache
 def _alpha_wedge(key) -> VerticalForm:
-    if key not in _ALPHA_WEDGE_CACHE:
-        _ALPHA_WEDGE_CACHE[key] = wedge_all([ALPHA_IN_DH[i] for i in key])
-    return _ALPHA_WEDGE_CACHE[key]
+    if not key:
+        return scalar_form(sf.ONE, DH)
+    return wedge_all([ALPHA_IN_DH[i] for i in key])
 
 
 def to_dh(u: VerticalForm) -> VerticalForm:

@@ -102,7 +102,8 @@ def build_flat_model(n: int) -> FlatModel:
     eye_n = QArray.eye(n)
     J = eye_n.reshape(1, n, n).kron(structure_blocks())
     omega = eye_n.kron(omega_block)
-    return FlatModel(n=n, J=J, omega=omega, g=omega @ J)
+    # g has entries in {0, +-1}: the bound of its values, not the 4n of `@`
+    return FlatModel(n=n, J=J, omega=omega, g=QArray((omega @ J).values))
 
 
 def qsh_form(model: FlatModel, x, y):

@@ -13,19 +13,23 @@ multiplies entrywise (numpy broadcasting) and multiplies the scales.
 Each operation first computes its result's bound in Python ints:
 a.bound fa + b.bound fb for a sum, a.bound b.bound k for `@` over k
 terms (which also bounds every partial sum), bound |c| for `*` by c,
-a.bound b.bound for an entrywise `*` and for kron, and bound n for a
-trace of n terms; transposes, reshapes, indexing and negation keep it.
-The values are int64 exactly when the bound is below 2^63, and an
-operation runs in int64 only when its result bound, its operands'
-bounds and its int factors are; otherwise it runs on Python ints
-(dtype=object), which never overflow.  So every operation is exact for
-every rational input, whatever numpy's integer promotion.  A scalar
-read-out (an entry, a vector.matrix.vector product, a trace, max_abs)
-is a Fraction of Python ints; no other QArray operation reduces by a
-gcd.  QArray(values) freezes a converted copy or a view of `values`,
-never the caller's array itself.  A float entry raises TypeError
-instead of being rounded.  numpy is imported inside the functions that
-need it, so importing this module does not load it.
+a.bound b.bound for an entrywise `*` and for kron, bound n for a trace
+of n terms, and for einsum the product of the operand bounds times the
+number of terms summed into each output entry; transposes, reshapes,
+indexing and negation keep it.  The values are int64 exactly when the
+bound is below 2^63, and an operation runs in int64 only when its
+result bound, its operands' bounds and its int factors are (for einsum,
+when the product of max(1, bound) over the operands times max(1, terms)
+is: it also covers every partial product); otherwise it runs on Python
+ints (dtype=object), which never overflow.  No other module makes that
+choice, so every operation is exact for every rational input, whatever
+numpy's integer promotion.  A scalar read-out (an entry, a
+vector.matrix.vector product, a trace, max_abs) is a Fraction of Python
+ints; no other QArray operation reduces by a gcd.  QArray(values)
+freezes a converted copy or a view of `values`, never the caller's
+array itself.  A float entry raises TypeError instead of being rounded.
+numpy is imported inside the functions that need it, so importing this
+module does not load it.
 
 Reduction (rref, rank, nullspace, solve) is the only code that leaves
 QArray.  A positive scale changes no echelon form, so rref reads the
@@ -47,7 +51,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 INT64_LIMIT = 2 ** 63  # int64 holds every int of smaller magnitude
 
@@ -165,6 +169,8 @@ class QArray:
             scale = self.scale
         else:
             return NotImplemented
+        if c == 1:
+            return QArray(self.values, scale, self.bound)
         bound = self.bound * abs(c)
         (a,) = operands(max(bound, self.bound, abs(c)), self)
         return QArray(a * c, scale, bound)
@@ -223,6 +229,29 @@ class QArray:
 
     def max_abs(self) -> Fraction:
         return Fraction(magnitude(self.values), self.scale)
+
+
+@cache
+def _summed_axes(spec: str):
+    """(operand, axis) of an occurrence of each label that the output of
+    an einsum spec omits: the axes it sums over."""
+    inputs, output = spec.split("->")
+    return tuple({label: (i, axis) for i, labels in enumerate(inputs.split(","))
+                  for axis, label in enumerate(labels) if label not in output}.values())
+
+
+def einsum(spec: str, *arrays: QArray) -> QArray:
+    """np.einsum of the values under an explicit spec ("ij,jk->ik"), with
+    the product of the scales and, as bound, the product of the operand
+    bounds times the number of terms summed into each output entry."""
+    import numpy as np
+
+    terms = prod(arrays[i].shape[axis] for i, axis in _summed_axes(spec))
+    bound, cover, scale = terms, max(1, terms), 1
+    for a in arrays:  # cover bounds every operand, partial product and sum
+        bound, cover, scale = bound * a.bound, cover * max(1, a.bound), scale * a.scale
+    values = np.einsum(spec, *operands(cover, *arrays))
+    return QArray(np.asarray(values), scale, bound)
 
 
 def rref(m: QArray):

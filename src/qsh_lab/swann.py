@@ -426,9 +426,6 @@ class ObstructionReport:
     implication_holds: bool
     witness: dict = None  # a sampled point where the joint conditions fail
 
-    def __bool__(self):
-        return self.implication_holds
-
 
 def general_obstruction_check(r_fields, f_fields, trials: int = 100,
                               tolerance: float = 1e-10,

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import random
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 
 from qsh_lab import curvature as curv
 from qsh_lab import liealg
+from qsh_lab import matrices as mat
 from qsh_lab.liealg import enumerate_so_star_basis
 from qsh_lab.linmodel import build_flat_model, sp1_conjugate_frame
 from qsh_lab.matrices import QArray
@@ -291,13 +291,24 @@ def test_linear_claims_at_large_n(n):
 
 
 def _kernel_paths(model, basis, el, params):
-    """R_A in the dtype the bound picks, that dtype, and R_A from the
-    object path."""
-    with mock.patch.object(curv, "_parts", wraps=curv._parts) as parts:
+    """R_A in the dtypes the bounds pick, np.int64 if no step of it took
+    the object path (else object), and R_A with every step on Python
+    ints."""
+    real = mat.operands
+    bounds = []
+
+    def recorded(bound, *arrays):
+        bounds.append(bound)
+        return real(bound, *arrays)
+
+    def python_ints(bound, *arrays):
+        return real(mat.INT64_LIMIT, *arrays)
+    with mock.patch.object(mat, "operands", recorded):
         fast = curv.curvature_of(model, basis, el, params)
-    with mock.patch.object(curv, "_kernel_dtype", return_value=object):
+    with mock.patch.object(mat, "operands", python_ints):
         slow = curv.curvature_of(model, basis, el, params)
-    return fast, parts.call_args.args[2], slow
+    wide = any(b >= mat.INT64_LIMIT for b in bounds)
+    return fast, object if wide else np.int64, slow
 
 
 def _check_values(q):
@@ -357,16 +368,6 @@ def test_wide_rational_A_takes_object_fallback(model2, basis2):
     assert ric == curv.ricci_closed_form(model2, el.matrix, 1)
 
 
-def test_kernel_premise_checked_on_model(model2):
-    # int64 needs every structure matrix to be a signed permutation
-    ones = model2.omega.values * 0
-    ones[:, 0] = 1  # one entry per row, but all in one column
-    for bad in (dataclasses.replace(model2, omega=model2.omega * 2),
-                dataclasses.replace(model2, omega=QArray(ones))):
-        assert curv._kernel_dtype(bad, model2.omega.values, [1, 1, 1]) is object
-    assert curv._kernel_dtype(model2, model2.omega.values, [1, 1, 1]) is np.int64
-
-
 def test_rank_gram_exact_in_both_dtypes(model2, basis2, pinned2):
     rows = curv.curvature_rows(model2, basis2, pinned2)
     for scaled in (rows, rows * 2 ** 40):  # int64 Gram, then object Gram
@@ -382,14 +383,41 @@ def test_rank_gram_exact_in_both_dtypes(model2, basis2, pinned2):
 def test_overflow_bounds_are_python_ints(model2):
     # both bounds overflow int64 when computed in it: 2 * (2^32)^2 wraps
     # to 0, which would pass an int64 Gram matrix of rank 0, and so does
-    # 2^40 * 2^30 in the kernel's bound
+    # 2^40 * 2^30 in the bound of an einsum
     rows = np.array([[2 ** 32, 0], [2 ** 32, 0]], dtype=np.int64)
     assert curv.curvature_map_rank(rows) == 1
     assert curv.curvature_map_rank(rows.astype(object)) == 1
     assert curv.curvature_map_rank_float(rows) == 1
-    wide = model2.omega.values * 2 ** 40
-    assert curv._kernel_dtype(model2, wide, [2 ** 30, 0, 0]) is object
-    assert curv._kernel_dtype(model2, wide, [2 ** 20, 0, 0]) is np.int64
+    wide = model2.omega * 2 ** 40
+    for factor, dtype in ((2 ** 30, object), (2 ** 20, np.int64)):
+        outer = mat.einsum("ij,kl->ijkl", wide, model2.omega * factor)
+        assert outer.bound == 2 ** 40 * factor
+        assert outer.values.dtype == dtype
+        exact = np.multiply.outer(wide.values.astype(object),
+                                  model2.omega.values.astype(object) * factor)
+        assert np.array_equal(outer.values, exact)
+
+
+def test_a_widened_kernel_term_stays_exact(model2, basis2, monkeypatch):
+    # T1 times 2^40 breaks any hand-derived bound of the form |T1| <= 16 m;
+    # the bounds that QArray carries send the steps that leave int64 to
+    # Python ints, so R_A still equals the all-object reference
+    real = curv._parts
+
+    def widened(model, A):
+        t0, t1, t2 = real(model, A)
+        return t0, t1 * 2 ** 40, t2
+    monkeypatch.setattr(curv, "_parts", widened)
+    combo = (basis2.so_basis[0].matrix * (2 ** 20 + 1)
+             + basis2.sp_basis[0].matrix * Fraction(2 ** 19, 3))
+    el = liealg.decompose(model2, basis2, combo)
+    tensor, dtype, slow = _kernel_paths(model2, basis2, el,
+                                        curv.CurvParams.free(3, 2 ** 6, 5))
+    assert dtype is object
+    assert max(map(abs, tensor.values.flat)) >= 2 ** 63
+    assert tensor.scale == slow.scale
+    _check_values(tensor)
+    assert np.array_equal(tensor.values, slow.values)
 
 
 def test_second_paths_never_call_the_kernel(model3, basis3, monkeypatch):

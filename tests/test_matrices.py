@@ -308,10 +308,12 @@ def test_products_exact_across_the_int64_edge(data):
     n = data.draw(st.integers(-3, 3) | _near_edges(k))
     f = data.draw(st.builds(Fraction, st.integers(-3, 3) | _near_edges(k),
                             st.integers(1, 4)))
+    u = [[data.draw(entries) for _ in range(rows)] for _ in range(3)]
     fa, fc = ([[Fraction(x) for x in row] for row in m] for m in (a, c))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         qa, qb, qc = QArray.of(a), QArray.of(b), QArray.of(c)
+        qu = QArray.of(u)
         _check_result(qa + qc, [[x + y for x, y in zip(r, s)] for r, s in zip(fa, fc)])
         _check_result(qa - qc, [[x - y for x, y in zip(r, s)] for r, s in zip(fa, fc)])
         _check_result(qa @ qb, _ref_mat_mul(a, b))
@@ -321,6 +323,12 @@ def test_products_exact_across_the_int64_edge(data):
         _check_result(qa[:, :1] * qc, [[r[0] * y for y in s] for r, s in zip(fa, fc)])
         _check_result(qa.kron(qb), [[x * Fraction(y) for x in ra for y in rb]
                                     for ra in fa for rb in b])
+        # einsum over 1, 3 and k terms an entry
+        _check_result(mat.einsum("ij,ij->ij", qa, qc),
+                      [[x * y for x, y in zip(r, s)] for r, s in zip(fa, fc)])
+        # sums of squares: every term of a diagonal entry has one sign
+        _check_result(mat.einsum("ai,aj->ij", qu, qu), _ref_mat_mul(list(zip(*u)), u))
+        _check_result(mat.einsum("ik,jk->ij", qa, qa), _ref_mat_mul(a, list(zip(*a))))
         square = qa @ qa.T
         trace = square.trace()
         assert _exact_read_out(trace)

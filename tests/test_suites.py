@@ -210,6 +210,6 @@ def test_the_linear_suites_take_no_object_path_at_kappa_1(monkeypatch):
             wide.append(bound)
         return real(bound, *arrays)
     monkeypatch.setattr(mat, "operands", operands)
-    records = _linear_records(SuiteContext(seed=1, ns=(2, 3)))
+    records = _linear_records(SuiteContext(seed=1, ns=(2, 3, 4)))
     assert all(r.passed for r in records.values())
     assert wide == []
