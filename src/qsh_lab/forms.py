@@ -32,17 +32,19 @@ which d_via_structure applies to constant-coefficient ALPHA forms; the
 general exterior derivative lives in the DH coframe.
 
 Form equality is decided by simplify-then-sample: coefficients that fold
-to literal constants are compared exactly, everything else is evaluated
-at random points with 0.5 <= |h| <= 2 (Schwartz-Zippel style identity
+to literal constants are compared exactly, the rest must `vanish` at
+random points with 0.5 <= |h| <= 2 (Schwartz-Zippel style identity
 testing).  Every randomized check samples through `sample`: a point
 where a field raises ZeroDivisionError or ValueError is redrawn, up to
 MAX_DRAWS draws per trial; when they run out it raises SamplingError
 with the evaluated and rejected counts and the rejections by exception
 type, so no verdict rests on zero points.  OverflowError is not a
-rejection and propagates.  The suites decide most sampled identities
-through `equal` or `is_zero_form`; solution-family-residuals,
-frame-coefficient-proportionality, user-solution-residuals and
-obstruction-mechanics compute their own statistics over `sample`.
+rejection and propagates.  `vanishes` is the one residual rule: the
+worst |value| over all fields and points, a nan counting as inf, must
+be at most the tolerance, and at exact rational points an exact value
+must be exactly 0.  Only user-solution-residuals (a relative residual)
+and obstruction-mechanics (a pointwise implication) compute their own
+statistics over `sample`.
 """
 
 from __future__ import annotations
@@ -341,25 +343,29 @@ class SamplingError(Exception):
                          f"evaluated points ({self.rejected} rejected: {by_type})")
 
 
-def sample(fields, trials: int, rng: random.Random, rational: bool = False):
+def sample(fields, trials: int, rng: random.Random, rational: bool = False,
+           exact: bool = False):
     """Yield (point, float values of the fields) at `trials` points where
-    every field evaluates: float points, or exact rational ones.  Points
-    raising ZeroDivisionError or ValueError are redrawn (at most
-    MAX_DRAWS draws per trial, else SamplingError).  trials < 1 is a
-    ValueError: no verdict may rest on zero points."""
+    every field evaluates: float points, or exact rational ones (with
+    `exact`, the values as evaluated).  Points raising ZeroDivisionError
+    or ValueError are redrawn (at most MAX_DRAWS draws per trial, else
+    SamplingError).  trials < 1 is a ValueError: no verdict may rest on
+    zero points."""
     if trials < 1:
         raise ValueError(f"sampling needs at least one trial, got {trials}")
-    return _sample(sf.evaluator(fields), trials, rng, rational)
+    return _sample(sf.evaluator(fields), trials, rng, rational, exact)
 
 
-def _sample(evaluate, trials: int, rng: random.Random, rational: bool):
+def _sample(evaluate, trials: int, rng: random.Random, rational: bool, exact: bool):
     draw = sample_rational_point if rational else sample_point
     reasons = Counter()  # rejected draws by exception type
     for evaluated in range(trials):
         for _ in range(MAX_DRAWS):
             point = draw(rng)
             try:
-                values = [float(v) for v in evaluate(point)]
+                values = evaluate(point)
+                if not exact:
+                    values = [float(v) for v in values]
                 break
             except (ZeroDivisionError, ValueError) as exc:
                 reasons[type(exc).__name__] += 1
@@ -374,8 +380,26 @@ def _sample(evaluate, trials: int, rng: random.Random, rational: bool):
 class EqualityReport:
     equal: bool
     max_residual: float
-    syntactic: bool
     witness: tuple = None
+
+
+def vanishes(fields, trials: int, tolerance: float, rng: random.Random,
+             rational: bool = False) -> EqualityReport:
+    """Whether `fields` vanish at `trials` points drawn by `sample`,
+    constant fields included, by the rule of the module docstring; the
+    witness is the worst point, else the first with an exact nonzero value."""
+    worst, witness, nonzero = 0.0, None, None
+    for point, values in sample(fields, trials, rng, rational, exact=rational):
+        if rational:
+            if nonzero is None and any(v and type(v) is not float for v in values):
+                nonzero = point
+            values = [float(v) for v in values]
+        residual = max(abs(v) if v == v else math.inf for v in values)
+        if residual > worst:
+            worst, witness = residual, point
+    if worst > tolerance:
+        return EqualityReport(False, worst, witness)
+    return EqualityReport(nonzero is None, worst, nonzero)
 
 
 def equal(u: VerticalForm, v: VerticalForm, trials: int = 100,
@@ -389,23 +413,13 @@ def equal(u: VerticalForm, v: VerticalForm, trials: int = 100,
     deltas = []
     for key in sorted(set(u.terms) | set(v.terms)):
         delta = sf.sub(u.terms.get(key, sf.ZERO), v.terms.get(key, sf.ZERO))
-        if sf.is_const(delta):
-            if delta.value != 0:
-                return EqualityReport(False, abs(float(delta.value)), True)
-        else:
+        if not sf.is_const(delta):
             deltas.append(delta)
+        elif delta.value != 0:  # min(inf, nan) is inf: a nan counts as inf
+            return EqualityReport(False, min(math.inf, abs(float(delta.value))))
     if not deltas:
-        return EqualityReport(True, 0.0, True)
-    worst = 0.0
-    witness = None
-    for point, values in sample(deltas, trials, rng or random.Random(0), rational):
-        # a nan value is no agreement: it counts as an infinite residual
-        residual = max(abs(v) if v == v else math.inf for v in values)
-        if residual > worst:
-            worst = residual
-            witness = point
-    ok = worst <= tolerance
-    return EqualityReport(ok, worst, False, witness if not ok else None)
+        return EqualityReport(True, 0.0)
+    return vanishes(deltas, trials, tolerance, rng or random.Random(0), rational)
 
 
 def is_zero_form(u: VerticalForm, trials: int = 100, tolerance: float = 1e-10,

@@ -514,14 +514,8 @@ def bianchi_perturbed(ctx, n):
             for d1 in (1, -1) for d2 in (1, -1)]
     for c1, c2 in grid:
         perturbed = curv.CurvParams.free(ctx.kappa, c1, c2)
-        found = None
-        for el in basis.elements():
-            tensor = curv.curvature_of(m, basis, el, perturbed)
-            res = curv.bianchi_residual(m, tensor)
-            if res != 0:
-                found = (el.sp_coeffs, float(res))
-                break
-        if found is None:
+        if not any(curv.bianchi_residual(m, curv.curvature_of(m, basis, el, perturbed))
+                   for el in basis.elements()):
             failures.append((c1, c2))
     ok = not failures
     return ok, None, None if ok else {"still_flat": failures}, \
@@ -819,12 +813,8 @@ def dbeta_general_f(ctx, n):
 def _det4(m):
     total = sf.ZERO
     for perm in itertools.permutations(range(4)):
-        inv = sum(1 for i in range(4) for j in range(i + 1, 4)
-                  if perm[i] > perm[j])
-        term = sf.ONE
-        for r in range(4):
-            term = sf.mul(term, m[r][perm[r]])
-        total = sf.add(total, term if inv % 2 == 0 else sf.neg(term))
+        term = functools.reduce(sf.mul, (m[r][perm[r]] for r in range(4)), sf.ONE)
+        total = sf.add(total, term if forms._sort_sign(perm)[0] > 0 else sf.neg(term))
     return total
 
 
@@ -893,14 +883,13 @@ def violating_solution(ctx, n):
         "all four equations (residual < 1e-8)")
 def solution_family(ctx, n):
     rng = ctx.rng("flat", "family")
-    worst = 0.0
-    for _ in range(20):
-        k = _random_constants(rng)
-        solution = swann.explicit_solution_family(k)
-        for _, values in forms.sample(swann.pde_residuals(solution),
-                                      ctx.trials, rng):
-            worst = max(worst, max(abs(v) for v in values))
-    return worst <= 1e-8, worst, None, "20 random constant sets"
+
+    def reports():
+        for _ in range(20):
+            k = _random_constants(rng)
+            residuals = swann.pde_residuals(swann.explicit_solution_family(k))
+            yield forms.vanishes(residuals, ctx.trials, 1e-8, rng), f"constants {k}"
+    return _verdict(reports(), "20 random constant sets")
 
 
 @_check("flat", "family-cross-representation", "sum_a f_a(F, h) beta_a and the "
@@ -1079,13 +1068,9 @@ def proportionality(ctx, n):
     params = swann.SymSpaceParams(c=Fraction(2), n=2, c1=Fraction(3),
                                   c2=Fraction(5), c3=Fraction(0))
     E = swann.symspace_exp_f(params)
-    f1 = sf.mul(sf.const(params.c1), E)
-    f2 = sf.mul(sf.const(params.c2), E)
-    worst = 0.0
-    for _, (v1, v2) in forms.sample((f1, f2), min(ctx.trials, 30), rng):
-        if abs(v1) > 1e-9:
-            worst = max(worst, abs(v2 / v1 - float(params.c2 / params.c1)))
-    return worst <= 1e-9, worst, None, ""
+    ratio = sf.div(sf.mul(sf.const(params.c2), E), sf.mul(sf.const(params.c1), E))
+    offset = sf.sub(ratio, sf.const(params.c2 / params.c1))
+    return _verdict([(forms.vanishes([offset], min(ctx.trials, 30), 1e-9, rng), "")])
 
 
 @_check("symspace", "obstruction-mechanics", "with nowhere-vanishing coefficients, "

@@ -413,7 +413,7 @@ def symspace_primitive_check(params: SymSpaceParams, trials: int = 100,
 def symspace_ddf_check(params: SymSpaceParams, trials: int = 100,
                        tolerance: float = 1e-10, rng: random.Random = None):
     """d(df) = 0, evaluated at exact rational points (the coefficients of
-    df are rational functions, so the residual is exactly zero)."""
+    df are rational functions, so each value must be exactly zero)."""
     ddf = forms.d(symspace_df(params))
     return forms.is_zero_form(ddf, trials=trials, tolerance=tolerance,
                               rng=rng, rational=True)

@@ -248,9 +248,15 @@ def test_equal_detects_difference():
 
 
 def test_equal_syntactic_fast_path():
+    # differences that fold to constants are decided without drawing a point
     u = forms.VerticalForm(forms.DH, 2, {(0, 1): sf.parse("h0+h1")})
-    rep = forms.equal(u, u.copy(), trials=5, rng=_rng())
-    assert rep.equal and rep.syntactic
+    rng = _rng()
+    state = rng.getstate()
+    assert forms.equal(u, u.copy(), trials=5, rng=rng).equal
+    shifted = forms.add(u, forms.VerticalForm(forms.DH, 2, {(0, 2): sf.ONE}))
+    assert forms.equal(u, shifted, trials=5, rng=rng) == \
+        forms.EqualityReport(False, 1.0)
+    assert rng.getstate() == state
 
 
 # --- the sampler -----------------------------------------------------------------
@@ -282,6 +288,16 @@ def test_sample_without_rejections_matches_sample_point_loop():
     assert [values for _, values in got] == [[p[0], p[1] * p[3]] for p in want]
 
 
+def test_vanishes_samples_constant_fields():
+    # a constant field is evaluated like any other, so vanishes draws the
+    # points that sample draws for the same fields, redraws included
+    for fields in [(sf.ZERO,), (sf.ONE, sf.sqrt(sf.H0), sf.ZERO)]:
+        rng, ref = random.Random(6), random.Random(6)
+        forms.vanishes(fields, 15, 1e-10, rng)
+        list(forms.sample(fields, 15, ref))
+        assert rng.getstate() == ref.getstate()
+
+
 def test_sample_redraws_only_rejected_points():
     # sqrt(h0) is rejected exactly where h0 < 0
     got = list(forms.sample((sf.sqrt(sf.H0),), 40, random.Random(8)))
@@ -308,6 +324,19 @@ def test_sample_rational_points_are_exact_points():
             want.append(point)
     assert [point for point, _ in got] == want
     assert all(values == [float(1 / p[0])] for p, values in got)
+
+
+def test_vanishes_fails_an_exact_nonzero_value_at_rational_points():
+    # h0 h1 - h1 h0 + 10^-12 is exactly 10^-12, within the tolerance
+    tiny = sf.const(Fraction(1, 10 ** 12))
+    field = sf.add(sf.sub(sf.mul(sf.H0, sf.H1), sf.mul(sf.H1, sf.H0)), tiny)
+    assert forms.vanishes([field], 20, 1e-10, random.Random(3)).equal
+    rep = forms.vanishes([field], 20, 1e-10, random.Random(3), rational=True)
+    assert not rep.equal
+    assert rep.max_residual == 1e-12
+    assert rep.witness == forms.sample_rational_point(random.Random(3))
+    exact_zero = sf.sub(sf.mul(sf.H0, sf.H1), sf.mul(sf.H1, sf.H0))
+    assert forms.vanishes([exact_zero], 20, 0.0, random.Random(3), rational=True).equal
 
 
 def test_sample_error_counts_rejections_by_type():
@@ -370,3 +399,11 @@ def test_nan_value_is_an_infinite_residual():
     assert not rep.equal
     assert rep.max_residual == math.inf
     assert rep.witness is not None
+    # and so in vanishes, wherever the nan stands among the values, and
+    # in a constant difference that equal decides without sampling
+    nan = sf.mul(sf.const(math.nan), sf.H0)
+    for fields in [(nan, sf.H0), (sf.H0, nan), (nan,)]:
+        rep = forms.vanishes(fields, 5, 1e-10, random.Random(1))
+        assert not rep.equal and rep.max_residual == math.inf
+    rep = forms.is_zero_form(forms.scalar_form(sf.const(math.nan)), rng=_rng())
+    assert not rep.equal and rep.max_residual == math.inf

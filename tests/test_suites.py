@@ -1,10 +1,13 @@
+import functools
+import math
 import pathlib
 from fractions import Fraction
 
 import pytest
 
 from qsh_lab import curvature as curv
-from qsh_lab import forms, liealg, suites
+from qsh_lab import forms, liealg, suites, swann
+from qsh_lab import scalarfield as sf
 from qsh_lab import matrices as mat
 from qsh_lab.cli import RunConfig, run
 from qsh_lab.matrices import QArray
@@ -15,7 +18,7 @@ GOLDEN_F = pathlib.Path(__file__).resolve().parent / "golden" / "F_seed42.json"
 
 
 def _report(equal, residual, witness=None):
-    return forms.EqualityReport(equal, residual, False, witness)
+    return forms.EqualityReport(equal, residual, witness)
 
 
 def test_verdict_passes_with_worst_residual_and_detail():
@@ -61,6 +64,46 @@ def test_structure_equations_record_carries_the_failing_report(monkeypatch):
     assert not record.passed
     assert (record.residual, record.witness, record.detail) == \
         (0.125, (0.5, -1.0, 0.25, 1.0), "a = 2")
+
+
+def _record(suite, name, ctx):
+    """The record `suites._run` makes of the registered check `name`."""
+    (anchor, fn), = [(a, f) for n, a, f in CHECKS[suite] if n == name]
+    return suites._run(suite, name, anchor, functools.partial(fn, ctx, None))
+
+
+def test_nan_pde_residuals_fail_the_solution_family(monkeypatch):
+    nan_field = sf.mul(sf.const(math.nan), sf.H0)
+    monkeypatch.setattr(swann, "pde_residuals",
+                        lambda solution, partials=None: (nan_field,) * 4)
+    record = _record("flat", "solution-family-residuals", SuiteContext(seed=1, trials=5))
+    assert not record.passed
+    assert record.residual == math.inf
+
+
+def test_a_nan_exp_f_fails_frame_coefficient_proportionality(monkeypatch):
+    real = swann.symspace_exp_f
+    monkeypatch.setattr(swann, "symspace_exp_f",
+                        lambda params: sf.mul(sf.const(math.nan), real(params)))
+    record = _record("symspace", "frame-coefficient-proportionality",
+                     SuiteContext(seed=1))
+    assert not record.passed
+    assert record.residual == math.inf
+
+
+def test_an_exact_tiny_term_in_df_fails_ddf_zero(monkeypatch):
+    # d(10^-12 h1 dh0) = -10^-12 dh0^dh1: exactly nonzero, though far
+    # below the float tolerance
+    real = swann.symspace_df
+    tiny = forms.scale(sf.mul(sf.const(Fraction(1, 10 ** 12)), sf.H1), forms.dh(0))
+    monkeypatch.setattr(swann, "symspace_df",
+                        lambda params: forms.add(real(params), tiny))
+    record = _record("symspace", "ddf-zero", SuiteContext(seed=1))
+    assert not record.passed
+    assert record.residual == 1e-12
+    assert record.witness is not None
+    monkeypatch.setattr(swann, "symspace_df", real)
+    assert _record("symspace", "ddf-zero", SuiteContext(seed=1)).passed
 
 
 def test_exact_passes_an_empty_stream():
