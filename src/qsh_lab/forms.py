@@ -343,20 +343,18 @@ class SamplingError(Exception):
                          f"evaluated points ({self.rejected} rejected: {by_type})")
 
 
-def sample(fields, trials: int, rng: random.Random, rational: bool = False,
-           exact: bool = False):
-    """Yield (point, float values of the fields) at `trials` points where
-    every field evaluates: float points, or exact rational ones (with
-    `exact`, the values as evaluated).  Points raising ZeroDivisionError
-    or ValueError are redrawn (at most MAX_DRAWS draws per trial, else
-    SamplingError).  trials < 1 is a ValueError: no verdict may rest on
-    zero points."""
+def sample(fields, trials: int, rng: random.Random, rational: bool = False):
+    """Yield (point, values of the fields) at `trials` points where every
+    field evaluates: float values at float points, exact values at rational
+    ones.  Points raising ZeroDivisionError or ValueError are redrawn (at
+    most MAX_DRAWS draws per trial, else SamplingError).  trials < 1 is a
+    ValueError: no verdict may rest on zero points."""
     if trials < 1:
         raise ValueError(f"sampling needs at least one trial, got {trials}")
-    return _sample(sf.evaluator(fields), trials, rng, rational, exact)
+    return _sample(sf.evaluator(fields), trials, rng, rational)
 
 
-def _sample(evaluate, trials: int, rng: random.Random, rational: bool, exact: bool):
+def _sample(evaluate, trials: int, rng: random.Random, rational: bool):
     draw = sample_rational_point if rational else sample_point
     reasons = Counter()  # rejected draws by exception type
     for evaluated in range(trials):
@@ -364,8 +362,7 @@ def _sample(evaluate, trials: int, rng: random.Random, rational: bool, exact: bo
             point = draw(rng)
             try:
                 values = evaluate(point)
-                if not exact:
-                    values = [float(v) for v in values]
+                values = values if rational else [float(v) for v in values]
                 break
             except (ZeroDivisionError, ValueError) as exc:
                 reasons[type(exc).__name__] += 1
@@ -385,21 +382,22 @@ class EqualityReport:
 
 def vanishes(fields, trials: int, tolerance: float, rng: random.Random,
              rational: bool = False) -> EqualityReport:
-    """Whether `fields` vanish at `trials` points drawn by `sample`,
-    constant fields included, by the rule of the module docstring; the
-    witness is the worst point, else the first with an exact nonzero value."""
-    worst, witness, nonzero = 0.0, None, None
-    for point, values in sample(fields, trials, rng, rational, exact=rational):
+    """Whether `fields` vanish at `trials` points drawn by `sample`, by the
+    rule of the module docstring.  A failure's witness is the worst point,
+    else the first exact nonzero one, with its own residual (>= ulp(0))."""
+    worst, witness, exact_failure = 0.0, None, None
+    for point, values in sample(fields, trials, rng, rational):
+        nonzero = rational and any(v and type(v) is not float for v in values)
         if rational:
-            if nonzero is None and any(v and type(v) is not float for v in values):
-                nonzero = point
             values = [float(v) for v in values]
         residual = max(abs(v) if v == v else math.inf for v in values)
+        if nonzero and exact_failure is None:
+            exact_failure = EqualityReport(False, residual or math.ulp(0.0), point)
         if residual > worst:
             worst, witness = residual, point
     if worst > tolerance:
         return EqualityReport(False, worst, witness)
-    return EqualityReport(nonzero is None, worst, nonzero)
+    return exact_failure or EqualityReport(True, worst)
 
 
 def equal(u: VerticalForm, v: VerticalForm, trials: int = 100,
@@ -415,8 +413,9 @@ def equal(u: VerticalForm, v: VerticalForm, trials: int = 100,
         delta = sf.sub(u.terms.get(key, sf.ZERO), v.terms.get(key, sf.ZERO))
         if not sf.is_const(delta):
             deltas.append(delta)
-        elif delta.value != 0:  # min(inf, nan) is inf: a nan counts as inf
-            return EqualityReport(False, min(math.inf, abs(float(delta.value))))
+        elif delta.value != 0:
+            r = abs(float(delta.value))
+            return EqualityReport(False, r if r == r else math.inf)
     if not deltas:
         return EqualityReport(True, 0.0)
     return vanishes(deltas, trials, tolerance, rng or random.Random(0), rational)

@@ -323,7 +323,7 @@ def test_sample_rational_points_are_exact_points():
         if point[0] != 0:
             want.append(point)
     assert [point for point, _ in got] == want
-    assert all(values == [float(1 / p[0])] for p, values in got)
+    assert all(tuple(values) == (1 / p[0],) for p, values in got)
 
 
 def test_vanishes_fails_an_exact_nonzero_value_at_rational_points():
@@ -337,6 +337,10 @@ def test_vanishes_fails_an_exact_nonzero_value_at_rational_points():
     assert rep.witness == forms.sample_rational_point(random.Random(3))
     exact_zero = sf.sub(sf.mul(sf.H0, sf.H1), sf.mul(sf.H1, sf.H0))
     assert forms.vanishes([exact_zero], 20, 0.0, random.Random(3), rational=True).equal
+    # an exact value that rounds to 0.0 still fails, with a positive residual
+    underflow = sf.add(exact_zero, sf.const(Fraction(1, 10 ** 400)))
+    rep = forms.vanishes([underflow], 20, 1e-10, random.Random(3), rational=True)
+    assert not rep.equal and rep.max_residual == math.ulp(0.0)
 
 
 def test_sample_error_counts_rejections_by_type():
