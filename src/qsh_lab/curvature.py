@@ -27,13 +27,16 @@ generic bound of `@` would carry a factor 4n), so the kernel stays in
 int64 wherever the values allow it.  numpy is imported inside the
 functions, so importing this module does not load it.
 
-curvature_13, bianchi_defect_closed_form, ricci_closed_form,
-is_Q_hermitian and curvature_map_rank_float never call the kernel: they
-are the independent second paths the checks compare it against.
-curvature_13 evaluates the expanded formula on arrays of basis index
-triples, one row R_A(e_i, e_j) e_k per triple, from gathered columns and
-entries of the model's matrices and of A, so one call covers every
-sampled triple of an element.
+curvature_13, ricci_closed_form, is_Q_hermitian and
+curvature_map_rank_float never call the kernel: they are the second
+paths the checks compare it against.  curvature_13 shares the kernel's
+expanded formula and differs only in evaluation: it gathers columns and
+entries of the model's matrices and of A for arrays of basis index
+triples, one row R_A(e_i, e_j) e_k per triple, so one call covers every
+sampled triple of an element.  What ties that formula to the projection
+definition above (circle_so_star and circle_sp1 of liealg) is the test
+test_kernel_equals_projection_definition.  bianchi_defect_closed_form is
+a reference for the tests; no check calls it.
 """
 
 from __future__ import annotations
@@ -71,10 +74,10 @@ class CurvParams:
         return CurvParams(kappa=Fraction(kappa), c1=Fraction(c1), c2=Fraction(c2))
 
 
-def _as_element(model: FlatModel, basis: LieBasis, a) -> LieElement:
+def _as_element(model: FlatModel, a) -> LieElement:
     if isinstance(a, LieElement):
         return a
-    return decompose(model, basis, a)  # raises MembershipError if outside g
+    return decompose(model, a)  # raises MembershipError if outside g
 
 
 def _parts(model: FlatModel, A: QArray):
@@ -101,7 +104,8 @@ def _parts(model: FlatModel, A: QArray):
 
 def curvature_of(model: FlatModel, basis: LieBasis, a, params: CurvParams) -> QArray:
     """R_A on all standard basis triples (see Kernel)."""
-    t0, t1, t2 = _parts(model, _as_element(model, basis, a).matrix)
+    # basis is unread: bench/spans.py's curvature_input_key fixes this arity
+    t0, t1, t2 = _parts(model, _as_element(model, a).matrix)
     r = (t0 * params.kappa + t1 * (params.c1 / 4)
          + t2 * (params.c2 / Fraction(2 * model.n)))
     return QArray(r.values, r.scale)  # the bound of the values themselves
@@ -120,8 +124,8 @@ def curvature_13(model: FlatModel, A: QArray, params: CurvParams, I, J, K) -> QA
 
     On basis vectors every vector is a column (of A, J_a A, J_a or the
     identity) and every scalar an entry (of w, g_a, A^T w, A^T g_a or
-    g_a A), gathered for all triples at once.  Used as a cross-check
-    against the projection-based construction.
+    g_a A), gathered for all triples at once.  Used as a cross-check of
+    the kernel's evaluation.
     """
     W, Js, G = model.omega, model.J, model.g
     JA, AtW, AtG, GA = Js @ A, A.T @ W, A.T @ G, G @ A
@@ -178,7 +182,7 @@ def bianchi_defect_closed_form(model: FlatModel, A: QArray, params: CurvParams,
     return cyc_term(i, j, k) + cyc_term(j, k, i) + cyc_term(k, i, j)
 
 
-def bianchi_residual(model: FlatModel, tensor: QArray) -> Fraction:
+def bianchi_residual(tensor: QArray) -> Fraction:
     """Max-norm of the cyclic sum R(x,y)z + R(y,z)x + R(z,x)y over all
     basis triples; zero iff the tensor satisfies the first Bianchi
     identity."""
@@ -186,7 +190,7 @@ def bianchi_residual(model: FlatModel, tensor: QArray) -> Fraction:
             + tensor.transpose(1, 2, 0, 3)).max_abs()
 
 
-def ricci_of(model: FlatModel, tensor: QArray) -> QArray:
+def ricci_of(tensor: QArray) -> QArray:
     """Ric[y][z] = trace of x -> R(x, y) z, summed over the standard basis."""
     return mat.einsum("iyzi->yz", tensor)
 
@@ -256,14 +260,15 @@ def curvature_map_rank(rows) -> int:
     return mat.rank(rows @ rows.T)
 
 
-def curvature_map_rank_float(rows, tolerance: float = 1e-8) -> int:
+def curvature_map_rank_float(rows) -> int:
     """Float SVD rank of the rows of curvature_rows, for cross-checking the
-    exact rank.  It gets no model, so it cannot evaluate the map itself
-    or call the kernel.  The SVD runs on the transpose: the same singular
+    exact rank: the number of singular values above 1e-8 times the
+    largest.  It gets no model, so it cannot evaluate the map itself or
+    call the kernel.  The SVD runs on the transpose: the same singular
     values, and LAPACK is much faster on a tall matrix than on a wide one."""
     import numpy as np
 
     svals = np.linalg.svd(np.array(rows, dtype=float).T, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0
-    return int((svals > tolerance * svals[0]).sum())
+    return int((svals > 1e-8 * svals[0]).sum())

@@ -42,9 +42,9 @@ type, so no verdict rests on zero points.  OverflowError is not a
 rejection and propagates.  `vanishes` is the one residual rule: the
 worst |value| over all fields and points, a nan counting as inf, must
 be at most the tolerance, and at exact rational points an exact value
-must be exactly 0.  Only user-solution-residuals (a relative residual)
-and obstruction-mechanics (a pointwise implication) compute their own
-statistics over `sample`.
+must be exactly 0.  Only user-solution-residuals (a relative residual),
+obstruction-mechanics (a pointwise implication) and maurer-cartan-oracle
+(an exact comparison) judge the values of `sample` themselves.
 """
 
 from __future__ import annotations
@@ -77,9 +77,6 @@ class VerticalForm:
 
     def __post_init__(self):
         self.terms = {k: v for k, v in self.terms.items() if not sf.is_zero(v)}
-
-    def copy(self) -> "VerticalForm":
-        return VerticalForm(self.coframe, self.degree, dict(self.terms))
 
     def coefficient(self, key) -> sf.Field:
         return self.terms.get(tuple(key), sf.ZERO)
@@ -305,16 +302,16 @@ def d_via_structure(u: VerticalForm) -> VerticalForm:
 
 # --- sampling ------------------------------------------------------------------
 
-def sample_point(rng: random.Random, lo: float = 0.5, hi: float = 2.0):
-    """A float point with lo <= |h| <= hi (rejection sampling).  Each
-    coordinate is rng.uniform(-hi, hi), inlined as its documented formula
+def sample_point(rng: random.Random):
+    """A float point with 0.5 <= |h| <= 2 (rejection sampling).  Each
+    coordinate is rng.uniform(-2, 2), inlined as its documented formula
     a + (b - a) * random(), so the draws and values stay the same."""
-    random, width = rng.random, hi - -hi
+    random = rng.random
     while True:
-        x0, x1, x2, x3 = (-hi + width * random(), -hi + width * random(),
-                          -hi + width * random(), -hi + width * random())
+        x0, x1, x2, x3 = (-2.0 + 4.0 * random(), -2.0 + 4.0 * random(),
+                          -2.0 + 4.0 * random(), -2.0 + 4.0 * random())
         # sum, not a + chain: from Python 3.12 sum compensates
-        if lo <= sum((x0 * x0, x1 * x1, x2 * x2, x3 * x3)) ** 0.5 <= hi:
+        if 0.5 <= sum((x0 * x0, x1 * x1, x2 * x2, x3 * x3)) ** 0.5 <= 2.0:
             return x0, x1, x2, x3
 
 
@@ -401,7 +398,7 @@ def vanishes(fields, trials: int, tolerance: float, rng: random.Random,
 
 
 def equal(u: VerticalForm, v: VerticalForm, trials: int = 100,
-          tolerance: float = 1e-10, rng: random.Random = None,
+          tolerance: float = 1e-10, *, rng: random.Random,
           rational: bool = False) -> EqualityReport:
     """Simplify-then-sample equality of two forms (auto-converts coframes)."""
     if u.coframe != v.coframe:
@@ -418,11 +415,11 @@ def equal(u: VerticalForm, v: VerticalForm, trials: int = 100,
             return EqualityReport(False, r if r == r else math.inf)
     if not deltas:
         return EqualityReport(True, 0.0)
-    return vanishes(deltas, trials, tolerance, rng or random.Random(0), rational)
+    return vanishes(deltas, trials, tolerance, rng, rational)
 
 
 def is_zero_form(u: VerticalForm, trials: int = 100, tolerance: float = 1e-10,
-                 rng: random.Random = None, rational: bool = False) -> EqualityReport:
+                 *, rng: random.Random, rational: bool = False) -> EqualityReport:
     return equal(u, zero_form(u.degree, u.coframe), trials=trials,
                  tolerance=tolerance, rng=rng, rational=rational)
 
@@ -436,14 +433,3 @@ def maurer_cartan_components(h: Quaternion):
     cols = [hinv * Quaternion.unit(b) for b in range(4)]
     return [[cols[b].components()[i] for b in range(4)] for i in range(4)]
 
-
-@functools.cache
-def _theta_evaluator():
-    return sf.evaluator([THETA_IN_DH[i].coefficient((b,)) for i in range(4)
-                         for b in range(4)])
-
-
-def theta_components_at(h: Quaternion):
-    """The same matrix from the closed coframe formulas, exactly."""
-    values = _theta_evaluator()(h.components())
-    return [list(values[4 * i:4 * i + 4]) for i in range(4)]

@@ -141,12 +141,12 @@ def _span(coeffs, J: QArray) -> QArray:
     return sum(c * Ja for c, Ja in zip(coeffs, J))
 
 
-def decompose(model: FlatModel, basis: LieBasis, m: QArray) -> LieElement:
+def decompose(model: FlatModel, m: QArray) -> LieElement:
     """Split M = M_so + sum_a c_a J_a, or raise MembershipError.
 
     The sp(1) coefficients are recovered by the invariant trace pairing;
     the remainder must then satisfy the so*(2n) defining equations
-    exactly, which characterizes membership in span(basis).
+    exactly, which characterizes membership in the enumerated so*(2n).
     """
     coeffs = sp1_trace_coefficients(model, m)
     so_part = m - _span(coeffs, model.J)
@@ -213,13 +213,10 @@ def circle_sp1(model: FlatModel, x, y):
     return project_Q(model, x, y) + project_Q(model, y, x)
 
 
-def circle_map(model: FlatModel, x, y, kappa) -> LieElement:
+def circle_map(model: FlatModel, x, y, kappa) -> QArray:
     """The pinned equivariant map x o y = 2k (x o y)_so* + nk (x o y)_sp1."""
     if kappa == 0:
         raise ValueError("the circle map requires kappa != 0")
     k = Fraction(kappa)
-    so = circle_so_star(model, x, y) * (2 * k)
-    sp = circle_sp1(model, x, y) * (model.n * k)
-    # sp(1) coefficients: n*kappa * (-1/2n) g_a(x, y) = -(kappa/2) g_a(x, y)
-    coeffs = tuple(-k / 2 * ga for ga in x @ model.g @ y)
-    return LieElement(matrix=so + sp, so_part=so, sp_coeffs=coeffs)
+    return (circle_so_star(model, x, y) * (2 * k)
+            + circle_sp1(model, x, y) * (model.n * k))

@@ -118,7 +118,7 @@ _RESIDUAL_KEYS = ((0, 2, 3), (1, 2, 3), (0, 1, 3), (0, 1, 2))
 
 
 def dbeta_equals_pde(solution: FlatSolution, trials: int = 100,
-                     tolerance: float = 1e-10, rng: random.Random = None):
+                     tolerance: float = 1e-10, *, rng: random.Random):
     """Assert d(beta_of_F) has exactly the four PDE residuals as its
     3-form coefficients (table in the module docstring).  Returns the
     EqualityReport of the comparison."""
@@ -252,14 +252,12 @@ class TorsionClass:
 
 
 def torsion_type(solution: FlatSolution, trials: int = 100,
-                 tolerance: float = 1e-10, rng: random.Random = None) -> TorsionClass:
+                 tolerance: float = 1e-10, *, rng: random.Random) -> TorsionClass:
     """Classify a closed beta: torsion-free iff every F_a is constant
     (dF_a = 0), else the closed-but-nonconstant class X57.  Each question
     is one forms.is_zero_form identity test.  Rejects non-closed input
     with ValueError; raises forms.SamplingError when the sampled points
     cannot be evaluated."""
-    rng = rng or random.Random(0)
-
     def zero(u: forms.VerticalForm) -> bool:
         return forms.is_zero_form(u, trials=trials, tolerance=tolerance, rng=rng).equal
 
@@ -402,8 +400,7 @@ def symspace_tau(params: SymSpaceParams) -> forms.VerticalForm:
 
 
 def symspace_primitive_check(params: SymSpaceParams, trials: int = 100,
-                             tolerance: float = 1e-8,
-                             rng: random.Random = None):
+                             tolerance: float = 1e-8, *, rng: random.Random):
     """Compare df with tau after expanding both in DH; returns the
     EqualityReport (max residual over sampled fiber points)."""
     return forms.equal(symspace_df(params), symspace_tau(params),
@@ -411,7 +408,7 @@ def symspace_primitive_check(params: SymSpaceParams, trials: int = 100,
 
 
 def symspace_ddf_check(params: SymSpaceParams, trials: int = 100,
-                       tolerance: float = 1e-10, rng: random.Random = None):
+                       tolerance: float = 1e-10, *, rng: random.Random):
     """d(df) = 0, evaluated at exact rational points (the coefficients of
     df are rational functions, so each value must be exactly zero)."""
     ddf = forms.d(symspace_df(params))
@@ -427,9 +424,8 @@ class ObstructionReport:
     witness: dict = None  # a sampled point where the joint conditions fail
 
 
-def general_obstruction_check(r_fields, f_fields, trials: int = 100,
-                              tolerance: float = 1e-10,
-                              rng: random.Random = None) -> ObstructionReport:
+def general_obstruction_check(r_fields, f_fields, trials: int = 100, *,
+                              rng: random.Random) -> ObstructionReport:
     """Pointwise contradiction mechanics for the five closedness
     conditions with Omega_a = r_a * (fixed placeholder 2-form).
 
@@ -439,11 +435,12 @@ def general_obstruction_check(r_fields, f_fields, trials: int = 100,
     must hold; it is linear algebra in the coefficients).  The report
     also carries the first point witnessing that the conditions are
     jointly unsatisfiable, i.e. where |f|^2 != 0 and some r_a != 0.
+    A value counts as nonzero when its magnitude exceeds 1e-10.
     """
+    tolerance = 1e-10
     implication = True
     witness = None
-    for point, values in forms.sample((*f_fields, *r_fields), trials,
-                                      rng or random.Random(0)):
+    for point, values in forms.sample((*f_fields, *r_fields), trials, rng):
         fs, rs = values[:len(f_fields)], values[len(f_fields):]
         f_norm2 = sum(v * v for v in fs)
         r_norm = max(abs(v) for v in rs)

@@ -483,6 +483,20 @@ def test_user_solution_underflowing_everywhere_has_no_evidence(capsys, tmp_path)
     assert "[FAIL] flat/user-solution-residuals" in capsys.readouterr().out
 
 
+
+def test_user_solution_nan_residual_is_reported_as_inf(tmp_path):
+    # each product overflows to inf, so residual 1 is inf - inf = nan at
+    # every point; a nan counts as inf, not as the 0.0 that max keeps
+    X = "1" + "0" * 200
+    F = {"F1": f"({X}*h0)*({X}*h1) - ({X}*h0)*({X}*h1) + h1", "F2": "0", "F3": "0"}
+    path, out = tmp_path / "F.json", tmp_path / "report.json"
+    path.write_text(json.dumps(F))
+    assert main(["run", "--suites", "flat", "--n", "2", "--input", str(path),
+                 "--output", str(out)]) == 1
+    record, = [c for c in json.loads(out.read_text())["checks"]
+               if c["name"] == "user-solution-residuals"]
+    assert record["status"] == "fail" and record["residual"] == "inf"
+
 def test_user_solution_structurally_zero_partials_are_evidence(tmp_path):
     # every partial of a constant F is structurally zero: an all-zero point
     # is then an exact pass, not an underflow

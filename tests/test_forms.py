@@ -120,10 +120,10 @@ def test_alpha_expansions_match_stated_rows():
 
 
 def test_maurer_cartan_oracle_exact():
-    rng = _rng()
-    for _ in range(50):
-        h = Quaternion(*forms.sample_rational_point(rng))
-        assert forms.maurer_cartan_components(h) == forms.theta_components_at(h)
+    theta = [forms.THETA_IN_DH[i].coefficient((b,)) for i in range(4) for b in range(4)]
+    for point, values in forms.sample(theta, 50, _rng(), rational=True):
+        mc = forms.maurer_cartan_components(Quaternion(*point))
+        assert [c for row in mc for c in row] == list(values)
 
 
 def test_dalpha0_zero():
@@ -252,7 +252,8 @@ def test_equal_syntactic_fast_path():
     u = forms.VerticalForm(forms.DH, 2, {(0, 1): sf.parse("h0+h1")})
     rng = _rng()
     state = rng.getstate()
-    assert forms.equal(u, u.copy(), trials=5, rng=rng).equal
+    assert forms.equal(u, forms.VerticalForm(forms.DH, 2, dict(u.terms)), trials=5,
+                       rng=rng).equal
     shifted = forms.add(u, forms.VerticalForm(forms.DH, 2, {(0, 2): sf.ONE}))
     assert forms.equal(u, shifted, trials=5, rng=rng) == \
         forms.EqualityReport(False, 1.0)

@@ -229,7 +229,7 @@ def test_a_sign_flipped_kernel_fails_the_two_paths(monkeypatch):
 
 
 def test_a_ricci_error_fails_only_the_checks_that_read_it(monkeypatch):
-    def ricci_of(model, tensor):
+    def ricci_of(tensor):
         raise ArithmeticError("trace")
     monkeypatch.setattr(curv, "ricci_of", ricci_of)
     records = {r.name: r
