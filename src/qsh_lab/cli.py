@@ -158,7 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       metavar="N", help="model size, repeatable "
                       "(default: 2 and 3)")
     runp.add_argument("--kappa", default="1", metavar="P/Q",
-                      help="nonzero curvature normalization (rational)")
+                      help="nonzero curvature normalization (rational); "
+                           "give a negative one as --kappa=-3/7")
     runp.add_argument("--seed", type=int, default=42, metavar="U64")
     runp.add_argument("--trials", type=int, default=100, metavar="T",
                       help="sample count for randomized identity checks")

@@ -14,8 +14,8 @@ Kernel.  On the standard basis R_A is one array indexed
 the Bianchi sum, the Ricci trace and the rank rows contract it.
 R_A = kappa T0 + (c1/4) T1 + (c2/2n) T2 for three kappa-free tensors
 that matrices.einsum builds from the terms of the expanded formula (see
-curvature_13) on the model's QArrays and A: exact for every kappa and
-every rational A.  A tensor holds (4n)^4 entries, so callers keep it
+_parts) on the model's QArrays and A: exact for every kappa and every
+rational A.  A tensor holds (4n)^4 entries, so callers keep it
 only as long as they contract it: a run computes R_A at the pinned
 parameters once per basis element, for its Bianchi sum and Ricci trace
 (the per-size pass of suites), and curvature_rows keeps one row of it
@@ -27,16 +27,13 @@ generic bound of `@` would carry a factor 4n), so the kernel stays in
 int64 wherever the values allow it.  numpy is imported inside the
 functions, so importing this module does not load it.
 
-curvature_13, ricci_closed_form, is_Q_hermitian and
+curvature_by_definition, ricci_closed_form, is_Q_hermitian and
 curvature_map_rank_float never call the kernel: they are the second
-paths the checks compare it against.  curvature_13 shares the kernel's
-expanded formula and differs only in evaluation: it gathers columns and
-entries of the model's matrices and of A for arrays of basis index
-triples, one row R_A(e_i, e_j) e_k per triple, so one call covers every
-sampled triple of an element.  What ties that formula to the projection
-definition above (circle_so_star and circle_sp1 of liealg) is the test
-test_kernel_equals_projection_definition.  bianchi_defect_closed_form is
-a reference for the tests; no check calls it.
+paths the checks compare it against.  curvature_by_definition builds
+the matrix R_A(x, y) as the definition above reads, from circle_so_star
+and circle_sp1 of liealg, for any two vectors x and y; it shares no
+step with the expanded formula of the kernel.  bianchi_defect_closed_form
+is a reference for the tests; no check calls it.
 """
 
 from __future__ import annotations
@@ -45,7 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from qsh_lab import matrices as mat
-from qsh_lab.liealg import LieBasis, LieElement, decompose
+from qsh_lab.liealg import (LieBasis, LieElement, circle_so_star, circle_sp1,
+                            decompose)
 from qsh_lab.linmodel import FlatModel
 from qsh_lab.matrices import QArray
 
@@ -81,8 +79,16 @@ def _as_element(model: FlatModel, a) -> LieElement:
 
 
 def _parts(model: FlatModel, A: QArray):
-    """The kappa-free tensors (T0, T1, T2) of A, term by term as in
-    curvature_13."""
+    """The kappa-free tensors (T0, T1, T2) of A, from the expanded formula
+
+      R(x,y)z = k w(x,y) Az
+                + (c1/4) [w(x,z) Ay - sum_a g_a(x,z) J_a Ay
+                          + w(Ay,z) x - sum_a g_a(Ay,z) J_a x]
+                - (c1/4) [same with x and y swapped]
+                - (c2/2n) sum_a (g_a(x,Ay) - g_a(y,Ax)) J_a z,
+
+    term by term: T0 is the kappa term, T1 the two c1 brackets and T2
+    the c2 sum, each without its coefficient."""
     W, J, G = model.omega, model.J, model.g
     # the bounds of the values themselves: max|A| where the generic bound
     # of `@` would carry a factor 4n
@@ -111,45 +117,14 @@ def curvature_of(model: FlatModel, basis: LieBasis, a, params: CurvParams) -> QA
     return QArray(r.values, r.scale)  # the bound of the values themselves
 
 
-def curvature_13(model: FlatModel, A: QArray, params: CurvParams, I, J, K) -> QArray:
-    """Independent (1,3)-tensor evaluation of R_A(x, y) z at x, y, z =
-    e_i, e_j, e_k for each triple (i, j, k) of the index arrays (I, J, K),
-    one row per triple, expanded term by term:
-
-      k w(x,y) Az
-      + (c1/4) [w(x,z) Ay - sum_a g_a(x,z) J_a Ay
-                + w(Ay,z) x - sum_a g_a(Ay,z) J_a x]
-      - (c1/4) [same with x and y swapped]
-      - (c2/2n) sum_a (g_a(x,Ay) - g_a(y,Ax)) J_a z.
-
-    On basis vectors every vector is a column (of A, J_a A, J_a or the
-    identity) and every scalar an entry (of w, g_a, A^T w, A^T g_a or
-    g_a A), gathered for all triples at once.  Used as a cross-check of
-    the kernel's evaluation.
-    """
-    W, Js, G = model.omega, model.J, model.g
-    JA, AtW, AtG, GA = Js @ A, A.T @ W, A.T @ G, G @ A
-    eye = QArray.eye(model.dim)
-
-    def at(M, r, c):  # the entries M[r_t, c_t], as a column
-        return M[r, c][:, None]
-
-    def col(M, c):  # the columns M[:, c_t], as rows
-        return M[:, c].T
-
-    def block(u, v):  # the (c1/4) bracket at x = e_u, y = e_v
-        out = at(W, u, K) * col(A, v) + at(AtW, v, K) * col(eye, u)
-        for a in range(3):
-            out = out - at(G[a], u, K) * col(JA[a], v)
-            out = out - at(AtG[a], v, K) * col(Js[a], u)
-        return out
-
-    out = at(W, I, J) * col(A, K) * params.kappa
-    out = out + (block(I, J) - block(J, I)) * (params.c1 / 4)
-    q2 = params.c2 / Fraction(2 * model.n)
-    for a in range(3):
-        out = out - (at(GA[a], I, J) - at(GA[a], J, I)) * col(Js[a], K) * q2
-    return out
+def curvature_by_definition(model: FlatModel, A: QArray, params: CurvParams,
+                            x: QArray, y: QArray) -> QArray:
+    """The matrix R_A(x, y) = k w(x, y) A + c1 (x o Ay - y o Ax)_so*
+    + c2 (x o Ay - y o Ax)_sp1, from the projections of liealg."""
+    Ax, Ay = A @ x, A @ y
+    so = circle_so_star(model, x, Ay) - circle_so_star(model, y, Ax)
+    sp = circle_sp1(model, x, Ay) - circle_sp1(model, y, Ax)
+    return A * (params.kappa * (x @ model.omega @ y)) + so * params.c1 + sp * params.c2
 
 
 def bianchi_defect_closed_form(model: FlatModel, A: QArray, params: CurvParams,

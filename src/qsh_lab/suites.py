@@ -526,11 +526,17 @@ def bianchi_perturbed(ctx, n):
 def two_paths(ctx, n):
     m, basis, params = _pinned(ctx, n)
     rng = ctx.rng("curvature", f"two-paths{n}")
+    # The difference is bilinear in (x, y), so each of its entries is a
+    # polynomial of degree 2, and no single value of an entry of
+    # _rational_vector has probability above 1/13 (0 and 1 each have 1/13).
+    # By Schwartz-Zippel one draw misses a nonzero difference with
+    # probability at most 2/13, and five draws below 1e-4.
     for el in (basis.sp_basis[0], basis.so_basis[0]):
         tensor = curv.curvature_of(m, basis, el, params)
-        I, J, K = map(list, zip(*[[rng.randrange(m.dim) for _ in range(3)]
-                                  for _ in range(min(ctx.trials, 40))]))
-        yield curv.curvature_13(m, el.matrix, params, I, J, K) - tensor[I, J, K]
+        for _ in range(min(ctx.trials, 5)):
+            x, y = _rational_vector(rng, m.dim), _rational_vector(rng, m.dim)
+            yield (curv.curvature_by_definition(m, el.matrix, params, x, y)
+                   - mat.einsum("i,j,ijkr->rk", x, y, tensor))
 
 
 @_check("curvature", "tensor-wellformed[n={n}]",

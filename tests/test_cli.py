@@ -294,6 +294,9 @@ def test_main_pass_run(capsys, tmp_path):
     assert code == 0
     assert "[PASS] model/quaternionic-identity[n=2]" in captured
     assert out.exists()
+    # argparse reads a bare -3/7 as an option, so a negative kappa takes "="
+    assert main(["run", "--suites", "curvature", "--n", "2", "--kappa=-3/7"]) == 0
+    assert "11/11 checks passed" in capsys.readouterr().out
 
 
 def test_main_deeply_nested_input_is_usage_error(capsys, tmp_path):

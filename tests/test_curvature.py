@@ -66,52 +66,25 @@ def test_antisymmetry_and_g_values(model2, basis2, pinned2):
         liealg.decompose(model2, tensor[i, j].T)  # in g
 
 
-def test_two_implementations_agree(model2, basis2, pinned2):
-    # the expanded formula equals the kernel on all 8^3 basis triples
-    rng = random.Random(31)
-    off = curv.CurvParams.free(Fraction(7, 3), 5, -2)
-    I, J, K = np.array(list(itertools.product(range(8), repeat=3))).T
-    for el, params in itertools.product(
-            [basis2.sp_basis[0], basis2.so_basis[0],
-             _random_element(model2, basis2, rng)], [pinned2, off]):
-        tensor = curv.curvature_of(model2, basis2, el, params)
-        direct = curv.curvature_13(model2, el.matrix, params, I, J, K)
-        assert direct.shape == (512, 8)
-        assert direct == tensor[I, J, K]
-    # one row per triple, in the order of the index arrays
-    el = basis2.so_basis[0]
-    tensor = curv.curvature_of(model2, basis2, el, pinned2)
-    rows = curv.curvature_13(model2, el.matrix, pinned2,
-                             [3, 0, 3], [1, 5, 1], [7, 2, 7])
-    for row, (i, j, k) in zip(rows, [(3, 1, 7), (0, 5, 2), (3, 1, 7)]):
-        assert row == tensor[i, j, k]
-
-
-
-def _by_definition(model, A, params, i, j):
-    """R_A(e_i, e_j) = k w(x, y) A + c1 (x o Ay - y o Ax)_so*
-    + c2 (x o Ay - y o Ax)_sp1, from the projections of liealg."""
-    x, y = model.basis_vector(i), model.basis_vector(j)
-    Ax, Ay = A @ x, A @ y
-    so = liealg.circle_so_star(model, x, Ay) - liealg.circle_so_star(model, y, Ax)
-    sp = liealg.circle_sp1(model, x, Ay) - liealg.circle_sp1(model, y, Ax)
-    return A * (params.kappa * (x @ model.omega @ y)) + so * params.c1 + sp * params.c2
-
-
 def test_kernel_equals_projection_definition(model2, basis2, model3, basis3,
                                              pinned2):
-    # the kernel and curvature_13 expand one formula; this ties it to the
-    # definition of R_A by the invariant projections
+    # the kernel's expanded formula against the definition of R_A by the
+    # invariant projections, on every basis pair
     off = curv.CurvParams.free(Fraction(7, 3), 5, -2)
     cases = [(model2, basis2, el, pinned2) for el in basis2.elements()]
+    cases += [(model2, basis2, el, off) for el in
+              (basis2.sp_basis[0], basis2.so_basis[0],
+               _random_element(model2, basis2, random.Random(31)))]
     for model, basis in ((model2, basis2), (model3, basis3)):
         cases += [(model, basis, el, off) for el in
                   (basis.so_basis[0], basis.so_basis[-1], basis.sp_basis[1])]
     for model, basis, el, params in cases:
         tensor = curv.curvature_of(model, basis, el, params)
         for i, j in itertools.combinations(range(model.dim), 2):
-            assert tensor[i, j].T == _by_definition(model, el.matrix, params, i, j), \
-                (i, j)
+            x, y = model.basis_vector(i), model.basis_vector(j)
+            assert tensor[i, j].T == curv.curvature_by_definition(
+                model, el.matrix, params, x, y), (i, j)
+
 
 def test_bianchi_pinned_zero_all_basis(model2, basis2, pinned2):
     for el in basis2.elements():
@@ -460,8 +433,9 @@ def test_second_paths_never_call_the_kernel(model3, basis3, monkeypatch):
     monkeypatch.setattr(curv, "_parts", refuse)
     with pytest.raises(AssertionError):
         curv.curvature_of(model3, basis3, el, params)
-    assert curv.curvature_13(model3, el.matrix, params, [0], [5], [7])[0] == \
-        tensor[0, 5, 7]
+    assert curv.curvature_by_definition(model3, el.matrix, params,
+                                        model3.basis_vector(0),
+                                        model3.basis_vector(5)) == tensor[0, 5].T
     assert curv.bianchi_defect_closed_form(model3, el.matrix, params,
                                            0, 5, 7).max_abs() == 0
     assert curv.ricci_closed_form(model3, el.matrix, 1) == ric

@@ -198,34 +198,36 @@ def _linear_records(ctx):
 
 
 def test_each_pinned_tensor_is_computed_once_per_size(monkeypatch):
-    calls = {"curvature_of": 0, "curvature_13": 0}
-    for name in calls:
-        real = getattr(curv, name)
+    calls = 0
+    real = curv.curvature_of
 
-        def counted(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(curv, name, counted)
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+    monkeypatch.setattr(curv, "curvature_of", counted)
     records = _linear_records(SuiteContext(seed=1, ns=(2, 3)))
     assert all(r.passed for r in records.values())
     # per n: one pinned pass over the basis, one rank row each, and the
     # off-pinning, two-path, well-formedness and random-element checks
-    assert calls["curvature_of"] <= 98
-    assert calls["curvature_13"] == 4  # one call per element and size
+    assert calls <= 98
 
 
-def test_a_sign_flipped_kernel_fails_the_two_paths(monkeypatch):
+@pytest.mark.parametrize("part", [0, 1, 2], ids=["T0", "T1", "T2"])
+def test_a_sign_flipped_kernel_fails_the_two_paths(monkeypatch, part):
     real = curv._parts
 
     def flipped(*args):
-        t0, t1, t2 = real(*args)
-        return t0, t1, -t2
+        parts = list(real(*args))
+        parts[part] = -parts[part]
+        return tuple(parts)
     monkeypatch.setattr(curv, "_parts", flipped)
     records = {r.name: r
-               for r in SUITE_RUNNERS["curvature"](SuiteContext(seed=1, ns=(2,)))}
-    record = records["curvature-two-paths[n=2]"]
-    assert not record.passed
-    assert record.residual > 0
+               for r in SUITE_RUNNERS["curvature"](SuiteContext(seed=1, ns=(2, 3)))}
+    for n in (2, 3):
+        record = records[f"curvature-two-paths[n={n}]"]
+        assert not record.passed
+        assert record.residual > 0
 
 
 def test_a_ricci_error_fails_only_the_checks_that_read_it(monkeypatch):
