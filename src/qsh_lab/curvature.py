@@ -11,29 +11,34 @@ exhibited by nonzero residuals.
 
 Kernel.  On the standard basis R_A is one array indexed
 [i, j, k, r] = (R(e_i, e_j) e_k)_r, so R(e_i, e_j) is tensor[i, j].T;
-the Bianchi sum, the Ricci trace and the rank rows contract it.
+the Bianchi sum, the Ricci trace and primitive_row read it.
 R_A = kappa T0 + (c1/4) T1 + (c2/2n) T2 for three kappa-free tensors
 that matrices.einsum builds from the terms of the expanded formula (see
 _parts) on the model's QArrays and A: exact for every kappa and every
-rational A.  A tensor holds (4n)^4 entries, so callers keep it
-only as long as they contract it: a run computes R_A at the pinned
-parameters once per basis element, for its Bianchi sum and Ricci trace
-(the per-size pass of suites), and curvature_rows keeps one row of it
-per element.  Every step is a QArray operation, so matrices alone
-decides, from the bounds it carries, whether a step runs in int64 or on
-Python ints; nothing here assumes a bound.  The products J_a A, A^T w,
-A^T g_a and g_a A, and R_A itself, take the bound of their values (the
-generic bound of `@` would carry a factor 4n), so the kernel stays in
-int64 wherever the values allow it.  numpy is imported inside the
-functions, so importing this module does not load it.
+rational A.  A tensor holds (4n)^4 entries, so callers keep it only as
+long as they read it: a run computes R_A at the pinned parameters once
+per basis element, for its Bianchi sum, its Ricci trace and its sparse
+primitive row (the per-size pass of suites).  Every step is a QArray
+operation, so matrices alone decides, from the bounds it carries,
+whether a step runs in int64 or on Python ints; nothing here assumes a
+bound.  The products J_a A, A^T w, A^T g_a and g_a A, and R_A itself,
+take the bound of their values (the generic bound of `@` would carry a
+factor 4n), so the kernel stays in int64 wherever the values allow it.
+numpy is imported inside the functions, so importing this module does
+not load it.
+
+Rank.  One nonsingular dim g x dim g minor of the primitive rows of a
+basis of g shows that all the rows have rank dim g, so A -> R_A is
+injective.  minor_columns picks its columns mod a prime, an untrusted
+search: a bad choice only makes the minor's exact rank fall short.  The
+float SVD sees only the minor.
 
 curvature_by_definition, ricci_closed_form, is_Q_hermitian and
 curvature_map_rank_float never call the kernel: they are the second
 paths the checks compare it against.  curvature_by_definition builds
 the matrix R_A(x, y) as the definition above reads, from circle_so_star
 and circle_sp1 of liealg, for any two vectors x and y; it shares no
-step with the expanded formula of the kernel.  bianchi_defect_closed_form
-is a reference for the tests; no check calls it.
+step with the expanded formula of the kernel.
 """
 
 from __future__ import annotations
@@ -127,36 +132,6 @@ def curvature_by_definition(model: FlatModel, A: QArray, params: CurvParams,
     return A * (params.kappa * (x @ model.omega @ y)) + so * params.c1 + sp * params.c2
 
 
-def bianchi_defect_closed_form(model: FlatModel, A: QArray, params: CurvParams,
-                               i: int, j: int, k: int) -> QArray:
-    """The cyclic sum R(x,y)z + R(y,z)x + R(z,x)y collapses, for any
-    coefficients, to
-
-        cyc[(k - c1/2) w(x,y) Az
-            + (c1/4 - c2/2n) sum_a (g_a(Ay,x) - g_a(Ax,y)) J_a z],
-
-    evaluated here on basis vectors x, y, z = e_i, e_j, e_k.  Both
-    coefficients vanish exactly at the pinning (2k, nk), which is the
-    whole content of the pinned/perturbed residual checks; away from it
-    this is an independent prediction of the defect that the tensor
-    pipeline must reproduce."""
-    coef1 = params.kappa - params.c1 / 2
-    coef2 = params.c1 / 4 - params.c2 / Fraction(2 * model.n)
-
-    def cyc_term(xi, yi, zi):
-        x, y, z = (model.basis_vector(v) for v in (xi, yi, zi))
-        Ax, Ay = A @ x, A @ y
-        out = (A @ z) * (coef1 * (x @ model.omega @ y))
-        for a in range(3):
-            ga = model.g[a]
-            c = coef2 * (Ay @ ga @ x - Ax @ ga @ y)
-            if c != 0:
-                out = out + model.apply_J(a + 1, z) * c
-        return out
-
-    return cyc_term(i, j, k) + cyc_term(j, k, i) + cyc_term(k, i, j)
-
-
 def bianchi_residual(tensor: QArray) -> Fraction:
     """Max-norm of the cyclic sum R(x,y)z + R(y,z)x + R(z,x)y over all
     basis triples; zero iff the tensor satisfies the first Bianchi
@@ -211,39 +186,45 @@ def is_Q_hermitian(model: FlatModel, t: QArray, frames=()):
     return True, None
 
 
-def curvature_rows(model: FlatModel, basis: LieBasis, params: CurvParams):
-    """One integer row per basis element A: the values of R_A(e_i, e_j)
-    for i < j, flattened, at the tensor's own scale.  Positive row scales
-    leave the rank unchanged."""
+def primitive_row(tensor: QArray):
+    """(positions, values) of the nonzero entries of R_A(e_i, e_j), i < j,
+    flattened and divided by their gcd: up to sign the same row for every
+    kappa, so no kappa makes it vanish mod p."""
     import numpy as np
 
-    upper = np.triu_indices(model.dim, 1)
-    return np.array([curvature_of(model, basis, el, params).values[upper].ravel()
-                     for el in basis.elements()])
+    flat = tensor.values[np.triu_indices(len(tensor.values), 1)].ravel()
+    values = flat[flat != 0]
+    return np.flatnonzero(flat), values // (np.gcd.reduce(values) or 1)
 
 
-def curvature_map_rank(rows) -> int:
-    """Exact rank of A -> R_A over the enumerated basis of g, given the
-    integer rows of curvature_rows.
-
-    rank(B) = rank(B B^T) over the rationals, and the integer Gram matrix
-    is tiny compared to the flattened tensors, so the echelon step runs
-    on it.  The Gram product is a QArray `@`: it runs in int64 when
-    cols * max|row|^2 is below 2^63, and on Python ints otherwise.
-    """
-    rows = QArray(rows)
-    return mat.rank(rows @ rows.T)
-
-
-def curvature_map_rank_float(rows) -> int:
-    """Float SVD rank of the rows of curvature_rows, for cross-checking the
-    exact rank: the number of singular values above 1e-8 times the
-    largest.  It gets no model, so it cannot evaluate the map itself or
-    call the kernel.  The SVD runs on the transpose: the same singular
-    values, and LAPACK is much faster on a tall matrix than on a wide one."""
+def _minor(rows, columns) -> QArray:
+    """The primitive rows restricted to `columns`, as one exact matrix."""
     import numpy as np
 
-    svals = np.linalg.svd(np.array(rows, dtype=float).T, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int((svals > 1e-8 * svals[0]).sum())
+    out = np.zeros((len(rows), len(columns)), dtype=object)
+    for row, (positions, values) in zip(out, rows):
+        _, at, cols = np.intersect1d(positions, columns, assume_unique=True,
+                                     return_indices=True)
+        row[cols] = values[at]
+    return QArray(out)
+
+
+def minor_columns(rows) -> list:
+    """Of the first 3 nonzero positions of each primitive row, the pivot
+    columns mod a prime (see Rank)."""
+    candidates = sorted({c for positions, _ in rows for c in positions[:3].tolist()})
+    return [candidates[i] for i in mat.rank_mod_p(_minor(rows, candidates))]
+
+
+def curvature_map_rank(rows, columns) -> int:
+    """Exact rank of the minor of the primitive rows on `columns` (see Rank)."""
+    return mat.rank(_minor(rows, columns))
+
+
+def curvature_map_rank_float(rows, columns) -> int:
+    """Float SVD rank of the same minor (singular values above 1e-8 times
+    the largest).  It gets no model, so it cannot call the kernel."""
+    import numpy as np
+
+    svals = np.linalg.svd(_minor(rows, columns).values.astype(float), compute_uv=False)
+    return int((svals > 1e-8 * svals[0]).sum()) if svals.size and svals[0] else 0

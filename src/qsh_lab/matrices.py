@@ -31,7 +31,7 @@ array itself.  A float entry raises TypeError instead of being rounded.
 numpy is imported inside the functions that need it, so importing this
 module does not load it.
 
-Reduction (rref, rank, nullspace, solve) is the only code that leaves
+Reduction (rref, rank, rank_mod_p, nullspace, solve) alone leaves
 QArray.  A positive scale changes no echelon form, so rref reads the
 integer rows of its argument as Python ints and runs Gauss-Jordan
 elimination on them, fraction-free: with pivot p in the pivot row,
@@ -284,6 +284,24 @@ def rref(m: QArray):
 
 def rank(m: QArray) -> int:
     return len(rref(m)[1])
+
+
+def rank_mod_p(m: QArray, p: int = 2147483629) -> list:
+    """Pivot columns of the rows of m mod the prime p < 2^31, by elimination
+    in int64 on entries reduced into [0, p) (Python ints before the cast),
+    so every product is below 2^62.  Their number, the rank mod p, is at
+    most the rank over Q, and equal to it when p exceeds Hadamard's bound."""
+    import numpy as np
+
+    r, pivots = (m.values % p).astype(np.int64), []
+    for pc in range(m.shape[1]):
+        nonzero = np.flatnonzero(r[:, pc])
+        if nonzero.size:  # eliminate column pc by the first row that has it
+            top = r[nonzero[0]] * pow(int(r[nonzero[0], pc]), -1, p) % p
+            r = np.delete(r, nonzero[0], axis=0)
+            r = (r - np.outer(r[:, pc], top) % p) % p
+            pivots.append(pc)
+    return pivots
 
 
 def nullspace(m: QArray) -> QArray:

@@ -37,6 +37,48 @@ def _random_element(model, basis, rng):
     return liealg.decompose(model, combo)
 
 
+def _rows(model, basis, params):
+    """The primitive rows of the rank certificate, one per basis element."""
+    return [curv.primitive_row(curv.curvature_of(model, basis, el, params))
+            for el in basis.elements()]
+
+
+def _map_ranks(rows):
+    """Exact and float rank of the minor that the search picks."""
+    columns = curv.minor_columns(rows)
+    return (curv.curvature_map_rank(rows, columns),
+            curv.curvature_map_rank_float(rows, columns))
+
+
+def bianchi_defect_closed_form(model, A, params, i, j, k):
+    """The cyclic sum R(x,y)z + R(y,z)x + R(z,x)y collapses, for any
+    coefficients, to
+
+        cyc[(k - c1/2) w(x,y) Az
+            + (c1/4 - c2/2n) sum_a (g_a(Ay,x) - g_a(Ax,y)) J_a z],
+
+    evaluated here on basis vectors x, y, z = e_i, e_j, e_k.  Both
+    coefficients vanish exactly at the pinning (2k, nk), which is the
+    whole content of the pinned/perturbed residual checks; away from it
+    this is an independent prediction of the defect that the tensor
+    pipeline must reproduce."""
+    coef1 = params.kappa - params.c1 / 2
+    coef2 = params.c1 / 4 - params.c2 / Fraction(2 * model.n)
+
+    def cyc_term(xi, yi, zi):
+        x, y, z = (model.basis_vector(v) for v in (xi, yi, zi))
+        Ax, Ay = A @ x, A @ y
+        out = (A @ z) * (coef1 * (x @ model.omega @ y))
+        for a in range(3):
+            ga = model.g[a]
+            c = coef2 * (Ay @ ga @ x - Ax @ ga @ y)
+            if c != 0:
+                out = out + model.apply_J(a + 1, z) * c
+        return out
+
+    return cyc_term(i, j, k) + cyc_term(j, k, i) + cyc_term(k, i, j)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         curv.CurvParams.pinned(0, 2)
@@ -124,15 +166,13 @@ def test_bianchi_defect_closed_form(model2, basis2):
         for _ in range(12):
             i, j, k = (rng.randrange(8) for _ in range(3))
             actual = tensor[i, j, k] + tensor[j, k, i] + tensor[k, i, j]
-            want = curv.bianchi_defect_closed_form(model2, el.matrix, params,
-                                                   i, j, k)
+            want = bianchi_defect_closed_form(model2, el.matrix, params, i, j, k)
             assert actual == want
     pinned = curv.CurvParams.pinned(1, 2)
     el = _random_element(model2, basis2, rng)
     for _ in range(10):
         i, j, k = (rng.randrange(8) for _ in range(3))
-        defect = curv.bianchi_defect_closed_form(model2, el.matrix, pinned,
-                                                 i, j, k)
+        defect = bianchi_defect_closed_form(model2, el.matrix, pinned, i, j, k)
         assert defect.max_abs() == 0
 
 
@@ -214,24 +254,41 @@ def test_hermitian_trivial_cases(model2):
 
 
 def test_curvature_map_rank(model2, basis2, pinned2, model3, basis3):
-    rows = curv.curvature_rows(model2, basis2, pinned2)
-    assert curv.curvature_map_rank(rows) == 9
-    assert curv.curvature_map_rank_float(rows) == 9
-    rows[-1] = rows[0]  # a duplicated row costs the float rank exactly one
-    assert curv.curvature_map_rank_float(rows) == 8
-    rows = curv.curvature_rows(model3, basis3, curv.CurvParams.pinned(1, 3))
-    assert curv.curvature_map_rank_float(rows) == curv.curvature_map_rank(rows) == 18
+    rows = _rows(model2, basis2, pinned2)
+    assert _map_ranks(rows) == (9, 9)
+    rows[-1] = rows[0]  # a duplicated row costs both ranks exactly one
+    assert _map_ranks(rows) == (8, 8)
+    assert _map_ranks(_rows(model3, basis3, curv.CurvParams.pinned(1, 3))) == (18, 18)
+
+
+def test_a_singular_column_choice_fails_the_verifier(model2, basis2, pinned2):
+    # a column that equals the first chosen column up to sign, in place of
+    # the last one, makes a singular 9 x 9 minor of nonzero columns
+    rows = _rows(model2, basis2, pinned2)
+    columns = curv.minor_columns(rows)
+    everywhere = sorted({int(c) for positions, _ in rows for c in positions})
+    full = curv._minor(rows, everywhere).values
+    first = full[:, everywhere.index(columns[0])]
+    twin = next(c for c, col in zip(everywhere, full.T) if c != columns[0]
+                and (np.array_equal(col, first) or np.array_equal(col, -first)))
+    singular = columns[:-1] + [twin]
+    assert len(set(singular)) == 9
+    assert curv.curvature_map_rank(rows, singular) == 8
+    assert curv.curvature_map_rank_float(rows, singular) == 8
 
 
 @pytest.mark.parametrize("kappa", [Fraction(4398046511104123, 1000000000000037),
-                                   Fraction(2 ** 70 + 1, 3)])
-def test_wide_kappa_exact(model2, basis2, kappa):
-    # the rank's Gram matrix leaves the int64 range for both, and the
-    # scaled tensor itself for the second: exact all the same
+                                   Fraction(2 ** 70 + 1, 3), Fraction(2147483629)])
+def test_wide_kappa_exact(model2, basis2, pinned2, kappa):
+    # the scaled tensor leaves the int64 range for the second: exact all
+    # the same.  The primitive rows are those of kappa = 1, so they certify
+    # the rank at kappa = p too, where every entry of R_A is 0 mod p
     pinned = curv.CurvParams.pinned(kappa, 2)
+    rows = []
     for el in basis2.elements():
         tensor = curv.curvature_of(model2, basis2, el, pinned)
         assert curv.bianchi_residual(tensor) == 0
+        rows.append(curv.primitive_row(tensor))
     off = curv.CurvParams.free(kappa, pinned.c1 + 1, pinned.c2)
     assert any(curv.bianchi_residual(
         curv.curvature_of(model2, basis2, el, off)) != 0
@@ -239,7 +296,9 @@ def test_wide_kappa_exact(model2, basis2, kappa):
     for el, coef in ((basis2.so_basis[0], 2 * (2 + 2)), (basis2.sp_basis[0], 4 * 2)):
         ric = curv.ricci_of(curv.curvature_of(model2, basis2, el, pinned))
         assert ric == curv.omega_pairing(model2, el.matrix) * (coef * kappa)
-    assert curv.curvature_map_rank(curv.curvature_rows(model2, basis2, pinned)) == 9
+    for (pos, values), (pos1, values1) in zip(rows, _rows(model2, basis2, pinned2)):
+        assert np.array_equal(pos, pos1) and np.array_equal(values, values1)
+    assert _map_ranks(rows) == (9, 9)
 
 
 def test_tensor_independent_of_model_instance(model2, model3, basis2, basis3):
@@ -277,16 +336,16 @@ def test_linear_claims_at_large_n(n):
     model, basis = _model_and_basis(n)
     assert len(basis.so_basis) == n * (2 * n - 1)
     params = curv.CurvParams.pinned(1, n)
+    rows = []
     for el in basis.elements():
         tensor = curv.curvature_of(model, basis, el, params)
         assert curv.bianchi_residual(tensor) == 0
+        rows.append(curv.primitive_row(tensor))
     for el, coef in ((basis.so_basis[0], 2 * (n + 2)), (basis.sp_basis[0], 4 * n)):
         ric = curv.ricci_of(curv.curvature_of(model, basis, el, params))
         assert ric == curv.omega_pairing(model, el.matrix) * coef
-    rows = curv.curvature_rows(model, basis, params)
     rank = n * (2 * n - 1) + 3
-    assert curv.curvature_map_rank(rows) == rank
-    assert curv.curvature_map_rank_float(rows) == rank
+    assert _map_ranks(rows) == (rank, rank)
 
 
 def _kernel_paths(model, basis, el, params):
@@ -367,26 +426,9 @@ def test_wide_rational_A_takes_object_fallback(model2, basis2):
     assert ric == curv.ricci_closed_form(model2, el.matrix, 1)
 
 
-def test_rank_gram_exact_in_both_dtypes(model2, basis2, pinned2):
-    rows = curv.curvature_rows(model2, basis2, pinned2)
-    for scaled in (rows, rows * 2 ** 40):  # int64 Gram, then object Gram
-        with mock.patch.object(curv.mat, "rank", side_effect=lambda g: g) as rank:
-            gram = curv.curvature_map_rank(scaled)
-        rank.assert_called_once()
-        _check_values(gram)
-        exact = scaled.astype(object)  # the reference Gram on Python ints
-        assert np.array_equal(gram.values, exact @ exact.T)
-        assert curv.curvature_map_rank(scaled) == 9
-
-
 def test_overflow_bounds_are_python_ints(model2):
-    # both bounds overflow int64 when computed in it: 2 * (2^32)^2 wraps
-    # to 0, which would pass an int64 Gram matrix of rank 0, and so does
-    # 2^40 * 2^30 in the bound of an einsum
-    rows = np.array([[2 ** 32, 0], [2 ** 32, 0]], dtype=np.int64)
-    assert curv.curvature_map_rank(rows) == 1
-    assert curv.curvature_map_rank(rows.astype(object)) == 1
-    assert curv.curvature_map_rank_float(rows) == 1
+    # 2^40 * 2^30 overflows int64 in the bound of an einsum when computed
+    # in it
     wide = model2.omega * 2 ** 40
     for factor, dtype in ((2 ** 30, object), (2 ** 20, np.int64)):
         outer = mat.einsum("ij,kl->ijkl", wide, model2.omega * factor)
@@ -422,7 +464,8 @@ def test_a_widened_kernel_term_stays_exact(model2, basis2, monkeypatch):
 def test_second_paths_never_call_the_kernel(model3, basis3, monkeypatch):
     params = curv.CurvParams.pinned(1, 3)
     el = basis3.sp_basis[0]
-    rows = curv.curvature_rows(model3, basis3, params)
+    rows = _rows(model3, basis3, params)
+    columns = curv.minor_columns(rows)
     tensor = curv.curvature_of(model3, basis3, el, params)
     ric = curv.ricci_of(tensor)
     q = Quaternion.of(*(Fraction(c, 5) for c in (1, 2, 2, 4)))  # |q| = 1
@@ -436,9 +479,9 @@ def test_second_paths_never_call_the_kernel(model3, basis3, monkeypatch):
     assert curv.curvature_by_definition(model3, el.matrix, params,
                                         model3.basis_vector(0),
                                         model3.basis_vector(5)) == tensor[0, 5].T
-    assert curv.bianchi_defect_closed_form(model3, el.matrix, params,
-                                           0, 5, 7).max_abs() == 0
+    assert bianchi_defect_closed_form(model3, el.matrix, params,
+                                      0, 5, 7).max_abs() == 0
     assert curv.ricci_closed_form(model3, el.matrix, 1) == ric
     assert curv.is_Q_hermitian(model3, ric, frames=frames)[0] is False
     assert curv.is_Q_hermitian(model3, model3.omega, frames=frames) == (True, None)
-    assert curv.curvature_map_rank_float(rows) == 18
+    assert curv.curvature_map_rank_float(rows, columns) == 18

@@ -407,3 +407,66 @@ def test_rref_matches_elimination_over_fraction(case):
     assert all(type(x) is Fraction for row in r for x in row)
     assert mat.rank(q) == len(pivots)
 
+
+def _reference_pivots_mod_p(rows, p):
+    """The pivot columns of Gauss-Jordan elimination over the integers mod
+    p, on Python ints."""
+    r = [[x % p for x in row] for row in rows]
+    pivots = []
+    for pc in range(len(r[0]) if r else 0):
+        pr = len(pivots)
+        pivot_row = next((i for i in range(pr, len(r)) if r[i][pc]), None)
+        if pivot_row is None:
+            continue
+        r[pr], r[pivot_row] = r[pivot_row], r[pr]
+        inv = pow(r[pr][pc], -1, p)
+        for i in range(len(r)):
+            if i != pr and r[i][pc]:
+                f = r[i][pc] * inv
+                r[i] = [(x - f * y) % p for x, y in zip(r[i], r[pr])]
+        pivots.append(pc)
+    return pivots
+
+
+def _hadamard_bound_squared(rows):
+    """The square of Hadamard's bound, the product of the squared norms of
+    the nonzero rows: it bounds the square of every minor."""
+    return math.prod(s for s in (sum(x * x for x in row) for row in rows) if s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_rref_cases(), p=st.sampled_from((2, 3, 7, 2147483629)))
+def test_rank_mod_p_matches_rank(case, p):
+    m, dtype = case
+    q = QArray(np.array(m, dtype=dtype), 1, None if dtype is np.int64 else 2 ** 63)
+    pivots = mat.rank_mod_p(q, p)
+    assert pivots == _reference_pivots_mod_p(m, p)
+    assert len(pivots) <= mat.rank(q)
+    if _hadamard_bound_squared(m) < p * p:  # p divides no nonzero minor
+        assert pivots == mat.rref(q)[1]
+
+
+def test_rank_mod_p_at_the_int64_edge():
+    p = 2147483629
+    # residues p - 1, whose products come closest to 2^62
+    edge = [[p - 1, p - 1, 1, p - 1], [1, p - 1, p - 1, 2], [p - 1, 1, p - 1, p - 2]]
+    # 2^70 and 5 * 2^70 + p are Python ints, reduced mod p before the cast:
+    # rank 1 mod p, though the determinant -3p makes the rank over Q 2
+    wide = [[2 ** 70, 3], [5 * 2 ** 70 + p, 15]]
+    # 2^32 past p, whose unreduced square leaves int64
+    tall = [[2 ** 32, 0], [2 ** 32, 0]]
+    cases = [(edge, np.int64), (edge, object), (wide, object), (tall, np.int64),
+             (tall, object)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rows, dtype in cases:
+            # a carried bound of 2^63 keeps object values however small they are
+            q = QArray(np.array(rows, dtype=dtype), 1,
+                       None if dtype is np.int64 else 2 ** 63)
+            assert q.values.dtype == np.dtype(dtype)
+            assert mat.rank_mod_p(q) == _reference_pivots_mod_p(rows, p)
+    assert mat.rank_mod_p(QArray.of(edge)) == [0, 1, 2]
+    assert mat.rank_mod_p(QArray.of(wide)) == [0] and mat.rank(QArray.of(wide)) == 2
+    assert mat.rank_mod_p(QArray.of(tall)) == [0] == mat.rref(QArray.of(tall))[1]
+    # p itself is 0 mod p
+    assert mat.rank_mod_p(QArray.of([[p]])) == [] and mat.rank(QArray.of([[p]])) == 1

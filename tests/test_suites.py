@@ -208,9 +208,39 @@ def test_each_pinned_tensor_is_computed_once_per_size(monkeypatch):
     monkeypatch.setattr(curv, "curvature_of", counted)
     records = _linear_records(SuiteContext(seed=1, ns=(2, 3)))
     assert all(r.passed for r in records.values())
-    # per n: one pinned pass over the basis, one rank row each, and the
-    # off-pinning, two-path, well-formedness and random-element checks
-    assert calls <= 98
+    # per n: one pinned pass over the basis, whose rows the map rank reads,
+    # and the off-pinning, two-path, well-formedness and random-element checks
+    assert calls <= 71
+
+
+def _curvature_records(ctx):
+    return {r.name: r for r in SUITE_RUNNERS["curvature"](ctx)}
+
+
+def test_a_tensor_given_twice_fails_the_map_rank(monkeypatch):
+    # element 1 gets the tensor of element 0, whose Bianchi sum vanishes
+    real = curv.curvature_of
+
+    def swapped(model, basis, a, params):
+        elements = basis.elements()
+        return real(model, basis, elements[0] if a is elements[1] else a, params)
+    monkeypatch.setattr(curv, "curvature_of", swapped)
+    records = _curvature_records(SuiteContext(seed=1, ns=(2,)))
+    assert records["bianchi-pinned-zero[n=2]"].passed
+    record = records["curvature-map-rank[n=2]"]
+    assert not record.passed
+    assert record.witness == {"exact": 8, "svd": 8, "expected": 9}
+    assert record.detail == "rank >= 8 (exact) / 8 (svd)"  # of a minor
+
+
+def test_kappa_p_passes_the_map_rank():
+    # R_A at kappa = p is 0 mod p entrywise; its primitive rows are not
+    ctx = SuiteContext(seed=1, ns=(2, 3), kappa=Fraction(2147483629))
+    records = _curvature_records(ctx)
+    for n, rank in ((2, 9), (3, 18)):
+        record = records[f"curvature-map-rank[n={n}]"]
+        assert record.passed
+        assert record.detail == f"rank {rank} (exact) / {rank} (svd)"
 
 
 @pytest.mark.parametrize("part", [0, 1, 2], ids=["T0", "T1", "T2"])
