@@ -18,6 +18,12 @@ The package is organised bottom-up:
   cli          verification harness with JSON/markdown reports
 """
 
+import os
+
+# one BLAS thread before numpy loads: lanes fork only from a single-threaded
+# process (`suites.run_suites`), and BLAS threads gain nothing on small matrices
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from qsh_lab.quaternion import Quaternion
 from qsh_lab.linmodel import FlatModel, build_flat_model
 

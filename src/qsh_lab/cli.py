@@ -192,8 +192,6 @@ def _config_from_args(args) -> RunConfig:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # BLAS threads only spin on the linear suites' small matrices
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         config = _config_from_args(args)
         report, code = run(config)

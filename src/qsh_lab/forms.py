@@ -230,11 +230,11 @@ def as_dh(u: VerticalForm) -> VerticalForm:
 
 # --- hypercomplex pullbacks ---------------------------------------------------
 
-_CYCLIC = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
+CYCLIC = {1: (2, 3), 2: (3, 1), 3: (1, 2)}  # a -> (b, c) with (a, b, c) cyclic
 
 
 def _pullback_index_map(a: int):
-    b, c = _CYCLIC[a]
+    b, c = CYCLIC[a]
     return {0: (a, 1), a: (0, -1), b: (c, -1), c: (b, 1)}
 
 
@@ -262,7 +262,7 @@ def _structure_dalpha_over_t(a: int) -> VerticalForm:
     """(1/t) d a_a as a constant-coefficient ALPHA 2-form."""
     if a == 0:
         return zero_form(2, ALPHA)
-    b, c = _CYCLIC[a]
+    b, c = CYCLIC[a]
     terms = {(0, a): sf.const(-1)}
     key = tuple(sorted((b, c)))
     coeff = sf.const(-2) if (b, c) == key else sf.const(2)

@@ -1130,14 +1130,20 @@ def run_suites(ctx: SuiteContext, selected) -> list:
     The linear suites are one task and every other suite is a task.  This
     process is one lane and forks the others before any suite runs; lanes
     claim task numbers from one pipe, so no suite splits and the report
-    does not depend on the CPUs.  A child pickles its checks, or the
-    set-up error it raised (raised again here), back through a pipe of
-    its own and never returns.  A test that observes a runner's side
-    effects must select one task: a forked lane's do not reach this one."""
+    does not depend on the CPUs.  Only a single-threaded process forks;
+    any other runs every task itself.  A child pickles its checks back
+    through a pipe of its own and never returns; a lane that ends without
+    them fails the run.  A test that observes a runner's side effects
+    must select one task: a forked lane's do not reach this one."""
     import pickle
     linear = [s for s in selected if s in LINEAR_SUITES]
     tasks = [linear if s in linear[:1] else [s]
              for s in selected if s not in linear[1:]]
+    try:  # a process with another thread (BLAS) must not fork
+        single = len(os.listdir("/proc/self/task")) == 1
+        cpus = len(os.sched_getaffinity(0)) if single else 1
+    except (AttributeError, OSError):  # not Linux: one lane
+        cpus = 1
     queue, feed = os.pipe()
     os.write(feed, bytes(range(len(tasks))))
     os.close(feed)
@@ -1147,22 +1153,14 @@ def run_suites(ctx: SuiteContext, selected) -> list:
                 for (i,) in iter(lambda: os.read(queue, 1), b"")}
     done, children = {}, {}  # children: pid -> read end of its result pipe
     try:
-        cpus = (len(os.sched_getaffinity(0))  # Linux; elsewhere one lane
-                if hasattr(os, "sched_getaffinity") else 1)
         for _ in range(min(len(tasks), cpus) - 1):
             r, w = os.pipe()
             if (pid := os.fork()) == 0:
                 try:
                     for fd in (r, *children.values()):
                         os.close(fd)
-                    try:
-                        result = lane()
-                    except Exception as exc:
-                        import traceback
-                        traceback.print_exc()  # the pickled error loses it
-                        result = exc
                     with open(w, "wb") as out:  # a dead parent: broken pipe
-                        out.write(pickle.dumps(result))
+                        out.write(pickle.dumps(lane()))
                 finally:
                     os._exit(0)
             os.close(w)
@@ -1171,10 +1169,7 @@ def run_suites(ctx: SuiteContext, selected) -> list:
         for r in children.values():
             with open(r, "rb", closefd=False) as fh:
                 data = fh.read()
-            result = pickle.loads(data) if data else {}  # {}: the lane died
-            if isinstance(result, Exception):
-                raise result
-            done.update(result)
+            done.update(pickle.loads(data) if data else {})  # {}: the lane died
     finally:
         os.close(queue)
         for pid, r in children.items():

@@ -38,12 +38,10 @@ from qsh_lab import forms
 from qsh_lab import scalarfield as sf
 from qsh_lab.quaternion import Quaternion
 
-_CYCLIC = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
-
 
 def beta_basis_form(a: int) -> forms.VerticalForm:
     """beta_a = a0 ^ a_a + a_b ^ a_c (constant coefficients, ALPHA)."""
-    b, c = _CYCLIC[a]
+    b, c = forms.CYCLIC[a]
     terms = {(0, a): sf.ONE}
     key = tuple(sorted((b, c)))
     terms[key] = sf.ONE if (b, c) == key else sf.const(-1)

@@ -1,9 +1,3 @@
-import os
-
-# the CLI caps BLAS at one thread before numpy loads (`cli.main`); the tests
-# run under the same cap, so a forked lane never copies idle BLAS threads
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 import pytest
 
 from qsh_lab.liealg import enumerate_so_star_basis

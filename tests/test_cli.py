@@ -611,11 +611,66 @@ def test_a_failed_lane_fails_the_run(monkeypatch, tmp_path, failure):
     out = tmp_path / "r.json"
     with pytest.raises(RuntimeError) as err:
         run(RunConfig(ns=(2,), suites=("fiber", "flat"), output_path=str(out)))
-    if failure in ("raise", "raise-here"):
+    if failure == "raise-here":
         assert str(err.value) == "set-up failed"
-    else:
+    else:  # a forked lane that raises or exits returns no checks
         lost, = {"fiber", "flat"} - set(ran_here)
         assert str(err.value) == \
             f"a lane ended without the checks of suites ['{lost}']"
     assert not out.exists()
     _assert_no_child_left()
+
+
+# an os.fork spy that records the OS threads of the forking process, and
+# two CPUs for run_suites
+_FORK_SPY = """
+import os
+forks, fork = [], os.fork
+def spy():
+    forks.append(len(os.listdir("/proc/self/task")))
+    return fork()
+os.fork = spy
+os.sched_getaffinity = lambda pid: {0, 1}
+from qsh_lab.cli import RunConfig, run
+"""
+
+
+def _python(code, **env):
+    """The stdout of `code` in a fresh interpreter, whose environment sets
+    OPENBLAS_NUM_THREADS only if `env` does."""
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run([sys.executable, "-c", code], env={**environ, **env},
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_run_forks_lanes_from_one_thread():
+    # cli.run without cli.main: the linear run loads numpy, then the fiber
+    # run forks one lane, which must not copy a BLAS thread
+    out = _python(_FORK_SPY + f"""
+run(RunConfig(ns=(2,), suites=("model", "liealg", "curvature")))
+run(RunConfig(ns=(2,), suites=("fiber", "flat", "symspace"),
+              input_path={str(GOLDEN_F)!r}))
+print(forks)
+""")
+    assert out.strip() == "[1]"
+
+
+def test_a_threaded_process_forks_no_lane(monkeypatch):
+    # numpy loaded before qsh_lab with two BLAS threads: every task runs in
+    # the one process, and the report is the one-lane report
+    config = RunConfig(ns=(2,), seed=42, trials=3, input_path=str(GOLDEN_F))
+    out = _python("""
+import json, os
+import numpy
+threads = len(os.listdir("/proc/self/task"))
+""" + _FORK_SPY + f"""
+report, _ = run(RunConfig(ns=(2,), seed=42, trials=3,
+                          input_path={str(GOLDEN_F)!r}))
+print(json.dumps([threads, forks, report.to_json(omit_timing=True)]))
+""", OPENBLAS_NUM_THREADS="2")
+    threads, forks, text = json.loads(out)
+    if threads == 1:
+        pytest.skip("numpy started no BLAS thread on this host")
+    assert forks == []
+    _cpus(monkeypatch, 1)
+    assert text == run(config)[0].to_json(omit_timing=True)
