@@ -34,17 +34,23 @@ general exterior derivative lives in the DH coframe.
 Form equality is decided by simplify-then-sample: coefficients that fold
 to literal constants are compared exactly, the rest must `vanish` at
 random points with 0.5 <= |h| <= 2 (Schwartz-Zippel style identity
-testing).  Every randomized check samples through `sample`: a point
+testing).  Every randomized check samples through `sample` or
+`vanishes`, and both run one compiled loop over the fields
+(`scalarfield.scanner`): it draws each point with `sample_point`, or
+`sample_rational_point` at exact points, looked up when `sample` or
+`vanishes` is called, so these two stay the only point laws.  A point
 where a field raises ZeroDivisionError or ValueError is redrawn, up to
-MAX_DRAWS draws per trial; when they run out it raises SamplingError
-with the evaluated and rejected counts and the rejections by exception
-type, so no verdict rests on zero points.  OverflowError is not a
-rejection and propagates.  `vanishes` is the one residual rule: the
-worst |value| over all fields and points, a nan counting as inf, must
-be at most the tolerance, and at exact rational points an exact value
-must be exactly 0.  Only user-solution-residuals (a relative residual),
-obstruction-mechanics (a pointwise implication) and maurer-cartan-oracle
-(an exact comparison) judge the values of `sample` themselves.
+MAX_DRAWS draws per trial; when they run out the loop raises
+SamplingError with the evaluated and rejected counts and the rejections
+by exception type, so no verdict rests on zero points.  OverflowError is
+not a rejection and propagates.  `vanishes` is the one residual rule:
+the worst |value| over all fields and points, a nan counting as inf,
+must be at most the tolerance, and at exact rational points an exact
+value must be exactly 0.  At float points the compiled loop keeps that
+worst value itself.  Only user-solution-residuals (a relative
+residual), obstruction-mechanics (a pointwise implication) and
+maurer-cartan-oracle (an exact comparison) judge the values of `sample`
+themselves.
 """
 
 from __future__ import annotations
@@ -52,7 +58,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -332,7 +337,7 @@ class SamplingError(Exception):
     a ValueError: callers that reject bad input by ValueError must not
     mistake missing evidence for a verdict."""
 
-    def __init__(self, evaluated: int, reasons: Counter):
+    def __init__(self, evaluated: int, reasons: dict):
         self.evaluated, self.reasons = evaluated, dict(reasons)
         self.rejected = sum(reasons.values())
         by_type = ", ".join(f"{n} {k}" for k, n in sorted(reasons.items()))
@@ -342,30 +347,21 @@ class SamplingError(Exception):
 
 def sample(fields, trials: int, rng: random.Random, rational: bool = False):
     """Yield (point, values of the fields) at `trials` points where every
-    field evaluates: float values at float points, exact values at rational
-    ones.  Points raising ZeroDivisionError or ValueError are redrawn (at
-    most MAX_DRAWS draws per trial, else SamplingError).  trials < 1 is a
-    ValueError: no verdict may rest on zero points."""
+    field evaluates: a list of floats at float points, the tuple of exact
+    values at rational ones.  Points raising ZeroDivisionError or
+    ValueError are redrawn (at most MAX_DRAWS draws per trial, else
+    SamplingError).  trials < 1 is a ValueError: no verdict may rest on
+    zero points."""
+    return _scan(fields, "exact" if rational else "float", trials, rng)
+
+
+def _scan(fields, tail: str, trials: int, rng: random.Random):
+    """The compiled loop of `fields` with `tail` (scalarfield.scanner),
+    run over `trials` points of the point law of the tail's points."""
     if trials < 1:
         raise ValueError(f"sampling needs at least one trial, got {trials}")
-    return _sample(sf.evaluator(fields), trials, rng, rational)
-
-
-def _sample(evaluate, trials: int, rng: random.Random, rational: bool):
-    draw = sample_rational_point if rational else sample_point
-    reasons = Counter()  # rejected draws by exception type
-    for evaluated in range(trials):
-        for _ in range(MAX_DRAWS):
-            point = draw(rng)
-            try:
-                values = evaluate(point)
-                values = values if rational else [float(v) for v in values]
-                break
-            except (ZeroDivisionError, ValueError) as exc:
-                reasons[type(exc).__name__] += 1
-        else:
-            raise SamplingError(evaluated, reasons)
-        yield point, values
+    draw = sample_rational_point if tail == "exact" else sample_point
+    return sf.scanner(fields, tail)(draw, rng, trials, MAX_DRAWS, SamplingError)
 
 
 # --- randomized equality -------------------------------------------------------
@@ -382,11 +378,15 @@ def vanishes(fields, trials: int, tolerance: float, rng: random.Random,
     """Whether `fields` vanish at `trials` points drawn by `sample`, by the
     rule of the module docstring.  A failure's witness is the worst point,
     else the first exact nonzero one, with its own residual (>= ulp(0))."""
+    if not rational:  # the whole rule runs in the compiled loop
+        worst, witness = _scan(fields, "worst", trials, rng)
+        if worst > tolerance:
+            return EqualityReport(False, worst, witness)
+        return EqualityReport(True, worst)
     worst, witness, exact_failure = 0.0, None, None
     for point, values in sample(fields, trials, rng, rational):
-        nonzero = rational and any(v and type(v) is not float for v in values)
-        if rational:
-            values = [float(v) for v in values]
+        nonzero = any(v and type(v) is not float for v in values)
+        values = [float(v) for v in values]
         residual = max(abs(v) if v == v else math.inf for v in values)
         if nonzero and exact_failure is None:
             exact_failure = EqualityReport(False, residual or math.ulp(0.0), point)

@@ -15,23 +15,28 @@ Nor does ``Sub`` fold a derivative made once for both its sides, so a
 pass builds the fields of the tree walk, printed and evaluated.
 
 Evaluation is exact (Fraction) on rational subtrees and falls back to
-float where sqrt/exp/sin/cos force it.  ``evaluator`` walks the DAG under
-some fields once (fields in order, a before b, as the recursive
-definition evaluates) and writes, as it goes, one straight-line Python
-function: a line per constant and per distinct operation
-(``r7 = r4 * r5``).  So shared derivative subtrees cost one line per
-point, a point costs no interpreter dispatch per operation, and the first
-error raised is the same.  Building evaluates nothing: a subtree without
-variables is computed, and raises, at each point like any other.  At an
-all-float point constants enter as float(c), which ``Fraction op float``
-computes with anyway, so results are bit-identical; elsewhere they stay
-exact.
+float where sqrt/exp/sin/cos force it.  One walk of the DAG under some
+fields (fields in order, a before b, as the recursive definition
+evaluates) writes, as it goes, straight-line Python: a line per constant
+and per distinct operation (``r7 = r4 * r5``).  So shared derivative
+subtrees cost one line per point, a point costs no interpreter dispatch
+per operation, and the first error raised is the same.  ``evaluator``
+makes those lines one function of a fixed point (``Field.evaluate``,
+exact points of a formula).  ``scanner`` puts them inside one function
+that is a whole sampling loop: it draws each point, runs the lines,
+redraws a point they reject and keeps what its tail asks for (the
+values, or the worst residual), so a sampled point passes through no
+other Python frame than the draw's.  Building evaluates nothing: a
+subtree without variables is computed, and raises, at each point like
+any other.  At an all-float point constants enter as float(c), which
+``Fraction op float`` computes with anyway, so results are
+bit-identical; elsewhere they stay exact.
 
 Generating source is safe because nothing from the fields reaches it:
-the text is slot numbers, a fixed template per node type and fixed
-helper names.  Constants and exponents are passed in as data.  ``parse``
-caps the nodes of an input field (MAX_NODES), which bounds the source
-built from it and its derivatives.
+the text is slot numbers, a fixed template per node type, the fixed
+loop of ``scanner`` and fixed helper names.  Constants and exponents are
+passed in as data.  ``parse`` caps the nodes of an input field
+(MAX_NODES), which bounds the source built from it and its derivatives.
 
 The printable grammar (round-tripped by ``parse``):
 
@@ -74,7 +79,8 @@ class Field:
 
     def evaluate(self, point):
         """Evaluate at point = (v0, v1, v2, v3); a loop over many points
-        should build one ``evaluator`` instead."""
+        should build one ``evaluator``, or a ``scanner`` when it samples
+        them."""
         return evaluator((self,))(point)[0]
 
     def free_vars(self) -> frozenset:
@@ -414,7 +420,7 @@ def _as_float(c):
 
 # Source of one node over its operand slots a and b; for Pow the sign of
 # the exponent picks the template.  With the slot numbers, these fixed
-# strings are all the generated text.
+# strings and the loop templates of scanner are all the generated text.
 _SOURCE = {Add: "r{a} + r{b}", Sub: "r{a} - r{b}", Mul: "r{a} * r{b}",
            Div: "r{a} / r{b} if r{b} != 0 else _zero_div()", Neg: "-r{a}",
            Pow: ("r{a} ** r{b}", "_negative_power(r{a}, r{b})"),
@@ -422,29 +428,25 @@ _SOURCE = {Add: "r{a} + r{b}", Sub: "r{a} - r{b}", Mul: "r{a} * r{b}",
            Cos: "_cos(r{a})"}
 _GLOBALS = {"_zero_div": _zero_div, "_negative_power": _negative_power,
             "_sqrt": _sqrt, "_exp": math.exp, "_sin": math.sin,
-            "_cos": math.cos}
+            "_cos": math.cos, "_abs": abs, "_float": float, "_max": max,
+            "_range": range, "_type": type, "_inf": math.inf,
+            "_REJECTED": (ZeroDivisionError, ValueError)}
 
 
-def evaluator(fields):
-    """One evaluator for a sequence of fields: returns point -> tuple of
-    their values at point = (v0, v1, v2, v3), as ``Field.evaluate`` would
-    give them one by one, raising the first error that would raise.
-    Build it once, outside the loop over sample points: building writes
-    and compiles the function but evaluates nothing.
-
-    The source is run(r0, r1, r2, r3, K), one line per slot: r0..r3 hold
-    h0..h3, a constant slot reads K (exact values, or their floats at an
-    all-float point), and every other slot is one distinct (node type,
-    operand slots).  Only slot numbers and the fixed text of _SOURCE reach
-    it: constants and exponents travel in K."""
+def _program(fields):
+    """The DAG walk under `fields` (module docstring): (loads, steps,
+    outputs, exact K, float K).  A load line reads a constant from K
+    (``r5 = K[0]``) and cannot raise; the steps are one line per
+    distinct operation, in evaluation order; outputs are the slots of
+    the fields' values.  r0..r3 hold h0..h3."""
     exact, floats = [], []  # K at other points, K at all-float points
     slots = {}              # id(node) -> slot of its value
     numbered = {}           # rational constant, exponent or (type, a, b) -> slot
-    lines = ["def run(r0, r1, r2, r3, K):"]  # slot s is set on line s - 3
+    loads, steps = [], []
 
-    def emit(text, key):
-        slot = len(lines) + 3
-        lines.append(f" r{slot} = {text}")
+    def emit(lines, text, key):
+        slot = len(loads) + len(steps) + 4
+        lines.append(f"r{slot} = {text}")
         if key is not None:
             numbered[key] = slot
         return slot
@@ -452,12 +454,11 @@ def evaluator(fields):
     def constant(value, as_float, key=None):
         slot = numbered.get(key)
         if slot is None:
-            slot = emit(f"K[{len(exact)}]", key)
+            slot = emit(loads, f"K[{len(exact)}]", key)
             exact.append(value)
             floats.append(as_float)
         return slot
 
-    fields = tuple(fields)
     for root in fields:
         stack = [] if isinstance(root, Const) else [root]  # see outputs
         while stack:
@@ -486,22 +487,109 @@ def evaluator(fields):
                     b = slots[id(node.b)]
                 slot = numbered.get((type(node), a, b))
                 if slot is None:
-                    slot = emit(source.format(a=a, b=b), (type(node), a, b))
+                    slot = emit(steps, source.format(a=a, b=b), (type(node), a, b))
             slots[id(node)] = slot
             stack.pop()
     # a constant field keeps its exact value at float points too
     outputs = [constant(f.value, f.value) if isinstance(f, Const)
                else slots[id(f)] for f in fields]
-    lines.append(" return (" + "".join(f"r{s}, " for s in outputs) + ")")
+    return loads, steps, outputs, tuple(exact), tuple(floats)
+
+
+def _define(lines, name):
+    """The function `name` that the source `lines` define, run with only
+    the helpers of _GLOBALS in scope."""
     namespace = dict(_GLOBALS, __builtins__={})
     exec(compile("\n".join(lines), "<scalarfield evaluator>", "exec"), namespace)
-    run, exact, floats = namespace["run"], tuple(exact), tuple(floats)
+    return namespace[name]
+
+
+def evaluator(fields):
+    """One evaluator for a sequence of fields: returns point -> tuple of
+    their values at point = (v0, v1, v2, v3), as ``Field.evaluate`` would
+    give them one by one, raising the first error that would raise.
+    Build it once, outside the loop over fixed points (``scanner`` loops
+    over sampled ones): building writes and compiles the function but
+    evaluates nothing.
+
+    The source is run(r0, r1, r2, r3, K), the lines of _program and a
+    return of the outputs.  K holds the exact constants, or their floats
+    at an all-float point."""
+    loads, steps, outputs, exact, floats = _program(tuple(fields))
+    run = _define(["def run(r0, r1, r2, r3, K):",
+                   *(" " + line for line in loads + steps),
+                   " return (" + "".join(f"r{s}, " for s in outputs) + ")"], "run")
 
     def evaluate(point):
         h0, h1, h2, h3 = point
         return run(h0, h1, h2, h3, floats if type(h0) is type(h1) is type(h2)
                    is type(h3) is float else exact)
     return evaluate
+
+
+def scanner(fields, tail: str):
+    """The sampling loop over `fields`, compiled into one function:
+    scan(draw, rng, trials, max_draws, fail).
+
+    For each of `trials` points it calls draw(rng) and evaluates the
+    fields there (the lines of _program; the constants are loaded once,
+    before the loop).  A point where that raises ZeroDivisionError or
+    ValueError is redrawn, at most `max_draws` draws a point; when they
+    run out it raises fail(points evaluated, {exception type name:
+    rejections}).  Any other error propagates.  The tail says what the
+    loop keeps of an evaluated point:
+
+      "float"  yields (point, list of the values as floats), with K
+               holding floats, for the all-float points of
+               forms.sample_point
+      "exact"  yields (point, tuple of the values), with K holding the
+               exact constants, for rational points
+      "worst"  returns (worst, witness): the largest |float(value)| over
+               all fields and points, a nan counting as inf, and the
+               first point where it was reached (0.0 and None when every
+               value is 0), with K holding floats
+
+    Building writes and compiles the function but evaluates nothing."""
+    loads, steps, outputs, exact, floats = _program(tuple(fields))
+    if tail == "worst":
+        head = ["worst, witness = 0.0, None"]
+        kept = [f"v{i} = _float(r{s})" for i, s in enumerate(outputs)]
+        after = ["residual = _max((" + "".join(
+                     f"_abs(v{i}) if v{i} == v{i} else _inf, "
+                     for i in range(len(outputs))) + "))",
+                 "if residual > worst:",
+                 " worst, witness = residual, point"]
+        end = ["return worst, witness"]
+    elif tail in ("float", "exact"):
+        values = "".join((f"_float(r{s}), " if tail == "float" else f"r{s}, ")
+                         for s in outputs)
+        head, end, after = [], [], ["yield point, values"]
+        kept = [f"values = [{values}]" if tail == "float" else f"values = ({values})"]
+    else:
+        raise ValueError(f"unknown tail {tail!r}")
+    run = _define([
+        "def scan(draw, rng, trials, max_draws, fail, K):",
+        *(" " + line for line in loads + head),
+        " reasons = {}",
+        " for evaluated in _range(trials):",
+        "  for _ in _range(max_draws):",
+        "   point = draw(rng)",
+        "   try:",
+        "    r0, r1, r2, r3 = point",
+        *("    " + line for line in steps + kept),
+        "    break",
+        "   except _REJECTED as exc:",
+        "    name = _type(exc).__name__",
+        "    reasons[name] = reasons.get(name, 0) + 1",
+        "  else:",
+        "   raise fail(evaluated, reasons)",
+        *("  " + line for line in after),
+        *(" " + line for line in end)], "scan")
+    K = exact if tail == "exact" else floats
+
+    def scan(draw, rng, trials, max_draws, fail):
+        return run(draw, rng, trials, max_draws, fail, K)
+    return scan
 
 
 # --- parser -----------------------------------------------------------------

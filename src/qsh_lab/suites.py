@@ -31,6 +31,12 @@ residual, its Ricci tensor and its sparse primitive row, each with an
 outcome of its own, and drops the tensor; the pinned Bianchi, Ricci and
 map-rank checks read them.  No check holds a tensor past its own body;
 the pass keeps one sparse row per element (about 8 MB at n = 8).
+
+`run_suites` runs the checks in lanes, a task at a time.  The selected
+linear suites are one task, since their checks share that set-up; every
+check of the sampled suites (fiber, flat, symspace) is a task of its
+own, since each draws from its own rng and builds all it uses.  Task
+numbers are single bytes, so a run holds at most 256 tasks.
 """
 
 from __future__ import annotations
@@ -136,9 +142,11 @@ def _run(suite: str, name: str, anchor: str, fn) -> CheckResult | None:
                        wall_time=time.perf_counter() - start)
 
 
-def _run_suite(suite: str, ctx: SuiteContext) -> list:
+def _run_suite(suite: str, ctx: SuiteContext, check: str = None) -> list:
+    """The records of the checks of `suite`, or of its one check
+    registered as `check`."""
     records = (_run(suite, name.format(n=n), anchor, functools.partial(fn, ctx, n))
-               for name, anchor, fn in CHECKS[suite]
+               for name, anchor, fn in CHECKS[suite] if check in (None, name)
                for n in (ctx.ns if "{n}" in name else (None,)))
     return [record for record in records if record is not None]
 
@@ -1127,18 +1135,24 @@ LINEAR_SUITES = ("model", "liealg", "curvature")  # one task: they share ctx.mod
 def run_suites(ctx: SuiteContext, selected) -> list:
     """The checks of the `selected` suites, run in min(tasks, CPUs) lanes.
 
-    The linear suites are one task and every other suite is a task.  This
-    process is one lane and forks the others before any suite runs; lanes
-    claim task numbers from one pipe, so no suite splits and the report
-    does not depend on the CPUs.  Only a single-threaded process forks;
-    any other runs every task itself.  A child pickles its checks back
-    through a pipe of its own and never returns; a lane that ends without
-    them fails the run.  A test that observes a runner's side effects
-    must select one task: a forked lane's do not reach this one."""
+    A task is a list of runner calls (suite, arguments after ctx).  The
+    selected linear suites are one task, claimed first, since they share
+    ctx.model, the basis and the pinned pass; every check of the other
+    suites is a task of its own, in registry order, which calls
+    SUITE_RUNNERS[suite] for that check alone.  This process is one lane and forks the others before any
+    task runs; lanes claim task numbers, one byte each, from one pipe, so
+    a run holds at most 256 tasks (24 with every suite).  Each check
+    draws from its own rng, so the report does not depend on the CPUs;
+    the records come back in task order.  Only a single-threaded process
+    forks; any other runs every task itself.  A child pickles its checks
+    back through a pipe of its own and never returns; a lane that ends
+    without them fails the run.  A test that observes a runner's side
+    effects must select one task: a forked lane's do not reach this one."""
     import pickle
-    linear = [s for s in selected if s in LINEAR_SUITES]
-    tasks = [linear if s in linear[:1] else [s]
-             for s in selected if s not in linear[1:]]
+    linear = [(s, ()) for s in selected if s in LINEAR_SUITES]
+    tasks = ([linear] if linear else []) + [
+        [(s, (name,))] for s in selected if s not in LINEAR_SUITES
+        for name, _, _ in CHECKS[s]]
     try:  # a process with another thread (BLAS) must not fork
         single = len(os.listdir("/proc/self/task")) == 1
         cpus = len(os.sched_getaffinity(0)) if single else 1
@@ -1149,7 +1163,7 @@ def run_suites(ctx: SuiteContext, selected) -> list:
     os.close(feed)
 
     def lane():
-        return {i: [c for s in tasks[i] for c in SUITE_RUNNERS[s](ctx)]
+        return {i: [c for s, args in tasks[i] for c in SUITE_RUNNERS[s](ctx, *args)]
                 for (i,) in iter(lambda: os.read(queue, 1), b"")}
     done, children = {}, {}  # children: pid -> read end of its result pipe
     try:
@@ -1175,7 +1189,8 @@ def run_suites(ctx: SuiteContext, selected) -> list:
         for pid, r in children.items():
             os.close(r)
             os.waitpid(pid, 0)
-    lost = [s for i, task in enumerate(tasks) if i not in done for s in task]
+    lost = list(dict.fromkeys(s for i, task in enumerate(tasks) if i not in done
+                              for s, _ in task))  # each suite once
     if lost:
         raise RuntimeError(f"a lane ended without the checks of suites {lost}")
     return [c for i in range(len(tasks)) for c in done[i]]

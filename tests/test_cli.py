@@ -550,10 +550,16 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _checks(*selected):
+    """The number of checks registered in the `selected` suites."""
+    return sum(len(suites.CHECKS[s]) for s in selected)
+
+
 @pytest.mark.parametrize("selected, input_path, tasks", [
-    (("all",), None, 4),  # the linear suites are one task
-    (("fiber", "flat", "symspace"), str(GOLDEN_F), 3),
-    (("flat",), str(GOLDEN_F), 1)])
+    # the linear suites are one task, and every other check is one
+    (("all",), None, 1 + _checks("fiber", "flat", "symspace")),
+    (("fiber", "flat", "symspace"), str(GOLDEN_F), _checks("fiber", "flat", "symspace")),
+    (("flat",), str(GOLDEN_F), _checks("flat"))])
 def test_report_does_not_depend_on_the_lane_count(monkeypatch, selected,
                                                   input_path, tasks):
     forks, fork = [], os.fork
@@ -580,21 +586,27 @@ def test_report_does_not_depend_on_the_lane_count(monkeypatch, selected,
 @pytest.mark.parametrize("failure", ["raise", "exit", "system-exit",
                                      "raise-here"])
 def test_a_failed_lane_fails_the_run(monkeypatch, tmp_path, failure):
-    # two tasks in two lanes: one runner fails in the forked lane (or, for
-    # raise-here, in this one), the other returns no checks
+    # a task per check in two lanes: this lane holds its first task until
+    # the forked lane has claimed a flat check.  The forked lane returns no
+    # checks for the fiber tasks it claims and fails on its first flat one
+    # (or, for raise-here, this lane fails on its first task), so checks of
+    # both suites die with it
     here, claimed = os.getpid(), tmp_path / "claimed"
     ran_here = []
 
-    def runner(name):
-        def run_suite(ctx):
+    def runner(suite):
+        def run_check(ctx, check):
             if os.getpid() == here:
-                ran_here.append(name)
+                ran_here.append(suite)
                 if failure == "raise-here":
                     raise RuntimeError("set-up failed")
                 deadline = time.monotonic() + 30
                 while not claimed.exists() and time.monotonic() < deadline:
-                    time.sleep(0.01)  # until the other lane has a task
+                    time.sleep(0.01)  # until the other lane has a flat check
                 return []
+            if suite == "fiber":
+                return []
+            first = not claimed.exists()
             claimed.touch()
             if failure == "raise":
                 raise RuntimeError("set-up failed")
@@ -602,9 +614,10 @@ def test_a_failed_lane_fails_the_run(monkeypatch, tmp_path, failure):
                 os._exit(3)
             if failure == "system-exit":  # must not return into pytest
                 raise SystemExit(0)
-            time.sleep(0.2)  # still running when this lane fails
+            if first:
+                time.sleep(0.2)  # still running when this lane fails
             return []
-        return run_suite
+        return run_check
     for name in ("fiber", "flat"):
         monkeypatch.setitem(suites.SUITE_RUNNERS, name, runner(name))
     _cpus(monkeypatch, 2)
@@ -614,9 +627,9 @@ def test_a_failed_lane_fails_the_run(monkeypatch, tmp_path, failure):
     if failure == "raise-here":
         assert str(err.value) == "set-up failed"
     else:  # a forked lane that raises or exits returns no checks
-        lost, = {"fiber", "flat"} - set(ran_here)
+        assert "flat" in ran_here  # the flat checks it left ran here
         assert str(err.value) == \
-            f"a lane ended without the checks of suites ['{lost}']"
+            "a lane ended without the checks of suites ['fiber', 'flat']"
     assert not out.exists()
     _assert_no_child_left()
 

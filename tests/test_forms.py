@@ -5,9 +5,12 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsh_lab import forms
 from qsh_lab import scalarfield as sf
+from qsh_lab import suites
 from qsh_lab.quaternion import Quaternion
 from qsh_lab.swann import beta_basis_form
 
@@ -292,11 +295,74 @@ def test_sample_without_rejections_matches_sample_point_loop():
 def test_vanishes_samples_constant_fields():
     # a constant field is evaluated like any other, so vanishes draws the
     # points that sample draws for the same fields, redraws included
-    for fields in [(sf.ZERO,), (sf.ONE, sf.sqrt(sf.H0), sf.ZERO)]:
+    for fields in [(sf.ZERO,), (sf.ONE, sf.sqrt(sf.H0), sf.ZERO),
+                   (sf.const(Fraction(1, 3)), sf.sqrt(sf.H1))]:
         rng, ref = random.Random(6), random.Random(6)
         forms.vanishes(fields, 15, 1e-10, rng)
         list(forms.sample(fields, 15, ref))
         assert rng.getstate() == ref.getstate()
+
+
+def _reference_vanishes(fields, trials, tolerance, rng):
+    """vanishes at float points as a loop over one evaluator: draw, redraw
+    on ZeroDivisionError or ValueError, and keep the worst |value|, a nan
+    counting as inf."""
+    evaluate = sf.evaluator(fields)
+    worst, witness, reasons = 0.0, None, Counter()
+    for evaluated in range(trials):
+        for _ in range(forms.MAX_DRAWS):
+            point = forms.sample_point(rng)
+            try:
+                values = [float(v) for v in evaluate(point)]
+                break
+            except (ZeroDivisionError, ValueError) as exc:
+                reasons[type(exc).__name__] += 1
+        else:
+            raise forms.SamplingError(evaluated, reasons)
+        residual = max(abs(v) if v == v else math.inf for v in values)
+        if residual > worst:
+            worst, witness = residual, point
+    if worst > tolerance:
+        return forms.EqualityReport(False, worst, witness)
+    return forms.EqualityReport(True, worst)
+
+
+def _outcome(vanishes, fields, trials, tolerance, seed):
+    """What vanishes returns or raises, and the rng's state after it."""
+    rng = random.Random(seed)
+    try:
+        result = vanishes(fields, trials, tolerance, rng)
+        result = (result.equal, result.max_residual.hex(), result.witness)
+    except forms.SamplingError as exc:
+        result = ("no evidence", exc.evaluated, exc.reasons, str(exc))
+    return result, rng.getstate()
+
+
+@given(st.integers(0, 2 ** 32), st.integers(1, 3),
+       st.sets(st.sampled_from(["sqrt", "constant", "zero", "nan"])),
+       st.integers(1, 30), st.sampled_from([0.0, 1e-10, 1.0, math.inf]))
+@settings(max_examples=120, deadline=None)
+def test_vanishes_matches_a_reference_loop(seed, count, extras, trials, tolerance):
+    # fields as the sampled suites build them, with a field that forces
+    # redraws (sqrt(h0)), constant fields and a nan; the worst residual
+    # agrees bit for bit, with its witness and every draw
+    rng = random.Random(seed)
+    fields = [suites._random_field(rng) for _ in range(count)]
+    fields += [{"sqrt": sf.sqrt(sf.H0), "zero": sf.ZERO,
+                "constant": sf.const(Fraction(rng.randint(-9, 9), 7)),
+                "nan": sf.mul(sf.const(math.nan), sf.H1)}[e]
+               for e in sorted(extras)]
+    assert (_outcome(forms.vanishes, fields, trials, tolerance, seed)
+            == _outcome(_reference_vanishes, fields, trials, tolerance, seed))
+
+
+def test_vanishes_without_evidence_matches_the_reference_loop():
+    for fields in [(_UNDEFINED,), (sf.H0, _UNDEFINED),
+                   (sf.sqrt(sf.neg(sf.H0)), sf.div(sf.ONE, sf.sub(
+                       sf.mul(sf.TWO, sf.H0), sf.add(sf.H0, sf.H0))))]:
+        got = _outcome(forms.vanishes, fields, 5, 1e-10, 4)
+        assert got[0][0] == "no evidence"
+        assert got == _outcome(_reference_vanishes, fields, 5, 1e-10, 4)
 
 
 def test_sample_redraws_only_rejected_points():

@@ -1,24 +1,28 @@
 """Mutation tests: a check is shown to fail on a wrong model or form.
 
-A mutation wraps one function of `suites` and changes its value; the
-check it is listed under, run through `suites._run` at n = 2, must pass
-without it and fail with it.  The table covers the model checks."""
+A mutation replaces one function or constant of the library; the check
+it is listed under, run through `suites._run` at n = 2, must pass
+without it and fail with it.  The tables cover the model checks and the
+sampled checks that decide through `forms.vanishes`."""
 
 import functools
 from dataclasses import replace
 
 import pytest
 
-from qsh_lab import suites
+from qsh_lab import forms
+from qsh_lab import scalarfield as sf
+from qsh_lab import suites, swann
 from qsh_lab.matrices import QArray
 from qsh_lab.suites import CHECKS, SuiteContext, _run
 
 
-def _model_record(check):
-    """The record of the model check `check` at n = 2."""
-    ctx = SuiteContext(seed=1, ns=(2,))
-    (name, anchor, fn), = [c for c in CHECKS["model"] if c[0] == check + "[n={n}]"]
-    return _run("model", name.format(n=2), anchor, functools.partial(fn, ctx, 2))
+def _record(suite, check, **options):
+    """The record of the check `check` of `suite` at n = 2."""
+    ctx = SuiteContext(seed=1, ns=(2,), **options)
+    (name, anchor, fn), = [c for c in CHECKS[suite] if c[0] in (check, check + "[n={n}]")]
+    n = 2 if "{n}" in name else None
+    return _run(suite, name.format(n=n), anchor, functools.partial(fn, ctx, n))
 
 
 def _with(a: QArray, index, value) -> QArray:
@@ -58,8 +62,71 @@ _MODEL_MUTATIONS = {
 
 @pytest.mark.parametrize("check", _MODEL_MUTATIONS)
 def test_a_mutation_fails_its_model_check(monkeypatch, check):
-    assert _model_record(check).passed
+    assert _record("model", check).passed
     target, mutate = _MODEL_MUTATIONS[check]
     real = getattr(suites, target)
     monkeypatch.setattr(suites, target, lambda *args: mutate(real(*args)))
-    assert not _model_record(check).passed
+    assert not _record("model", check).passed
+
+
+def _wrapped(mutate):
+    """A mutation of a function: its value changed by `mutate`."""
+    return lambda real: lambda *args: mutate(real(*args))
+
+
+def _negated(form, key):
+    """`form` with the coefficient of `key` negated."""
+    return forms.VerticalForm(form.coframe, form.degree,
+                              {**form.terms, key: sf.neg(form.terms[key])})
+
+
+def _with_entry(rows, i, j, value):
+    """A copy of the rows `rows` with rows[i][j] = value."""
+    rows = [list(row) for row in rows]
+    rows[i][j] = value
+    return rows
+
+
+# for each sampled check: the module (or class) and attribute to replace,
+# and the replacement as a function of the real value
+_SAMPLED_MUTATIONS = {
+    # a0 = t^-3 (h0 dh0 - h1 dh1 + ...) is no longer closed
+    "dalpha0-zero": ("fiber", forms, "ALPHA_IN_DH",
+                     lambda real: (_negated(real[0], (1,)), *real[1:])),
+    # to_dh off by a factor t^2: d(t^2 beta_a) = 2t dt ^ beta_a, and only
+    # the coordinate path expands in DH
+    "dbeta-trivial-fiber-two-paths": ("fiber", forms, "to_dh",
+                                      _wrapped(lambda u: forms.scale(forms.T2, u))),
+    # M[1][2] = h3 negated: det M is no longer t^4
+    "top-form-determinant": ("fiber", forms, "COFRAME_MATRIX",
+                             lambda real: _with_entry(real, 1, 2, sf.neg(real[1][2]))),
+    # the product rule without its a db term
+    "exterior-algebra-laws": ("fiber", sf.Mul, "_d",
+                              lambda real: lambda self, var, d: sf.mul(d(self.a), self.b)),
+    # beta_a = a0 ^ a_a - a_b ^ a_c, not closed: both sides are built from
+    # it, and d(sum f_a beta_a) keeps sum f_a d beta_a
+    "dbeta-general-coefficients": ("fiber", swann, "beta_basis_form",
+                                   _wrapped(lambda u: _negated(u, max(u.terms)))),
+    # residual 1 sums + dF3/dh2 instead of - dF3/dh2
+    "pde-dbeta-equivalence": ("flat", swann, "PDE_TERMS",
+                              lambda real: ((real[0][0], (3, 2, 1), real[0][2]),
+                                            *real[1:])),
+    # the dh1^dh3 coefficient of beta is +F2, so d beta = 2 dh1^dh2^dh3
+    "pde-hand-solution": ("flat", swann, "beta_of_F",
+                          _wrapped(lambda u: _negated(u, (1, 3)))),
+    # f3 negated in the change of presentation
+    "family-cross-representation": ("flat", swann, "f_from_F",
+                                    _wrapped(lambda f: (f[0], f[1], sf.neg(f[2])))),
+    # exp(f) replaced by h0 + 3
+    "primitive-df-equals-tau": ("symspace", swann, "symspace_exp_f",
+                                lambda real: lambda params: sf.add(sf.H0, sf.const(3))),
+}
+
+
+@pytest.mark.parametrize("check", _SAMPLED_MUTATIONS)
+def test_a_mutation_fails_its_sampled_check(monkeypatch, check):
+    suite, holder, attribute, mutate = _SAMPLED_MUTATIONS[check]
+    assert _record(suite, check, trials=5).passed
+    monkeypatch.setattr(holder, attribute, mutate(getattr(holder, attribute)))
+    record = _record(suite, check, trials=5)
+    assert not record.passed and record.residual, record.detail
