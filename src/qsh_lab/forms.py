@@ -46,8 +46,9 @@ by exception type, so no verdict rests on zero points.  OverflowError is
 not a rejection and propagates.  `vanishes` is the one residual rule:
 the worst |value| over all fields and points, a nan counting as inf,
 must be at most the tolerance, and at exact rational points an exact
-value must be exactly 0.  At float points the compiled loop keeps that
-worst value itself.  Only user-solution-residuals (a relative
+value must be exactly 0.  One compiled loop decides that rule at both
+point kinds: it keeps the worst value itself and, at exact points, the
+first exact nonzero one.  Only user-solution-residuals (a relative
 residual), obstruction-mechanics (a pointwise implication) and
 maurer-cartan-oracle (an exact comparison) judge the values of `sample`
 themselves.
@@ -352,16 +353,16 @@ def sample(fields, trials: int, rng: random.Random, rational: bool = False):
     ValueError are redrawn (at most MAX_DRAWS draws per trial, else
     SamplingError).  trials < 1 is a ValueError: no verdict may rest on
     zero points."""
-    return _scan(fields, "exact" if rational else "float", trials, rng)
+    return _scan(fields, "values", trials, rng, rational)
 
 
-def _scan(fields, tail: str, trials: int, rng: random.Random):
+def _scan(fields, tail: str, trials: int, rng: random.Random, rational: bool):
     """The compiled loop of `fields` with `tail` (scalarfield.scanner),
-    run over `trials` points of the point law of the tail's points."""
+    run over `trials` points of the point law of `rational`."""
     if trials < 1:
         raise ValueError(f"sampling needs at least one trial, got {trials}")
-    draw = sample_rational_point if tail == "exact" else sample_point
-    return sf.scanner(fields, tail)(draw, rng, trials, MAX_DRAWS, SamplingError)
+    draw = sample_rational_point if rational else sample_point
+    return sf.scanner(fields, tail, rational)(draw, rng, trials, MAX_DRAWS, SamplingError)
 
 
 # --- randomized equality -------------------------------------------------------
@@ -376,25 +377,15 @@ class EqualityReport:
 def vanishes(fields, trials: int, tolerance: float, rng: random.Random,
              rational: bool = False) -> EqualityReport:
     """Whether `fields` vanish at `trials` points drawn by `sample`, by the
-    rule of the module docstring.  A failure's witness is the worst point,
-    else the first exact nonzero one, with its own residual (>= ulp(0))."""
-    if not rational:  # the whole rule runs in the compiled loop
-        worst, witness = _scan(fields, "worst", trials, rng)
-        if worst > tolerance:
-            return EqualityReport(False, worst, witness)
-        return EqualityReport(True, worst)
-    worst, witness, exact_failure = 0.0, None, None
-    for point, values in sample(fields, trials, rng, rational):
-        nonzero = any(v and type(v) is not float for v in values)
-        values = [float(v) for v in values]
-        residual = max(abs(v) if v == v else math.inf for v in values)
-        if nonzero and exact_failure is None:
-            exact_failure = EqualityReport(False, residual or math.ulp(0.0), point)
-        if residual > worst:
-            worst, witness = residual, point
+    rule of the module docstring, which one compiled loop decides at both
+    point kinds.  A failure's witness is the worst point, else the first
+    exact nonzero one, with its own residual (>= ulp(0))."""
+    worst, witness, failure = _scan(fields, "worst", trials, rng, rational)
     if worst > tolerance:
         return EqualityReport(False, worst, witness)
-    return exact_failure or EqualityReport(True, worst)
+    if failure:
+        return EqualityReport(False, *failure)
+    return EqualityReport(True, worst)
 
 
 def equal(u: VerticalForm, v: VerticalForm, trials: int = 100,

@@ -23,14 +23,15 @@ subtrees cost one line per point, a point costs no interpreter dispatch
 per operation, and the first error raised is the same.  ``evaluator``
 makes those lines one function of a fixed point (``Field.evaluate``,
 exact points of a formula).  ``scanner`` puts them inside one function
-that is a whole sampling loop: it draws each point, runs the lines,
-redraws a point they reject and keeps what its tail asks for (the
-values, or the worst residual), so a sampled point passes through no
-other Python frame than the draw's.  Building evaluates nothing: a
-subtree without variables is computed, and raises, at each point like
-any other.  At an all-float point constants enter as float(c), which
-``Fraction op float`` computes with anyway, so results are
-bit-identical; elsewhere they stay exact.
+that is a whole sampling loop, at float or at exact points, fixed when
+it is built: it draws each point, runs the lines, redraws a point they
+reject and keeps what its tail asks for (the values, or the worst
+residual), so a sampled point passes through no other Python frame than
+the draw's.  Building evaluates nothing: a subtree without variables is
+computed, and raises, at each point like any other.  Fixed points and
+exact scans use the exact constants.  In a float scan constants enter
+as float(c), which ``Fraction op float`` computes with anyway, so
+results are bit-identical.
 
 Generating source is safe because nothing from the fields reaches it:
 the text is slot numbers, a fixed template per node type, the fixed
@@ -430,7 +431,7 @@ _GLOBALS = {"_zero_div": _zero_div, "_negative_power": _negative_power,
             "_sqrt": _sqrt, "_exp": math.exp, "_sin": math.sin,
             "_cos": math.cos, "_abs": abs, "_float": float, "_max": max,
             "_range": range, "_type": type, "_inf": math.inf,
-            "_REJECTED": (ZeroDivisionError, ValueError)}
+            "_ulp": math.ulp(0.0), "_REJECTED": (ZeroDivisionError, ValueError)}
 
 
 def _program(fields):
@@ -439,7 +440,7 @@ def _program(fields):
     (``r5 = K[0]``) and cannot raise; the steps are one line per
     distinct operation, in evaluation order; outputs are the slots of
     the fields' values.  r0..r3 hold h0..h3."""
-    exact, floats = [], []  # K at other points, K at all-float points
+    exact, floats = [], []  # K at exact points, K at float points
     slots = {}              # id(node) -> slot of its value
     numbered = {}           # rational constant, exponent or (type, a, b) -> slot
     loads, steps = [], []
@@ -451,16 +452,16 @@ def _program(fields):
             numbered[key] = slot
         return slot
 
-    def constant(value, as_float, key=None):
+    def constant(value, key):
         slot = numbered.get(key)
         if slot is None:
             slot = emit(loads, f"K[{len(exact)}]", key)
             exact.append(value)
-            floats.append(as_float)
+            floats.append(_as_float(value))
         return slot
 
     for root in fields:
-        stack = [] if isinstance(root, Const) else [root]  # see outputs
+        stack = [root]
         while stack:
             node = stack[-1]
             if id(node) in slots:
@@ -471,8 +472,7 @@ def _program(fields):
             elif isinstance(node, Const):
                 # floats are not shared: 0.0 == -0.0 and nan != nan
                 v = node.value
-                slot = constant(v, _as_float(v),
-                                None if isinstance(v, float) else (type(v), v))
+                slot = constant(v, None if isinstance(v, float) else (type(v), v))
             else:
                 kids = (node.b, node.a) if isinstance(node, _Binary) else (node.a,)
                 pending = [kid for kid in kids if id(kid) not in slots]
@@ -482,7 +482,7 @@ def _program(fields):
                 a, b, source = slots[id(node.a)], None, _SOURCE[type(node)]
                 if isinstance(node, Pow):
                     k = node.exponent
-                    b, source = constant(k, k, k), source[k < 0]
+                    b, source = constant(k, k), source[k < 0]
                 elif isinstance(node, _Binary):
                     b = slots[id(node.b)]
                 slot = numbered.get((type(node), a, b))
@@ -490,16 +490,13 @@ def _program(fields):
                     slot = emit(steps, source.format(a=a, b=b), (type(node), a, b))
             slots[id(node)] = slot
             stack.pop()
-    # a constant field keeps its exact value at float points too
-    outputs = [constant(f.value, f.value) if isinstance(f, Const)
-               else slots[id(f)] for f in fields]
-    return loads, steps, outputs, tuple(exact), tuple(floats)
+    return loads, steps, [slots[id(f)] for f in fields], tuple(exact), tuple(floats)
 
 
-def _define(lines, name):
+def _define(lines, name, K):
     """The function `name` that the source `lines` define, run with only
-    the helpers of _GLOBALS in scope."""
-    namespace = dict(_GLOBALS, __builtins__={})
+    the helpers of _GLOBALS and the constants K in scope."""
+    namespace = dict(_GLOBALS, K=K, __builtins__={})
     exec(compile("\n".join(lines), "<scalarfield evaluator>", "exec"), namespace)
     return namespace[name]
 
@@ -512,24 +509,21 @@ def evaluator(fields):
     over sampled ones): building writes and compiles the function but
     evaluates nothing.
 
-    The source is run(r0, r1, r2, r3, K), the lines of _program and a
-    return of the outputs.  K holds the exact constants, or their floats
-    at an all-float point."""
-    loads, steps, outputs, exact, floats = _program(tuple(fields))
-    run = _define(["def run(r0, r1, r2, r3, K):",
-                   *(" " + line for line in loads + steps),
-                   " return (" + "".join(f"r{s}, " for s in outputs) + ")"], "run")
-
-    def evaluate(point):
-        h0, h1, h2, h3 = point
-        return run(h0, h1, h2, h3, floats if type(h0) is type(h1) is type(h2)
-                   is type(h3) is float else exact)
-    return evaluate
+    The source is run(point), the lines of _program and a return of the
+    outputs, over the exact constants."""
+    loads, steps, outputs, exact, _ = _program(tuple(fields))
+    return _define(["def run(point):",
+                    " r0, r1, r2, r3 = point",
+                    *(" " + line for line in loads + steps),
+                    " return (" + "".join(f"r{s}, " for s in outputs) + ")"],
+                   "run", exact)
 
 
-def scanner(fields, tail: str):
+def scanner(fields, tail: str, exact: bool):
     """The sampling loop over `fields`, compiled into one function:
-    scan(draw, rng, trials, max_draws, fail).
+    scan(draw, rng, trials, max_draws, fail), for points of the kind
+    fixed here: exact (rational) points, with K holding the exact
+    constants, or float points, with K holding their floats.
 
     For each of `trials` points it calls draw(rng) and evaluates the
     fields there (the lines of _program; the constants are loaded once,
@@ -539,36 +533,39 @@ def scanner(fields, tail: str):
     rejections}).  Any other error propagates.  The tail says what the
     loop keeps of an evaluated point:
 
-      "float"  yields (point, list of the values as floats), with K
-               holding floats, for the all-float points of
-               forms.sample_point
-      "exact"  yields (point, tuple of the values), with K holding the
-               exact constants, for rational points
-      "worst"  returns (worst, witness): the largest |float(value)| over
-               all fields and points, a nan counting as inf, and the
-               first point where it was reached (0.0 and None when every
-               value is 0), with K holding floats
+      "values"  yields (point, values): a list of the values as floats
+                at float points, the tuple of the values at exact ones
+      "worst"   returns (worst, witness, failure): the largest
+                |float(value)| over all fields and points, a nan counting
+                as inf, and the first point where it was reached (0.0
+                and None when every value is 0); at exact points failure
+                is (its residual or ulp(0), point) for the first point
+                with an exact nonzero value, else None, as it always is
+                at float points
 
     Building writes and compiles the function but evaluates nothing."""
-    loads, steps, outputs, exact, floats = _program(tuple(fields))
+    loads, steps, outputs, exact_K, float_K = _program(tuple(fields))
     if tail == "worst":
-        head = ["worst, witness = 0.0, None"]
+        head = ["worst, witness, failure = 0.0, None, None"]
         kept = [f"v{i} = _float(r{s})" for i, s in enumerate(outputs)]
         after = ["residual = _max((" + "".join(
                      f"_abs(v{i}) if v{i} == v{i} else _inf, "
                      for i in range(len(outputs))) + "))",
                  "if residual > worst:",
                  " worst, witness = residual, point"]
-        end = ["return worst, witness"]
-    elif tail in ("float", "exact"):
-        values = "".join((f"_float(r{s}), " if tail == "float" else f"r{s}, ")
-                         for s in outputs)
+        if exact:
+            after += ["if failure is None and (" + " or ".join(
+                          f"r{s} and _type(r{s}) is not _float" for s in outputs) + "):",
+                      " failure = residual or _ulp, point"]
+        end = ["return worst, witness, failure"]
+    elif tail == "values":
+        values = "".join(f"r{s}, " if exact else f"_float(r{s}), " for s in outputs)
         head, end, after = [], [], ["yield point, values"]
-        kept = [f"values = [{values}]" if tail == "float" else f"values = ({values})"]
+        kept = [f"values = ({values})" if exact else f"values = [{values}]"]
     else:
         raise ValueError(f"unknown tail {tail!r}")
-    run = _define([
-        "def scan(draw, rng, trials, max_draws, fail, K):",
+    return _define([
+        "def scan(draw, rng, trials, max_draws, fail):",
         *(" " + line for line in loads + head),
         " reasons = {}",
         " for evaluated in _range(trials):",
@@ -584,12 +581,7 @@ def scanner(fields, tail: str):
         "  else:",
         "   raise fail(evaluated, reasons)",
         *("  " + line for line in after),
-        *(" " + line for line in end)], "scan")
-    K = exact if tail == "exact" else floats
-
-    def scan(draw, rng, trials, max_draws, fail):
-        return run(draw, rng, trials, max_draws, fail, K)
-    return scan
+        *(" " + line for line in end)], "scan", exact_K if exact else float_K)
 
 
 # --- parser -----------------------------------------------------------------

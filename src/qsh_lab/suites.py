@@ -184,6 +184,13 @@ def _rational_vector(rng: random.Random, dim: int) -> QArray:
                       for _ in range(dim)])
 
 
+def _quaternions(v: QArray) -> list:
+    """The quaternionic components of v * v.scale, a vector of H^n with
+    integer coordinates, in the coordinate convention of linmodel."""
+    c = v.values.tolist()
+    return [Quaternion(*c[i:i + 4]) for i in range(0, len(c), 4)]
+
+
 def _unit_quaternion(rng: random.Random) -> Quaternion:
     """Exact unit quaternion: q = p^2 / |p|^2 for a random rational p."""
     while True:
@@ -260,14 +267,16 @@ def non_hermitian_witness(ctx, n):
 def qsh_reconstruction(ctx, n):
     m = ctx.model(n)
     rng = ctx.rng("model", f"qsh-reconstruction{n}")
+    j = Quaternion(0, 0, 1, 0)
     for _ in range(min(ctx.trials, 25)):
-        x = _rational_vector(rng, m.dim)
-        y = _rational_vector(rng, m.dim)
-        z = _rational_vector(rng, m.dim)
-        direct = qsh_form_matrix(m, x, y) @ z
-        scalar, sp1 = qsh_form(m, x, y)
-        recon = z * scalar + sum(c * (Ja @ z) for c, Ja in zip(sp1, m.J))
-        yield direct - recon
+        x, y, z = (_rational_vector(rng, m.dim) for _ in range(3))
+        # by quaternion arithmetic, on integers: h(x, y) z = z_k conj(q) in
+        # each component k, for q = sum_k conj(x_k) j y_k
+        q = sum((a.conj() * j * b for a, b in zip(_quaternions(x), _quaternions(y))),
+                Quaternion(0, 0, 0, 0))
+        recon = [c for zk in _quaternions(z) for c in (zk * q.conj()).components()]
+        scale = Fraction(1, x.scale * y.scale * z.scale)
+        yield qsh_form_matrix(m, x, y) @ z - QArray.of(recon) * scale
 
 
 @_check("model", "qsh-special-values[n={n}]", "scalar part vanishes on the diagonal; "

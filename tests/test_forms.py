@@ -303,35 +303,40 @@ def test_vanishes_samples_constant_fields():
         assert rng.getstate() == ref.getstate()
 
 
-def _reference_vanishes(fields, trials, tolerance, rng):
-    """vanishes at float points as a loop over one evaluator: draw, redraw
-    on ZeroDivisionError or ValueError, and keep the worst |value|, a nan
-    counting as inf."""
+def _reference_vanishes(fields, trials, tolerance, rng, rational):
+    """vanishes as a loop over one evaluator: draw, redraw on
+    ZeroDivisionError or ValueError, and keep the worst |value|, a nan
+    counting as inf; at exact points the first exact nonzero value fails,
+    with its own residual or ulp(0)."""
     evaluate = sf.evaluator(fields)
-    worst, witness, reasons = 0.0, None, Counter()
+    draw = forms.sample_rational_point if rational else forms.sample_point
+    worst, witness, failure, reasons = 0.0, None, None, Counter()
     for evaluated in range(trials):
         for _ in range(forms.MAX_DRAWS):
-            point = forms.sample_point(rng)
+            point = draw(rng)
             try:
-                values = [float(v) for v in evaluate(point)]
+                values = evaluate(point)
                 break
             except (ZeroDivisionError, ValueError) as exc:
                 reasons[type(exc).__name__] += 1
         else:
             raise forms.SamplingError(evaluated, reasons)
-        residual = max(abs(v) if v == v else math.inf for v in values)
+        nonzero = any(v and type(v) is not float for v in values)
+        residual = max(abs(float(v)) if v == v else math.inf for v in values)
+        if rational and nonzero and failure is None:
+            failure = forms.EqualityReport(False, residual or math.ulp(0.0), point)
         if residual > worst:
             worst, witness = residual, point
     if worst > tolerance:
         return forms.EqualityReport(False, worst, witness)
-    return forms.EqualityReport(True, worst)
+    return failure or forms.EqualityReport(True, worst)
 
 
-def _outcome(vanishes, fields, trials, tolerance, seed):
+def _outcome(vanishes, fields, trials, tolerance, seed, rational):
     """What vanishes returns or raises, and the rng's state after it."""
     rng = random.Random(seed)
     try:
-        result = vanishes(fields, trials, tolerance, rng)
+        result = vanishes(fields, trials, tolerance, rng, rational)
         result = (result.equal, result.max_residual.hex(), result.witness)
     except forms.SamplingError as exc:
         result = ("no evidence", exc.evaluated, exc.reasons, str(exc))
@@ -340,29 +345,33 @@ def _outcome(vanishes, fields, trials, tolerance, seed):
 
 @given(st.integers(0, 2 ** 32), st.integers(1, 3),
        st.sets(st.sampled_from(["sqrt", "constant", "zero", "nan"])),
-       st.integers(1, 30), st.sampled_from([0.0, 1e-10, 1.0, math.inf]))
-@settings(max_examples=120, deadline=None)
-def test_vanishes_matches_a_reference_loop(seed, count, extras, trials, tolerance):
+       st.integers(1, 30), st.sampled_from([0.0, 1e-10, 1.0, math.inf]),
+       st.booleans())
+@settings(max_examples=160, deadline=None)
+def test_vanishes_matches_a_reference_loop(seed, count, extras, trials, tolerance,
+                                           rational):
     # fields as the sampled suites build them, with a field that forces
     # redraws (sqrt(h0)), constant fields and a nan; the worst residual
-    # agrees bit for bit, with its witness and every draw
+    # agrees bit for bit, with its witness and every draw, at float and
+    # at exact points
     rng = random.Random(seed)
     fields = [suites._random_field(rng) for _ in range(count)]
     fields += [{"sqrt": sf.sqrt(sf.H0), "zero": sf.ZERO,
                 "constant": sf.const(Fraction(rng.randint(-9, 9), 7)),
                 "nan": sf.mul(sf.const(math.nan), sf.H1)}[e]
                for e in sorted(extras)]
-    assert (_outcome(forms.vanishes, fields, trials, tolerance, seed)
-            == _outcome(_reference_vanishes, fields, trials, tolerance, seed))
+    assert (_outcome(forms.vanishes, fields, trials, tolerance, seed, rational)
+            == _outcome(_reference_vanishes, fields, trials, tolerance, seed, rational))
 
 
 def test_vanishes_without_evidence_matches_the_reference_loop():
-    for fields in [(_UNDEFINED,), (sf.H0, _UNDEFINED),
-                   (sf.sqrt(sf.neg(sf.H0)), sf.div(sf.ONE, sf.sub(
-                       sf.mul(sf.TWO, sf.H0), sf.add(sf.H0, sf.H0))))]:
-        got = _outcome(forms.vanishes, fields, 5, 1e-10, 4)
+    for fields, rational in itertools.product(
+            [(_UNDEFINED,), (sf.H0, _UNDEFINED),
+             (sf.sqrt(sf.neg(sf.H0)), sf.div(sf.ONE, sf.sub(
+                 sf.mul(sf.TWO, sf.H0), sf.add(sf.H0, sf.H0))))], (False, True)):
+        got = _outcome(forms.vanishes, fields, 5, 1e-10, 4, rational)
         assert got[0][0] == "no evidence"
-        assert got == _outcome(_reference_vanishes, fields, 5, 1e-10, 4)
+        assert got == _outcome(_reference_vanishes, fields, 5, 1e-10, 4, rational)
 
 
 def test_sample_redraws_only_rejected_points():

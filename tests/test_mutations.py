@@ -2,8 +2,9 @@
 
 A mutation replaces one function or constant of the library; the check
 it is listed under, run through `suites._run` at n = 2, must pass
-without it and fail with it.  The tables cover the model checks and the
-sampled checks that decide through `forms.vanishes`."""
+without it and fail with it.  The tables cover the model checks, the
+sampled checks that decide through `forms.vanishes` and exact checks
+of the fiber and symspace suites."""
 
 import functools
 from dataclasses import replace
@@ -50,9 +51,10 @@ _MODEL_MUTATIONS = {
     # g_1 = g_2, which J_2 preserves
     "non-hermitian-witness":
         ("build_flat_model", lambda m: replace(m, g=_with(m.g, 0, m.g.values[1]))),
-    # the scalar part of h shifted by 1, in the suites' binding only (a
-    # shift in linmodel too reaches both sides of qsh-reconstruction)
-    "qsh-reconstruction": ("qsh_form", lambda h: (h[0] + 1, h[1])),
+    # omega[0, 2] = -1 negated: h(x, y) no longer acts as conj(q) on the right
+    "qsh-reconstruction":
+        ("build_flat_model", lambda m: replace(m, omega=_with(m.omega, (0, 2), 1))),
+    # the scalar part of h shifted by 1
     "qsh-special-values": ("qsh_form", lambda h: (h[0] + 1, h[1])),
     # J_2[0, 2] = 1 negated: rotated frames are no longer quaternionic
     "frame-rotation-covariance":
@@ -130,3 +132,31 @@ def test_a_mutation_fails_its_sampled_check(monkeypatch, check):
     monkeypatch.setattr(holder, attribute, mutate(getattr(holder, attribute)))
     record = _record(suite, check, trials=5)
     assert not record.passed and record.residual, record.detail
+
+
+# a0 -> -a_a: the pullback no longer squares to -Id on a0 and moves beta_a
+_a0_sign_flipped = _wrapped(lambda m: {**m, 0: (m[0][0], -m[0][1])})
+
+# for each exact check of the fiber and symspace suites: as above
+_EXACT_MUTATIONS = {
+    # the dh1 coefficient of theta_0 negated
+    "maurer-cartan-oracle": ("fiber", forms, "THETA_IN_DH",
+                             lambda real: (_negated(real[0], (1,)), *real[1:])),
+    # r1 of the quaternion oracle negated
+    "r-formula-oracle": ("symspace", swann, "symspace_r_oracle",
+                         _wrapped(lambda r: (-r[0], *r[1:]))),
+    # exp(f) replaced by h0 + 3
+    "expf-plugin-evaluation": ("symspace", swann, "symspace_exp_f",
+                               lambda real: lambda params: sf.add(sf.H0, sf.const(3))),
+    "beta-pullback-invariance":
+        ("fiber", forms, "_pullback_index_map", _a0_sign_flipped),
+    "pullback-involution": ("fiber", forms, "_pullback_index_map", _a0_sign_flipped),
+}
+
+
+@pytest.mark.parametrize("check", _EXACT_MUTATIONS)
+def test_a_mutation_fails_its_exact_check(monkeypatch, check):
+    suite, holder, attribute, mutate = _EXACT_MUTATIONS[check]
+    assert _record(suite, check, trials=5).passed
+    monkeypatch.setattr(holder, attribute, mutate(getattr(holder, attribute)))
+    assert not _record(suite, check, trials=5).passed

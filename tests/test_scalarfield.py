@@ -334,8 +334,18 @@ def test_deep_chain_evaluates_without_recursion():
     assert field.evaluate((Fraction(1), Fraction(1, 2), 0, 0)) == 10001
 
 
-_TAPE_NAMES = {"def", "run", "K", "return", "if", "else", "_zero_div",
+_TAPE_NAMES = {"def", "run", "point", "K", "return", "if", "else", "_zero_div",
                "_negative_power", "_sqrt", "_exp", "_sin", "_cos"}
+# the fixed names of the sampling loop of scanner and of its two tails
+_LOOP_NAMES = {"scan", "draw", "rng", "trials", "max_draws", "fail", "reasons",
+               "for", "in", "evaluated", "_range", "_", "try", "break", "except",
+               "_REJECTED", "as", "exc", "name", "_type", "__name__", "get",
+               "raise", "yield", "values", "_float", "worst", "witness",
+               "failure", "None", "residual", "_max", "_abs", "_inf", "is",
+               "not", "and", "or", "_ulp"}
+# the only numbers of the templates besides slots and K[i]: the zero test
+# of a division, the loop's rejection count and the worst tail's start
+_LITERALS = ("!= 0", "reasons.get(name, 0) + 1", "= 0.0, None, None")
 
 
 @pytest.mark.parametrize("c", [Fraction(1, 3), 10 ** 3999 + 7, float("nan"),
@@ -354,14 +364,25 @@ def test_constants_travel_as_data(monkeypatch, c):
     for point in ((1.5, -0.25, 2.0, -0.0), (0.0, 1e-300, 3.0, 4.0),
                   (Fraction(3, 2), Fraction(-1, 4), Fraction(1), 0)):
         assert_matches_reference(fields, point)
-    # the generated text is slot numbers, fixed operators and fixed names
-    assert sources
-    for source in sources:
-        assert set(re.findall(r"[A-Za-z_]\w*", source)) <= _TAPE_NAMES | {
-            f"r{i}" for i in range(100)}
-        assert re.fullmatch(r"[\sA-Za-z_0-9=+\-*/!()\[\],:]*", source)
-        # no number but slots, K[i] and the zero test of a division
-        assert re.findall(r"(?<![\w\[])\d+", source.replace("!= 0", "")) == []
+    evaluated = len(sources)
+    for tail in ("values", "worst"):
+        for exact in (False, True):
+            sf.scanner(fields, tail, exact)
+    # the generated text is slot numbers, fixed operators and fixed names;
+    # a loop adds its own names, the characters of its attribute lookups,
+    # dict literal and comparison, and its value names v0, v1, ...
+    assert evaluated and len(sources) == evaluated + 4
+    for index, source in enumerate(sources):
+        loop = index >= evaluated
+        slots = {f"r{i}" for i in range(100)} | {f"v{i}" for i in range(100) if loop}
+        names = _TAPE_NAMES | (_LOOP_NAMES if loop else set())
+        assert set(re.findall(r"[A-Za-z_]\w*", source)) <= names | slots
+        extra = ".{}>" if loop else ""
+        assert re.fullmatch(rf"[\sA-Za-z_0-9=+\-*/!()\[\],:{extra}]*", source)
+        # no number but slots, K[i] and the literals of the templates
+        for literal in _LITERALS:
+            source = source.replace(literal, "")
+        assert re.findall(r"(?<![\w\[])\d+", source) == []
 
 
 @pytest.mark.parametrize("doomed, raised", [
