@@ -2,6 +2,8 @@
 
 The package is organised bottom-up:
 
+  record       plain __slots__ records: field-wise repr, equality, hashing
+               and pickling, frozen or mutable
   quaternion   exact quaternion arithmetic, the fiber coordinate type
   matrices     QArray, the one exact matrix/vector type (integer arrays
                with a rational scale), and Fraction elimination (RREF,
@@ -15,6 +17,11 @@ The package is organised bottom-up:
   forms        exterior calculus over the 4-dimensional vertical coframe
   swann        fiber geometry: beta forms, the flat PDE system and its
                closed-form solutions, the symmetric-space primitive
+  serialize    JSON schema for exact matrices and so*(2n) basis exports
+  report       check records and schema-versioned reports, written
+               atomically as JSON or markdown
+  suites       the named checks, grouped into suites, and the lanes that
+               run them
   cli          verification harness with JSON/markdown reports
 """
 

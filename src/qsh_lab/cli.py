@@ -21,11 +21,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from qsh_lab import scalarfield as sf
 from qsh_lab import suites as suites_mod
+from qsh_lab.record import FrozenRecord
 from qsh_lab.report import Report, write_atomic
 from qsh_lab.swann import FlatSolution
 
@@ -36,21 +36,17 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    ns: tuple = (2, 3)
-    kappa: Fraction = Fraction(1)
-    seed: int = 42
-    trials: int = 100
-    tolerance: float = 1e-10
-    suites: tuple = ("all",)
-    input_path: str = None
-    output_path: str = None
-    fmt: str = "json"
+class RunConfig(FrozenRecord):
+    __slots__ = ("ns", "kappa", "seed", "trials", "tolerance", "suites",
+                 "input_path", "output_path", "fmt")
 
-    def __post_init__(self):
+    def __init__(self, ns: tuple = (2, 3), kappa: Fraction = Fraction(1),
+                 seed: int = 42, trials: int = 100, tolerance: float = 1e-10,
+                 suites: tuple = ("all",), input_path: str = None,
+                 output_path: str = None, fmt: str = "json"):
         # a repeated --n runs once, at its first place, as a suite does
-        object.__setattr__(self, "ns", tuple(dict.fromkeys(self.ns)))
+        self._init(tuple(dict.fromkeys(ns)), kappa, seed, trials, tolerance,
+                   suites, input_path, output_path, fmt)
         if not self.ns or any(n < 2 for n in self.ns):
             raise UsageError("every --n must be an integer >= 2")
         if self.kappa == 0:

@@ -43,7 +43,6 @@ step with the expanded formula of the kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from qsh_lab import matrices as mat
@@ -51,18 +50,17 @@ from qsh_lab.liealg import (LieBasis, LieElement, circle_so_star, circle_sp1,
                             decompose)
 from qsh_lab.linmodel import FlatModel
 from qsh_lab.matrices import QArray
+from qsh_lab.record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class CurvParams:
+class CurvParams(FrozenRecord):
     """Curvature coefficients.  kappa must be nonzero; c1 and c2 are free
     so that off-pinning behaviour can be tested."""
 
-    kappa: Fraction
-    c1: Fraction
-    c2: Fraction
+    __slots__ = ("kappa", "c1", "c2")
 
-    def __post_init__(self):
+    def __init__(self, kappa: Fraction, c1: Fraction, c2: Fraction):
+        self._init(kappa, c1, c2)
         if self.kappa == 0:
             raise ValueError("kappa must be nonzero")
 

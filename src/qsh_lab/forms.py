@@ -59,11 +59,11 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from qsh_lab import scalarfield as sf
 from qsh_lab.quaternion import Quaternion
+from qsh_lab.record import Record
 
 DH = "dh"
 ALPHA = "alpha"
@@ -75,14 +75,14 @@ class CoframeError(ValueError):
     pass
 
 
-@dataclass
-class VerticalForm:
-    coframe: str
-    degree: int
-    terms: dict = dc_field(default_factory=dict)  # sorted index tuple -> ScalarField
+class VerticalForm(Record):
+    __slots__ = ("coframe", "degree", "terms")
 
-    def __post_init__(self):
-        self.terms = {k: v for k, v in self.terms.items() if not sf.is_zero(v)}
+    def __init__(self, coframe: str, degree: int, terms: dict = None):
+        self.coframe = coframe
+        self.degree = degree
+        # sorted index tuple -> ScalarField, without zero coefficients
+        self.terms = {k: v for k, v in (terms or {}).items() if not sf.is_zero(v)}
 
     def coefficient(self, key) -> sf.Field:
         return self.terms.get(tuple(key), sf.ZERO)
@@ -367,11 +367,13 @@ def _scan(fields, tail: str, trials: int, rng: random.Random, rational: bool):
 
 # --- randomized equality -------------------------------------------------------
 
-@dataclass
-class EqualityReport:
-    equal: bool
-    max_residual: float
-    witness: tuple = None
+class EqualityReport(Record):
+    __slots__ = ("equal", "max_residual", "witness")
+
+    def __init__(self, equal: bool, max_residual: float, witness: tuple = None):
+        self.equal = equal
+        self.max_residual = max_residual
+        self.witness = witness
 
 
 def vanishes(fields, trials: int, tolerance: float, rng: random.Random,

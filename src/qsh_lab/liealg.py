@@ -20,13 +20,13 @@ column order, so exports are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 from qsh_lab import matrices as mat
 from qsh_lab.linmodel import FlatModel, structure_blocks
 from qsh_lab.matrices import QArray
+from qsh_lab.record import FrozenRecord
 
 
 class MembershipError(ValueError):
@@ -35,20 +35,21 @@ class MembershipError(ValueError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class LieElement:
+class LieElement(FrozenRecord):
     """A matrix in so*(2n) (+) sp(1) with its cached decomposition."""
 
-    matrix: QArray
-    so_part: QArray
-    sp_coeffs: tuple
+    __slots__ = ("matrix", "so_part", "sp_coeffs")
+
+    def __init__(self, matrix: QArray, so_part: QArray, sp_coeffs: tuple):
+        self._init(matrix, so_part, sp_coeffs)
 
 
-@dataclass(frozen=True)
-class LieBasis:
-    model: FlatModel
-    so_basis: tuple  # of LieElement
-    sp_basis: tuple  # of LieElement, the three J_a
+class LieBasis(FrozenRecord):
+    __slots__ = ("model", "so_basis", "sp_basis")
+
+    def __init__(self, model: FlatModel, so_basis: tuple, sp_basis: tuple):
+        # so_basis and sp_basis are tuples of LieElement; sp_basis holds the J_a
+        self._init(model, so_basis, sp_basis)
 
     def elements(self):
         return list(self.so_basis) + list(self.sp_basis)

@@ -34,10 +34,9 @@ exact array type of the linear stack: the model holds omega0 as one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from qsh_lab.matrices import QArray
 from qsh_lab.quaternion import Quaternion
+from qsh_lab.record import FrozenRecord
 
 UNITS = (Quaternion.unit(1), Quaternion.unit(2), Quaternion.unit(3))
 
@@ -54,16 +53,15 @@ def structure_blocks() -> QArray:
     return QArray.of(cols).transpose(0, 2, 1)
 
 
-@dataclass(frozen=True)
-class FlatModel:
+class FlatModel(FrozenRecord):
     """Container for (n, J_1..J_3, omega0, g_1..g_3).  J and g are QArrays
     of shape (3, 4n, 4n), omega one of shape (4n, 4n), all integer
     (scale 1)."""
 
-    n: int
-    J: QArray
-    omega: QArray
-    g: QArray
+    __slots__ = ("n", "J", "omega", "g")
+
+    def __init__(self, n: int, J: QArray, omega: QArray, g: QArray):
+        self._init(n, J, omega, g)
 
     @property
     def dim(self) -> int:

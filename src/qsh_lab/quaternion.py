@@ -8,16 +8,16 @@ coframe and adjoint-orbit formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from qsh_lab.record import FrozenRecord
 
-@dataclass(frozen=True)
-class Quaternion:
-    h0: Fraction
-    h1: Fraction
-    h2: Fraction
-    h3: Fraction
+
+class Quaternion(FrozenRecord):
+    __slots__ = ("h0", "h1", "h2", "h3")
+
+    def __init__(self, h0: Fraction, h1: Fraction, h2: Fraction, h3: Fraction):
+        self._init(h0, h1, h2, h3)
 
     @staticmethod
     def of(h0, h1=0, h2=0, h3=0) -> "Quaternion":

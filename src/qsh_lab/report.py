@@ -13,8 +13,9 @@ import json
 import os
 import stat
 import tempfile
-from dataclasses import dataclass, field
 from fractions import Fraction
+
+from qsh_lab.record import Record
 
 SCHEMA_VERSION = 1
 
@@ -36,16 +37,21 @@ def jsonable(value):
     return str(value)
 
 
-@dataclass
-class CheckResult:
-    suite: str
-    name: str
-    anchor: str
-    passed: bool
-    residual: float = None
-    witness: object = None
-    detail: str = ""
-    wall_time: float = 0.0
+class CheckResult(Record):
+    __slots__ = ("suite", "name", "anchor", "passed", "residual", "witness",
+                 "detail", "wall_time")
+
+    def __init__(self, suite: str, name: str, anchor: str, passed: bool,
+                 residual: float = None, witness: object = None,
+                 detail: str = "", wall_time: float = 0.0):
+        self.suite = suite
+        self.name = name
+        self.anchor = anchor
+        self.passed = passed
+        self.residual = residual
+        self.witness = witness
+        self.detail = detail
+        self.wall_time = wall_time
 
     def record(self, omit_timing: bool = False) -> dict:
         rec = {
@@ -62,11 +68,13 @@ class CheckResult:
         return rec
 
 
-@dataclass
-class Report:
-    config: dict
-    checks: list = field(default_factory=list)
-    wall_time: float = 0.0
+class Report(Record):
+    __slots__ = ("config", "checks", "wall_time")
+
+    def __init__(self, config: dict, checks: list = None, wall_time: float = 0.0):
+        self.config = config
+        self.checks = [] if checks is None else checks
+        self.wall_time = wall_time
 
     @property
     def passed(self) -> bool:

@@ -56,8 +56,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+
+from qsh_lab.record import FrozenRecord
 
 VAR_NAMES = ("h0", "h1", "h2", "h3")
 
@@ -103,9 +104,11 @@ class Field:
         return self.to_str()
 
 
-@dataclass(frozen=True, eq=True)
-class Const(Field):
-    value: object  # Fraction or float
+class Const(Field, FrozenRecord):
+    __slots__ = ("value",)
+
+    def __init__(self, value):  # a Fraction or a float
+        self._init(value)
 
     def _d(self, var, d):
         return ZERO
@@ -120,9 +123,11 @@ class Const(Field):
         return repr(v) if v >= 0 else f"({v!r})"
 
 
-@dataclass(frozen=True, eq=True)
-class Var(Field):
-    index: int
+class Var(Field, FrozenRecord):
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self._init(index)
 
     def _d(self, var, d):
         return ONE if var == self.index else ZERO

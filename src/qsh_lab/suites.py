@@ -48,7 +48,6 @@ import os
 import random
 import time
 import types
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from qsh_lab import curvature as curv
@@ -62,6 +61,7 @@ from qsh_lab.linmodel import (FlatModel, build_flat_model, fundamental_4tensor,
                               sp1_conjugate_frame)
 from qsh_lab.matrices import QArray
 from qsh_lab.quaternion import Quaternion
+from qsh_lab.record import Record
 from qsh_lab.report import CheckResult
 
 SUITE_NAMES = ("model", "liealg", "curvature", "fiber", "flat", "symspace")
@@ -77,15 +77,20 @@ def _check(suite: str, name: str, anchor: str):
     return declare
 
 
-@dataclass
-class SuiteContext:
-    seed: int
-    ns: tuple = (2, 3)
-    kappa: Fraction = Fraction(1)
-    trials: int = 100
-    tolerance: float = 1e-10
-    user_solution: object = None  # FlatSolution from --input, if any
-    _outcomes: dict = field(default_factory=dict)  # memo key -> outcome
+class SuiteContext(Record):
+    __slots__ = ("seed", "ns", "kappa", "trials", "tolerance", "user_solution",
+                 "_outcomes")
+
+    def __init__(self, seed: int, ns: tuple = (2, 3), kappa: Fraction = Fraction(1),
+                 trials: int = 100, tolerance: float = 1e-10,
+                 user_solution: object = None, _outcomes: dict = None):
+        self.seed = seed
+        self.ns = ns
+        self.kappa = kappa
+        self.trials = trials
+        self.tolerance = tolerance
+        self.user_solution = user_solution  # FlatSolution from --input, if any
+        self._outcomes = {} if _outcomes is None else _outcomes  # memo key -> outcome
 
     def memo(self, key, build):
         """build() once per key: its value, or the exception it raised,

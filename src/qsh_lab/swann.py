@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from qsh_lab import forms
 from qsh_lab import scalarfield as sf
 from qsh_lab.quaternion import Quaternion
+from qsh_lab.record import FrozenRecord, Record
 
 
 def beta_basis_form(a: int) -> forms.VerticalForm:
@@ -48,11 +48,13 @@ def beta_basis_form(a: int) -> forms.VerticalForm:
     return forms.VerticalForm(forms.ALPHA, 2, terms)
 
 
-@dataclass(frozen=True)
-class BetaForm:
+class BetaForm(FrozenRecord):
     """A vertical Hermitian 2-form beta = sum_a f_a beta_a."""
 
-    f: tuple  # three ScalarFields
+    __slots__ = ("f",)
+
+    def __init__(self, f: tuple):  # three ScalarFields
+        self._init(f)
 
     def form(self) -> forms.VerticalForm:
         out = forms.zero_form(2, forms.ALPHA)
@@ -61,13 +63,13 @@ class BetaForm:
         return out
 
 
-@dataclass(frozen=True)
-class FlatSolution:
+class FlatSolution(FrozenRecord):
     """Coefficient functions (F1, F2, F3) of the coordinate presentation."""
 
-    F: tuple  # three ScalarFields
+    __slots__ = ("F",)
 
-    def __post_init__(self):
+    def __init__(self, F: tuple):  # three ScalarFields
+        self._init(F)
         for f in self.F:
             extra = f.free_vars() - {0, 1, 2, 3}
             if extra:
@@ -158,8 +160,7 @@ def f_from_F(solution: FlatSolution):
 
 # --- explicit solution family -------------------------------------------------
 
-@dataclass(frozen=True)
-class SolutionConstants:
+class SolutionConstants(FrozenRecord):
     """Constants of the closed-form solution family.
 
     s1, s2, s3 >= 0 are the primary parameters; the squared values play
@@ -168,20 +169,14 @@ class SolutionConstants:
     C11 + C12 = s1^2 + s2^2 != 0.
     """
 
-    C1: Fraction = Fraction(0)
-    C2: Fraction = Fraction(0)
-    C3: Fraction = Fraction(0)
-    C4: Fraction = Fraction(0)
-    C5: Fraction = Fraction(0)
-    C6: Fraction = Fraction(0)
-    C7: Fraction = Fraction(0)
-    C8: Fraction = Fraction(0)
-    C9: Fraction = Fraction(0)
-    C10: Fraction = Fraction(0)
-    s1: Fraction = Fraction(1)
-    s2: Fraction = Fraction(1)
-    s3: Fraction = Fraction(0)
-    C14: Fraction = Fraction(0)
+    __slots__ = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10",
+                 "s1", "s2", "s3", "C14")
+
+    def __init__(self, C1=Fraction(0), C2=Fraction(0), C3=Fraction(0),
+                 C4=Fraction(0), C5=Fraction(0), C6=Fraction(0), C7=Fraction(0),
+                 C8=Fraction(0), C9=Fraction(0), C10=Fraction(0), s1=Fraction(1),
+                 s2=Fraction(1), s3=Fraction(0), C14=Fraction(0)):
+        self._init(C1, C2, C3, C4, C5, C6, C7, C8, C9, C10, s1, s2, s3, C14)
 
     @property
     def C11(self) -> Fraction:
@@ -243,10 +238,12 @@ def explicit_solution_family(k: SolutionConstants) -> FlatSolution:
 
 # --- torsion classification ----------------------------------------------------
 
-@dataclass(frozen=True)
-class TorsionClass:
-    kind: str  # "torsion-free" or "X57"
-    degenerate: bool = False  # beta identically zero
+class TorsionClass(FrozenRecord):
+    __slots__ = ("kind", "degenerate")
+
+    def __init__(self, kind: str, degenerate: bool = False):
+        # kind is "torsion-free" or "X57"; degenerate means beta is identically zero
+        self._init(kind, degenerate)
 
 
 def torsion_type(solution: FlatSolution, trials: int = 100,
@@ -272,19 +269,15 @@ def torsion_type(solution: FlatSolution, trials: int = 100,
 
 # --- symmetric-space fiber data -------------------------------------------------
 
-@dataclass(frozen=True)
-class SymSpaceParams:
+class SymSpaceParams(FrozenRecord):
     """Einstein constant c (sign free), the model size n, and the frame
     constants c1..c4 with (c1, c2, c3) != (0, 0, 0)."""
 
-    c: Fraction
-    n: int
-    c1: Fraction
-    c2: Fraction
-    c3: Fraction
-    c4: Fraction = Fraction(0)
+    __slots__ = ("c", "n", "c1", "c2", "c3", "c4")
 
-    def __post_init__(self):
+    def __init__(self, c: Fraction, n: int, c1: Fraction, c2: Fraction,
+                 c3: Fraction, c4: Fraction = Fraction(0)):
+        self._init(c, n, c1, c2, c3, c4)
         if (self.c1, self.c2, self.c3) == (0, 0, 0):
             raise ValueError("(c1, c2, c3) must be nonzero")
         if self.n < 2:
@@ -416,10 +409,12 @@ def symspace_ddf_check(params: SymSpaceParams, trials: int = 100,
 
 # --- obstruction mechanics -------------------------------------------------------
 
-@dataclass
-class ObstructionReport:
-    implication_holds: bool
-    witness: dict = None  # a sampled point where the joint conditions fail
+class ObstructionReport(Record):
+    __slots__ = ("implication_holds", "witness")
+
+    def __init__(self, implication_holds: bool, witness: dict = None):
+        self.implication_holds = implication_holds
+        self.witness = witness  # a sampled point where the joint conditions fail
 
 
 def general_obstruction_check(r_fields, f_fields, trials: int = 100, *,

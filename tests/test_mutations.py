@@ -3,17 +3,19 @@
 A mutation replaces one function or constant of the library; the check
 it is listed under, run through `suites._run` at n = 2, must pass
 without it and fail with it.  The tables cover the model checks, the
-sampled checks that decide through `forms.vanishes` and exact checks
-of the fiber and symspace suites."""
+sampled checks that decide through `forms.vanishes`, exact checks of
+the fiber and symspace suites, and the flat and symspace checks that
+decide on folded trees, a classification or sampled mechanics.  A
+mutation must fail its check on evidence, not by crashing it."""
 
 import functools
-from dataclasses import replace
 
 import pytest
 
 from qsh_lab import forms
 from qsh_lab import scalarfield as sf
 from qsh_lab import suites, swann
+from qsh_lab.linmodel import FlatModel
 from qsh_lab.matrices import QArray
 from qsh_lab.suites import CHECKS, SuiteContext, _run
 
@@ -33,32 +35,41 @@ def _with(a: QArray, index, value) -> QArray:
     return QArray(values)
 
 
+def _rebuilt(m: FlatModel, **fields) -> FlatModel:
+    """The model `m` with `fields` replaced, built through its constructor."""
+    return FlatModel(**{"n": m.n, "J": m.J, "omega": m.omega, "g": m.g, **fields})
+
+
+def _failed_on_evidence(record) -> bool:
+    return not record.passed and not record.detail.startswith("exception:")
+
+
 # for each model check: the function of suites to wrap, and a mutation of
 # its value that the check must catch
 _MODEL_MUTATIONS = {
     # omega[0, 2] = -1 negated: omega is neither skew nor J_a-invariant
     "omega-skew-nondegenerate":
-        ("build_flat_model", lambda m: replace(m, omega=_with(m.omega, (0, 2), 1))),
+        ("build_flat_model", lambda m: _rebuilt(m, omega=_with(m.omega, (0, 2), 1))),
     "omega-hermitian":
-        ("build_flat_model", lambda m: replace(m, omega=_with(m.omega, (0, 2), 1))),
+        ("build_flat_model", lambda m: _rebuilt(m, omega=_with(m.omega, (0, 2), 1))),
     # g_1[0, 3] = 1 negated: g_1 is not symmetric
     "metric-compatibility":
-        ("build_flat_model", lambda m: replace(m, g=_with(m.g, (0, 0, 3), -1))),
+        ("build_flat_model", lambda m: _rebuilt(m, g=_with(m.g, (0, 0, 3), -1))),
     # g_1 = Id, symmetric but of signature (4n, 0)
     "metric-signature":
         ("build_flat_model",
-         lambda m: replace(m, g=_with(m.g, 0, QArray.eye(m.dim).values))),
+         lambda m: _rebuilt(m, g=_with(m.g, 0, QArray.eye(m.dim).values))),
     # g_1 = g_2, which J_2 preserves
     "non-hermitian-witness":
-        ("build_flat_model", lambda m: replace(m, g=_with(m.g, 0, m.g.values[1]))),
+        ("build_flat_model", lambda m: _rebuilt(m, g=_with(m.g, 0, m.g.values[1]))),
     # omega[0, 2] = -1 negated: h(x, y) no longer acts as conj(q) on the right
     "qsh-reconstruction":
-        ("build_flat_model", lambda m: replace(m, omega=_with(m.omega, (0, 2), 1))),
+        ("build_flat_model", lambda m: _rebuilt(m, omega=_with(m.omega, (0, 2), 1))),
     # the scalar part of h shifted by 1
     "qsh-special-values": ("qsh_form", lambda h: (h[0] + 1, h[1])),
     # J_2[0, 2] = 1 negated: rotated frames are no longer quaternionic
     "frame-rotation-covariance":
-        ("build_flat_model", lambda m: replace(m, J=_with(m.J, (1, 0, 2), -1))),
+        ("build_flat_model", lambda m: _rebuilt(m, J=_with(m.J, (1, 0, 2), -1))),
 }
 
 
@@ -68,7 +79,8 @@ def test_a_mutation_fails_its_model_check(monkeypatch, check):
     target, mutate = _MODEL_MUTATIONS[check]
     real = getattr(suites, target)
     monkeypatch.setattr(suites, target, lambda *args: mutate(real(*args)))
-    assert not _record("model", check).passed
+    record = _record("model", check)
+    assert _failed_on_evidence(record), record.detail
 
 
 def _wrapped(mutate):
@@ -159,4 +171,51 @@ def test_a_mutation_fails_its_exact_check(monkeypatch, check):
     suite, holder, attribute, mutate = _EXACT_MUTATIONS[check]
     assert _record(suite, check, trials=5).passed
     monkeypatch.setattr(holder, attribute, mutate(getattr(holder, attribute)))
-    assert not _record(suite, check, trials=5).passed
+    record = _record(suite, check, trials=5)
+    assert _failed_on_evidence(record), record.detail
+
+
+def _mul_keeping_zeros(real):
+    """`scalarfield.mul` without its rule that a zero factor folds to 0."""
+    def mul(a, b):
+        if sf.is_zero(a) or sf.is_zero(b):
+            return sf.Mul(a, b)
+        return real(a, b)
+    return mul
+
+
+def _r_values_zeroed(real):
+    """`forms.sample` with the values of the second half of the fields
+    (the r fields of `swann.general_obstruction_check`) read as 0."""
+    def sample(fields, trials, rng):
+        half = len(fields) // 2
+        for point, values in real(fields, trials, rng):
+            yield point, [*values[:half], *[0.0] * (len(values) - half)]
+    return sample
+
+
+# for the flat and symspace checks that decide on folded trees, on a
+# classification or on sampled mechanics: as above
+_DECISION_MUTATIONS = {
+    # residual 1 leads with dF1/dh1 instead of dF1/dh0, so (h0, 0, 0)
+    # no longer fails the first equation
+    "pde-violating-solution": ("flat", swann, "PDE_TERMS",
+                               lambda real: (((1, 1, 1), *real[0][1:]), *real[1:])),
+    # zero constants no longer fold away, so the family keeps its exp/sin
+    # trees and does not collapse to constants
+    "family-degenerate-limit": ("flat", sf, "mul", _mul_keeping_zeros),
+    # every residual reads 0, so the non-closed (h0, 0, 0) is classified
+    "torsion-classification": ("flat", swann, "pde_residuals",
+                               _wrapped(lambda residuals: (sf.ZERO,) * len(residuals))),
+    # the r fields read 0, so the direct contradiction has no witness
+    "obstruction-mechanics": ("symspace", forms, "sample", _r_values_zeroed),
+}
+
+
+@pytest.mark.parametrize("check", _DECISION_MUTATIONS)
+def test_a_mutation_fails_its_decision_check(monkeypatch, check):
+    suite, holder, attribute, mutate = _DECISION_MUTATIONS[check]
+    assert _record(suite, check, trials=5).passed
+    monkeypatch.setattr(holder, attribute, mutate(getattr(holder, attribute)))
+    record = _record(suite, check, trials=5)
+    assert _failed_on_evidence(record), record.detail
