@@ -122,10 +122,7 @@ def run(config: RunConfig):
     user_solution = None
     if config.input_path is not None:
         user_solution = ingest_user_F(config.input_path)
-    ctx = suites_mod.SuiteContext(
-        seed=config.seed, ns=config.ns, kappa=config.kappa,
-        trials=config.trials, tolerance=config.tolerance,
-        user_solution=user_solution)
+    ctx = suites_mod.SuiteContext(config, user_solution)
     selected = config.selected_suites()
     started = time.perf_counter()
     checks = suites_mod.run_suites(ctx, selected)
@@ -144,8 +141,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="verification harness for the flat quaternionic "
                     "skew-Hermitian model and its fiber calculus")
     sub = parser.add_subparsers(dest="command", required=True)
+    # every default is RunConfig's: an option not given is not in args
     runp = sub.add_parser(
         "run", help="run verification suites",
+        argument_default=argparse.SUPPRESS,
         description="Runs the selected suites and writes a report. "
                     "The curvature suite always includes an n=3 Ricci "
                     "dichotomy pass: at n=2 the two Ricci coefficients "
@@ -153,36 +152,38 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--n", dest="ns", action="append", type=int,
                       metavar="N", help="model size, repeatable "
                       "(default: 2 and 3)")
-    runp.add_argument("--kappa", default="1", metavar="P/Q",
+    runp.add_argument("--kappa", metavar="P/Q",
                       help="nonzero curvature normalization (rational); "
                            "give a negative one as --kappa=-3/7")
-    runp.add_argument("--seed", type=int, default=42, metavar="U64")
-    runp.add_argument("--trials", type=int, default=100, metavar="T",
+    runp.add_argument("--seed", type=int, metavar="U64")
+    runp.add_argument("--trials", type=int, metavar="T",
                       help="sample count for randomized identity checks")
-    runp.add_argument("--tolerance", type=float, default=1e-10, metavar="EPS")
-    runp.add_argument("--suites", default="all", metavar="LIST",
+    runp.add_argument("--tolerance", type=float, metavar="EPS")
+    runp.add_argument("--suites", metavar="LIST",
                       help="comma-separated subset of "
                            f"{{{', '.join(VALID_SUITES)}}}")
     runp.add_argument("--input", dest="input_path", metavar="PATH",
                       help="JSON file with user-supplied F1, F2, F3")
     runp.add_argument("--output", dest="output_path", metavar="PATH",
                       help="write the report here (atomic)")
-    runp.add_argument("--format", dest="fmt", default="json",
-                      choices=("json", "markdown"))
+    runp.add_argument("--format", dest="fmt", choices=("json", "markdown"))
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
-    try:
-        kappa = Fraction(args.kappa)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"--kappa: not a rational: {args.kappa!r}") from exc
-    suites = tuple(s.strip() for s in args.suites.split(",") if s.strip())
-    return RunConfig(ns=tuple(args.ns) if args.ns else (2, 3), kappa=kappa,
-                     seed=args.seed, trials=args.trials,
-                     tolerance=args.tolerance, suites=suites,
-                     input_path=args.input_path, output_path=args.output_path,
-                     fmt=args.fmt)
+    """The RunConfig of the options given; RunConfig supplies the rest."""
+    given = {key: value for key, value in vars(args).items() if key != "command"}
+    if "ns" in given:
+        given["ns"] = tuple(given["ns"])
+    if "kappa" in given:
+        try:
+            given["kappa"] = Fraction(args.kappa)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"--kappa: not a rational: {args.kappa!r}") from exc
+    if "suites" in given:
+        given["suites"] = tuple(s.strip() for s in given["suites"].split(",")
+                                if s.strip())
+    return RunConfig(**given)
 
 
 def main(argv=None) -> int:

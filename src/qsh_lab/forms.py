@@ -29,7 +29,9 @@ On the trivial fiber (vanishing curvature) the coframe obeys
     d a0 = 0,      d a_a = -t a0 ^ a_a - 2 t a_b ^ a_c,
 
 which d_via_structure applies to constant-coefficient ALPHA forms; the
-general exterior derivative lives in the DH coframe.
+general exterior derivative lives in the DH coframe.  No operation
+converts a coframe on its own: add, wedge and equal take two forms in
+one coframe, and a caller expands an ALPHA form with to_dh.
 
 Form equality is decided by simplify-then-sample: coefficients that fold
 to literal constants are compared exactly, the rest must `vanish` at
@@ -230,10 +232,6 @@ def to_dh(u: VerticalForm) -> VerticalForm:
     return out
 
 
-def as_dh(u: VerticalForm) -> VerticalForm:
-    return u if u.coframe == DH else to_dh(u)
-
-
 # --- hypercomplex pullbacks ---------------------------------------------------
 
 CYCLIC = {1: (2, 3), 2: (3, 1), 3: (1, 2)}  # a -> (b, c) with (a, b, c) cyclic
@@ -393,11 +391,11 @@ def vanishes(fields, trials: int, tolerance: float, rng: random.Random,
 def equal(u: VerticalForm, v: VerticalForm, trials: int = 100,
           tolerance: float = 1e-10, *, rng: random.Random,
           rational: bool = False) -> EqualityReport:
-    """Simplify-then-sample equality of two forms (auto-converts coframes)."""
-    if u.coframe != v.coframe:
-        u, v = as_dh(u), as_dh(v)
-    if u.degree != v.degree:
-        raise CoframeError("cannot compare forms of different degree")
+    """Simplify-then-sample equality of two forms of one degree in one
+    coframe; convert an ALPHA form with to_dh first to compare it with a
+    DH one."""
+    if u.coframe != v.coframe or u.degree != v.degree:
+        raise CoframeError("can only compare forms of equal degree in one coframe")
     deltas = []
     for key in sorted(set(u.terms) | set(v.terms)):
         delta = sf.sub(u.terms.get(key, sf.ZERO), v.terms.get(key, sf.ZERO))

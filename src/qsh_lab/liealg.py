@@ -158,39 +158,32 @@ def decompose(model: FlatModel, m: QArray) -> LieElement:
     return LieElement(matrix=m, so_part=so_part, sp_coeffs=coeffs)
 
 
-def _frame(model: FlatModel, frame):
-    """(J, G) of the model, or of a rotated frame stacked like model.J."""
-    if frame is None:
-        return model.J, model.g
-    return frame, model.omega @ frame
-
-
-def project_ZQ(model: FlatModel, x: QArray, y: QArray, frame=None) -> QArray:
+def project_ZQ(model: FlatModel, x: QArray, y: QArray) -> QArray:
     """Matrix of z -> (1/4)(omega0(x,z) y - sum_a g_a(x,z) J_a y).
 
     This is the invariant projection of the rank-one operator
     omega0(x,-) (x) y onto the centralizer of the quaternionic span;
-    it lands in Z(Q) and does not depend on the admissible frame.
+    it lands in Z(Q) and does not depend on the admissible frame: a
+    rotated frame is the model with (J, g) rotated together.
     """
     model.check_vector(x)
     model.check_vector(y)
-    J, G = _frame(model, frame)
     # column y times the row omega0(x, -), minus the columns J_a y times
     # the rows g_a(x, -)
-    out = y[:, None] @ (x @ model.omega)[None, :] - (J @ y).T @ (x @ G)
+    out = y[:, None] @ (x @ model.omega)[None, :] - (model.J @ y).T @ (x @ model.g)
     return out * Fraction(1, 4)
 
 
-def project_Q(model: FlatModel, x: QArray, y: QArray, frame=None) -> QArray:
+def project_Q(model: FlatModel, x: QArray, y: QArray) -> QArray:
     """Matrix of -(1/4n) sum_a Tr(omega0(x,-) (x) J_a y) J_a.
 
     The traces reduce to g_a(x, y), so the output is the sp(1) component
-    of the same rank-one operator; frame-independent.
+    of the same rank-one operator; it does not depend on the admissible
+    frame of the model.
     """
     model.check_vector(x)
     model.check_vector(y)
-    J, G = _frame(model, frame)
-    return _span(x @ G @ y, J) * Fraction(-1, 4 * model.n)
+    return _span(x @ model.g @ y, model.J) * Fraction(-1, 4 * model.n)
 
 
 def project_ZQ_operator(model: FlatModel, t: QArray) -> QArray:

@@ -441,11 +441,11 @@ _GLOBALS = {"_zero_div": _zero_div, "_negative_power": _negative_power,
 
 def _program(fields):
     """The DAG walk under `fields` (module docstring): (loads, steps,
-    outputs, exact K, float K).  A load line reads a constant from K
-    (``r5 = K[0]``) and cannot raise; the steps are one line per
+    outputs, K), K the exact constants.  A load line reads a constant
+    from K (``r5 = K[0]``) and cannot raise; the steps are one line per
     distinct operation, in evaluation order; outputs are the slots of
     the fields' values.  r0..r3 hold h0..h3."""
-    exact, floats = [], []  # K at exact points, K at float points
+    exact = []              # K, the constants and exponents in slot order
     slots = {}              # id(node) -> slot of its value
     numbered = {}           # rational constant, exponent or (type, a, b) -> slot
     loads, steps = [], []
@@ -462,7 +462,6 @@ def _program(fields):
         if slot is None:
             slot = emit(loads, f"K[{len(exact)}]", key)
             exact.append(value)
-            floats.append(_as_float(value))
         return slot
 
     for root in fields:
@@ -495,7 +494,7 @@ def _program(fields):
                     slot = emit(steps, source.format(a=a, b=b), (type(node), a, b))
             slots[id(node)] = slot
             stack.pop()
-    return loads, steps, [slots[id(f)] for f in fields], tuple(exact), tuple(floats)
+    return loads, steps, [slots[id(f)] for f in fields], tuple(exact)
 
 
 def _define(lines, name, K):
@@ -516,12 +515,12 @@ def evaluator(fields):
 
     The source is run(point), the lines of _program and a return of the
     outputs, over the exact constants."""
-    loads, steps, outputs, exact, _ = _program(tuple(fields))
+    loads, steps, outputs, K = _program(tuple(fields))
     return _define(["def run(point):",
                     " r0, r1, r2, r3 = point",
                     *(" " + line for line in loads + steps),
                     " return (" + "".join(f"r{s}, " for s in outputs) + ")"],
-                   "run", exact)
+                   "run", K)
 
 
 def scanner(fields, tail: str, exact: bool):
@@ -549,7 +548,7 @@ def scanner(fields, tail: str, exact: bool):
                 at float points
 
     Building writes and compiles the function but evaluates nothing."""
-    loads, steps, outputs, exact_K, float_K = _program(tuple(fields))
+    loads, steps, outputs, K = _program(tuple(fields))
     if tail == "worst":
         head = ["worst, witness, failure = 0.0, None, None"]
         kept = [f"v{i} = _float(r{s})" for i, s in enumerate(outputs)]
@@ -586,7 +585,8 @@ def scanner(fields, tail: str, exact: bool):
         "  else:",
         "   raise fail(evaluated, reasons)",
         *("  " + line for line in after),
-        *(" " + line for line in end)], "scan", exact_K if exact else float_K)
+        *(" " + line for line in end)], "scan",
+        K if exact else tuple(map(_as_float, K)))
 
 
 # --- parser -----------------------------------------------------------------

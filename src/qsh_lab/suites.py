@@ -61,7 +61,6 @@ from qsh_lab.linmodel import (FlatModel, build_flat_model, fundamental_4tensor,
                               sp1_conjugate_frame)
 from qsh_lab.matrices import QArray
 from qsh_lab.quaternion import Quaternion
-from qsh_lab.record import Record
 from qsh_lab.report import CheckResult
 
 SUITE_NAMES = ("model", "liealg", "curvature", "fiber", "flat", "symspace")
@@ -77,20 +76,19 @@ def _check(suite: str, name: str, anchor: str):
     return declare
 
 
-class SuiteContext(Record):
-    __slots__ = ("seed", "ns", "kappa", "trials", "tolerance", "user_solution",
-                 "_outcomes")
+class SuiteContext:
+    """What every check of a run reads: the run's seed, sizes, kappa,
+    trials and tolerance (from its RunConfig), the FlatSolution from
+    --input, if any, and the memo of set-up outcomes."""
 
-    def __init__(self, seed: int, ns: tuple = (2, 3), kappa: Fraction = Fraction(1),
-                 trials: int = 100, tolerance: float = 1e-10,
-                 user_solution: object = None, _outcomes: dict = None):
-        self.seed = seed
-        self.ns = ns
-        self.kappa = kappa
-        self.trials = trials
-        self.tolerance = tolerance
-        self.user_solution = user_solution  # FlatSolution from --input, if any
-        self._outcomes = {} if _outcomes is None else _outcomes  # memo key -> outcome
+    def __init__(self, config, user_solution=None):
+        self.seed = config.seed
+        self.ns = config.ns
+        self.kappa = config.kappa
+        self.trials = config.trials
+        self.tolerance = config.tolerance
+        self.user_solution = user_solution
+        self._outcomes = {}  # memo key -> outcome
 
     def memo(self, key, build):
         """build() once per key: its value, or the exception it raised,
@@ -408,14 +406,12 @@ def projection_frame_independence(ctx, n):
     m = ctx.model(n)
     rng = ctx.rng("liealg", f"proj-frames{n}")
     for _ in range(5):
-        q = _unit_quaternion(rng)
-        frame = sp1_conjugate_frame(m, q)
+        frame = sp1_conjugate_frame(m, _unit_quaternion(rng))
+        rotated = FlatModel(m.n, frame, m.omega, m.omega @ frame)
         x = _rational_vector(rng, m.dim)
         y = _rational_vector(rng, m.dim)
-        yield (liealg.project_ZQ(m, x, y)
-               - liealg.project_ZQ(m, x, y, frame=frame))
-        yield (liealg.project_Q(m, x, y)
-               - liealg.project_Q(m, x, y, frame=frame))
+        yield liealg.project_ZQ(m, x, y) - liealg.project_ZQ(rotated, x, y)
+        yield liealg.project_Q(m, x, y) - liealg.project_Q(rotated, x, y)
 
 
 @_check("liealg", "projection-idempotence[n={n}]", "projections fix their targets and "
@@ -828,7 +824,7 @@ def dbeta_general_f(ctx, n):
     def reports():
         for _ in range(5):
             f_fields = tuple(_random_field(rng) for _ in range(3))
-            beta = swann.BetaForm(f=f_fields).form()
+            beta = swann.beta_form(f_fields)
             lhs = forms.d(forms.to_dh(beta))
             rhs = forms.zero_form(3, forms.DH)
             for a in (1, 2, 3):
@@ -929,7 +925,7 @@ def family_cross_representation(ctx, n):
     def reports():
         for _ in range(5):
             solution = swann.explicit_solution_family(_random_constants(rng))
-            frame = swann.BetaForm(f=swann.f_from_F(solution)).form()
+            frame = swann.beta_form(swann.f_from_F(solution))
             yield forms.equal(forms.to_dh(frame), swann.beta_of_F(solution),
                               trials=40, tolerance=1e-8, rng=rng), ""
     return _verdict(reports())

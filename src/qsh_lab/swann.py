@@ -48,19 +48,13 @@ def beta_basis_form(a: int) -> forms.VerticalForm:
     return forms.VerticalForm(forms.ALPHA, 2, terms)
 
 
-class BetaForm(FrozenRecord):
-    """A vertical Hermitian 2-form beta = sum_a f_a beta_a."""
-
-    __slots__ = ("f",)
-
-    def __init__(self, f: tuple):  # three ScalarFields
-        self._init(f)
-
-    def form(self) -> forms.VerticalForm:
-        out = forms.zero_form(2, forms.ALPHA)
-        for a in (1, 2, 3):
-            out = forms.add(out, forms.scale(self.f[a - 1], beta_basis_form(a)))
-        return out
+def beta_form(f) -> forms.VerticalForm:
+    """The vertical Hermitian 2-form sum_a f_a beta_a, for three
+    ScalarFields f (ALPHA)."""
+    out = forms.zero_form(2, forms.ALPHA)
+    for a in (1, 2, 3):
+        out = forms.add(out, forms.scale(f[a - 1], beta_basis_form(a)))
+    return out
 
 
 class FlatSolution(FrozenRecord):
@@ -392,9 +386,9 @@ def symspace_tau(params: SymSpaceParams) -> forms.VerticalForm:
 
 def symspace_primitive_check(params: SymSpaceParams, trials: int = 100,
                              tolerance: float = 1e-8, *, rng: random.Random):
-    """Compare df with tau after expanding both in DH; returns the
-    EqualityReport (max residual over sampled fiber points)."""
-    return forms.equal(symspace_df(params), symspace_tau(params),
+    """Compare df with tau expanded in DH; returns the EqualityReport
+    (max residual over sampled fiber points)."""
+    return forms.equal(symspace_df(params), forms.to_dh(symspace_tau(params)),
                        trials=trials, tolerance=tolerance, rng=rng)
 
 

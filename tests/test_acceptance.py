@@ -245,7 +245,7 @@ def test_criterion_09_solution_family():
             s1=Fraction(rng.randint(1, 3), 2), s2=Fraction(rng.randint(1, 3), 2),
             s3=Fraction(rng.randint(0, 3), 2))
         solution = swann.explicit_solution_family(constants)
-        frame = swann.BetaForm(f=swann.f_from_F(solution)).form()
+        frame = swann.beta_form(swann.f_from_F(solution))
         rep = forms.equal(forms.to_dh(frame), swann.beta_of_F(solution),
                           trials=40, tolerance=1e-8, rng=rng)
         ok = ok and rep.equal

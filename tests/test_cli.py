@@ -224,6 +224,30 @@ def test_main_usage_errors(capsys):
         assert "selects no suite" in capsys.readouterr().err
 
 
+def test_main_parses_into_run_config(monkeypatch, capsys):
+    # argparse declares no default: `run` alone is RunConfig(), so a default
+    # that argparse and RunConfig both declared could not disagree unseen
+    configs = []
+
+    def fake_run(config):
+        configs.append(config)
+        return Report(config=config.as_dict()), 0
+    monkeypatch.setattr("qsh_lab.cli.run", fake_run)
+    assert main(["run"]) == 0
+    assert main(["run", "--n", "4", "--n", "2", "--kappa=-3/7", "--seed", "5",
+                 "--trials", "7", "--tolerance", "1e-6", "--suites", "model, fiber",
+                 "--input", "F.json", "--output", "out.md", "--format", "markdown"]) == 0
+    given = RunConfig(ns=(4, 2), kappa=Fraction(-3, 7), seed=5, trials=7,
+                      tolerance=1e-6, suites=("model", "fiber"), input_path="F.json",
+                      output_path="out.md", fmt="markdown")
+    assert configs == [RunConfig(), given]
+    assert all(getattr(given, field) != getattr(RunConfig(), field)
+               for field in RunConfig.__slots__)  # every option reaches its field
+    capsys.readouterr()
+    assert main(["run", "--kappa", "not-a-number"]) == 2
+    assert capsys.readouterr().err == "error: --kappa: not a rational: 'not-a-number'\n"
+
+
 def _one_error_line(capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -382,16 +406,6 @@ def test_user_solution_with_no_evaluable_point_fails(capsys, tmp_path):
     assert main(["run", "--suites", "flat", "--n", "2",
                  "--input", str(path)]) == 1
     assert "[FAIL] flat/user-solution-residuals" in capsys.readouterr().out
-
-
-def test_cli_import_leaves_numpy_unloaded():
-    # numpy is loaded lazily by the curvature kernel, so fiber-only runs
-    # never pay for it
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, qsh_lab.cli; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
 
 
 def test_fiber_run_leaves_numpy_unloaded():

@@ -66,6 +66,18 @@ def test_wedge_coframe_mismatch():
         forms.wedge(forms.dh(0), forms.alpha(1))
 
 
+def test_equal_refuses_two_coframes_or_degrees():
+    # the caller converts: an ALPHA form is compared after to_dh
+    rng = _rng()
+    state = rng.getstate()
+    for u, v in ((forms.alpha(0), forms.ALPHA_IN_DH[0]), (forms.dh(0), forms.zero_form(2))):
+        with pytest.raises(forms.CoframeError):
+            forms.equal(u, v, trials=5, rng=rng)
+    assert rng.getstate() == state
+    assert forms.equal(forms.to_dh(forms.alpha(0)), forms.ALPHA_IN_DH[0], trials=5,
+                       rng=rng).equal
+
+
 def test_d_basics():
     # d(h0 dh1) = dh0 ^ dh1
     u = forms.VerticalForm(forms.DH, 1, {(1,): sf.H0})

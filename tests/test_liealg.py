@@ -7,7 +7,7 @@ import pytest
 from qsh_lab import liealg
 from qsh_lab import matrices as mat
 from qsh_lab.matrices import QArray
-from qsh_lab.linmodel import sp1_conjugate_frame
+from qsh_lab.linmodel import FlatModel, sp1_conjugate_frame
 from qsh_lab.quaternion import Quaternion
 from qsh_lab.serialize import basis_to_json
 
@@ -129,13 +129,13 @@ def test_projection_frame_independence(model2):
     rng = random.Random(24)
     q = Quaternion(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
     frame = sp1_conjugate_frame(model2, q)
+    rotated = FlatModel(model2.n, frame, model2.omega, model2.omega @ frame)
+    assert rotated.J != model2.J
     for _ in range(5):
         x = _rational_vector(rng, model2.dim)
         y = _rational_vector(rng, model2.dim)
-        assert liealg.project_ZQ(model2, x, y) == \
-            liealg.project_ZQ(model2, x, y, frame=frame)
-        assert liealg.project_Q(model2, x, y) == \
-            liealg.project_Q(model2, x, y, frame=frame)
+        assert liealg.project_ZQ(model2, x, y) == liealg.project_ZQ(rotated, x, y)
+        assert liealg.project_Q(model2, x, y) == liealg.project_Q(rotated, x, y)
 
 
 def test_projection_idempotence_and_cross(model2, basis2):

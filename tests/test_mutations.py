@@ -9,12 +9,17 @@ decide on folded trees, a classification or sampled mechanics.  A
 mutation must fail its check on evidence, not by crashing it."""
 
 import functools
+import pathlib
+from fractions import Fraction
 
 import pytest
 
-from qsh_lab import forms
+from qsh_lab import curvature as curv
+from qsh_lab import forms, liealg
+from qsh_lab import matrices as mat
 from qsh_lab import scalarfield as sf
 from qsh_lab import suites, swann
+from qsh_lab.cli import RunConfig
 from qsh_lab.linmodel import FlatModel
 from qsh_lab.matrices import QArray
 from qsh_lab.suites import CHECKS, SuiteContext, _run
@@ -22,7 +27,7 @@ from qsh_lab.suites import CHECKS, SuiteContext, _run
 
 def _record(suite, check, **options):
     """The record of the check `check` of `suite` at n = 2."""
-    ctx = SuiteContext(seed=1, ns=(2,), **options)
+    ctx = SuiteContext(RunConfig(seed=1, ns=(2,), **options))
     (name, anchor, fn), = [c for c in CHECKS[suite] if c[0] in (check, check + "[n={n}]")]
     n = 2 if "{n}" in name else None
     return _run(suite, name.format(n=n), anchor, functools.partial(fn, ctx, n))
@@ -65,6 +70,9 @@ _MODEL_MUTATIONS = {
     # omega[0, 2] = -1 negated: h(x, y) no longer acts as conj(q) on the right
     "qsh-reconstruction":
         ("build_flat_model", lambda m: _rebuilt(m, omega=_with(m.omega, (0, 2), 1))),
+    # J_2[0, 2] = 1 negated: J_2^2 is no longer -Id
+    "quaternionic-identity":
+        ("build_flat_model", lambda m: _rebuilt(m, J=_with(m.J, (1, 0, 2), -1))),
     # the scalar part of h shifted by 1
     "qsh-special-values": ("qsh_form", lambda h: (h[0] + 1, h[1])),
     # J_2[0, 2] = 1 negated: rotated frames are no longer quaternionic
@@ -219,3 +227,145 @@ def test_a_mutation_fails_its_decision_check(monkeypatch, check):
     monkeypatch.setattr(holder, attribute, mutate(getattr(holder, attribute)))
     record = _record(suite, check, trials=5)
     assert _failed_on_evidence(record), record.detail
+
+
+def _on_model(change):
+    """A mutation of a projection: it reads the model changed by `change`."""
+    return lambda real: lambda m, x, y: real(change(m), x, y)
+
+
+def _first_element_shifted(basis):
+    """`basis` with the identity added to its first so*(2n) element, which
+    then commutes with every J_a but is neither omega0-skew nor traceless."""
+    first, *rest = basis.so_basis
+    shifted = first.matrix + QArray.eye(basis.model.dim)
+    return liealg.LieBasis(basis.model,
+                           (liealg.LieElement(shifted, shifted, first.sp_coeffs), *rest),
+                           basis.sp_basis)
+
+
+# for each liealg check, run at n = 2: as above.  Enumeration raises when
+# its count or an element is wrong, so the basis is changed after it
+_LIEALG_MUTATIONS = {
+    # the last so*(2n) element dropped
+    "so-star-dimension": (liealg, "enumerate_so_star_basis",
+                          _wrapped(lambda b: liealg.LieBasis(b.model, b.so_basis[:-1],
+                                                             b.sp_basis))),
+    "basis-defining-equations": (liealg, "enumerate_so_star_basis",
+                                 _wrapped(_first_element_shifted)),
+    # the sp(1) coefficients reported as (c3, c2, c1)
+    "decompose-roundtrip": (liealg, "decompose",
+                            _wrapped(lambda el: liealg.LieElement(
+                                el.matrix, el.so_part, el.sp_coeffs[::-1]))),
+    # + sum_a g_a(x, z) J_a y: no longer in the centralizer
+    "projection-targets": (liealg, "project_ZQ", _on_model(
+        lambda m: FlatModel(m.n, m.J, m.omega, -m.g))),
+    # the sum over J_1 and J_2 only, which a rotation of the frame moves
+    "projection-frame-independence": (liealg, "project_ZQ", _on_model(
+        lambda m: FlatModel(m.n, m.J[:2], m.omega, m.g[:2]))),
+    # c_a = -Tr(J_a M) / 2n, twice the trace pairing
+    "projection-idempotence": (liealg, "sp1_trace_coefficients",
+                               _wrapped(lambda c: tuple(2 * v for v in c))),
+    # 1/8 in place of 1/4
+    "projection-oracle": (liealg, "project_ZQ", _wrapped(lambda p: p * Fraction(1, 2))),
+    # -(1/n) in place of -(1/2n)
+    "circle-map": (liealg, "circle_sp1", _wrapped(lambda p: p * 2)),
+    # sum_a c_a J_a without its J_3 term, which J_1 and J_3 do not preserve
+    "circle-equivariance": (liealg, "_span",
+                            lambda real: lambda coeffs, J: real(coeffs[:2], J[:2])),
+}
+
+
+@pytest.mark.parametrize("check", _LIEALG_MUTATIONS)
+def test_a_mutation_fails_its_liealg_check(monkeypatch, check):
+    holder, attribute, mutate = _LIEALG_MUTATIONS[check]
+    assert _record("liealg", check).passed
+    monkeypatch.setattr(holder, attribute, mutate(getattr(holder, attribute)))
+    record = _record("liealg", check)
+    assert _failed_on_evidence(record), record.detail
+
+
+def _kappa_term_symmetric(real):
+    """`curvature._parts` with g_1(x, y) A z, symmetric in x and y, in
+    place of the kappa term w(x, y) A z; every value stays in g."""
+    def parts(model, A):
+        _, t1, t2 = real(model, A)
+        return mat.einsum("ij,rk->ijkr", model.g[0], A), t1, t2
+    return parts
+
+
+def _ricci_second_slot(real):
+    """`curvature.ricci_of` traced over the second slot of R(x, y) z: -Ric,
+    as R is skew in x and y."""
+    return lambda tensor: mat.einsum("yizi->yz", tensor)
+
+
+def _pinned_c2_off_by_kappa(real):
+    """`CurvParams.pinned` with c2 = (n + 1)k in place of nk."""
+    return lambda kappa, n: curv.CurvParams(kappa, 2 * kappa, (n + 1) * kappa)
+
+
+def _always_hermitian(real):
+    """`curvature.is_Q_hermitian` reading every form as Q-Hermitian."""
+    return lambda m, t, frames=(): (True, None)
+
+
+# for each curvature check, run at n = 2 (the [mandatory] pass at n = 3):
+# as above
+_CURVATURE_MUTATIONS = {
+    "bianchi-pinned-zero": (curv.CurvParams, "pinned", _pinned_c2_off_by_kappa),
+    # the cyclic sum reads 0, so no perturbed pair breaks it
+    "bianchi-perturbed-nonzero": (curv, "bianchi_residual", _wrapped(lambda r: r * 0)),
+    "tensor-wellformed": (curv, "_parts", _kappa_term_symmetric),
+    "ricci-commuting-part": (curv, "ricci_of", _ricci_second_slot),
+    "ricci-sp1-part": (curv, "ricci_of", _ricci_second_slot),
+    # omega0(A y, z) negated in the split
+    "ricci-linearity": (curv, "omega_pairing", _wrapped(lambda p: -p)),
+    # the sp(1) part reads as Q-Hermitian too
+    "ricci-hermitian-dichotomy": (curv, "is_Q_hermitian", _always_hermitian),
+    "ricci-hermitian-dichotomy[n=3][mandatory]": (curv, "is_Q_hermitian", _always_hermitian),
+}
+
+
+@pytest.mark.parametrize("check", _CURVATURE_MUTATIONS)
+def test_a_mutation_fails_its_curvature_check(monkeypatch, check):
+    holder, attribute, mutate = _CURVATURE_MUTATIONS[check]
+    assert _record("curvature", check).passed
+    monkeypatch.setattr(holder, attribute, mutate(getattr(holder, attribute)))
+    record = _record("curvature", check)
+    assert _failed_on_evidence(record), record.detail
+
+
+TESTS = pathlib.Path(__file__).resolve().parent
+
+# checks without a row above, each with a test elsewhere that fails it
+_FAILED_ELSEWHERE = {
+    "phi-identity":
+        "test_suites.py::test_a_generator_check_that_fails_records_its_worst_difference",
+    "curvature-two-paths": "test_suites.py::test_a_sign_flipped_kernel_fails_the_two_paths",
+    "ricci-closed-form":
+        "test_suites.py::test_ricci_closed_form_record_fails_on_a_doubled_closed_form",
+    "curvature-map-rank": "test_suites.py::test_a_tensor_given_twice_fails_the_map_rank",
+    "structure-equations":
+        "test_suites.py::test_structure_equations_record_carries_the_failing_report",
+    "solution-family-residuals":
+        "test_suites.py::test_nan_pde_residuals_fail_the_solution_family",
+    "user-solution-residuals": "test_cli.py::test_run_subset_and_exit_codes",
+    "ddf-zero": "test_suites.py::test_an_exact_tiny_term_in_df_fails_ddf_zero",
+    # only a nan fails it: c2 E / (c1 E) - c2/c1 = 0 for every nonzero E,
+    # so no finite exp(f) does (a FOUND in CHANGES.md)
+    "frame-coefficient-proportionality":
+        "test_suites.py::test_a_nan_exp_f_fails_frame_coefficient_proportionality",
+}
+
+
+def test_every_check_has_a_mutation():
+    rows = {**_MODEL_MUTATIONS, **_SAMPLED_MUTATIONS, **_EXACT_MUTATIONS,
+            **_DECISION_MUTATIONS, **_LIEALG_MUTATIONS, **_CURVATURE_MUTATIONS}
+    names = [name.replace("[n={n}]", "") for checks in CHECKS.values()
+             for name, _, _ in checks]
+    assert not set(rows) & set(_FAILED_ELSEWHERE)
+    assert sorted(set(rows) | set(_FAILED_ELSEWHERE)) == sorted(names)
+    for test in _FAILED_ELSEWHERE.values():
+        path, name = test.split("::")
+        assert f"\ndef {name}(" in (TESTS / path).read_text(), test

@@ -21,7 +21,6 @@ from qsh_lab.liealg import LieBasis, LieElement
 from qsh_lab.linmodel import FlatModel
 from qsh_lab.quaternion import Quaternion
 from qsh_lab.report import CheckResult, Report
-from qsh_lab.suites import SuiteContext
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -46,11 +45,18 @@ def _pickled(record):
     return copy
 
 
-def test_import_loads_no_dataclasses_or_inspect():
+# modules whose import costs every process start and that no import of the
+# package needs: numpy loads lazily with the linear kernel, the records
+# generate no code, and the lanes fork without a pool
+HEAVY_MODULES = {"numpy", "dataclasses", "inspect", "multiprocessing",
+                 "concurrent.futures", "subprocess", "asyncio"}
+
+
+def test_import_loads_no_heavy_module():
     # the set-up probe's imports, in a fresh interpreter that compiles every
     # module from source and sees no site-packages
     code = ("import sys; from qsh_lab import cli, liealg, linmodel; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            f"print(sorted({HEAVY_MODULES!r} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, check=True)
@@ -197,16 +203,6 @@ def test_report_record():
     assert _pickled(full) == full
 
 
-def test_suite_context_record():
-    ctx = SuiteContext(seed=3)
-    assert repr(ctx) == ("SuiteContext(seed=3, ns=(2, 3), kappa=Fraction(1, 1), "
-                         "trials=100, tolerance=1e-10, user_solution=None, _outcomes={})")
-    assert ctx._outcomes is not SuiteContext(seed=3)._outcomes
-    assert ctx == SuiteContext(3, (2, 3), Fraction(1), 100, 1e-10, None, {})
-    assert ctx.memo("k", lambda: 5) == 5 and ctx != SuiteContext(seed=3)
-    _unhashable(ctx)
-
-
 def test_vertical_form_record():
     form = forms.VerticalForm("dh", 1, {(0,): sf.H1, (1,): sf.ZERO})
     assert form.terms == {(0,): sf.H1}  # zero coefficients are dropped
@@ -228,16 +224,6 @@ def test_equality_report_record():
                                           witness=(Fraction(1, 2), 0.25, 1.0, -2.0))
     _unhashable(report)
     assert _pickled(report) == report
-
-
-def test_beta_form_record():
-    beta = swann.BetaForm(f=(sf.H1, sf.ONE, sf.ZERO))
-    assert repr(beta) == ("BetaForm(f=(Var(index=1), Const(value=Fraction(1, 1)), "
-                          "Const(value=Fraction(0, 1))))")
-    assert beta == swann.BetaForm((sf.var(1), sf.const(1), sf.const(0)))
-    assert hash(beta) == hash((beta.f,))
-    _frozen(beta, "f")
-    assert _pickled(beta) == beta
 
 
 def test_flat_solution_record():

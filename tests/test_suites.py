@@ -17,8 +17,22 @@ from qsh_lab.suites import (CHECKS, SUITE_NAMES, SUITE_RUNNERS, SuiteContext, _e
 GOLDEN_F = pathlib.Path(__file__).resolve().parent / "golden" / "F_seed42.json"
 
 
+def _ctx(**options):
+    return SuiteContext(RunConfig(**options))
+
+
 def _report(equal, residual, witness=None):
     return forms.EqualityReport(equal, residual, witness)
+
+
+def test_suite_context_memo():
+    config = RunConfig(seed=3)
+    ctx = SuiteContext(config)
+    assert (ctx.seed, ctx.ns, ctx.kappa, ctx.trials, ctx.tolerance, ctx.user_solution) == \
+        (3, (2, 3), Fraction(1), 100, 1e-10, None)
+    assert ctx._outcomes == {} and ctx._outcomes is not SuiteContext(config)._outcomes
+    assert ctx.memo("k", lambda: 5) == 5 and ctx.memo("k", lambda: 6) == 5
+    assert SuiteContext(config).memo("k", lambda: 6) == 6
 
 
 def test_verdict_passes_with_worst_residual_and_detail():
@@ -59,7 +73,7 @@ def test_structure_equations_record_carries_the_failing_report(monkeypatch):
         return real_equal(u, v, *args, **kwargs)
     monkeypatch.setattr(forms, "equal", equal)
     records = {r.name: r
-               for r in SUITE_RUNNERS["fiber"](SuiteContext(seed=1, trials=5))}
+               for r in SUITE_RUNNERS["fiber"](_ctx(seed=1, trials=5))}
     record = records["structure-equations"]
     assert not record.passed
     assert (record.residual, record.witness, record.detail) == \
@@ -76,7 +90,7 @@ def test_nan_pde_residuals_fail_the_solution_family(monkeypatch):
     nan_field = sf.mul(sf.const(math.nan), sf.H0)
     monkeypatch.setattr(swann, "pde_residuals",
                         lambda solution, partials=None: (nan_field,) * 4)
-    record = _record("flat", "solution-family-residuals", SuiteContext(seed=1, trials=5))
+    record = _record("flat", "solution-family-residuals", _ctx(seed=1, trials=5))
     assert not record.passed
     assert record.residual == math.inf
 
@@ -86,7 +100,7 @@ def test_a_nan_exp_f_fails_frame_coefficient_proportionality(monkeypatch):
     monkeypatch.setattr(swann, "symspace_exp_f",
                         lambda params: sf.mul(sf.const(math.nan), real(params)))
     record = _record("symspace", "frame-coefficient-proportionality",
-                     SuiteContext(seed=1))
+                     _ctx(seed=1))
     assert not record.passed
     assert record.residual == math.inf
 
@@ -98,12 +112,12 @@ def test_an_exact_tiny_term_in_df_fails_ddf_zero(monkeypatch):
     tiny = forms.scale(sf.mul(sf.const(Fraction(1, 10 ** 12)), sf.H1), forms.dh(0))
     monkeypatch.setattr(swann, "symspace_df",
                         lambda params: forms.add(real(params), tiny))
-    record = _record("symspace", "ddf-zero", SuiteContext(seed=1))
+    record = _record("symspace", "ddf-zero", _ctx(seed=1))
     assert not record.passed
     assert record.residual == 1e-12
     assert record.witness is not None
     monkeypatch.setattr(swann, "symspace_df", real)
-    assert _record("symspace", "ddf-zero", SuiteContext(seed=1)).passed
+    assert _record("symspace", "ddf-zero", _ctx(seed=1)).passed
 
 
 def test_exact_passes_an_empty_stream():
@@ -126,7 +140,7 @@ def test_ricci_closed_form_record_fails_on_a_doubled_closed_form(monkeypatch):
     monkeypatch.setattr(curv, "ricci_closed_form",
                         lambda *args: real_closed_form(*args) * 2)
     records = {r.name: r
-               for r in SUITE_RUNNERS["curvature"](SuiteContext(seed=1, ns=(2,)))}
+               for r in SUITE_RUNNERS["curvature"](_ctx(seed=1, ns=(2,)))}
     record = records["ricci-closed-form[n=2]"]
     assert not record.passed
     assert record.residual > 0
@@ -136,7 +150,7 @@ def test_a_generator_check_that_fails_records_its_worst_difference(monkeypatch):
     real = suites.fundamental_4tensor
     monkeypatch.setattr(suites, "fundamental_4tensor",
                         lambda *args: real(*args) + Fraction(1, 2))
-    records = {r.name: r for r in SUITE_RUNNERS["model"](SuiteContext(seed=1, ns=(2,)))}
+    records = {r.name: r for r in SUITE_RUNNERS["model"](_ctx(seed=1, ns=(2,)))}
     record = records["phi-identity[n=2]"]
     assert not record.passed
     assert record.residual == 0.5
@@ -206,7 +220,7 @@ def test_each_pinned_tensor_is_computed_once_per_size(monkeypatch):
         calls += 1
         return real(*args)
     monkeypatch.setattr(curv, "curvature_of", counted)
-    records = _linear_records(SuiteContext(seed=1, ns=(2, 3)))
+    records = _linear_records(_ctx(seed=1, ns=(2, 3)))
     assert all(r.passed for r in records.values())
     # per n: one pinned pass over the basis, whose rows the map rank reads,
     # and the off-pinning, two-path, well-formedness and random-element checks
@@ -225,7 +239,7 @@ def test_a_tensor_given_twice_fails_the_map_rank(monkeypatch):
         elements = basis.elements()
         return real(model, basis, elements[0] if a is elements[1] else a, params)
     monkeypatch.setattr(curv, "curvature_of", swapped)
-    records = _curvature_records(SuiteContext(seed=1, ns=(2,)))
+    records = _curvature_records(_ctx(seed=1, ns=(2,)))
     assert records["bianchi-pinned-zero[n=2]"].passed
     record = records["curvature-map-rank[n=2]"]
     assert not record.passed
@@ -235,7 +249,7 @@ def test_a_tensor_given_twice_fails_the_map_rank(monkeypatch):
 
 def test_kappa_p_passes_the_map_rank():
     # R_A at kappa = p is 0 mod p entrywise; its primitive rows are not
-    ctx = SuiteContext(seed=1, ns=(2, 3), kappa=Fraction(2147483629))
+    ctx = _ctx(seed=1, ns=(2, 3), kappa=Fraction(2147483629))
     records = _curvature_records(ctx)
     for n, rank in ((2, 9), (3, 18)):
         record = records[f"curvature-map-rank[n={n}]"]
@@ -253,7 +267,7 @@ def test_a_sign_flipped_kernel_fails_the_two_paths(monkeypatch, part):
         return tuple(parts)
     monkeypatch.setattr(curv, "_parts", flipped)
     records = {r.name: r
-               for r in SUITE_RUNNERS["curvature"](SuiteContext(seed=1, ns=(2, 3)))}
+               for r in SUITE_RUNNERS["curvature"](_ctx(seed=1, ns=(2, 3)))}
     for n in (2, 3):
         record = records[f"curvature-two-paths[n={n}]"]
         assert not record.passed
@@ -265,7 +279,7 @@ def test_a_ricci_error_fails_only_the_checks_that_read_it(monkeypatch):
         raise ArithmeticError("trace")
     monkeypatch.setattr(curv, "ricci_of", ricci_of)
     records = {r.name: r
-               for r in SUITE_RUNNERS["curvature"](SuiteContext(seed=1, ns=(2, 3)))}
+               for r in SUITE_RUNNERS["curvature"](_ctx(seed=1, ns=(2, 3)))}
     for n in (2, 3):
         assert records[f"bianchi-pinned-zero[n={n}]"].passed
         assert records[f"curvature-map-rank[n={n}]"].passed
@@ -285,6 +299,6 @@ def test_the_linear_suites_take_no_object_path_at_kappa_1(monkeypatch):
             wide.append(bound)
         return real(bound, *arrays)
     monkeypatch.setattr(mat, "operands", operands)
-    records = _linear_records(SuiteContext(seed=1, ns=(2, 3, 4)))
+    records = _linear_records(_ctx(seed=1, ns=(2, 3, 4)))
     assert all(r.passed for r in records.values())
     assert wide == []

@@ -48,12 +48,11 @@ def test_flat_solution_rejects_unknown_variables():
 
 
 def test_beta_form_vanishes_with_zero_coefficients():
-    beta = swann.BetaForm(f=(sf.ZERO, sf.ZERO, sf.ZERO))
-    assert beta.form().is_structurally_zero()
+    assert swann.beta_form((sf.ZERO, sf.ZERO, sf.ZERO)).is_structurally_zero()
 
 
 def test_beta_form_constant_coefficients_invariant():
-    beta = swann.BetaForm(f=(sf.const(2), sf.const(3), sf.const(-1))).form()
+    beta = swann.beta_form((sf.const(2), sf.const(3), sf.const(-1)))
     for a in (1, 2, 3):
         pulled = forms.pullback_hyper(beta, a)
         assert set(pulled.terms) == set(beta.terms)
@@ -67,7 +66,7 @@ def test_dbeta_equals_sum_df_wedge_beta():
     rng = _rng()
     f_fields = (sf.mul(sf.H0, sf.H1), sf.exp(sf.mul(sf.const(Fraction(1, 2)),
                                                     sf.H2)), sf.pow_(sf.H3, 2))
-    beta = swann.BetaForm(f=f_fields).form()
+    beta = swann.beta_form(f_fields)
     lhs = forms.d(forms.to_dh(beta))
     rhs = forms.zero_form(3, forms.DH)
     for a in (1, 2, 3):
@@ -116,7 +115,7 @@ def test_f_from_F_cross_representation():
             sf.add(sf.mul(sf.H0, sf.H1), sf.const(Fraction(rng.randint(-2, 2)))),
             sf.pow_(sf.H2, 2),
             sf.sub(sf.H3, sf.H0)))
-        frame_form = swann.BetaForm(f=swann.f_from_F(F)).form()
+        frame_form = swann.beta_form(swann.f_from_F(F))
         rep = forms.equal(forms.to_dh(frame_form), swann.beta_of_F(F),
                           trials=40, tolerance=1e-9, rng=rng)
         assert rep.equal, rep.max_residual
