@@ -408,6 +408,17 @@ def test_user_solution_with_no_evaluable_point_fails(capsys, tmp_path):
     assert "[FAIL] flat/user-solution-residuals" in capsys.readouterr().out
 
 
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is loaded lazily by the curvature kernel, so fiber-only runs
+    # never pay for it; unlike the `-S` probe in test_record, this import
+    # sees site-packages and the installed package
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qsh_lab.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 def test_fiber_run_leaves_numpy_unloaded():
     # the fiber, flat and symspace suites run no linear-model code, so the
     # fiber-input workload never imports numpy (its set-up time and peak

@@ -52,7 +52,7 @@ HEAVY_MODULES = {"numpy", "dataclasses", "inspect", "multiprocessing",
                  "concurrent.futures", "subprocess", "asyncio"}
 
 
-def test_import_loads_no_heavy_module():
+def test_import_loads_no_dataclasses_or_inspect():
     # the set-up probe's imports, in a fresh interpreter that compiles every
     # module from source and sees no site-packages
     code = ("import sys; from qsh_lab import cli, liealg, linmodel; "
