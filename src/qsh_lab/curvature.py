@@ -6,7 +6,7 @@ R_A(x, y) = kappa * omega0(x, y) A
 
 where the two circle-map parts are the invariant projections from
 liealg.  The first Bianchi identity pins (c1, c2) = (2 kappa, n kappa);
-the free constructor exists so the necessity of that pinning can be
+CurvParams takes any (c1, c2) so the necessity of that pinning can be
 exhibited by nonzero residuals.
 
 Kernel.  On the standard basis R_A is one array indexed
@@ -46,8 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from qsh_lab import matrices as mat
-from qsh_lab.liealg import (LieBasis, LieElement, circle_so_star, circle_sp1,
-                            decompose)
+from qsh_lab.liealg import LieBasis, circle_so_star, circle_sp1
 from qsh_lab.linmodel import FlatModel
 from qsh_lab.matrices import QArray
 from qsh_lab.record import FrozenRecord
@@ -59,8 +58,8 @@ class CurvParams(FrozenRecord):
 
     __slots__ = ("kappa", "c1", "c2")
 
-    def __init__(self, kappa: Fraction, c1: Fraction, c2: Fraction):
-        self._init(kappa, c1, c2)
+    def __init__(self, kappa, c1, c2):
+        self._init(Fraction(kappa), Fraction(c1), Fraction(c2))
         if self.kappa == 0:
             raise ValueError("kappa must be nonzero")
 
@@ -69,16 +68,6 @@ class CurvParams(FrozenRecord):
         """The Bianchi-compatible coefficients c1 = 2k, c2 = nk."""
         k = Fraction(kappa)
         return CurvParams(kappa=k, c1=2 * k, c2=n * k)
-
-    @staticmethod
-    def free(kappa, c1, c2) -> "CurvParams":
-        return CurvParams(kappa=Fraction(kappa), c1=Fraction(c1), c2=Fraction(c2))
-
-
-def _as_element(model: FlatModel, a) -> LieElement:
-    if isinstance(a, LieElement):
-        return a
-    return decompose(model, a)  # raises MembershipError if outside g
 
 
 def _parts(model: FlatModel, A: QArray):
@@ -111,10 +100,12 @@ def _parts(model: FlatModel, A: QArray):
     return t0, t1, t2
 
 
-def curvature_of(model: FlatModel, basis: LieBasis, a, params: CurvParams) -> QArray:
-    """R_A on all standard basis triples (see Kernel)."""
+def curvature_of(model: FlatModel, basis: LieBasis, a: QArray,
+                 params: CurvParams) -> QArray:
+    """R_A on all standard basis triples (see Kernel) for the matrix A = a.
+    It does not test that a lies in g: membership is decompose's job."""
     # basis is unread: bench/spans.py's curvature_input_key fixes this arity
-    t0, t1, t2 = _parts(model, _as_element(model, a).matrix)
+    t0, t1, t2 = _parts(model, a)
     r = (t0 * params.kappa + t1 * (params.c1 / 4)
          + t2 * (params.c2 / Fraction(2 * model.n)))
     return QArray(r.values, r.scale)  # the bound of the values themselves

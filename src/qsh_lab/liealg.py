@@ -16,6 +16,10 @@ and the count is asserted to equal n(2n-1).
 
 Basis vectors come out of reduced echelon pivoting with lexicographic
 column order, so exports are reproducible.
+
+An element of h = so*(2n) (+) sp(1) is its matrix, a QArray: the basis
+holds matrices, and decompose splits a matrix into its so*(2n) part and
+its sp(1) coefficients, or raises MembershipError.
 """
 
 from __future__ import annotations
@@ -35,28 +39,16 @@ class MembershipError(ValueError):
         self.residual = residual
 
 
-class LieElement(FrozenRecord):
-    """A matrix in so*(2n) (+) sp(1) with its cached decomposition."""
-
-    __slots__ = ("matrix", "so_part", "sp_coeffs")
-
-    def __init__(self, matrix: QArray, so_part: QArray, sp_coeffs: tuple):
-        self._init(matrix, so_part, sp_coeffs)
-
-
 class LieBasis(FrozenRecord):
     __slots__ = ("model", "so_basis", "sp_basis")
 
     def __init__(self, model: FlatModel, so_basis: tuple, sp_basis: tuple):
-        # so_basis and sp_basis are tuples of LieElement; sp_basis holds the J_a
+        # tuples of QArray matrices: so_basis the enumerated so*(2n)
+        # elements, sp_basis the three slices of model.J
         self._init(model, so_basis, sp_basis)
 
     def elements(self):
         return list(self.so_basis) + list(self.sp_basis)
-
-    @property
-    def dim(self) -> int:
-        return len(self.so_basis) + len(self.sp_basis)
 
 
 @cache
@@ -118,14 +110,7 @@ def enumerate_so_star_basis(model: FlatModel) -> LieBasis:
     if any(commutation_defect(model, m) != 0 or symplectic_defect(model, m).max_abs() != 0
            for m in elements):
         raise AssertionError("enumerated element violates the defining equations")
-    zero = model.J[0] * 0
-    so_elements = tuple(LieElement(matrix=m, so_part=m, sp_coeffs=(Fraction(0),) * 3)
-                        for m in elements)
-    sp_elements = tuple(
-        LieElement(matrix=model.J[a], so_part=zero,
-                   sp_coeffs=tuple(Fraction(1 if b == a else 0) for b in range(3)))
-        for a in range(3))
-    return LieBasis(model=model, so_basis=so_elements, sp_basis=sp_elements)
+    return LieBasis(model=model, so_basis=tuple(elements), sp_basis=tuple(model.J))
 
 
 def sp1_trace_coefficients(model: FlatModel, m: QArray):
@@ -142,8 +127,9 @@ def _span(coeffs, J: QArray) -> QArray:
     return sum(c * Ja for c, Ja in zip(coeffs, J))
 
 
-def decompose(model: FlatModel, m: QArray) -> LieElement:
-    """Split M = M_so + sum_a c_a J_a, or raise MembershipError.
+def decompose(model: FlatModel, m: QArray):
+    """Split M = M_so + sum_a c_a J_a into (M_so, (c_1, c_2, c_3)), or
+    raise MembershipError.
 
     The sp(1) coefficients are recovered by the invariant trace pairing;
     the remainder must then satisfy the so*(2n) defining equations
@@ -155,7 +141,7 @@ def decompose(model: FlatModel, m: QArray) -> LieElement:
                    symplectic_defect(model, so_part).max_abs())
     if residual != 0:
         raise MembershipError("matrix is not in so*(2n) (+) sp(1)", residual)
-    return LieElement(matrix=m, so_part=so_part, sp_coeffs=coeffs)
+    return so_part, coeffs
 
 
 def project_ZQ(model: FlatModel, x: QArray, y: QArray) -> QArray:

@@ -75,14 +75,6 @@ class FlatModel(FrozenRecord):
             raise DimensionMismatch(
                 f"expected a vector of length {self.dim}, got {len(x)}")
 
-    def omega_of(self, x, y):
-        self.check_vector(x)
-        self.check_vector(y)
-        return x @ self.omega @ y
-
-    def apply_J(self, a: int, v):
-        return self.J[a - 1] @ v
-
 
 def build_flat_model(n: int) -> FlatModel:
     """Construct the flat model on R^{4n}; deterministic in n.

@@ -36,8 +36,8 @@ def basis_to_dict(basis: LieBasis) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "n": basis.model.n,
-        "so_star": [matrix_to_dict(el.matrix) for el in basis.so_basis],
-        "sp1": [matrix_to_dict(el.matrix) for el in basis.sp_basis],
+        "so_star": [matrix_to_dict(m) for m in basis.so_basis],
+        "sp1": [matrix_to_dict(m) for m in basis.sp_basis],
     }
 
 

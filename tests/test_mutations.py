@@ -238,10 +238,8 @@ def _first_element_shifted(basis):
     """`basis` with the identity added to its first so*(2n) element, which
     then commutes with every J_a but is neither omega0-skew nor traceless."""
     first, *rest = basis.so_basis
-    shifted = first.matrix + QArray.eye(basis.model.dim)
-    return liealg.LieBasis(basis.model,
-                           (liealg.LieElement(shifted, shifted, first.sp_coeffs), *rest),
-                           basis.sp_basis)
+    shifted = first + QArray.eye(basis.model.dim)
+    return liealg.LieBasis(basis.model, (shifted, *rest), basis.sp_basis)
 
 
 # for each liealg check, run at n = 2: as above.  Enumeration raises when
@@ -255,8 +253,7 @@ _LIEALG_MUTATIONS = {
                                  _wrapped(_first_element_shifted)),
     # the sp(1) coefficients reported as (c3, c2, c1)
     "decompose-roundtrip": (liealg, "decompose",
-                            _wrapped(lambda el: liealg.LieElement(
-                                el.matrix, el.so_part, el.sp_coeffs[::-1]))),
+                            _wrapped(lambda split: (split[0], split[1][::-1]))),
     # + sum_a g_a(x, z) J_a y: no longer in the centralizer
     "projection-targets": (liealg, "project_ZQ", _on_model(
         lambda m: FlatModel(m.n, m.J, m.omega, -m.g))),
@@ -282,6 +279,25 @@ def test_a_mutation_fails_its_liealg_check(monkeypatch, check):
     assert _record("liealg", check).passed
     monkeypatch.setattr(holder, attribute, mutate(getattr(holder, attribute)))
     record = _record("liealg", check)
+    assert _failed_on_evidence(record), record.detail
+
+
+def _plus_first_component(real):
+    """`liealg.circle_map` as C + P C P, P the projection onto the first
+    quaternionic component: still symmetric, and equivariant under every
+    element that preserves the components, as J_a does."""
+    def circle_map(m, x, y, kappa):
+        first = QArray.eye(m.dim)[:4]  # the coordinates of the first component
+        p = first.T @ first
+        c = real(m, x, y, kappa)
+        return c + p @ c @ p
+    return circle_map
+
+
+def test_circle_equivariance_sees_elements_mixing_components(monkeypatch):
+    assert _record("liealg", "circle-equivariance").passed
+    monkeypatch.setattr(liealg, "circle_map", _plus_first_component(liealg.circle_map))
+    record = _record("liealg", "circle-equivariance")
     assert _failed_on_evidence(record), record.detail
 
 

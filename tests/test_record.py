@@ -17,7 +17,7 @@ from qsh_lab import scalarfield as sf
 from qsh_lab import swann
 from qsh_lab.cli import RunConfig, UsageError
 from qsh_lab.curvature import CurvParams
-from qsh_lab.liealg import LieBasis, LieElement
+from qsh_lab.liealg import LieBasis
 from qsh_lab.linmodel import FlatModel
 from qsh_lab.quaternion import Quaternion
 from qsh_lab.report import CheckResult, Report
@@ -102,27 +102,9 @@ def test_flat_model_record(model2):
     assert _pickled(model2) == model2
 
 
-def test_lie_element_record(basis2):
-    element = basis2.sp_basis[0]
-    rows = ("[[0, 1, 0, 0, 0, 0, 0, 0], [-1, 0, 0, 0, 0, 0, 0, 0], "
-            "[0, 0, 0, -1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0], "
-            "[0, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, -1, 0, 0, 0], "
-            "[0, 0, 0, 0, 0, 0, 0, -1], [0, 0, 0, 0, 0, 0, 1, 0]]")
-    zeros = "[" + ", ".join(["[0, 0, 0, 0, 0, 0, 0, 0]"] * 8) + "]"
-    assert repr(element) == (
-        f"LieElement(matrix=QArray({rows}, scale=1), so_part=QArray({zeros}, "
-        "scale=1), sp_coeffs=(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1)))")
-    copy = LieElement(matrix=element.matrix, so_part=element.so_part,
-                      sp_coeffs=element.sp_coeffs)
-    assert copy == element and copy != basis2.sp_basis[1]
-    _unhashable(element)
-    _frozen(element, "sp_coeffs")
-    assert _pickled(element) == element
-
-
 def test_lie_basis_record(model2, basis2):
     copy = LieBasis(model=model2, so_basis=basis2.so_basis, sp_basis=basis2.sp_basis)
-    assert copy == basis2 and copy.dim == 9
+    assert copy == basis2 and len(copy.elements()) == 9
     assert LieBasis(model2, basis2.so_basis[1:], basis2.sp_basis) != basis2
     assert repr(basis2) == (f"LieBasis(model={model2!r}, so_basis={basis2.so_basis!r}, "
                             f"sp_basis={basis2.sp_basis!r})")
@@ -135,7 +117,7 @@ def test_curv_params_record():
     p = CurvParams.pinned(1, 2)
     assert repr(p) == ("CurvParams(kappa=Fraction(1, 1), c1=Fraction(2, 1), "
                        "c2=Fraction(2, 1))")
-    assert repr(CurvParams.free(1, 0, Fraction(-1, 3))) == (
+    assert repr(CurvParams(1, 0, Fraction(-1, 3))) == (
         "CurvParams(kappa=Fraction(1, 1), c1=Fraction(0, 1), c2=Fraction(-1, 3))")
     assert p == CurvParams(kappa=Fraction(1), c1=Fraction(2), c2=Fraction(2))
     assert p != CurvParams.pinned(1, 3) and hash(p) == hash((p.kappa, p.c1, p.c2))
