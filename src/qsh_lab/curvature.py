@@ -39,6 +39,14 @@ paths the checks compare it against.  curvature_by_definition builds
 the matrix R_A(x, y) as the definition above reads, from circle_so_star
 and circle_sp1 of liealg, for any two vectors x and y; it shares no
 step with the expanded formula of the kernel.
+
+Hermiticity.  is_Q_hermitian tests J_a^T T J_a = T for a = 1, 2, 3 only,
+and that decides invariance under every J_u = sum_a u_a J_a with u a
+unit 3-vector.  Premise: each J_a is orthogonal and skew
+(J_a^T = -J_a, J_a^2 = -Id), and J_1 J_2 = J_3, so the J_a anticommute.
+Then J_a^T T J_a = T says J_a T = T J_a, so T commutes with every J_u,
+and J_u^T T J_u = -J_u^2 T = |u|^2 T = T.  Each structure of a rotated
+frame is such a J_u, so every witness already comes from a generator.
 """
 
 from __future__ import annotations
@@ -153,24 +161,20 @@ def omega_pairing(model: FlatModel, A: QArray) -> QArray:
     return A.T @ model.omega
 
 
-def is_Q_hermitian(model: FlatModel, t: QArray, frames=()):
-    """Check T(Jx, Jy) = T(x, y) for the three generators, plus optional
-    rotated frames as a randomized 2-sphere backstop, given as pairs
-    (q, sp1_conjugate_frame(model, q)) built once by the caller.
+def is_Q_hermitian(model: FlatModel, t: QArray):
+    """Check T(J_a x, J_a y) = T(x, y) for the three generators; by the
+    lemma of the module docstring this decides the whole 2-sphere.
 
     Returns (True, None) or (False, witness) where the witness names the
     violating structure and the first violating basis pair.
     """
     import numpy as np
 
-    labelled = [(f"J{a + 1}", J) for a, J in enumerate(model.J)]
-    labelled += [(f"rotated(J{a + 1}; q={q.components()})", J)
-                 for q, frame in frames for a, J in enumerate(frame)]
-    for label, J in labelled:
+    for a, J in enumerate(model.J):
         lhs = J.T @ t @ J
         if not lhs == t:
             i, j = (int(x) for x in np.argwhere((lhs - t).values != 0)[0])
-            return False, {"structure": label, "i": i, "j": j,
+            return False, {"structure": f"J{a + 1}", "i": i, "j": j,
                            "lhs": lhs[i, j], "rhs": t[i, j]}
     return True, None
 

@@ -152,8 +152,6 @@ def project_ZQ(model: FlatModel, x: QArray, y: QArray) -> QArray:
     it lands in Z(Q) and does not depend on the admissible frame: a
     rotated frame is the model with (J, g) rotated together.
     """
-    model.check_vector(x)
-    model.check_vector(y)
     # column y times the row omega0(x, -), minus the columns J_a y times
     # the rows g_a(x, -)
     out = y[:, None] @ (x @ model.omega)[None, :] - (model.J @ y).T @ (x @ model.g)
@@ -167,8 +165,6 @@ def project_Q(model: FlatModel, x: QArray, y: QArray) -> QArray:
     of the same rank-one operator; it does not depend on the admissible
     frame of the model.
     """
-    model.check_vector(x)
-    model.check_vector(y)
     return _span(x @ model.g @ y, model.J) * Fraction(-1, 4 * model.n)
 
 

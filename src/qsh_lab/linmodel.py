@@ -41,10 +41,6 @@ from qsh_lab.record import FrozenRecord
 UNITS = (Quaternion.unit(1), Quaternion.unit(2), Quaternion.unit(3))
 
 
-class DimensionMismatch(ValueError):
-    pass
-
-
 def structure_blocks() -> QArray:
     """The 4x4 real matrices of x -> x * conj(u_a) on one quaternionic
     component, stacked as shape (3, 4, 4)."""
@@ -69,11 +65,6 @@ class FlatModel(FrozenRecord):
 
     def basis_vector(self, i: int) -> QArray:
         return QArray.eye(self.dim)[i]
-
-    def check_vector(self, x):
-        if len(x) != self.dim:
-            raise DimensionMismatch(
-                f"expected a vector of length {self.dim}, got {len(x)}")
 
 
 def build_flat_model(n: int) -> FlatModel:
@@ -102,8 +93,6 @@ def qsh_form(model: FlatModel, x, y):
     The scalar part is the real part of the form, the 3-vector holds its
     coefficients over J_1, J_2, J_3.
     """
-    model.check_vector(x)
-    model.check_vector(y)
     return x @ model.omega @ y, tuple(x @ model.g @ y)
 
 
@@ -115,8 +104,6 @@ def qsh_form_matrix(model: FlatModel, x, y):
 
 def fundamental_4tensor(model: FlatModel, x, y, z, w):
     """sum_a g_a(x, y) g_a(z, w)."""
-    for v in (x, y, z, w):
-        model.check_vector(v)
     return sum(p * q for p, q in zip(x @ model.g @ y, z @ model.g @ w))
 
 

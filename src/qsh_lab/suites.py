@@ -640,29 +640,22 @@ _DICHOTOMY = ("Ric_A is invariant under the whole structure 2-sphere iff "
 @_check("curvature", "ricci-hermitian-dichotomy[n={n}]", _DICHOTOMY)
 def ricci_dichotomy(ctx, n):
     m, basis, params = _pinned(ctx, n)
-    rng = ctx.rng("curvature", f"dichotomy{n}")
-    frames = [(q, sp1_conjugate_frame(m, q))
-              for q in [_unit_quaternion(rng) for _ in range(3)]]
-
-    def hermitian(ric):
-        return curv.is_Q_hermitian(m, ric, frames=frames)
-
     commuting, sp1 = _pinned_ricci(ctx, n)
     for _, ricci in commuting:
-        ok, wit = hermitian(_result(ricci))
+        ok, wit = curv.is_Q_hermitian(m, _result(ricci))
         if not ok:
             return False, None, wit, "commuting part should be Hermitian"
     for _, ricci in sp1:
-        ok, witness = hermitian(_result(ricci))
+        ok, witness = curv.is_Q_hermitian(m, _result(ricci))
         if ok:
             return False, None, None, "sp1 part should fail Hermiticity"
     # mixed element must fail as well (both directions of the dichotomy);
     # it is no basis element, so the pinned pass does not hold it
     mixed = basis.so_basis[0] + basis.sp_basis[0]
     tensor = curv.curvature_of(m, basis, mixed, params)
-    if hermitian(curv.ricci_of(tensor))[0]:
+    if curv.is_Q_hermitian(m, curv.ricci_of(tensor))[0]:
         return False, None, None, "mixed element should fail Hermiticity"
-    zero_ok, _ = curv.is_Q_hermitian(m, m.omega * 0, frames=frames)
+    zero_ok, _ = curv.is_Q_hermitian(m, m.omega * 0)
     return zero_ok, None, witness, "witness recorded for the sp1 failure"
 
 

@@ -13,7 +13,8 @@ from qsh_lab import curvature as curv
 from qsh_lab import liealg
 from qsh_lab import matrices as mat
 from qsh_lab.liealg import enumerate_so_star_basis
-from qsh_lab.linmodel import build_flat_model, sp1_conjugate_frame
+from qsh_lab.linmodel import FlatModel, build_flat_model, sp1_conjugate_frame
+from qsh_lab.matrices import QArray
 from qsh_lab.quaternion import Quaternion
 
 
@@ -242,6 +243,49 @@ def test_hermitian_trivial_cases(model2):
     assert ok
 
 
+def _quaternionic(J) -> bool:
+    """The premise of the Hermiticity lemma of the curvature docstring:
+    J_a^T = -J_a, J_a^2 = -Id and J_1 J_2 = J_3."""
+    minus_id = QArray.eye(J.shape[-1]) * -1
+    return (all(Ja.T == -Ja and Ja @ Ja == minus_id for Ja in J)
+            and J[0] @ J[1] == J[2])
+
+
+def _rotated(model, p):
+    """The model in the frame rotated by the unit q = p^2 / |p|^2."""
+    p = Quaternion.of(*p)
+    q = Quaternion.of(*(c / p.norm2() for c in (p * p).components()))
+    frame = sp1_conjugate_frame(model, q)
+    return FlatModel(model.n, frame, model.omega, model.omega @ frame)
+
+
+_P = [(1, 2, -1, 3), (0, 1, 1, 0), (2, -3, 0, 1)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_hermiticity_lemma_premise(n):
+    model = build_flat_model(n)
+    assert _quaternionic(model.J)
+    assert _quaternionic(_rotated(model, _P[0]).J)
+    # J_2[0, 2] negated: J_2 is no longer skew
+    broken = model.J.values.copy()
+    broken[1, 0, 2] *= -1
+    assert not _quaternionic(QArray(broken))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_generators_decide_hermiticity_in_every_frame(n):
+    model, basis = _model_and_basis(n)
+    params = curv.CurvParams.pinned(1, n)
+    frames = [_rotated(model, p) for p in _P]
+    for hermitian, elements in ((True, basis.so_basis), (False, basis.sp_basis)):
+        for el in elements:
+            ric = curv.ricci_of(curv.curvature_of(model, basis, el, params))
+            assert curv.is_Q_hermitian(model, ric)[0] is hermitian
+            for frame in frames:
+                assert curv.is_Q_hermitian(frame, ric)[0] is hermitian
+
+
 def test_curvature_map_rank(model2, basis2, pinned2, model3, basis3):
     rows = _rows(model2, basis2, pinned2)
     assert _map_ranks(rows) == (9, 9)
@@ -455,8 +499,6 @@ def test_second_paths_never_call_the_kernel(model3, basis3, monkeypatch):
     columns = curv.minor_columns(rows)
     tensor = curv.curvature_of(model3, basis3, el, params)
     ric = curv.ricci_of(tensor)
-    q = Quaternion.of(*(Fraction(c, 5) for c in (1, 2, 2, 4)))  # |q| = 1
-    frames = [(q, sp1_conjugate_frame(model3, q))]
 
     def refuse(*args):
         raise AssertionError("the kernel was called")
@@ -469,6 +511,6 @@ def test_second_paths_never_call_the_kernel(model3, basis3, monkeypatch):
     assert bianchi_defect_closed_form(model3, el, params,
                                       0, 5, 7).max_abs() == 0
     assert curv.ricci_closed_form(model3, el, 1) == ric
-    assert curv.is_Q_hermitian(model3, ric, frames=frames)[0] is False
-    assert curv.is_Q_hermitian(model3, model3.omega, frames=frames) == (True, None)
+    assert curv.is_Q_hermitian(model3, ric)[0] is False
+    assert curv.is_Q_hermitian(model3, model3.omega) == (True, None)
     assert curv.curvature_map_rank_float(rows, columns) == 18

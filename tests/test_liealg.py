@@ -1,3 +1,4 @@
+import itertools
 import pathlib
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from qsh_lab import liealg
 from qsh_lab import matrices as mat
 from qsh_lab.matrices import QArray
-from qsh_lab.linmodel import FlatModel, sp1_conjugate_frame
+from qsh_lab.linmodel import FlatModel, build_flat_model, sp1_conjugate_frame
 from qsh_lab.quaternion import Quaternion
 from qsh_lab.serialize import basis_to_json
 
@@ -212,6 +213,30 @@ def test_circle_map_equivariance(model2, basis2):
         rhs = (liealg.circle_map(model2, B @ x, y, Fraction(1))
                + liealg.circle_map(model2, x, B @ y, Fraction(1)))
         assert lhs == rhs
+
+
+def _circle_identity_failures(m, kappa, circle_map):
+    """The basis triples (i, j, k) where (x o y)z - (x o z)y differs from
+    (k/2)(2 w(y, z) x - w(x, y) z + w(x, z) y) for x, y, z = e_i, e_j, e_k.
+    The identity fixes the ratio 2k : nk of the two parts of x o y."""
+    e, w = QArray.eye(m.dim), m.omega
+    circ = [[circle_map(m, x, y, kappa) for y in e] for x in e]
+    return [(i, j, k) for i, j, k in itertools.product(range(m.dim), repeat=3)
+            if circ[i][j][:, k] - circ[i][k][:, j]
+            != (e[i] * (2 * w[j, k]) - e[k] * w[i, j] + e[j] * w[i, k]) * (kappa / 2)]
+
+
+@pytest.mark.parametrize("kappa", [Fraction(1), Fraction(-3, 7)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_circle_map_normalization(n, kappa):
+    assert _circle_identity_failures(build_flat_model(n), kappa, liealg.circle_map) == []
+
+
+def test_circle_map_normalization_pins_the_sp1_coefficient(model2):
+    def sp1_off_by_kappa(m, x, y, kappa):
+        return (liealg.circle_so_star(m, x, y) * (2 * kappa)
+                + liealg.circle_sp1(m, x, y) * ((m.n + 1) * kappa))
+    assert _circle_identity_failures(model2, Fraction(1), sp1_off_by_kappa)
 
 
 def test_circle_map_membership(model2):

@@ -5,9 +5,10 @@ import pytest
 
 from qsh_lab import matrices as mat
 from qsh_lab.matrices import QArray
-from qsh_lab.linmodel import (DimensionMismatch, build_flat_model,
-                              fundamental_4tensor, qsh_form, qsh_form_matrix,
-                              rotation_matrix, sp1_conjugate_frame)
+from qsh_lab.liealg import project_Q, project_ZQ
+from qsh_lab.linmodel import (build_flat_model, fundamental_4tensor, qsh_form,
+                              qsh_form_matrix, rotation_matrix,
+                              sp1_conjugate_frame)
 from qsh_lab.quaternion import Quaternion
 
 
@@ -76,9 +77,20 @@ def test_qsh_form_values(model2):
     assert sp1[0] == 0
 
 
-def test_qsh_form_dimension_mismatch(model2):
-    with pytest.raises(DimensionMismatch):
-        qsh_form(model2, [Fraction(0)] * 7, [Fraction(0)] * 8)
+@pytest.mark.parametrize("offset", [-1, 1])
+@pytest.mark.parametrize("fn, arity", [
+    pytest.param(qsh_form, 2, id="qsh_form"),
+    pytest.param(fundamental_4tensor, 4, id="fundamental_4tensor"),
+    pytest.param(project_ZQ, 2, id="project_ZQ"),
+    pytest.param(project_Q, 2, id="project_Q")])
+def test_a_vector_of_the_wrong_length_raises(model2, fn, arity, offset):
+    # no guard of its own: the first matmul with a model matrix refuses it
+    rng = random.Random(model2.dim + offset)
+    for wrong in range(arity):
+        args = [_rational_vector(rng, model2.dim) for _ in range(arity)]
+        args[wrong] = _rational_vector(rng, model2.dim + offset)
+        with pytest.raises(ValueError):
+            fn(model2, *args)
 
 
 def test_qsh_reconstruction_matches_direct(model2):

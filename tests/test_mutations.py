@@ -323,7 +323,7 @@ def _pinned_c2_off_by_kappa(real):
 
 def _always_hermitian(real):
     """`curvature.is_Q_hermitian` reading every form as Q-Hermitian."""
-    return lambda m, t, frames=(): (True, None)
+    return lambda m, t: (True, None)
 
 
 # for each curvature check, run at n = 2 (the [mandatory] pass at n = 3):
