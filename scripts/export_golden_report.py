@@ -9,6 +9,8 @@ field stripped:
 - report_seed42_fiber.json: the report of
   `qsh-lab run --seed 42 --suites fiber,flat,symspace --n 2
   --input F_seed42.json`, with the input path reduced to its file name
+- report_seed42_fiber_trials1000.json: the same run with `--trials 1000`,
+  the shape of the benchmark's fiber-input workload
 - report_seed7_kappa_wide_linear.json: the report of
   `qsh-lab run --seed 7 --suites model,liealg,curvature --n 2 --n 4
   --kappa 4567891234567/1234567891237`, whose wide kappa takes the
@@ -67,9 +69,11 @@ def main() -> int:
     f_path = GOLDEN / "F_seed42.json"
     f_path.write_text(serialize_solution(family_member(42)))
     print(f"wrote {f_path}")
-    outputs["report_seed42_fiber.json"] = stripped(RunConfig(
-        ns=(2,), seed=42, suites=("fiber", "flat", "symspace"),
-        input_path=str(f_path)))
+    for name, trials in (("report_seed42_fiber.json", 100),
+                         ("report_seed42_fiber_trials1000.json", 1000)):
+        outputs[name] = stripped(RunConfig(
+            ns=(2,), seed=42, trials=trials, suites=("fiber", "flat", "symspace"),
+            input_path=str(f_path)))
     outputs["report_seed7_kappa_wide_linear.json"] = stripped(RunConfig(
         ns=(2, 4), seed=7, suites=("model", "liealg", "curvature"),
         kappa=Fraction(4567891234567, 1234567891237)))

@@ -2,8 +2,8 @@
 
 The package is organised bottom-up:
 
-  record       plain __slots__ records: field-wise repr, equality, hashing
-               and pickling, frozen or mutable
+  record       plain immutable __slots__ records: field-wise repr,
+               equality, hashing and pickling
   quaternion   exact quaternion arithmetic, the fiber coordinate type
   matrices     QArray, the one exact matrix/vector type (integer arrays
                with a rational scale), and Fraction elimination (RREF,

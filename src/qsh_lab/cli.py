@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from qsh_lab import scalarfield as sf
 from qsh_lab import suites as suites_mod
-from qsh_lab.record import FrozenRecord
+from qsh_lab.record import Record
 from qsh_lab.report import Report, write_atomic
 from qsh_lab.swann import FlatSolution
 
@@ -36,7 +36,7 @@ class UsageError(ValueError):
     pass
 
 
-class RunConfig(FrozenRecord):
+class RunConfig(Record):
     __slots__ = ("ns", "kappa", "seed", "trials", "tolerance", "suites",
                  "input_path", "output_path", "fmt")
 
@@ -146,9 +146,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "run", help="run verification suites",
         argument_default=argparse.SUPPRESS,
         description="Runs the selected suites and writes a report. "
-                    "The curvature suite always includes an n=3 Ricci "
-                    "dichotomy pass: at n=2 the two Ricci coefficients "
-                    "coincide, so only n=3 separates them.")
+                    "The curvature suite always adds an n=3 Ricci dichotomy "
+                    "pass until the next report schema; n=2 already decides it, "
+                    "as Hermiticity does not depend on the Ricci coefficient.")
     runp.add_argument("--n", dest="ns", action="append", type=int,
                       metavar="N", help="model size, repeatable "
                       "(default: 2 and 3)")

@@ -57,10 +57,10 @@ from qsh_lab import matrices as mat
 from qsh_lab.liealg import LieBasis, circle_so_star, circle_sp1
 from qsh_lab.linmodel import FlatModel
 from qsh_lab.matrices import QArray
-from qsh_lab.record import FrozenRecord
+from qsh_lab.record import Record
 
 
-class CurvParams(FrozenRecord):
+class CurvParams(Record):
     """Curvature coefficients.  kappa must be nonzero; c1 and c2 are free
     so that off-pinning behaviour can be tested."""
 

@@ -81,10 +81,9 @@ class VerticalForm(Record):
     __slots__ = ("coframe", "degree", "terms")
 
     def __init__(self, coframe: str, degree: int, terms: dict = None):
-        self.coframe = coframe
-        self.degree = degree
-        # sorted index tuple -> ScalarField, without zero coefficients
-        self.terms = {k: v for k, v in (terms or {}).items() if not sf.is_zero(v)}
+        # terms: sorted index tuple -> ScalarField, without zero coefficients
+        self._init(coframe, degree,
+                   {k: v for k, v in (terms or {}).items() if not sf.is_zero(v)})
 
     def coefficient(self, key) -> sf.Field:
         return self.terms.get(tuple(key), sf.ZERO)
@@ -369,9 +368,7 @@ class EqualityReport(Record):
     __slots__ = ("equal", "max_residual", "witness")
 
     def __init__(self, equal: bool, max_residual: float, witness: tuple = None):
-        self.equal = equal
-        self.max_residual = max_residual
-        self.witness = witness
+        self._init(equal, max_residual, witness)
 
 
 def vanishes(fields, trials: int, tolerance: float, rng: random.Random,

@@ -30,7 +30,7 @@ from functools import cache
 from qsh_lab import matrices as mat
 from qsh_lab.linmodel import FlatModel, structure_blocks
 from qsh_lab.matrices import QArray
-from qsh_lab.record import FrozenRecord
+from qsh_lab.record import Record
 
 
 class MembershipError(ValueError):
@@ -39,7 +39,7 @@ class MembershipError(ValueError):
         self.residual = residual
 
 
-class LieBasis(FrozenRecord):
+class LieBasis(Record):
     __slots__ = ("model", "so_basis", "sp_basis")
 
     def __init__(self, model: FlatModel, so_basis: tuple, sp_basis: tuple):
@@ -191,8 +191,6 @@ def circle_sp1(model: FlatModel, x, y):
 
 def circle_map(model: FlatModel, x, y, kappa) -> QArray:
     """The pinned equivariant map x o y = 2k (x o y)_so* + nk (x o y)_sp1."""
-    if kappa == 0:
-        raise ValueError("the circle map requires kappa != 0")
     k = Fraction(kappa)
     return (circle_so_star(model, x, y) * (2 * k)
             + circle_sp1(model, x, y) * (model.n * k))

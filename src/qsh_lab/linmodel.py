@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from qsh_lab.matrices import QArray
 from qsh_lab.quaternion import Quaternion
-from qsh_lab.record import FrozenRecord
+from qsh_lab.record import Record
 
 UNITS = (Quaternion.unit(1), Quaternion.unit(2), Quaternion.unit(3))
 
@@ -49,7 +49,7 @@ def structure_blocks() -> QArray:
     return QArray.of(cols).transpose(0, 2, 1)
 
 
-class FlatModel(FrozenRecord):
+class FlatModel(Record):
     """Container for (n, J_1..J_3, omega0, g_1..g_3).  J and g are QArrays
     of shape (3, 4n, 4n), omega one of shape (4n, 4n), all integer
     (scale 1)."""

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from qsh_lab.record import FrozenRecord
+from qsh_lab.record import Record
 
 
-class Quaternion(FrozenRecord):
+class Quaternion(Record):
     __slots__ = ("h0", "h1", "h2", "h3")
 
     def __init__(self, h0: Fraction, h1: Fraction, h2: Fraction, h3: Fraction):
@@ -67,8 +67,6 @@ class Quaternion(FrozenRecord):
 
     def inverse(self) -> "Quaternion":
         n2 = self.norm2()
-        if n2 == 0:
-            raise ZeroDivisionError("zero quaternion has no inverse")
         c = self.conj()
         return Quaternion(c.h0 / n2, c.h1 / n2, c.h2 / n2, c.h3 / n2)
 

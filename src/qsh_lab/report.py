@@ -44,14 +44,7 @@ class CheckResult(Record):
     def __init__(self, suite: str, name: str, anchor: str, passed: bool,
                  residual: float = None, witness: object = None,
                  detail: str = "", wall_time: float = 0.0):
-        self.suite = suite
-        self.name = name
-        self.anchor = anchor
-        self.passed = passed
-        self.residual = residual
-        self.witness = witness
-        self.detail = detail
-        self.wall_time = wall_time
+        self._init(suite, name, anchor, passed, residual, witness, detail, wall_time)
 
     def record(self, omit_timing: bool = False) -> dict:
         rec = {
@@ -72,9 +65,7 @@ class Report(Record):
     __slots__ = ("config", "checks", "wall_time")
 
     def __init__(self, config: dict, checks: list = None, wall_time: float = 0.0):
-        self.config = config
-        self.checks = [] if checks is None else checks
-        self.wall_time = wall_time
+        self._init(config, [] if checks is None else checks, wall_time)
 
     @property
     def passed(self) -> bool:

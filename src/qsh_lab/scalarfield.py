@@ -18,9 +18,10 @@ Evaluation is exact (Fraction) on rational subtrees and falls back to
 float where sqrt/exp/sin/cos force it.  One walk of the DAG under some
 fields (fields in order, a before b, as the recursive definition
 evaluates) writes, as it goes, straight-line Python: a line per constant
-and per distinct operation (``r7 = r4 * r5``).  So shared derivative
-subtrees cost one line per point, a point costs no interpreter dispatch
-per operation, and the first error raised is the same.  ``evaluator``
+and per distinct operation (``r7 = r4 * r5``), one template per node
+type, so the errors are Python's own.  Shared derivative subtrees cost
+one line per point, a point costs no interpreter dispatch per
+operation, and the first error raised is the same.  ``evaluator``
 makes those lines one function of a fixed point (``Field.evaluate``,
 exact points of a formula).  ``scanner`` puts them inside one function
 that is a whole sampling loop, at float or at exact points, fixed when
@@ -58,7 +59,7 @@ import math
 import re
 from fractions import Fraction
 
-from qsh_lab.record import FrozenRecord
+from qsh_lab.record import Record
 
 VAR_NAMES = ("h0", "h1", "h2", "h3")
 
@@ -104,7 +105,7 @@ class Field:
         return self.to_str()
 
 
-class Const(Field, FrozenRecord):
+class Const(Field, Record):
     __slots__ = ("value",)
 
     def __init__(self, value):  # a Fraction or a float
@@ -123,7 +124,7 @@ class Const(Field, FrozenRecord):
         return repr(v) if v >= 0 else f"({v!r})"
 
 
-class Var(Field, FrozenRecord):
+class Var(Field, Record):
     __slots__ = ("index",)
 
     def __init__(self, index: int):
@@ -394,19 +395,7 @@ def constant_value(f: Field):
 
 # --- evaluation -------------------------------------------------------------
 
-def _zero_div():
-    raise ZeroDivisionError("scalar field denominator vanished")
-
-
-def _negative_power(base, k):
-    if base == 0:
-        raise ZeroDivisionError("negative power of zero")
-    return base ** k
-
-
 def _sqrt(x):
-    if x < 0:
-        raise ValueError("sqrt of a negative value")
     if type(x) is float:  # the sampled case; skips the ABC check below
         return math.sqrt(x)
     exact = _exact_sqrt(x) if isinstance(x, Fraction) else None
@@ -416,7 +405,7 @@ def _sqrt(x):
 def _as_float(c):
     """The float that ``c op x`` computes with at a float x; c itself when
     that conversion overflows or rounds a nonzero c to 0, so the same
-    error, or the exact zero test of a denominator, still happens."""
+    error still happens."""
     try:
         f = float(c)
     except OverflowError:
@@ -424,16 +413,15 @@ def _as_float(c):
     return f if f or not c else c
 
 
-# Source of one node over its operand slots a and b; for Pow the sign of
-# the exponent picks the template.  With the slot numbers, these fixed
-# strings and the loop templates of scanner are all the generated text.
+# Source of one node over its operand slots a and b, one template per node
+# type; Python raises the errors (ZeroDivisionError for x / 0 and 0 ** -k,
+# ValueError for the sqrt of a negative).  With the slot numbers, these
+# fixed strings and the loop templates of scanner are all the generated text.
 _SOURCE = {Add: "r{a} + r{b}", Sub: "r{a} - r{b}", Mul: "r{a} * r{b}",
-           Div: "r{a} / r{b} if r{b} != 0 else _zero_div()", Neg: "-r{a}",
-           Pow: ("r{a} ** r{b}", "_negative_power(r{a}, r{b})"),
+           Div: "r{a} / r{b}", Neg: "-r{a}", Pow: "r{a} ** r{b}",
            Sqrt: "_sqrt(r{a})", Exp: "_exp(r{a})", Sin: "_sin(r{a})",
            Cos: "_cos(r{a})"}
-_GLOBALS = {"_zero_div": _zero_div, "_negative_power": _negative_power,
-            "_sqrt": _sqrt, "_exp": math.exp, "_sin": math.sin,
+_GLOBALS = {"_sqrt": _sqrt, "_exp": math.exp, "_sin": math.sin,
             "_cos": math.cos, "_abs": abs, "_float": float, "_max": max,
             "_range": range, "_type": type, "_inf": math.inf,
             "_ulp": math.ulp(0.0), "_REJECTED": (ZeroDivisionError, ValueError)}
@@ -485,8 +473,7 @@ def _program(fields):
                     continue
                 a, b, source = slots[id(node.a)], None, _SOURCE[type(node)]
                 if isinstance(node, Pow):
-                    k = node.exponent
-                    b, source = constant(k, k), source[k < 0]
+                    b = constant(node.exponent, node.exponent)
                 elif isinstance(node, _Binary):
                     b = slots[id(node.b)]
                 slot = numbered.get((type(node), a, b))

@@ -661,8 +661,8 @@ def ricci_dichotomy(ctx, n):
 
 @_check("curvature", "ricci-hermitian-dichotomy[n=3][mandatory]", _DICHOTOMY)
 def ricci_dichotomy_mandatory(ctx, n):
-    # the two Ricci coefficients coincide at n = 2 (both 8k), so the
-    # Hermiticity dichotomy is only conclusive at n = 3; run it anyway
+    # n = 2 already decides the dichotomy (Hermiticity does not depend on the
+    # Ricci coefficient); this record stays until the next report schema
     return None if 3 in ctx.ns else ricci_dichotomy(ctx, 3)
 
 

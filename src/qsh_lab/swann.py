@@ -36,7 +36,7 @@ from fractions import Fraction
 from qsh_lab import forms
 from qsh_lab import scalarfield as sf
 from qsh_lab.quaternion import Quaternion
-from qsh_lab.record import FrozenRecord, Record
+from qsh_lab.record import Record
 
 
 def beta_basis_form(a: int) -> forms.VerticalForm:
@@ -57,17 +57,13 @@ def beta_form(f) -> forms.VerticalForm:
     return out
 
 
-class FlatSolution(FrozenRecord):
+class FlatSolution(Record):
     """Coefficient functions (F1, F2, F3) of the coordinate presentation."""
 
     __slots__ = ("F",)
 
     def __init__(self, F: tuple):  # three ScalarFields
         self._init(F)
-        for f in self.F:
-            extra = f.free_vars() - {0, 1, 2, 3}
-            if extra:
-                raise ValueError(f"unknown variables {extra}")
 
 
 def beta_of_F(solution: FlatSolution) -> forms.VerticalForm:
@@ -154,7 +150,7 @@ def f_from_F(solution: FlatSolution):
 
 # --- explicit solution family -------------------------------------------------
 
-class SolutionConstants(FrozenRecord):
+class SolutionConstants(Record):
     """Constants of the closed-form solution family.
 
     s1, s2, s3 >= 0 are the primary parameters; the squared values play
@@ -232,7 +228,7 @@ def explicit_solution_family(k: SolutionConstants) -> FlatSolution:
 
 # --- torsion classification ----------------------------------------------------
 
-class TorsionClass(FrozenRecord):
+class TorsionClass(Record):
     __slots__ = ("kind", "degenerate")
 
     def __init__(self, kind: str, degenerate: bool = False):
@@ -263,7 +259,7 @@ def torsion_type(solution: FlatSolution, trials: int = 100,
 
 # --- symmetric-space fiber data -------------------------------------------------
 
-class SymSpaceParams(FrozenRecord):
+class SymSpaceParams(Record):
     """Einstein constant c (sign free), the model size n, and the frame
     constants c1..c4 with (c1, c2, c3) != (0, 0, 0)."""
 
@@ -407,8 +403,8 @@ class ObstructionReport(Record):
     __slots__ = ("implication_holds", "witness")
 
     def __init__(self, implication_holds: bool, witness: dict = None):
-        self.implication_holds = implication_holds
-        self.witness = witness  # a sampled point where the joint conditions fail
+        # witness: a sampled point where the joint conditions fail
+        self._init(implication_holds, witness)
 
 
 def general_obstruction_check(r_fields, f_fields, trials: int = 100, *,

@@ -22,7 +22,9 @@ from qsh_lab.suites import _random_constants
 # Written by scripts/export_golden_report.py; compared, never regenerated.
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 GOLDEN_REPORT = GOLDEN / "report_seed42_linear.json"
-GOLDEN_FIBER_REPORT = GOLDEN / "report_seed42_fiber.json"
+# by trials; 1000 is the shape of the benchmark's fiber-input workload
+GOLDEN_FIBER_REPORTS = {100: GOLDEN / "report_seed42_fiber.json",
+                        1000: GOLDEN / "report_seed42_fiber_trials1000.json"}
 GOLDEN_WIDE_REPORT = GOLDEN / "report_seed7_kappa_wide_linear.json"
 GOLDEN_F = GOLDEN / "F_seed42.json"
 
@@ -149,16 +151,17 @@ def test_wide_kappa_report_matches_golden():
         GOLDEN_WIDE_REPORT.read_text()
 
 
-def test_fiber_report_matches_golden():
+@pytest.mark.parametrize("trials", sorted(GOLDEN_FIBER_REPORTS))
+def test_fiber_report_matches_golden(trials):
     # the sampled suites must keep every residual and witness bit for bit
-    report, code = run(RunConfig(ns=(2,), seed=42,
+    report, code = run(RunConfig(ns=(2,), seed=42, trials=trials,
                                  suites=("fiber", "flat", "symspace"),
                                  input_path=str(GOLDEN_F)))
     payload = report.to_dict(omit_timing=True)
     payload["config"]["input"] = GOLDEN_F.name
     assert code == 0
     assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == \
-        GOLDEN_FIBER_REPORT.read_text()
+        GOLDEN_FIBER_REPORTS[trials].read_text()
 
 
 def test_report_written_atomically(tmp_path):

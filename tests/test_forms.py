@@ -432,20 +432,26 @@ def test_vanishes_fails_an_exact_nonzero_value_at_rational_points():
 
 
 def test_sample_error_counts_rejections_by_type():
-    # h0 > 0: sqrt(-h0) raises ValueError; h0 < 0: 1/(2 h0 - (h0 + h0)),
-    # which does not fold but is 0.0 at every float point, raises
-    # ZeroDivisionError
+    # h0 > 0: sqrt(-h0) raises ValueError; h0 <= 0: 1/(2 h0 - (h0 + h0)),
+    # which does not fold but is 0 at every point, raises ZeroDivisionError.
+    # Python's operators raise both, at float and at exact points alike
     zero = sf.sub(sf.mul(sf.TWO, sf.H0), sf.add(sf.H0, sf.H0))
     fields = (sf.sqrt(sf.neg(sf.H0)), sf.div(sf.ONE, zero))
-    with pytest.raises(forms.SamplingError) as err:
-        list(forms.sample(fields, 5, random.Random(1)))
-    exc = err.value
-    assert exc.evaluated == 0 and exc.rejected == forms.MAX_DRAWS == 64
-    assert set(exc.reasons) == {"ValueError", "ZeroDivisionError"}
-    assert sum(exc.reasons.values()) == 64
-    assert "ValueError" in str(exc) and "ZeroDivisionError" in str(exc)
-    # missing evidence is not a ValueError, which callers read as bad input
-    assert not isinstance(exc, ValueError)
+    for rational in (False, True):
+        with pytest.raises(forms.SamplingError) as err:
+            list(forms.sample(fields, 5, random.Random(1), rational=rational))
+        exc = err.value
+        assert exc.evaluated == 0 and exc.rejected == forms.MAX_DRAWS == 64
+        assert set(exc.reasons) == {"ValueError", "ZeroDivisionError"}
+        assert sum(exc.reasons.values()) == 64
+        assert "ValueError" in str(exc) and "ZeroDivisionError" in str(exc)
+        # missing evidence is not a ValueError, which callers read as bad input
+        assert not isinstance(exc, ValueError)
+        # a negative power of that zero fails only by ZeroDivisionError
+        with pytest.raises(forms.SamplingError) as err:
+            list(forms.sample((sf.pow_(zero, -2),), 5, random.Random(1),
+                              rational=rational))
+        assert err.value.reasons == {"ZeroDivisionError": 64}
 
 
 def test_sample_does_not_reject_overflow():

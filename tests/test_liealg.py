@@ -197,12 +197,6 @@ def test_circle_map_symmetry_and_parts(model2):
             liealg.project_ZQ_operator(m, fxy)
 
 
-def test_circle_map_rejects_zero_kappa(model2):
-    with pytest.raises(ValueError):
-        liealg.circle_map(model2, model2.basis_vector(0),
-                          model2.basis_vector(1), 0)
-
-
 def test_circle_map_equivariance(model2, basis2):
     rng = random.Random(27)
     for B in [basis2.so_basis[0], basis2.so_basis[3], basis2.sp_basis[1]]:

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsh_lab.quaternion import Quaternion
@@ -29,6 +29,7 @@ def test_conjugate_reverses_products(p, q):
 
 
 @given(quaternions)
+@example(Quaternion.of(0, 0, 0, 0))  # Fraction division raises by itself
 @settings(max_examples=60, deadline=None)
 def test_inverse(p):
     if p.is_zero():

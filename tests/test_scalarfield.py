@@ -45,7 +45,8 @@ def fields(draw, depth=0, transcendental=False):
 
 def reference(field, point, memo):
     """The recursive interpreter the tape replaced: an id-keyed memo on
-    every node but constants, variables and negations."""
+    every node but constants, variables and negations, and Python's own
+    operators, so their errors and messages."""
     if isinstance(field, sf.Const):
         return field.value
     if isinstance(field, sf.Var):
@@ -56,12 +57,8 @@ def reference(field, point, memo):
         return memo[id(field)]
     a = reference(field.a, point, memo)
     if isinstance(field, sf.Pow):
-        if field.exponent < 0 and a == 0:
-            raise ZeroDivisionError("negative power of zero")
         v = a ** field.exponent
     elif isinstance(field, sf.Sqrt):
-        if a < 0:
-            raise ValueError("sqrt of a negative value")
         exact = sf._exact_sqrt(a) if isinstance(a, Fraction) else None
         v = exact if exact is not None else math.sqrt(a)
     elif isinstance(field, (sf.Exp, sf.Sin, sf.Cos)):
@@ -75,8 +72,6 @@ def reference(field, point, memo):
         elif isinstance(field, sf.Mul):
             v = a * b
         else:
-            if b == 0:
-                raise ZeroDivisionError("scalar field denominator vanished")
             v = a / b
     memo[id(field)] = v
     return v
@@ -290,7 +285,7 @@ def test_first_failing_field_raises():
     zero_denominator = sf.div(sf.ONE, sf.sub(sf.H0, sf.ONE))
     with pytest.raises(OverflowError):
         sf.evaluator([overflowing, zero_denominator])(at)
-    with pytest.raises(ZeroDivisionError, match="denominator vanished"):
+    with pytest.raises(ZeroDivisionError):
         sf.evaluator([zero_denominator, overflowing])(at)
     # within one node, a is evaluated before b
     with pytest.raises(OverflowError):
@@ -306,7 +301,7 @@ def test_variable_free_raising_subtree_raises_at_every_point():
     field = sf.add(sf.H0, sf.mul(doomed, sf.H1))
     evaluate = sf.evaluator([sf.H2, field])  # building does not raise
     for point in ((1.0, 2.0, 3.0, 4.0), (Fraction(1), 0, 0, 0), (0, 0, 0, 0)):
-        with pytest.raises(ValueError, match="sqrt of a negative value"):
+        with pytest.raises(ValueError):
             evaluate(point)
         assert_matches_reference([sf.H2, field], point)
 
@@ -334,18 +329,20 @@ def test_deep_chain_evaluates_without_recursion():
     assert field.evaluate((Fraction(1), Fraction(1, 2), 0, 0)) == 10001
 
 
-_TAPE_NAMES = {"def", "run", "point", "K", "return", "if", "else", "_zero_div",
-               "_negative_power", "_sqrt", "_exp", "_sin", "_cos"}
-# the fixed names of the sampling loop of scanner and of its two tails
+_TAPE_NAMES = {"def", "run", "point", "K", "return", "_sqrt", "_exp", "_sin",
+               "_cos"}
+# the fixed names of the sampling loop of scanner and of its two tails; the
+# evaluator's tape has no branch
 _LOOP_NAMES = {"scan", "draw", "rng", "trials", "max_draws", "fail", "reasons",
+               "if", "else",
                "for", "in", "evaluated", "_range", "_", "try", "break", "except",
                "_REJECTED", "as", "exc", "name", "_type", "__name__", "get",
                "raise", "yield", "values", "_float", "worst", "witness",
                "failure", "None", "residual", "_max", "_abs", "_inf", "is",
                "not", "and", "or", "_ulp"}
-# the only numbers of the templates besides slots and K[i]: the zero test
-# of a division, the loop's rejection count and the worst tail's start
-_LITERALS = ("!= 0", "reasons.get(name, 0) + 1", "= 0.0, None, None")
+# the only numbers of the templates besides slots and K[i]: the loop's
+# rejection count and the worst tail's start
+_LITERALS = ("reasons.get(name, 0) + 1", "= 0.0, None, None")
 
 
 @pytest.mark.parametrize("c", [Fraction(1, 3), 10 ** 3999 + 7, float("nan"),
@@ -378,17 +375,18 @@ def test_constants_travel_as_data(monkeypatch, c):
         names = _TAPE_NAMES | (_LOOP_NAMES if loop else set())
         assert set(re.findall(r"[A-Za-z_]\w*", source)) <= names | slots
         extra = ".{}>" if loop else ""
-        assert re.fullmatch(rf"[\sA-Za-z_0-9=+\-*/!()\[\],:{extra}]*", source)
+        assert re.fullmatch(rf"[\sA-Za-z_0-9=+\-*/()\[\],:{extra}]*", source)
         # no number but slots, K[i] and the literals of the templates
         for literal in _LITERALS:
             source = source.replace(literal, "")
         assert re.findall(r"(?<![\w\[])\d+", source) == []
 
 
+# the error and message Python raises for each doomed step
 @pytest.mark.parametrize("doomed, raised", [
-    (sf.sqrt(sf.const(-1)), (ValueError, "sqrt of a negative value")),
-    (sf.exp(sf.const(1000)), (OverflowError, "math range error")),
-    (sf.sin(sf.const(float("inf"))), (ValueError, "math domain error")),
+    (sf.sqrt(sf.const(-1)), outcome(lambda: math.sqrt(Fraction(-1)))[1:]),
+    (sf.exp(sf.const(1000)), outcome(lambda: math.exp(Fraction(1000)))[1:]),
+    (sf.sin(sf.const(float("inf"))), outcome(lambda: math.sin(float("inf")))[1:]),
 ])
 def test_raise_step_mid_tape_raises_the_same_error_everywhere(doomed, raised):
     before = sf.mul(sf.add(sf.H0, sf.H1), sf.H2)
@@ -706,7 +704,7 @@ def test_sqrt_step_floats_and_fractions():
     assert math.isnan(sf._sqrt(float("nan")))
     assert sf._sqrt(float("inf")) == float("inf")
     for negative in (-1e-300, float("-inf"), Fraction(-1, 4), -4):
-        with pytest.raises(ValueError, match="sqrt of a negative value"):
+        with pytest.raises(ValueError):
             sf._sqrt(negative)
     assert sf._sqrt(Fraction(9, 4)) == Fraction(3, 2)
     assert type(sf._sqrt(Fraction(9, 4))) is Fraction

@@ -42,11 +42,6 @@ def test_beta_of_F_simple_cases():
     assert swann.beta_of_F(zero).is_structurally_zero()
 
 
-def test_flat_solution_rejects_unknown_variables():
-    with pytest.raises(ValueError):
-        swann.FlatSolution(F=(sf.Var(7), sf.ZERO, sf.ZERO))
-
-
 def test_beta_form_vanishes_with_zero_coefficients():
     assert swann.beta_form((sf.ZERO, sf.ZERO, sf.ZERO)).is_structurally_zero()
 
