@@ -396,8 +396,10 @@ def constant_value(f: Field):
 # --- evaluation -------------------------------------------------------------
 
 def _sqrt(x):
-    if type(x) is float:  # the sampled case; skips the ABC check below
+    if type(x) is float:  # the sampled case; math.sqrt raises for x < 0
         return math.sqrt(x)
+    if x < 0:  # math.sqrt would round a tiny negative Fraction to -0.0
+        raise ValueError("math domain error")
     exact = _exact_sqrt(x) if isinstance(x, Fraction) else None
     return exact if exact is not None else math.sqrt(x)
 
@@ -414,9 +416,9 @@ def _as_float(c):
 
 
 # Source of one node over its operand slots a and b, one template per node
-# type; Python raises the errors (ZeroDivisionError for x / 0 and 0 ** -k,
-# ValueError for the sqrt of a negative).  With the slot numbers, these
-# fixed strings and the loop templates of scanner are all the generated text.
+# type; Python raises the errors, and _sqrt at an exact negative.  With the
+# slot numbers, these fixed strings and the loop templates of scanner are
+# all the generated text.
 _SOURCE = {Add: "r{a} + r{b}", Sub: "r{a} - r{b}", Mul: "r{a} * r{b}",
            Div: "r{a} / r{b}", Neg: "-r{a}", Pow: "r{a} ** r{b}",
            Sqrt: "_sqrt(r{a})", Exp: "_exp(r{a})", Sin: "_sin(r{a})",

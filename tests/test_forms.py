@@ -452,6 +452,12 @@ def test_sample_error_counts_rejections_by_type():
             list(forms.sample((sf.pow_(zero, -2),), 5, random.Random(1),
                               rational=rational))
         assert err.value.reasons == {"ZeroDivisionError": 64}
+        # the sqrt of a negative constant that float() rounds to -0.0
+        tiny = sf.sqrt(sf.const(Fraction(-1, 10 ** 400)))
+        with pytest.raises(forms.SamplingError) as err:
+            list(forms.sample((sf.add(sf.H0, tiny),), 5, random.Random(1),
+                              rational=rational))
+        assert err.value.reasons == {"ValueError": 64}
 
 
 def test_sample_does_not_reject_overflow():

@@ -59,6 +59,8 @@ def reference(field, point, memo):
     if isinstance(field, sf.Pow):
         v = a ** field.exponent
     elif isinstance(field, sf.Sqrt):
+        if a < 0 and type(a) is not float:  # math.sqrt would see -0.0
+            raise ValueError("math domain error")
         exact = sf._exact_sqrt(a) if isinstance(a, Fraction) else None
         v = exact if exact is not None else math.sqrt(a)
     elif isinstance(field, (sf.Exp, sf.Sin, sf.Cos)):
@@ -703,7 +705,8 @@ def test_sqrt_step_floats_and_fractions():
     assert sf._sqrt(2.25) == 1.5 and type(sf._sqrt(2.25)) is float
     assert math.isnan(sf._sqrt(float("nan")))
     assert sf._sqrt(float("inf")) == float("inf")
-    for negative in (-1e-300, float("-inf"), Fraction(-1, 4), -4):
+    for negative in (-1e-300, float("-inf"), Fraction(-1, 4), -4,
+                     Fraction(-1, 10 ** 400), -10 ** 400):
         with pytest.raises(ValueError):
             sf._sqrt(negative)
     assert sf._sqrt(Fraction(9, 4)) == Fraction(3, 2)
