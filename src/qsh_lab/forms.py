@@ -247,8 +247,6 @@ def pullback_hyper(u: VerticalForm, a: int) -> VerticalForm:
     Degree-0 coefficients are left unchanged."""
     if u.coframe != ALPHA:
         raise CoframeError("hypercomplex pullback acts on the ALPHA coframe")
-    if a not in (1, 2, 3):
-        raise ValueError("a must be 1, 2 or 3")
     mapping = _pullback_index_map(a)
     terms = {}
     for key, f in u.terms.items():

@@ -115,17 +115,10 @@ def sp1_conjugate_frame(model: FlatModel, q: Quaternion) -> QArray:
     3-space and satisfy the quaternionic identity.  Returned stacked like
     model.J.
     """
-    if not q.is_unit():
-        raise ValueError("frame rotation requires |q|^2 = 1")
     dim = model.dim
     return (rotation_matrix(q).T @ model.J.reshape(3, dim * dim)).reshape(3, dim, dim)
 
 
 def rotation_matrix(q: Quaternion) -> QArray:
     """3x3 matrix of the conjugation action of a unit quaternion."""
-    cols = []
-    for u in UNITS:
-        w = q * u * q.conj()
-        assert w.h0 == 0
-        cols.append(w.imag_components())
-    return QArray.of(cols).T
+    return QArray.of([(q * u * q.conj()).imag_components() for u in UNITS]).T

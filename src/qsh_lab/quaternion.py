@@ -70,9 +70,6 @@ class Quaternion(Record):
         c = self.conj()
         return Quaternion(c.h0 / n2, c.h1 / n2, c.h2 / n2, c.h3 / n2)
 
-    def is_unit(self) -> bool:
-        return self.norm2() == 1
-
     def is_zero(self) -> bool:
         return self.norm2() == 0
 

@@ -551,12 +551,10 @@ def scanner(fields, tail: str, exact: bool):
                           f"r{s} and _type(r{s}) is not _float" for s in outputs) + "):",
                       " failure = residual or _ulp, point"]
         end = ["return worst, witness, failure"]
-    elif tail == "values":
+    else:  # "values"
         values = "".join(f"r{s}, " if exact else f"_float(r{s}), " for s in outputs)
         head, end, after = [], [], ["yield point, values"]
         kept = [f"values = ({values})" if exact else f"values = [{values}]"]
-    else:
-        raise ValueError(f"unknown tail {tail!r}")
     return _define([
         "def scan(draw, rng, trials, max_draws, fail):",
         *(" " + line for line in loads + head),
@@ -648,6 +646,15 @@ def parse(text: str) -> Field:
         if nodes > MAX_NODES:
             raise ParseError(f"more than {MAX_NODES} nodes", line, col)
 
+    def ranged(node, line, col):
+        # a constant float() cannot convert fails every float sample point
+        if is_const(node):
+            try:
+                float(node.value)
+            except OverflowError:
+                raise ParseError("constant beyond float range", line, col) from None
+        return node
+
     # each rule returns (node, height of its syntax tree)
     def nested(inner, line, col):
         nonlocal depth
@@ -673,7 +680,7 @@ def parse(text: str) -> Field:
             counted(line, col)
             rhs, rhs_height = operand()
             height = grown(max(height, rhs_height) + 1, line, col)
-            node = _INFIX[tok](node, rhs)
+            node = ranged(_INFIX[tok](node, rhs), line, col)
 
     def expr():
         return chain(term, "+-")
@@ -697,6 +704,7 @@ def parse(text: str) -> Field:
             take()
             counted(line, col)
             height = grown(height + 1, line, col)
+            caret = line, col
             sign = 1
             kind, tok, line, col = peek()
             if kind == "op" and tok == "-":
@@ -709,7 +717,7 @@ def parse(text: str) -> Field:
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise ParseError(f"exponent larger than {MAX_EXPONENT}", line, col)
             take()
-            return pow_(node, sign * int(digits)), height
+            return ranged(pow_(node, sign * int(digits)), *caret), height
         return node, height
 
     def atom():
@@ -718,9 +726,10 @@ def parse(text: str) -> Field:
             counted(line, col)
         if kind == "num":
             try:
-                return const(Fraction(tok)), 0
+                value = Fraction(tok)
             except ValueError:  # past the interpreter's integer digit limit
                 raise ParseError("number too long", line, col) from None
+            return ranged(const(value), line, col), 0
         if kind == "name":
             if tok in VAR_NAMES:
                 return var(VAR_NAMES.index(tok)), 0

@@ -340,7 +340,7 @@ def frame_rotation(ctx, n):
 @_check("liealg", "so-star-dimension[n={n}]",
         "dim so*(2n) = n(2n-1) by exact nullspace")
 def so_star_dimension(ctx, n):
-    basis = ctx.basis(n)  # enumeration self-checks the count
+    basis = ctx.basis(n)
     expected = n * (2 * n - 1)
     ok = len(basis.so_basis) == expected
     return ok, None, None, f"{len(basis.so_basis)} elements"
@@ -364,26 +364,24 @@ def decompose_roundtrip(ctx, n):
     m = ctx.model(n)
     basis = ctx.basis(n)
     rng = ctx.rng("liealg", f"decompose{n}")
-    so_part, sp_coeffs = liealg.decompose(m, m.J[1])
-    if sp_coeffs != (0, 1, 0) or so_part.max_abs() != 0:
-        return False, None, {"got": sp_coeffs}, "J2 decomposition"
+    so_part, sp_coeffs, r = liealg.decompose(m, m.J[1])
+    if r or sp_coeffs != (0, 1, 0) or so_part.max_abs() != 0:
+        return False, float(r), {"got": sp_coeffs}, "J2 decomposition"
     first = basis.so_basis[0]
-    so_part, sp_coeffs = liealg.decompose(m, first)
-    if sp_coeffs != (0, 0, 0) or (so_part - first).max_abs() != 0:
-        return False, None, None, "so* element decomposition"
+    so_part, sp_coeffs, r = liealg.decompose(m, first)
+    if r or sp_coeffs != (0, 0, 0) or (so_part - first).max_abs() != 0:
+        return False, float(r), None, "so* element decomposition"
     for _ in range(5):
         coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                   for _ in basis.elements()]
         combo = sum(c * b for c, b in zip(coeffs, basis.elements()))
-        _, sp_coeffs = liealg.decompose(m, combo)
-        if tuple(sp_coeffs) != tuple(coeffs[-3:]):
-            return False, None, {"want": coeffs[-3:], "got": sp_coeffs}, ""
-    try:
-        liealg.decompose(m, QArray.eye(m.dim))
+        _, sp_coeffs, r = liealg.decompose(m, combo)
+        if r or tuple(sp_coeffs) != tuple(coeffs[-3:]):
+            return False, float(r), {"want": coeffs[-3:], "got": sp_coeffs}, ""
+    r = liealg.decompose(m, QArray.eye(m.dim))[2]
+    if r == 0:
         return False, None, None, "identity accepted as a member"
-    except liealg.MembershipError as exc:
-        detail = f"membership error residual {exc.residual}"
-    return True, None, None, detail
+    return True, None, None, f"membership error residual {r}"
 
 
 @_check("liealg", "projection-targets[n={n}]", "project_ZQ lands in the centralizer; "
@@ -570,7 +568,7 @@ def tensor_wellformed(ctx, n):
         i, j = rng.randrange(m.dim), rng.randrange(m.dim)
         yield tensor[i, j] + tensor[j, i]
     for i, j in itertools.islice(itertools.combinations(range(m.dim), 2), 6):
-        liealg.decompose(m, tensor[i, j].T)  # raises if outside g
+        yield liealg.decompose(m, tensor[i, j].T)[2]  # 0 iff the value is in g
     yield curv.curvature_of(m, basis, m.omega * 0, params)
     return "values decompose in g"
 

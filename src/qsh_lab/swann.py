@@ -185,9 +185,6 @@ def explicit_solution_family(k: SolutionConstants) -> FlatSolution:
     """The printed closed-form family solving the four PDEs."""
     if any(s < 0 for s in (k.s1, k.s2, k.s3)):
         raise ValueError("s1, s2, s3 must be nonnegative")
-    den_val = k.C11 + k.C12
-    if den_val == 0:
-        raise ValueError("the family requires C11 + C12 != 0")
     h0, h1, h2, h3 = sf.H0, sf.H1, sf.H2, sf.H3
     C = lambda v: sf.const(v)
     s1, s2, s3 = C(k.s1), C(k.s2), C(k.s3)
@@ -201,7 +198,7 @@ def explicit_solution_family(k: SolutionConstants) -> FlatSolution:
     eta2 = sf.mul(sf.cos(sf.mul(w, h3)), damp)
     mix_p = sf.add(sf.mul(C(k.C7), eta1), sf.mul(C(k.C8), eta2))  # C7 n1 + C8 n2
     mix_m = sf.sub(sf.mul(C(k.C7), eta2), sf.mul(C(k.C8), eta1))  # C7 n2 - C8 n1
-    den = C(den_val)
+    den = C(k.C11 + k.C12)
     two = sf.TWO
     F1 = sf.add(sf.mul(sf.mul(sf.mul(tau0, tau1), tau2), mix_p), C(k.C14))
     F2_first = sf.div(
@@ -278,8 +275,6 @@ def symspace_r(params: SymSpaceParams, h: Quaternion):
     """The adjoint-orbit coefficients (r1, r2, r3) at a fiber point: the
     fields of symspace_r_fields evaluated there, exact at a rational h.
     One evaluator of their c/2n = 1 form serves every parameter set."""
-    if h.is_zero():
-        raise ValueError("the fiber excludes h = 0")
     k = Fraction(params.c, 2 * params.n)
     return tuple(k * r for r in _r_evaluator()(h.components()))
 
@@ -287,10 +282,7 @@ def symspace_r(params: SymSpaceParams, h: Quaternion):
 def symspace_r_oracle(params: SymSpaceParams, h: Quaternion):
     """The same coefficients from quaternion arithmetic:
     -(c/2n) h^-1 i h, exact."""
-    if h.is_zero():
-        raise ValueError("the fiber excludes h = 0")
     w = h.inverse() * Quaternion.unit(1) * h
-    assert w.h0 == 0
     k = Fraction(params.c, 2 * params.n)
     return tuple(-k * comp for comp in w.imag_components())
 

@@ -384,6 +384,22 @@ def test_main_huge_exponent_is_usage_error(capsys, tmp_path):
     assert "exponent larger than" in err and "line 1, column 10" in err
 
 
+@pytest.mark.parametrize("expression, column", [
+    ("1" + "0" * 400 + " * h0", 1),  # the literal
+    ("10^100 * 10^100 * 10^100 * 10^100 * h0", 26),  # the '*' that folds 10^400
+    ("(10^100)^4 / 10^399 * h0", 9),  # the '^', although the quotient is 10
+])
+def test_main_constant_beyond_float_range_is_usage_error(capsys, tmp_path,
+                                                         expression, column):
+    # every float sample point would raise OverflowError
+    path = tmp_path / "F.json"
+    path.write_text(json.dumps({"F1": expression, "F2": "0", "F3": "0"}))
+    assert main(["run", "--suites", "flat", "--n", "2",
+                 "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "constant beyond float range" in err and f"line 1, column {column}" in err
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
 def test_serialized_family_parses(tmp_path, seed):
     solution = swann.explicit_solution_family(

@@ -100,7 +100,7 @@ def test_antisymmetry_and_g_values(model2, basis2, pinned2):
     for (i, j) in [(0, 1), (2, 6), (3, 4)]:
         assert tensor[i, j].T == tensor[j, i].T * Fraction(-1)
         assert tensor[i, i].T.max_abs() == 0
-        liealg.decompose(model2, tensor[i, j].T)  # in g
+        assert liealg.decompose(model2, tensor[i, j].T)[2] == 0  # in g
 
 
 def test_kernel_equals_projection_definition(model2, basis2, model3, basis3,

@@ -4,14 +4,16 @@ A mutation replaces one function or constant of the library; the check
 it is listed under, run through `suites._run` at n = 2, must pass
 without it and fail with it.  The tables cover the model checks, the
 sampled checks that decide through `forms.vanishes`, exact checks of
-the fiber and symspace suites, and the flat and symspace checks that
-decide on folded trees, a classification or sampled mechanics.  A
-mutation must fail its check on evidence, not by crashing it."""
+the fiber and symspace suites, the flat and symspace checks that
+decide on folded trees, a classification or sampled mechanics, and
+faults in set-up or helpers that several checks read.  A mutation must
+fail its check on evidence, not by crashing it."""
 
 import functools
 import pathlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qsh_lab import curvature as curv
@@ -234,26 +236,23 @@ def _on_model(change):
     return lambda real: lambda m, x, y: real(change(m), x, y)
 
 
-def _first_element_shifted(basis):
-    """`basis` with the identity added to its first so*(2n) element, which
-    then commutes with every J_a but is neither omega0-skew nor traceless."""
-    first, *rest = basis.so_basis
-    shifted = first + QArray.eye(basis.model.dim)
-    return liealg.LieBasis(basis.model, (shifted, *rest), basis.sp_basis)
+def _omega_e00_appended(real):
+    """`liealg.centralizer_basis` with omega0 E_00 appended, which is
+    omega0-skew (omega0^2 = -Id) but does not commute with J_1, so the
+    enumeration finds n(2n-1) + 1 elements, one of them outside so*(2n)."""
+    def centralizer_basis(m):
+        e00 = _with(m.omega * 0, (0, 0), 1)
+        return QArray(np.concatenate([real(m).values, (m.omega @ e00).values[None]]))
+    return centralizer_basis
 
 
-# for each liealg check, run at n = 2: as above.  Enumeration raises when
-# its count or an element is wrong, so the basis is changed after it
+# for each liealg check, run at n = 2: as above
 _LIEALG_MUTATIONS = {
-    # the last so*(2n) element dropped
-    "so-star-dimension": (liealg, "enumerate_so_star_basis",
-                          _wrapped(lambda b: liealg.LieBasis(b.model, b.so_basis[:-1],
-                                                             b.sp_basis))),
-    "basis-defining-equations": (liealg, "enumerate_so_star_basis",
-                                 _wrapped(_first_element_shifted)),
+    "so-star-dimension": (liealg, "centralizer_basis", _omega_e00_appended),
+    "basis-defining-equations": (liealg, "centralizer_basis", _omega_e00_appended),
     # the sp(1) coefficients reported as (c3, c2, c1)
     "decompose-roundtrip": (liealg, "decompose",
-                            _wrapped(lambda split: (split[0], split[1][::-1]))),
+                            _wrapped(lambda split: (split[0], split[1][::-1], split[2]))),
     # + sum_a g_a(x, z) J_a y: no longer in the centralizer
     "projection-targets": (liealg, "project_ZQ", _on_model(
         lambda m: FlatModel(m.n, m.J, m.omega, -m.g))),
@@ -310,6 +309,15 @@ def _kappa_term_symmetric(real):
     return parts
 
 
+def _kappa_term_identity(real):
+    """`curvature._parts` with w(x, y) Id, which is not in g, in place of
+    the kappa term w(x, y) A z."""
+    def parts(model, A):
+        _, t1, t2 = real(model, A)
+        return mat.einsum("ij,rk->ijkr", model.omega, QArray.eye(model.dim)), t1, t2
+    return parts
+
+
 def _ricci_second_slot(real):
     """`curvature.ricci_of` traced over the second slot of R(x, y) z: -Ric,
     as R is skew in x and y."""
@@ -350,6 +358,33 @@ def test_a_mutation_fails_its_curvature_check(monkeypatch, check):
     monkeypatch.setattr(holder, attribute, mutate(getattr(holder, attribute)))
     record = _record("curvature", check)
     assert _failed_on_evidence(record), record.detail
+
+
+# for a fault in set-up or a helper that several checks read: every check
+# listed, run at n = 2, must fail on evidence
+_UPSTREAM_FAULTS = {
+    # also the so-star-dimension and basis-defining-equations rows above
+    "centralizer-gains-omega-e00": (
+        liealg, "centralizer_basis", _omega_e00_appended,
+        [("liealg", "decompose-roundtrip"), ("liealg", "circle-equivariance")]),
+    # 2q, of norm 4: the rotated J'_a are 4 times a frame, so J'_1 J'_2 J'_3 = -64 Id
+    "unit-quaternion-doubled": (
+        suites, "_unit_quaternion", _wrapped(lambda q: q * 2),
+        [("model", "frame-rotation-covariance"),
+         ("liealg", "projection-frame-independence")]),
+    "kappa-term-identity": (curv, "_parts", _kappa_term_identity,
+                            [("curvature", "tensor-wellformed")]),
+}
+
+
+@pytest.mark.parametrize("fault", _UPSTREAM_FAULTS)
+def test_an_upstream_fault_fails_its_checks_on_evidence(monkeypatch, fault):
+    holder, attribute, mutate, checks = _UPSTREAM_FAULTS[fault]
+    assert all(_record(suite, check).passed for suite, check in checks)
+    monkeypatch.setattr(holder, attribute, mutate(getattr(holder, attribute)))
+    for suite, check in checks:
+        record = _record(suite, check)
+        assert _failed_on_evidence(record), (check, record.detail)
 
 
 TESTS = pathlib.Path(__file__).resolve().parent
