@@ -13,15 +13,15 @@ Kernel.  On the standard basis R_A is one array indexed
 [i, j, k, r] = (R(e_i, e_j) e_k)_r, so R(e_i, e_j) is tensor[i, j].T;
 the Bianchi sum, the Ricci trace and primitive_row read it.
 R_A = kappa T0 + (c1/4) T1 + (c2/2n) T2 for three kappa-free tensors
-that matrices.einsum builds from the terms of the expanded formula (see
-_parts) on the model's QArrays and A: exact for every kappa and every
-rational A.  A tensor holds (4n)^4 entries, so callers keep it only as
-long as they read it: a run computes R_A at the pinned parameters once
-per basis element, for its Bianchi sum, its Ricci trace and its sparse
-primitive row (the per-size pass of suites).  Every step is a QArray
-operation, so matrices alone decides, from the bounds it carries,
-whether a step runs in int64 or on Python ints; nothing here assumes a
-bound.  The products J_a A, A^T w, A^T g_a and g_a A, and R_A itself,
+that `@`, reshapes and transposes build from the terms of the expanded
+formula (see _parts) on the model's QArrays and A: exact for every
+kappa and every rational A.  A tensor holds (4n)^4 entries, so callers
+keep it only as long as they read it: a run computes R_A at the pinned
+parameters once per basis element, for its Bianchi sum, its Ricci
+trace and its sparse primitive row (the per-size pass of suites).
+Every step is a QArray operation, so matrices alone decides, from the
+bounds it carries, whether a step runs in int64 or on Python ints;
+nothing here assumes a bound.  The products J_a A, A^T w, A^T g_a and g_a A, and R_A itself,
 take the bound of their values (the generic bound of `@` would carry a
 factor 4n), so the kernel stays in int64 wherever the values allow it.
 numpy is imported inside the functions, so importing this module does
@@ -78,6 +78,14 @@ class CurvParams(Record):
         return CurvParams(kappa=k, c1=2 * k, c2=n * k)
 
 
+def _pair(P: QArray, Q: QArray) -> QArray:
+    """sum_a P_a (x) Q_a indexed [p, q, s, t], for two stacks of d x d
+    matrices or two matrices: one `@` over a, so its bound is
+    P.bound Q.bound times the number of terms."""
+    d = P.shape[-1]
+    return (P.reshape(-1, d * d).T @ Q.reshape(-1, d * d)).reshape(d, d, d, d)
+
+
 def _parts(model: FlatModel, A: QArray):
     """The kappa-free tensors (T0, T1, T2) of A, from the expanded formula
 
@@ -96,15 +104,15 @@ def _parts(model: FlatModel, A: QArray):
     JA, AtW, AtG, GA = (QArray(x.values, x.scale)
                         for x in (J @ A, At @ W, At @ G, G @ A))
     # w(x,y) Az
-    t0 = mat.einsum("ij,rk->ijkr", W, A)
-    # w(x,z) Ay - sum_a g_a(x,z) J_a Ay + w(Ay,z) x - sum_a g_a(Ay,z) J_a x
-    half = (mat.einsum("ik,rj->ijkr", W, A)
-            - mat.einsum("aik,arj->ijkr", G, JA)
-            + mat.einsum("jk,ri->ijkr", AtW, QArray.eye(model.dim))
-            - mat.einsum("ajk,ari->ijkr", AtG, J))
+    t0 = _pair(W, At)
+    # w(x,z) Ay - sum_a g_a(x,z) J_a Ay + w(Ay,z) x - sum_a g_a(Ay,z) J_a x;
+    # the first term is t0 with j and k swapped
+    half = ((t0 - _pair(G, JA.T)).transpose(0, 2, 1, 3)
+            + _pair(AtW, QArray.eye(model.dim)).transpose(3, 0, 1, 2)
+            - _pair(AtG, J.T).transpose(2, 0, 1, 3))
     t1 = half - half.transpose(1, 0, 2, 3)
     # -sum_a (g_a(x,Ay) - g_a(y,Ax)) J_a z
-    t2 = -mat.einsum("aij,ark->ijkr", GA - GA.transpose(0, 2, 1), J)
+    t2 = -_pair(GA - GA.T, J.T)
     return t0, t1, t2
 
 
@@ -139,7 +147,9 @@ def bianchi_residual(tensor: QArray) -> Fraction:
 
 def ricci_of(tensor: QArray) -> QArray:
     """Ric[y][z] = trace of x -> R(x, y) z, summed over the standard basis."""
-    return mat.einsum("iyzi->yz", tensor)
+    d = len(tensor)
+    rows = tensor.transpose(1, 2, 0, 3).reshape(d * d, d * d)  # [(y, z), (x, r)]
+    return (rows @ QArray.eye(d).reshape(d * d)).reshape(d, d)
 
 
 def ricci_closed_form(model: FlatModel, A: QArray, kappa) -> QArray:

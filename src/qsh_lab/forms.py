@@ -141,8 +141,6 @@ def wedge(u: VerticalForm, v: VerticalForm) -> VerticalForm:
     if u.coframe != v.coframe:
         raise CoframeError("wedge requires a common coframe")
     degree = u.degree + v.degree
-    if degree > 4:
-        return zero_form(4, u.coframe)
     terms = {}
     for s, f in u.terms.items():
         for t, g in v.terms.items():
@@ -169,8 +167,6 @@ def d(u: VerticalForm) -> VerticalForm:
     """Exterior derivative in the DH coframe."""
     if u.coframe != DH:
         raise CoframeError("d acts on the DH coframe; convert with to_dh first")
-    if u.degree >= 4:
-        return zero_form(4, DH)
     terms = {}
     passes = [sf.derivative(b) for b in _INDICES]  # shared by every term
     for s, f in u.terms.items():
@@ -288,7 +284,7 @@ def d_via_structure(u: VerticalForm) -> VerticalForm:
         raise CoframeError("structure-equation d acts on the ALPHA coframe")
     acc = zero_form(u.degree + 1, ALPHA)
     for key, f in u.terms.items():
-        if f.free_vars():
+        if not sf.is_const(f):
             raise ValueError("structure-equation d needs constant coefficients")
         for pos, idx in enumerate(key):
             sign = (-1) ** pos

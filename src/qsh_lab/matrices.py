@@ -6,30 +6,25 @@ read-only integer numpy array `values`, a positive int `scale` and an
 int `bound` >= max |values|, and stands for values / scale.  Every
 structure matrix and every enumerated basis element of the flat model
 has entries in {0, +-1}, so scales stay small and products are plain
-integer arithmetic: `@` multiplies the scales, `+` and `-` bring both
-operands over the lcm of their scales (factors fa, fb), `*` by a
-Fraction multiplies the scale by its denominator, and `*` by a QArray
-multiplies entrywise (numpy broadcasting) and multiplies the scales.
-Each operation first computes its result's bound in Python ints:
-a.bound fa + b.bound fb for a sum, a.bound b.bound k for `@` over k
-terms (which also bounds every partial sum), bound |c| for `*` by c,
-a.bound b.bound for an entrywise `*` and for kron, bound n for a trace
-of n terms, and for einsum the product of the operand bounds times the
-number of terms summed into each output entry; transposes, reshapes,
-indexing and negation keep it.  The values are int64 exactly when the
-bound is below 2^63, and an operation runs in int64 only when its
-result bound, its operands' bounds and its int factors are (for einsum,
-when the product of max(1, bound) over the operands times max(1, terms)
-is: it also covers every partial product); otherwise it runs on Python
-ints (dtype=object), which never overflow.  No other module makes that
-choice, so every operation is exact for every rational input, whatever
-numpy's integer promotion.  A scalar read-out (an entry, a
-vector.matrix.vector product, a trace, max_abs) is a Fraction of Python
-ints; no other QArray operation reduces by a gcd.  QArray(values)
-freezes a converted copy or a view of `values`, never the caller's
-array itself.  A float entry raises TypeError instead of being rounded.
-numpy is imported inside the functions that need it, so importing this
-module does not load it.
+integer arithmetic: `@` and kron multiply the scales, `+` and `-`
+bring both operands over the lcm of their scales (factors fa, fb), and
+`*` by a Fraction multiplies the scale by its denominator.  Each
+operation first computes its result's bound in Python ints, one rule a
+product: a.bound fa + b.bound fb for a sum, a.bound b.bound k for `@`
+over k terms (which also bounds every partial sum), bound |c| for `*`
+by c, a.bound b.bound for kron, and bound n for a trace of n terms;
+transposes, reshapes, indexing and negation keep it.  The values are
+int64 exactly when the bound is below 2^63, and an operation runs in
+int64 only when its result bound, its operands' bounds and its int
+factors are; otherwise it runs on Python ints (dtype=object), which
+never overflow.  No other module makes that choice, so every operation
+is exact for every rational input, whatever numpy's integer promotion.
+A scalar read-out (an entry, a vector.matrix.vector product, a trace,
+max_abs) is a Fraction of Python ints; no other QArray operation
+reduces by a gcd.  QArray(values) freezes a converted copy or a view of
+`values`, never the caller's array itself.  A float entry raises
+TypeError instead of being rounded.  numpy is imported inside the
+functions that need it, so importing this module does not load it.
 
 Reduction (rref, rank, rank_mod_p, nullspace, solve) alone leaves
 QArray.  A positive scale changes no echelon form, so rref reads the
@@ -51,7 +46,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 INT64_LIMIT = 2 ** 63  # int64 holds every int of smaller magnitude
 
@@ -159,10 +154,6 @@ class QArray:
         return QArray(-self.values, self.scale, self.bound)
 
     def __mul__(self, c):
-        if isinstance(c, QArray):  # entrywise, with numpy broadcasting
-            bound = self.bound * c.bound
-            a, b = operands(max(bound, self.bound, c.bound), self, c)
-            return QArray(a * b, self.scale * c.scale, bound)
         if isinstance(c, Fraction):
             scale, c = self.scale * c.denominator, c.numerator
         elif isinstance(c, int):
@@ -229,29 +220,6 @@ class QArray:
 
     def max_abs(self) -> Fraction:
         return Fraction(magnitude(self.values), self.scale)
-
-
-@cache
-def _summed_axes(spec: str):
-    """(operand, axis) of an occurrence of each label that the output of
-    an einsum spec omits: the axes it sums over."""
-    inputs, output = spec.split("->")
-    return tuple({label: (i, axis) for i, labels in enumerate(inputs.split(","))
-                  for axis, label in enumerate(labels) if label not in output}.values())
-
-
-def einsum(spec: str, *arrays: QArray) -> QArray:
-    """np.einsum of the values under an explicit spec ("ij,jk->ik"), with
-    the product of the scales and, as bound, the product of the operand
-    bounds times the number of terms summed into each output entry."""
-    import numpy as np
-
-    terms = prod(arrays[i].shape[axis] for i, axis in _summed_axes(spec))
-    bound, cover, scale = terms, max(1, terms), 1
-    for a in arrays:  # cover bounds every operand, partial product and sum
-        bound, cover, scale = bound * a.bound, cover * max(1, a.bound), scale * a.scale
-    values = np.einsum(spec, *operands(cover, *arrays))
-    return QArray(np.asarray(values), scale, bound)
 
 
 def rref(m: QArray):

@@ -86,18 +86,6 @@ class Field:
         them."""
         return evaluator((self,))(point)[0]
 
-    def free_vars(self) -> frozenset:
-        """Indices of the variables in the tree."""
-        found, seen, stack = set(), set(), [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Var):
-                found.add(node.index)
-            elif isinstance(node, (_Unary, _Binary)) and id(node) not in seen:
-                seen.add(id(node))
-                stack.extend((node.a, node.b) if isinstance(node, _Binary) else (node.a,))
-        return frozenset(found)
-
     def to_str(self) -> str:
         raise NotImplementedError
 

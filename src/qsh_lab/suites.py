@@ -168,18 +168,21 @@ def _verdict(reports, detail: str = ""):
     return True, worst, None, detail
 
 
-def _exact(diffs, detail: str = ""):
+def _exact(diffs):
     """The check result of a run of exact identities over Q: it passes iff
     every item of `diffs` (a Fraction or a QArray) is 0, with the largest
     |entry| as its residual.  Every item is read, so a failing check makes
     the same rng draws as a passing one and records its worst residual.
-    A generator's return value, if any, replaces `detail`."""
+    A generator's return value, if any, is the detail of a pass: a failed
+    check does not state the claim it refuted."""
+    detail = ""
+
     def items():
         nonlocal detail
-        detail = (yield from diffs) or detail
+        detail = (yield from diffs) or ""
     worst = max((d.max_abs() if isinstance(d, QArray) else abs(d) for d in items()),
                 default=Fraction(0))
-    return worst == 0, float(worst), None, detail
+    return worst == 0, float(worst), None, detail if worst == 0 else ""
 
 
 def _rational_vector(rng: random.Random, dim: int) -> QArray:
@@ -553,8 +556,9 @@ def two_paths(ctx, n):
         tensor = curv.curvature_of(m, basis, el, params)
         for _ in range(min(ctx.trials, 5)):
             x, y = _rational_vector(rng, m.dim), _rational_vector(rng, m.dim)
-            yield (curv.curvature_by_definition(m, el, params, x, y)
-                   - mat.einsum("i,j,ijkr->rk", x, y, tensor))
+            # sum_ij x_i y_j R[i, j, k, r], indexed [k, r]
+            xy = (y @ (x @ tensor.reshape(m.dim, -1)).reshape(m.dim, -1)).reshape(m.dim, m.dim)
+            yield curv.curvature_by_definition(m, el, params, x, y) - xy.T
 
 
 @_check("curvature", "tensor-wellformed[n={n}]",

@@ -79,6 +79,42 @@ def bianchi_defect_closed_form(model, A, params, i, j, k):
     return cyc_term(i, j, k) + cyc_term(j, k, i) + cyc_term(k, i, j)
 
 
+def _reference_parts(model, A):
+    """(T0, T1, T2) of the expanded formula in the docstring of
+    curv._parts, times A.scale: np.einsum on Python ints, one spec a
+    term, sharing no reshape or transpose with the kernel."""
+    W, J, G, a = (x.values.astype(object) for x in (model.omega, model.J, model.g, A))
+    JA = np.einsum("aij,jk->aik", J, a)
+    AtW = np.einsum("ji,jk->ik", a, W)
+    AtG = np.einsum("ji,ajk->aik", a, G)
+    GA = np.einsum("aij,jk->aik", G, a)
+    eye = np.eye(model.dim, dtype=np.int64).astype(object)
+    t0 = np.einsum("ij,rk->ijkr", W, a)
+    half = (np.einsum("ik,rj->ijkr", W, a) - np.einsum("aik,arj->ijkr", G, JA)
+            + np.einsum("jk,ri->ijkr", AtW, eye) - np.einsum("ajk,ari->ijkr", AtG, J))
+    t1 = half - half.transpose(1, 0, 2, 3)
+    t2 = -np.einsum("aij,ark->ijkr", GA - GA.transpose(0, 2, 1), J)
+    return t0, t1, t2
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_kernel_parts_equal_an_einsum_reference(n):
+    model, basis = _model_and_basis(n)
+    assert all(x.scale == 1 for x in (model.omega, model.J, model.g))
+    rng = random.Random(32)
+    combo = _random_element(model, basis, rng)
+    # the formula holds for any A; outside g, A^T omega is not symmetric,
+    # so a swap of its two axes shows
+    outside = QArray.of([[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                          for _ in range(model.dim)] for _ in range(model.dim)])
+    assert combo.scale > 1 and outside.scale > 1
+    for A in [*basis.elements(), combo, outside]:
+        for part, reference in zip(curv._parts(model, A), _reference_parts(model, A)):
+            # part.values / part.scale == reference / A.scale, entry for entry
+            assert np.array_equal(part.values.astype(object) * A.scale,
+                                  reference * part.scale)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         curv.CurvParams.pinned(0, 2)
@@ -459,11 +495,11 @@ def test_wide_rational_A_takes_object_fallback(model2, basis2):
 
 
 def test_overflow_bounds_are_python_ints(model2):
-    # 2^40 * 2^30 overflows int64 in the bound of an einsum when computed
-    # in it
+    # 2^40 * 2^30 overflows int64 in the bound of an outer product when
+    # computed in it
     wide = model2.omega * 2 ** 40
     for factor, dtype in ((2 ** 30, object), (2 ** 20, np.int64)):
-        outer = mat.einsum("ij,kl->ijkl", wide, model2.omega * factor)
+        outer = curv._pair(wide, model2.omega * factor)
         assert outer.bound == 2 ** 40 * factor
         assert outer.values.dtype == dtype
         exact = np.multiply.outer(wide.values.astype(object),

@@ -88,6 +88,14 @@ def test_d_basics():
         forms.d(forms.alpha(0))
 
 
+def test_forms_past_degree_four_are_empty_5_forms():
+    top = forms.VerticalForm(forms.DH, 4, {(0, 1, 2, 3): sf.H0})
+    past = [forms.d(top), forms.wedge(top, forms.dh(1)),
+            forms.wedge(forms.wedge(forms.dh(0), forms.dh(1)),
+                        forms.VerticalForm(forms.DH, 3, {(1, 2, 3): sf.H2}))]
+    assert [(u.degree, u.terms) for u in past] == [(5, {})] * 3
+
+
 def test_d_squared_and_leibniz_random():
     rng = _rng()
     for _ in range(15):

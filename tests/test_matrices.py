@@ -263,6 +263,8 @@ def test_products_reject_float_entries():
         good + 1e-3
     with pytest.raises(TypeError):
         good @ np.eye(2)
+    with pytest.raises(TypeError):  # no entrywise product: contract with `@`
+        good * good
     with pytest.raises(ValueError):
         good.values[0, 0] = 2  # read-only
 
@@ -319,17 +321,13 @@ def test_products_exact_across_the_int64_edge(data):
         _check_result(qa @ qb, _ref_mat_mul(a, b))
         _check_result(qa * n, [[x * n for x in row] for row in fa])
         _check_result(qa * f, [[x * f for x in row] for row in fa])
-        _check_result(qa * qc, [[x * y for x, y in zip(r, s)] for r, s in zip(fa, fc)])
-        _check_result(qa[:, :1] * qc, [[r[0] * y for y in s] for r, s in zip(fa, fc)])
         _check_result(qa.kron(qb), [[x * Fraction(y) for x in ra for y in rb]
                                     for ra in fa for rb in b])
-        # einsum over 1, 3 and k terms an entry
-        _check_result(mat.einsum("ij,ij->ij", qa, qc),
-                      [[x * y for x, y in zip(r, s)] for r, s in zip(fa, fc)])
-        # sums of squares: every term of a diagonal entry has one sign
-        _check_result(mat.einsum("ai,aj->ij", qu, qu), _ref_mat_mul(list(zip(*u)), u))
-        _check_result(mat.einsum("ik,jk->ij", qa, qa), _ref_mat_mul(a, list(zip(*a))))
+        # sums of squares: every term of a diagonal entry has one sign;
+        # qu.T @ qu contracts a leading axis, as curvature._pair does
+        _check_result(qu.T @ qu, _ref_mat_mul(list(zip(*u)), u))
         square = qa @ qa.T
+        _check_result(square, _ref_mat_mul(a, list(zip(*a))))
         trace = square.trace()
         assert _exact_read_out(trace)
         assert trace == sum((x * x for row in fa for x in row), Fraction(0))

@@ -18,7 +18,6 @@ import pytest
 
 from qsh_lab import curvature as curv
 from qsh_lab import forms, liealg
-from qsh_lab import matrices as mat
 from qsh_lab import scalarfield as sf
 from qsh_lab import suites, swann
 from qsh_lab.cli import RunConfig
@@ -305,7 +304,7 @@ def _kappa_term_symmetric(real):
     place of the kappa term w(x, y) A z; every value stays in g."""
     def parts(model, A):
         _, t1, t2 = real(model, A)
-        return mat.einsum("ij,rk->ijkr", model.g[0], A), t1, t2
+        return curv._pair(model.g[0], A.T), t1, t2
     return parts
 
 
@@ -314,14 +313,14 @@ def _kappa_term_identity(real):
     the kappa term w(x, y) A z."""
     def parts(model, A):
         _, t1, t2 = real(model, A)
-        return mat.einsum("ij,rk->ijkr", model.omega, QArray.eye(model.dim)), t1, t2
+        return curv._pair(model.omega, QArray.eye(model.dim)), t1, t2
     return parts
 
 
 def _ricci_second_slot(real):
     """`curvature.ricci_of` traced over the second slot of R(x, y) z: -Ric,
     as R is skew in x and y."""
-    return lambda tensor: mat.einsum("yizi->yz", tensor)
+    return lambda tensor: real(tensor.transpose(1, 0, 2, 3))
 
 
 def _pinned_c2_off_by_kappa(real):
@@ -385,6 +384,16 @@ def test_an_upstream_fault_fails_its_checks_on_evidence(monkeypatch, fault):
     for suite, check in checks:
         record = _record(suite, check)
         assert _failed_on_evidence(record), (check, record.detail)
+
+
+def test_a_failed_generator_check_states_no_claim(monkeypatch):
+    # tensor-wellformed returns its claim as the detail of a pass; with a
+    # kappa term outside g it fails on evidence and does not state it
+    assert _record("curvature", "tensor-wellformed").detail == "values decompose in g"
+    monkeypatch.setattr(curv, "_parts", _kappa_term_identity(curv._parts))
+    record = _record("curvature", "tensor-wellformed")
+    assert not record.passed
+    assert record.detail == ""
 
 
 TESTS = pathlib.Path(__file__).resolve().parent
