@@ -36,24 +36,26 @@ one coframe, and a caller expands an ALPHA form with to_dh.
 Form equality is decided by simplify-then-sample: coefficients that fold
 to literal constants are compared exactly, the rest must `vanish` at
 random points with 0.5 <= |h| <= 2 (Schwartz-Zippel style identity
-testing).  Every randomized check samples through `sample` or
-`vanishes`, and both run one compiled loop over the fields
-(`scalarfield.scanner`): it draws each point with `sample_point`, or
-`sample_rational_point` at exact points, looked up when `sample` or
-`vanishes` is called, so these two stay the only point laws.  A point
-where a field raises ZeroDivisionError or ValueError is redrawn, up to
-MAX_DRAWS draws per trial; when they run out the loop raises
-SamplingError with the evaluated and rejected counts and the rejections
-by exception type, so no verdict rests on zero points.  OverflowError is
-not a rejection and propagates.  `vanishes` is the one residual rule:
-the worst |value| over all fields and points, a nan counting as inf,
-must be at most the tolerance, and at exact rational points an exact
-value must be exactly 0.  One compiled loop decides that rule at both
-point kinds: it keeps the worst value itself and, at exact points, the
-first exact nonzero one.  Only user-solution-residuals (a relative
-residual), obstruction-mechanics (a pointwise implication) and
-maurer-cartan-oracle (an exact comparison) judge the values of `sample`
-themselves.
+testing).  `sample` (float values at float points) and `vanishes` run
+one compiled loop over the fields (`scalarfield.scanner`): it draws
+each point with `sample_point`, or `sample_rational_point` at the exact
+points of `vanishes`, looked up at each call, so these two stay the only
+point laws.  A point where a field raises ZeroDivisionError or
+ValueError is redrawn, up to MAX_DRAWS draws per trial; when they run
+out the loop raises SamplingError with the evaluated and rejected counts
+and the rejections by exception type, so no verdict rests on zero
+points.  OverflowError is not a rejection and propagates.  `vanishes` is
+the one residual rule: the worst |value| over all fields and points, a
+nan counting as inf, must be at most the tolerance, and at exact
+rational points an exact value must be exactly 0.  One compiled loop
+decides that rule at both point kinds: it keeps the worst value itself
+and, at exact points, the first exact nonzero one.  The sampled checks
+decide through `vanishes` (also by way of `equal` and `is_zero_form`);
+only user-solution-residuals (a relative residual) and
+obstruction-mechanics (a pointwise implication) judge the values of
+`sample` themselves.  The two exact oracles, maurer-cartan-oracle and
+r-formula-oracle, draw `sample_rational_point` themselves and compare
+exact values.
 """
 
 from __future__ import annotations
@@ -188,25 +190,23 @@ T2 = sf.add(sf.add(sf.pow_(sf.H0, 2), sf.pow_(sf.H1, 2)),
             sf.add(sf.pow_(sf.H2, 2), sf.pow_(sf.H3, 2)))
 T = sf.sqrt(T2)
 
-_M_ENTRIES = (
+COFRAME_MATRIX = (
     (sf.H0, sf.H1, sf.H2, sf.H3),
     (sf.neg(sf.H1), sf.H0, sf.H3, sf.neg(sf.H2)),
     (sf.neg(sf.H2), sf.neg(sf.H3), sf.H0, sf.H1),
     (sf.neg(sf.H3), sf.H2, sf.neg(sf.H1), sf.H0),
 )
 
-COFRAME_MATRIX = _M_ENTRIES
-
 _T_MINUS3 = sf.pow_(T, -3)
 
 ALPHA_IN_DH = tuple(
-    VerticalForm(DH, 1, {(j,): sf.mul(_T_MINUS3, _M_ENTRIES[i][j]) for j in _INDICES})
+    VerticalForm(DH, 1, {(j,): sf.mul(_T_MINUS3, COFRAME_MATRIX[i][j]) for j in _INDICES})
     for i in _INDICES)
 
 # Connection components theta_a = t * a_a and theta_0 = t^-1 dt: rational
 # coefficient fields t^-2 * (row of M), exact at rational points.
 THETA_IN_DH = tuple(
-    VerticalForm(DH, 1, {(j,): sf.div(_M_ENTRIES[i][j], T2) for j in _INDICES})
+    VerticalForm(DH, 1, {(j,): sf.div(COFRAME_MATRIX[i][j], T2) for j in _INDICES})
     for i in _INDICES)
 
 
@@ -337,14 +337,13 @@ class SamplingError(Exception):
                          f"evaluated points ({self.rejected} rejected: {by_type})")
 
 
-def sample(fields, trials: int, rng: random.Random, rational: bool = False):
-    """Yield (point, values of the fields) at `trials` points where every
-    field evaluates: a list of floats at float points, the tuple of exact
-    values at rational ones.  Points raising ZeroDivisionError or
-    ValueError are redrawn (at most MAX_DRAWS draws per trial, else
-    SamplingError).  trials < 1 is a ValueError: no verdict may rest on
-    zero points."""
-    return _scan(fields, "values", trials, rng, rational)
+def sample(fields, trials: int, rng: random.Random):
+    """Yield (point, list of the fields' values as floats) at `trials`
+    float points where every field evaluates.  Points raising
+    ZeroDivisionError or ValueError are redrawn (at most MAX_DRAWS draws
+    per trial, else SamplingError).  trials < 1 is a ValueError: no
+    verdict may rest on zero points."""
+    return _scan(fields, "values", trials, rng, False)
 
 
 def _scan(fields, tail: str, trials: int, rng: random.Random, rational: bool):

@@ -26,13 +26,13 @@ makes those lines one function of a fixed point (``Field.evaluate``,
 exact points of a formula).  ``scanner`` puts them inside one function
 that is a whole sampling loop, at float or at exact points, fixed when
 it is built: it draws each point, runs the lines, redraws a point they
-reject and keeps what its tail asks for (the values, or the worst
-residual), so a sampled point passes through no other Python frame than
-the draw's.  Building evaluates nothing: a subtree without variables is
-computed, and raises, at each point like any other.  Fixed points and
-exact scans use the exact constants.  In a float scan constants enter
-as float(c), which ``Fraction op float`` computes with anyway, so
-results are bit-identical.
+reject and keeps what its tail asks for (the values, at float points
+only, or the worst residual), so a sampled point passes through no
+other Python frame than the draw's.  Building evaluates nothing: a
+subtree without variables is computed, and raises, at each point like
+any other.  Fixed points and exact scans use the exact constants.  In a
+float scan constants enter as float(c), which ``Fraction op float``
+computes with anyway, so results are bit-identical.
 
 Generating source is safe because nothing from the fields reaches it:
 the text is slot numbers, a fixed template per node type, the fixed
@@ -40,7 +40,8 @@ loop of ``scanner`` and fixed helper names.  Constants and exponents are
 passed in as data.  ``parse`` caps the nodes of an input field
 (MAX_NODES), which bounds the source built from it and its derivatives.
 
-The printable grammar (round-tripped by ``parse``):
+The printable grammar (round-tripped by ``parse``; a compound node
+prints by its template in ``_PRINT``):
 
     expr   := term (('+' | '-') term)*
     term   := unary (('*' | '/') unary)*
@@ -132,13 +133,13 @@ class _Binary(Field):
         self.a = a
         self.b = b
 
+    def to_str(self):
+        return _PRINT[type(self)].format(a=self.a.to_str(), b=self.b.to_str())
+
 
 class Add(_Binary):
     def _d(self, var, d):
         return add(d(self.a), d(self.b))
-
-    def to_str(self):
-        return f"{self.a.to_str()} + {self.b.to_str()}"
 
 
 class Sub(_Binary):
@@ -149,25 +150,16 @@ class Sub(_Binary):
         # one derivative for the two copies the tree walk makes: no a - a fold
         return const(da.value - db.value) if type(da) is Const else Sub(da, db)
 
-    def to_str(self):
-        return f"{self.a.to_str()} - ({self.b.to_str()})"
-
 
 class Mul(_Binary):
     def _d(self, var, d):
         return add(mul(d(self.a), self.b), mul(self.a, d(self.b)))
-
-    def to_str(self):
-        return f"({self.a.to_str()}) * ({self.b.to_str()})"
 
 
 class Div(_Binary):
     def _d(self, var, d):
         num = sub(mul(d(self.a), self.b), mul(self.a, d(self.b)))
         return div(num, mul(self.b, self.b))
-
-    def to_str(self):
-        return f"({self.a.to_str()}) / ({self.b.to_str()})"
 
 
 class _Unary(Field):
@@ -176,13 +168,14 @@ class _Unary(Field):
     def __init__(self, a):
         self.a = a
 
+    def to_str(self):
+        return _PRINT[type(self)].format(a=self.a.to_str(),
+                                         b=getattr(self, "exponent", None))
+
 
 class Neg(_Unary):
     def _d(self, var, d):
         return neg(d(self.a))
-
-    def to_str(self):
-        return f"-({self.a.to_str()})"
 
 
 class Pow(_Unary):
@@ -196,40 +189,25 @@ class Pow(_Unary):
         k = self.exponent
         return mul(mul(const(k), pow_(self.a, k - 1)), d(self.a))
 
-    def to_str(self):
-        return f"({self.a.to_str()})^{self.exponent}"
-
 
 class Sqrt(_Unary):
     def _d(self, var, d):
         return div(d(self.a), mul(TWO, self))
-
-    def to_str(self):
-        return f"sqrt({self.a.to_str()})"
 
 
 class Exp(_Unary):
     def _d(self, var, d):
         return mul(self, d(self.a))
 
-    def to_str(self):
-        return f"exp({self.a.to_str()})"
-
 
 class Sin(_Unary):
     def _d(self, var, d):
         return mul(cos(self.a), d(self.a))
 
-    def to_str(self):
-        return f"sin({self.a.to_str()})"
-
 
 class Cos(_Unary):
     def _d(self, var, d):
         return mul(neg(sin(self.a)), d(self.a))
-
-    def to_str(self):
-        return f"cos({self.a.to_str()})"
 
 
 def _exact_sqrt(q: Fraction):
@@ -403,6 +381,12 @@ def _as_float(c):
     return f if f or not c else c
 
 
+# Text of one compound node over its operands' text a and b (a Pow's b is
+# its exponent), as parse reads it back.
+_PRINT = {Add: "{a} + {b}", Sub: "{a} - ({b})", Mul: "({a}) * ({b})",
+          Div: "({a}) / ({b})", Neg: "-({a})", Pow: "({a})^{b}", Sqrt: "sqrt({a})",
+          Exp: "exp({a})", Sin: "sin({a})", Cos: "cos({a})"}
+
 # Source of one node over its operand slots a and b, one template per node
 # type; Python raises the errors, and _sqrt at an exact negative.  With the
 # slot numbers, these fixed strings and the loop templates of scanner are
@@ -514,8 +498,8 @@ def scanner(fields, tail: str, exact: bool):
     rejections}).  Any other error propagates.  The tail says what the
     loop keeps of an evaluated point:
 
-      "values"  yields (point, values): a list of the values as floats
-                at float points, the tuple of the values at exact ones
+      "values"  yields (point, values): a list of the values as floats,
+                at float points only
       "worst"   returns (worst, witness, failure): the largest
                 |float(value)| over all fields and points, a nan counting
                 as inf, and the first point where it was reached (0.0
@@ -539,10 +523,9 @@ def scanner(fields, tail: str, exact: bool):
                           f"r{s} and _type(r{s}) is not _float" for s in outputs) + "):",
                       " failure = residual or _ulp, point"]
         end = ["return worst, witness, failure"]
-    else:  # "values"
-        values = "".join(f"r{s}, " if exact else f"_float(r{s}), " for s in outputs)
+    else:  # "values", at float points
         head, end, after = [], [], ["yield point, values"]
-        kept = [f"values = ({values})" if exact else f"values = [{values}]"]
+        kept = ["values = [" + "".join(f"_float(r{s}), " for s in outputs) + "]"]
     return _define([
         "def scan(draw, rng, trials, max_draws, fail):",
         *(" " + line for line in loads + head),

@@ -13,10 +13,12 @@ A check is one function `fn(ctx, n)` declared with
 
 - A name that holds `{n}` runs once for each n in `ctx.ns`, with `{n}`
   filled in; any other name runs once with n = None.
-- A generator's yielded differences (Fractions or QArrays) are decided
-  exactly by `_exact`; the value it returns, if any, is the detail.  Any
-  other check returns (passed, residual, witness, detail), for sampled
-  identities through `_verdict`, or None when it does not apply.
+- A check that is a generator yields its evidence to `_run`, and the
+  value it returns, if any, is the detail of a pass.  In a linear suite
+  the evidence is differences (Fractions or QArrays) that `_exact`
+  decides; in a sampled one, (EqualityReport, failure detail) pairs that
+  `_verdict` decides.  Any other check returns (passed, residual,
+  witness, detail), or None when it does not apply.
 - A check builds what it uses (`ctx.model(n)`, `ctx.basis(n)`,
   `_pinned`, `_pinned_pass`) in its own body, so an error there fails
   that check only.
@@ -124,14 +126,18 @@ def _result(outcome):
     return value
 
 
+LINEAR_SUITES = ("model", "liealg", "curvature")  # exact; one task: they share ctx.model
+
+
 def _run(suite: str, name: str, anchor: str, fn) -> CheckResult | None:
-    """The record of `fn()`: a generator is decided by `_exact`, None means
-    the check does not apply, and an exception fails the check."""
+    """The record of `fn()`: a generator is decided by `_exact` in a linear
+    suite and by `_verdict` in any other, None means the check does not
+    apply, and an exception fails the check."""
     start = time.perf_counter()
     try:
         result = fn()
         if isinstance(result, types.GeneratorType):
-            result = _exact(result)
+            result = (_exact if suite in LINEAR_SUITES else _verdict)(result)
         if result is None:
             return None
         passed, residual, witness, detail = result
@@ -154,18 +160,25 @@ def _run_suite(suite: str, ctx: SuiteContext, check: str = None) -> list:
     return [record for record in records if record is not None]
 
 
-def _verdict(reports, detail: str = ""):
+def _items(check, returned: list):
+    """The items of the generator `check`; once they run out, the value it
+    returned (None as "") is appended to `returned`."""
+    returned.append((yield from check) or "")
+
+
+def _verdict(reports):
     """The check result of a run of sampled identities: the first
     (EqualityReport, failure detail) pair whose report is not equal fails
     the check with its residual, witness and detail; else the check
-    passes with the worst residual and `detail`.  `reports` is lazy, so
-    nothing after a failure is built or draws from the rng."""
-    worst = 0.0
-    for rep, failure in reports:
+    passes with the worst residual and the generator's return value as
+    its detail.  `reports` is lazy, so nothing after a failure is built
+    or draws from the rng."""
+    worst, returned = 0.0, []
+    for rep, failure in _items(reports, returned):
         if not rep.equal:
             return False, rep.max_residual, rep.witness, failure
         worst = max(worst, rep.max_residual)
-    return True, worst, None, detail
+    return True, worst, None, returned[0]
 
 
 def _exact(diffs):
@@ -175,14 +188,10 @@ def _exact(diffs):
     the same rng draws as a passing one and records its worst residual.
     A generator's return value, if any, is the detail of a pass: a failed
     check does not state the claim it refuted."""
-    detail = ""
-
-    def items():
-        nonlocal detail
-        detail = (yield from diffs) or ""
-    worst = max((d.max_abs() if isinstance(d, QArray) else abs(d) for d in items()),
-                default=Fraction(0))
-    return worst == 0, float(worst), None, detail if worst == 0 else ""
+    returned = []
+    worst = max((d.max_abs() if isinstance(d, QArray) else abs(d)
+                 for d in _items(diffs, returned)), default=Fraction(0))
+    return worst == 0, float(worst), None, returned[0] if worst == 0 else ""
 
 
 def _rational_vector(rng: random.Random, dim: int) -> QArray:
@@ -689,10 +698,12 @@ def map_rank(ctx, n):
         "quaternion expansion of h^-1 dh, exactly")
 def mc_oracle(ctx, n):
     rng = ctx.rng("fiber", "maurer-cartan")
-    theta = [forms.THETA_IN_DH[i].coefficient((b,)) for i in range(4) for b in range(4)]
-    for point, values in forms.sample(theta, 50, rng, rational=True):
+    theta = sf.evaluator([forms.THETA_IN_DH[i].coefficient((b,))
+                          for i in range(4) for b in range(4)])
+    for _ in range(50):
+        point = forms.sample_rational_point(rng)
         mc = forms.maurer_cartan_components(Quaternion(*point))
-        if tuple(c for row in mc for c in row) != values:
+        if tuple(c for row in mc for c in row) != theta(point):
             return False, None, {"h": point}, ""
     return True, 0.0, None, "50 exact rational points"
 
@@ -700,19 +711,18 @@ def mc_oracle(ctx, n):
 @_check("fiber", "dalpha0-zero", "d a0 = 0")
 def dalpha0(ctx, n):
     rng = ctx.rng("fiber", "dalpha0")
-    return _verdict([(forms.is_zero_form(forms.d(forms.ALPHA_IN_DH[0]),
-                                         trials=ctx.trials, tolerance=ctx.tolerance,
-                                         rng=rng), "")])
+    yield forms.is_zero_form(forms.d(forms.ALPHA_IN_DH[0]), trials=ctx.trials,
+                             tolerance=ctx.tolerance, rng=rng), ""
 
 
 @_check("fiber", "structure-equations",
         "d a_a = -t a0 ^ a_a - 2t a_b ^ a_c on the trivial fiber")
 def structure_equations(ctx, n):
     rng = ctx.rng("fiber", "structure")
-    return _verdict((forms.equal(forms.d(forms.ALPHA_IN_DH[a]),
-                                 forms.to_dh(forms.structure_dalpha(a)),
-                                 trials=ctx.trials, tolerance=ctx.tolerance, rng=rng),
-                     f"a = {a}") for a in (1, 2, 3))
+    for a in (1, 2, 3):
+        yield forms.equal(forms.d(forms.ALPHA_IN_DH[a]),
+                          forms.to_dh(forms.structure_dalpha(a)),
+                          trials=ctx.trials, tolerance=ctx.tolerance, rng=rng), f"a = {a}"
 
 
 @_check("fiber", "beta-pullback-invariance", "each beta_b is invariant under every "
@@ -754,11 +764,12 @@ def dbeta_two_paths(ctx, n):
     betas = [swann.beta_basis_form(a) for a in (1, 2, 3)]
     for a, beta in enumerate(betas, 1):
         if not forms.d_via_structure(beta).is_structurally_zero():
-            return False, None, {"a": a}, "structure path not exactly zero"
-    return _verdict(((forms.is_zero_form(forms.d(forms.to_dh(beta)), trials=ctx.trials,
-                                         tolerance=ctx.tolerance, rng=rng),
-                      f"a = {a}") for a, beta in enumerate(betas, 1)),
-                    "structure path exact, coordinate path sampled")
+            yield (forms.EqualityReport(False, None, {"a": a}),
+                   "structure path not exactly zero")
+    for a, beta in enumerate(betas, 1):
+        yield forms.is_zero_form(forms.d(forms.to_dh(beta)), trials=ctx.trials,
+                                 tolerance=ctx.tolerance, rng=rng), f"a = {a}"
+    return "structure path exact, coordinate path sampled"
 
 
 @_check("fiber", "top-form-determinant",
@@ -771,16 +782,12 @@ def top_form(ctx, n):
                    for j in range(4)] for i in range(4)]
     det = _det4(sub_matrix)
     want = forms.VerticalForm(forms.DH, 4, {(0, 1, 2, 3): det})
-
-    def reports():
-        yield forms.equal(top, want, trials=ctx.trials, tolerance=tol, rng=rng), ""
-        # determinant of the unscaled matrix is t^4
-        detM = _det4([[forms.COFRAME_MATRIX[i][j] for j in range(4)]
-                      for i in range(4)])
-        oracle = forms.scalar_form(sf.sub(detM, sf.pow_(forms.T2, 2)))
-        yield (forms.is_zero_form(oracle, trials=50, tolerance=tol, rng=rng),
-               "cofactor-expansion oracle")
-    return _verdict(reports(), "cofactor-expansion oracle")
+    yield forms.equal(top, want, trials=ctx.trials, tolerance=tol, rng=rng), ""
+    # determinant of the unscaled matrix is t^4
+    oracle = forms.scalar_form(sf.sub(_det4(forms.COFRAME_MATRIX), sf.pow_(forms.T2, 2)))
+    yield (forms.is_zero_form(oracle, trials=50, tolerance=tol, rng=rng),
+           "cofactor-expansion oracle")
+    return "cofactor-expansion oracle"
 
 
 @_check("fiber", "exterior-algebra-laws", "d^2 = 0, the graded Leibniz rule, and "
@@ -788,45 +795,37 @@ def top_form(ctx, n):
 def random_form_laws(ctx, n):
     tol = ctx.tolerance
     rng = ctx.rng("fiber", "form-laws")
-
-    def reports():
-        for _ in range(10):
-            p = rng.randrange(0, 3)
-            u = _random_dh_form(rng, p)
-            yield (forms.is_zero_form(forms.d(forms.d(u)), trials=20,
-                                      tolerance=tol, rng=rng), "d^2 != 0")
-            q = rng.randrange(0, 4 - p)
-            v = _random_dh_form(rng, q)
-            lhs = forms.d(forms.wedge(u, v))
-            rhs = forms.add(forms.wedge(forms.d(u), v),
-                            forms.scale(sf.const((-1) ** p),
-                                        forms.wedge(u, forms.d(v))))
-            yield (forms.equal(lhs, rhs, trials=20, tolerance=tol, rng=rng),
-                   "Leibniz failed")
-            uv = forms.wedge(u, v)
-            vu = forms.scale(sf.const((-1) ** (p * q)), forms.wedge(v, u))
-            yield (forms.equal(uv, vu, trials=10, tolerance=tol, rng=rng),
-                   "anticommutativity")
-    return _verdict(reports())
+    for _ in range(10):
+        p = rng.randrange(0, 3)
+        u = _random_dh_form(rng, p)
+        yield (forms.is_zero_form(forms.d(forms.d(u)), trials=20,
+                                  tolerance=tol, rng=rng), "d^2 != 0")
+        q = rng.randrange(0, 4 - p)
+        v = _random_dh_form(rng, q)
+        lhs = forms.d(forms.wedge(u, v))
+        rhs = forms.add(forms.wedge(forms.d(u), v),
+                        forms.scale(sf.const((-1) ** p), forms.wedge(u, forms.d(v))))
+        yield (forms.equal(lhs, rhs, trials=20, tolerance=tol, rng=rng),
+               "Leibniz failed")
+        uv = forms.wedge(u, v)
+        vu = forms.scale(sf.const((-1) ** (p * q)), forms.wedge(v, u))
+        yield (forms.equal(uv, vu, trials=10, tolerance=tol, rng=rng),
+               "anticommutativity")
 
 
 @_check("fiber", "dbeta-general-coefficients", "d(sum f_a beta_a) = sum df_a ^ beta_a "
         "on the trivial fiber for arbitrary coefficient fields")
 def dbeta_general_f(ctx, n):
     rng = ctx.rng("fiber", "dbeta-general")
-
-    def reports():
-        for _ in range(5):
-            f_fields = tuple(_random_field(rng) for _ in range(3))
-            beta = swann.beta_form(f_fields)
-            lhs = forms.d(forms.to_dh(beta))
-            rhs = forms.zero_form(3, forms.DH)
-            for a in (1, 2, 3):
-                df = forms.d(forms.scalar_form(f_fields[a - 1]))
-                rhs = forms.add(rhs, forms.wedge(
-                    df, forms.to_dh(swann.beta_basis_form(a))))
-            yield forms.equal(lhs, rhs, trials=30, tolerance=ctx.tolerance, rng=rng), ""
-    return _verdict(reports())
+    for _ in range(5):
+        f_fields = tuple(_random_field(rng) for _ in range(3))
+        beta = swann.beta_form(f_fields)
+        lhs = forms.d(forms.to_dh(beta))
+        rhs = forms.zero_form(3, forms.DH)
+        for a in (1, 2, 3):
+            df = forms.d(forms.scalar_form(f_fields[a - 1]))
+            rhs = forms.add(rhs, forms.wedge(df, forms.to_dh(swann.beta_basis_form(a))))
+        yield forms.equal(lhs, rhs, trials=30, tolerance=ctx.tolerance, rng=rng), ""
 
 
 def _det4(m):
@@ -864,11 +863,11 @@ def _random_dh_form(rng: random.Random, degree: int) -> forms.VerticalForm:
         "exactly the four first-order residuals (documented sign table)")
 def pde_dbeta_equivalence(ctx, n):
     rng = ctx.rng("flat", "pde-dbeta")
-    solutions = (swann.FlatSolution(F=tuple(_random_field(rng) for _ in range(3)))
-                 for _ in range(10))
-    reports = (swann.dbeta_equals_pde(s, trials=30, tolerance=ctx.tolerance, rng=rng)
-               for s in solutions)
-    return _verdict(((rep, "") for rep in reports), "10 random coefficient triples")
+    for _ in range(10):
+        solution = swann.FlatSolution(F=tuple(_random_field(rng) for _ in range(3)))
+        yield swann.dbeta_equals_pde(solution, trials=30, tolerance=ctx.tolerance,
+                                     rng=rng), ""
+    return "10 random coefficient triples"
 
 
 @_check("flat", "pde-hand-solution", "(F1, F2, F3) = (h1, -h2, 0) solves all four "
@@ -876,12 +875,10 @@ def pde_dbeta_equivalence(ctx, n):
 def hand_solution(ctx, n):
     rng = ctx.rng("flat", "hand-solution")
     solution = swann.FlatSolution(F=(sf.H1, sf.neg(sf.H2), sf.ZERO))
-    residuals = swann.pde_residuals(solution)
-    if not all(sf.is_zero(r) for r in residuals):
-        return False, None, None, "residuals did not fold to zero"
-    return _verdict([(forms.is_zero_form(forms.d(swann.beta_of_F(solution)),
-                                         trials=ctx.trials, tolerance=ctx.tolerance,
-                                         rng=rng), "")])
+    if not all(sf.is_zero(r) for r in swann.pde_residuals(solution)):
+        yield forms.EqualityReport(False, None), "residuals did not fold to zero"
+    yield forms.is_zero_form(forms.d(swann.beta_of_F(solution)), trials=ctx.trials,
+                             tolerance=ctx.tolerance, rng=rng), ""
 
 
 @_check("flat", "pde-violating-solution", "(h0, 0, 0) fails exactly in the first "
@@ -902,27 +899,22 @@ def violating_solution(ctx, n):
         "all four equations (residual < 1e-8)")
 def solution_family(ctx, n):
     rng = ctx.rng("flat", "family")
-
-    def reports():
-        for _ in range(20):
-            k = _random_constants(rng)
-            residuals = swann.pde_residuals(swann.explicit_solution_family(k))
-            yield forms.vanishes(residuals, ctx.trials, 1e-8, rng), f"constants {k}"
-    return _verdict(reports(), "20 random constant sets")
+    for _ in range(20):
+        k = _random_constants(rng)
+        residuals = swann.pde_residuals(swann.explicit_solution_family(k))
+        yield forms.vanishes(residuals, ctx.trials, 1e-8, rng), f"constants {k}"
+    return "20 random constant sets"
 
 
 @_check("flat", "family-cross-representation", "sum_a f_a(F, h) beta_a and the "
         "coordinate presentation of beta agree as forms")
 def family_cross_representation(ctx, n):
     rng = ctx.rng("flat", "family-cross")
-
-    def reports():
-        for _ in range(5):
-            solution = swann.explicit_solution_family(_random_constants(rng))
-            frame = swann.beta_form(swann.f_from_F(solution))
-            yield forms.equal(forms.to_dh(frame), swann.beta_of_F(solution),
-                              trials=40, tolerance=1e-8, rng=rng), ""
-    return _verdict(reports())
+    for _ in range(5):
+        solution = swann.explicit_solution_family(_random_constants(rng))
+        frame = swann.beta_form(swann.f_from_F(solution))
+        yield forms.equal(forms.to_dh(frame), swann.beta_of_F(solution),
+                          trials=40, tolerance=1e-8, rng=rng), ""
 
 
 @_check("flat", "family-degenerate-limit", "with only the additive constants nonzero "
@@ -1050,11 +1042,11 @@ def r_oracle(ctx, n):
         "closed-form exp(f) equals the curvature-coefficient 1-form tau")
 def primitive(ctx, n):
     rng = ctx.rng("symspace", "primitive")
-    param_sets = (_random_symspace_params(rng) for _ in range(10))
-    return _verdict(((swann.symspace_primitive_check(p, trials=ctx.trials,
-                                                     tolerance=1e-8, rng=rng),
-                      f"params {p}") for p in param_sets),
-                    "10 random parameter sets")
+    for _ in range(10):
+        p = _random_symspace_params(rng)
+        yield swann.symspace_primitive_check(p, trials=ctx.trials, tolerance=1e-8,
+                                             rng=rng), f"params {p}"
+    return "10 random parameter sets"
 
 
 @_check("symspace", "ddf-zero", "d(df) = 0")
@@ -1062,9 +1054,9 @@ def ddf_zero(ctx, n):
     rng = ctx.rng("symspace", "ddf")
     params = _random_symspace_params(rng)
     detail = "exact rational evaluation"
-    return _verdict([(swann.symspace_ddf_check(params, trials=50,
-                                               tolerance=ctx.tolerance,
-                                               rng=rng), detail)], detail)
+    yield swann.symspace_ddf_check(params, trials=50, tolerance=ctx.tolerance,
+                                   rng=rng), detail
+    return detail
 
 
 @_check("symspace", "expf-plugin-evaluation", "exp(f) at h = (1,0,0,0) with c1=1, "
@@ -1089,7 +1081,7 @@ def proportionality(ctx, n):
     E = swann.symspace_exp_f(params)
     ratio = sf.div(sf.mul(sf.const(params.c2), E), sf.mul(sf.const(params.c1), E))
     offset = sf.sub(ratio, sf.const(params.c2 / params.c1))
-    return _verdict([(forms.vanishes([offset], min(ctx.trials, 30), 1e-9, rng), "")])
+    yield forms.vanishes([offset], min(ctx.trials, 30), 1e-9, rng), ""
 
 
 @_check("symspace", "obstruction-mechanics", "with nowhere-vanishing coefficients, "
@@ -1132,8 +1124,6 @@ def _random_symspace_params(rng: random.Random) -> swann.SymSpaceParams:
 
 
 SUITE_RUNNERS = {suite: functools.partial(_run_suite, suite) for suite in SUITE_NAMES}
-
-LINEAR_SUITES = ("model", "liealg", "curvature")  # one task: they share ctx.model
 
 
 def run_suites(ctx: SuiteContext, selected) -> list:

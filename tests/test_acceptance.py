@@ -136,10 +136,12 @@ def test_criterion_05_curvature_space_dimension(model2, basis2, model3, basis3):
 def test_criterion_06_fiber_coframe():
     rng = random.Random(42)
     ok = True
-    theta = [forms.THETA_IN_DH[i].coefficient((b,)) for i in range(4) for b in range(4)]
-    for point, values in forms.sample(theta, 50, rng, rational=True):
+    theta = sf.evaluator([forms.THETA_IN_DH[i].coefficient((b,))
+                          for i in range(4) for b in range(4)])
+    for _ in range(50):
+        point = forms.sample_rational_point(rng)
         mc = forms.maurer_cartan_components(Quaternion(*point))
-        ok = ok and [c for row in mc for c in row] == list(values)
+        ok = ok and tuple(c for row in mc for c in row) == theta(point)
     rep = forms.is_zero_form(forms.d(forms.ALPHA_IN_DH[0]), trials=100,
                              tolerance=1e-10, rng=rng)
     ok = ok and rep.equal

@@ -143,10 +143,13 @@ def test_alpha_expansions_match_stated_rows():
 
 
 def test_maurer_cartan_oracle_exact():
-    theta = [forms.THETA_IN_DH[i].coefficient((b,)) for i in range(4) for b in range(4)]
-    for point, values in forms.sample(theta, 50, _rng(), rational=True):
+    rng = _rng()
+    theta = sf.evaluator([forms.THETA_IN_DH[i].coefficient((b,))
+                          for i in range(4) for b in range(4)])
+    for _ in range(50):
+        point = forms.sample_rational_point(rng)
         mc = forms.maurer_cartan_components(Quaternion(*point))
-        assert [c for row in mc for c in row] == list(values)
+        assert tuple(c for row in mc for c in row) == theta(point)
 
 
 def test_dalpha0_zero():
@@ -410,16 +413,22 @@ def test_sample_redraws_only_rejected_points():
     assert all(values == [p[0] ** 0.5] for p, values in got)
 
 
-def test_sample_rational_points_are_exact_points():
-    got = list(forms.sample((sf.div(sf.ONE, sf.H0),), 20, random.Random(3),
-                            rational=True))
-    rng, want = random.Random(3), []
+def test_vanishes_redraws_rejected_rational_points_in_order(monkeypatch):
+    # 1/h0 is rejected exactly where h0 = 0
+    real, drawn = forms.sample_rational_point, []
+    monkeypatch.setattr(forms, "sample_rational_point",
+                        lambda rng: drawn.append(real(rng)) or drawn[-1])
+    rep = forms.vanishes((sf.div(sf.ONE, sf.H0),), 20, 0.0, random.Random(3),
+                         rational=True)
+    rng, want, every = random.Random(3), [], []
     while len(want) < 20:
-        point = forms.sample_rational_point(rng)
-        if point[0] != 0:
-            want.append(point)
-    assert [point for point, _ in got] == want
-    assert all(tuple(values) == (1 / p[0],) for p, values in got)
+        every.append(real(rng))
+        if every[-1][0] != 0:
+            want.append(every[-1])
+    assert len(every) > len(want)
+    assert drawn == every
+    worst = max(want, key=lambda p: abs(1 / p[0]))  # the first point reaching it
+    assert rep == forms.EqualityReport(False, float(abs(1 / worst[0])), worst)
 
 
 def test_vanishes_fails_an_exact_nonzero_value_at_rational_points():
@@ -445,9 +454,11 @@ def test_sample_error_counts_rejections_by_type():
     # Python's operators raise both, at float and at exact points alike
     zero = sf.sub(sf.mul(sf.TWO, sf.H0), sf.add(sf.H0, sf.H0))
     fields = (sf.sqrt(sf.neg(sf.H0)), sf.div(sf.ONE, zero))
-    for rational in (False, True):
+    for scan in (lambda fields: list(forms.sample(fields, 5, random.Random(1))),
+                 lambda fields: forms.vanishes(fields, 5, 0.0, random.Random(1),
+                                               rational=True)):
         with pytest.raises(forms.SamplingError) as err:
-            list(forms.sample(fields, 5, random.Random(1), rational=rational))
+            scan(fields)
         exc = err.value
         assert exc.evaluated == 0 and exc.rejected == forms.MAX_DRAWS == 64
         assert set(exc.reasons) == {"ValueError", "ZeroDivisionError"}
@@ -457,14 +468,12 @@ def test_sample_error_counts_rejections_by_type():
         assert not isinstance(exc, ValueError)
         # a negative power of that zero fails only by ZeroDivisionError
         with pytest.raises(forms.SamplingError) as err:
-            list(forms.sample((sf.pow_(zero, -2),), 5, random.Random(1),
-                              rational=rational))
+            scan((sf.pow_(zero, -2),))
         assert err.value.reasons == {"ZeroDivisionError": 64}
         # the sqrt of a negative constant that float() rounds to -0.0
         tiny = sf.sqrt(sf.const(Fraction(-1, 10 ** 400)))
         with pytest.raises(forms.SamplingError) as err:
-            list(forms.sample((sf.add(sf.H0, tiny),), 5, random.Random(1),
-                              rational=rational))
+            scan((sf.add(sf.H0, tiny),))
         assert err.value.reasons == {"ValueError": 64}
 
 

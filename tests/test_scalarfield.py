@@ -712,3 +712,38 @@ def test_sqrt_step_floats_and_fractions():
     assert type(sf._sqrt(Fraction(9, 4))) is Fraction
     assert sf._sqrt(Fraction(2)) == math.sqrt(2)
     assert sf._sqrt(4) == 2.0
+
+
+# one node of each type, built without folding, and the text it prints
+_PRINTED = [
+    (sf.Const(Fraction(-3)), "(-3)"),
+    (sf.Const(Fraction(1, 2)), "1/2"),
+    (sf.H2, "h2"),
+    (sf.Add(sf.H0, sf.Mul(sf.H1, sf.H2)), "h0 + (h1) * (h2)"),
+    (sf.Sub(sf.H0, sf.Add(sf.H1, sf.H2)), "h0 - (h1 + h2)"),
+    (sf.Mul(sf.Add(sf.H0, sf.H1), sf.H2), "(h0 + h1) * (h2)"),
+    (sf.Div(sf.H0, sf.Sub(sf.H1, sf.H3)), "(h0) / (h1 - (h3))"),
+    (sf.Neg(sf.Add(sf.H0, sf.H1)), "-(h0 + h1)"),
+    (sf.Pow(sf.Add(sf.H0, sf.H1), -3), "(h0 + h1)^-3"),
+    (sf.Pow(sf.H3, 2), "(h3)^2"),
+    (sf.Sqrt(sf.Add(sf.H0, sf.H1)), "sqrt(h0 + h1)"),
+    (sf.Exp(sf.Neg(sf.H1)), "exp(-(h1))"),
+    (sf.Sin(sf.H2), "sin(h2)"),
+    (sf.Cos(sf.Mul(sf.H0, sf.H3)), "cos((h0) * (h3))"),
+]
+
+
+@pytest.mark.parametrize("node, text", _PRINTED)
+def test_each_node_type_prints_its_text(node, text):
+    assert node.to_str() == str(node) == text
+    assert sf.parse(text).to_str() == text
+
+
+def test_every_printed_node_type_is_covered():
+    assert {type(node) for node, _ in _PRINTED} == {
+        sf.Const, sf.Var, sf.Add, sf.Sub, sf.Mul, sf.Div, sf.Neg, sf.Pow,
+        sf.Sqrt, sf.Exp, sf.Sin, sf.Cos}
+    # every compound node prints from the table it compiles beside
+    assert set(sf._PRINT) == set(sf._SOURCE) == \
+        {type(node) for node, _ in _PRINTED} - {sf.Const, sf.Var}
+    assert all("to_str" not in vars(cls) for cls in sf._PRINT)

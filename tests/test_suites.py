@@ -1,3 +1,4 @@
+import ast
 import functools
 import math
 import pathlib
@@ -35,27 +36,35 @@ def test_suite_context_memo():
     assert SuiteContext(config).memo("k", lambda: 6) == 6
 
 
+def _stating(items, claim):
+    """A generator check that yields `items` and returns `claim`."""
+    yield from items
+    return claim
+
+
 def test_verdict_passes_with_worst_residual_and_detail():
     reports = [(_report(True, 1e-15), "first"), (_report(True, 3e-14), "second"),
                (_report(True, 0.0), "third")]
-    assert _verdict(iter(reports), "all held") == (True, 3e-14, None, "all held")
-    assert _verdict(iter([])) == (True, 0.0, None, "")
+    assert _verdict(_stating(reports, "all held")) == (True, 3e-14, None, "all held")
+    assert _verdict(_stating([], None)) == (True, 0.0, None, "")
 
 
 def test_verdict_fails_on_first_unequal_report():
     reports = [(_report(True, 5.0), "a = 1"),
                (_report(False, 0.25, (1.0, 0.0, 0.0, 0.5)), "a = 2"),
                (_report(False, 9.0, (0.5, 0.5, 0.5, 0.5)), "a = 3")]
-    assert _verdict(iter(reports), "pass detail") == \
+    assert _verdict(_stating(reports, "pass detail")) == \
         (False, 0.25, (1.0, 0.0, 0.0, 0.5), "a = 2")
 
 
 def test_verdict_stops_pulling_after_a_failure():
-    def reports():
+    def check():
         yield _report(True, 1e-16), "first"
         yield _report(False, 1.0, (0.5, 0.0, 0.0, 0.0)), "second"
         raise AssertionError("pulled a report after the failing one")
-    assert _verdict(reports()) == (False, 1.0, (0.5, 0.0, 0.0, 0.0), "second")
+    record = suites._run("fiber", "lazy", "stops at its first failure", check)
+    assert (record.passed, record.residual, record.witness, record.detail) == \
+        (False, 1.0, (0.5, 0.0, 0.0, 0.0), "second")
 
 
 def test_structure_equations_record_carries_the_failing_report(monkeypatch):
@@ -84,6 +93,27 @@ def _record(suite, name, ctx):
     """The record `suites._run` makes of the registered check `name`."""
     (anchor, fn), = [(a, f) for n, a, f in CHECKS[suite] if n == name]
     return suites._run(suite, name, anchor, functools.partial(fn, ctx, None))
+
+
+def _no_draws(*args, **kwargs):
+    raise AssertionError("sampled after an exact pre-check failed")
+
+
+@pytest.mark.parametrize("suite, name, holder, attribute, mutated, record", [
+    # a nonzero ALPHA 3-form from the structure path, at a = 1
+    ("fiber", "dbeta-trivial-fiber-two-paths", forms, "d_via_structure",
+     lambda u: forms.VerticalForm(forms.ALPHA, 3, {(0, 1, 2): sf.ONE}),
+     (False, None, {"a": 1}, "structure path not exactly zero")),
+    ("flat", "pde-hand-solution", swann, "pde_residuals",
+     lambda solution, partials=None: (sf.ONE, sf.ZERO, sf.ZERO, sf.ZERO),
+     (False, None, None, "residuals did not fold to zero")),
+])
+def test_a_failed_exact_pre_check_is_the_record(monkeypatch, suite, name, holder,
+                                                attribute, mutated, record):
+    monkeypatch.setattr(holder, attribute, mutated)
+    monkeypatch.setattr(forms, "is_zero_form", _no_draws)
+    got = _record(suite, name, _ctx(seed=1, trials=5))
+    assert (got.passed, got.residual, got.witness, got.detail) == record
 
 
 def test_nan_pde_residuals_fail_the_solution_family(monkeypatch):
@@ -122,12 +152,6 @@ def test_an_exact_tiny_term_in_df_fails_ddf_zero(monkeypatch):
 
 def test_exact_passes_an_empty_stream():
     assert _exact(iter([])) == (True, 0.0, None, "")
-
-
-def _stating(diffs, claim):
-    """A generator check that yields `diffs` and returns `claim`."""
-    yield from diffs
-    return claim
 
 
 def test_exact_passes_zero_fractions_and_arrays():
@@ -308,3 +332,15 @@ def test_the_linear_suites_take_no_object_path_at_kappa_1(monkeypatch):
     records = _linear_records(_ctx(seed=1, ns=(2, 3, 4)))
     assert all(r.passed for r in records.values())
     assert wide == []
+
+
+def test_only_run_decides_a_check():
+    # a check yields its evidence; _run alone hands it to _verdict or _exact
+    tree = ast.parse(pathlib.Path(suites.__file__).read_text())
+    run, = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_run"]
+    inside = {id(node) for node in ast.walk(run)}
+    uses = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in ("_verdict", "_exact")]
+    assert {node.id for node in uses} == {"_verdict", "_exact"}
+    assert all(id(node) in inside for node in uses), \
+        [(node.id, node.lineno) for node in uses if id(node) not in inside]
